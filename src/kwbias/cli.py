@@ -372,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except KwbiasError as exc:
+    except (KwbiasError, OSError) as exc:  # OSError: a missing or unreadable input file
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

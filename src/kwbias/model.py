@@ -6,7 +6,16 @@ Decoder: token embeddings plus optional learned soft-prefix rows, causal
 self-attention over [prefix, prompt, text], cross-attention to the
 encoder output, and an output projection.  The keyword head pools the
 keyword's token embeddings into a query, attends over the encoder
-output, and scores presence with a small MLP.
+output (keys and values projected once per call), and scores presence
+with a small MLP.
+
+Decoding is incremental.  A `DecoderCache` holds each layer's
+cross-attention K/V over the encoder output, projected once per
+utterance, and each layer's self-attention K/V of the rows decoded so
+far.  Greedy decoding runs [prefix, prompt] in one causal pass, then one
+new row per step against the cache.  Teacher forcing, training and
+attention export run the same layer code as a single pass over an empty
+cache, so both share one attention implementation.
 
 Parameters live in four plain name->Tensor dicts (encoder / decoder /
 kws / prefix) so training regimes can freeze each group independently.
@@ -194,8 +203,9 @@ def _positions_tensor(n: int, d: int) -> Tensor:
 
 
 @lru_cache(maxsize=256)
-def _causal_mask(n: int) -> Tensor:
-    return Tensor(np.triu(np.full((n, n), -1e30), k=1))
+def _causal_mask(n: int, start: int) -> Tensor:
+    """Mask for n new rows at positions start.. over all start + n rows."""
+    return Tensor(np.triu(np.full((n, start + n), -1e30), k=start + 1))
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -208,23 +218,28 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(ad.swap_axes(x, 0, 1), (length, h * hd))
 
 
-def _attention(
+def _project_q(p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int) -> Tensor:
+    """Per-head queries, shape (n_heads, len(x), head_dim)."""
+    return _split_heads(ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]), n_heads)
+
+
+def _project_kv(p: dict[str, Tensor], prefix: str, kv: Tensor, n_heads: int) -> tuple[Tensor, Tensor]:
+    """Per-head keys and values, each (n_heads, len(kv), head_dim)."""
+    k = ad.matmul(kv, p[f"{prefix}.wk"])
+    v = ad.add(ad.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+    return _split_heads(k, n_heads), _split_heads(v, n_heads)
+
+
+def _attend(
     p: dict[str, Tensor],
     prefix: str,
-    x: Tensor,
-    kv: Tensor,
-    n_heads: int,
+    qh: Tensor,
+    kh: Tensor,
+    vh: Tensor,
     mask: Tensor | None = None,
     collect: list | None = None,
 ) -> Tensor:
-    q = ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-    k = ad.matmul(kv, p[f"{prefix}.wk"])
-    v = ad.add(ad.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-    head_dim = x.shape[-1] // n_heads
-    qh = _split_heads(q, n_heads)
-    kh = _split_heads(k, n_heads)
-    vh = _split_heads(v, n_heads)
-    scores = ad.scale(ad.matmul(qh, ad.swap_axes(kh, -1, -2)), 1.0 / np.sqrt(head_dim))
+    scores = ad.scale(ad.matmul(qh, ad.swap_axes(kh, -1, -2)), 1.0 / np.sqrt(qh.shape[-1]))
     if mask is not None:
         scores = ad.add(scores, mask)
     att = ad.softmax(scores, axis=-1)
@@ -232,6 +247,11 @@ def _attention(
         collect.append(att.data.mean(axis=0))
     ctx = _merge_heads(ad.matmul(att, vh))
     return ad.add(ad.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+
+
+def _attention(p: dict[str, Tensor], prefix: str, x: Tensor, kv: Tensor, n_heads: int) -> Tensor:
+    qh = _project_q(p, prefix, x, n_heads)
+    return _attend(p, prefix, qh, *_project_kv(p, prefix, kv, n_heads))
 
 
 def _feed_forward(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -266,6 +286,77 @@ def encode(params: ModelParams, frames: np.ndarray) -> Tensor:
     return _ln(p, "ln_out", h)
 
 
+@dataclass
+class DecoderCache:
+    """Per-layer attention keys and values of one utterance's decode.
+
+    `cross` holds each layer's cross-attention K/V over the encoder output;
+    `self_kv` each layer's self-attention K/V over the `length` rows decoded
+    so far.  All are split into heads, (n_heads, rows, head_dim).
+    """
+
+    cross: list[tuple[Tensor, Tensor]]
+    self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    length: int = 0
+
+
+def decoder_cache(params: ModelParams, u: Tensor) -> DecoderCache:
+    """An empty cache holding the cross-attention K/V over encoder output u."""
+    cfg = params.config
+    return DecoderCache(
+        [_project_kv(params.decoder, f"l{i}.cross", u, cfg.n_heads) for i in range(cfg.n_dec_layers)]
+    )
+
+
+def _decoder_input(
+    params: ModelParams, cond_ids: Sequence[int], t_ids: Sequence[int], prefix: Tensor | None
+) -> Tensor:
+    """Embedded [prefix, cond, t] rows of a fresh decode."""
+    if not cond_ids:
+        raise ModelError("conditioning must contain at least the transcript-start token")
+    emb = ad.embedding(params.decoder["embed"], list(cond_ids) + list(t_ids))
+    if prefix is not None:
+        emb = ad.concat([prefix, emb], axis=0)
+    return emb
+
+
+def _decoder_extend(
+    params: ModelParams, cache: DecoderCache, emb: Tensor, collect: list | None = None
+) -> Tensor:
+    """Run the decoder over rows appended after the cached ones.
+
+    Returns the final hidden states of the new rows and extends each
+    layer's self-attention cache with their keys and values.  New rows
+    attend causally among themselves and to every cached row.
+    """
+    cfg = params.config
+    p = params.decoder
+    start = cache.length
+    n = emb.shape[0]
+    total = start + n
+    if total > cfg.max_tgt_len:
+        raise ModelError(f"conditioning length {total} exceeds max_tgt_len {cfg.max_tgt_len}")
+    # Soft prefix rows take positional encodings exactly like token positions.
+    h = ad.add(emb, Tensor(_positions_tensor(total, cfg.d_model).data[start:]))
+    mask = _causal_mask(n, start) if n > 1 else None
+    for i in range(cfg.n_dec_layers):
+        normed = _ln(p, f"l{i}.ln1", h)
+        qh = _project_q(p, f"l{i}.attn", normed, cfg.n_heads)
+        kh, vh = _project_kv(p, f"l{i}.attn", normed, cfg.n_heads)
+        if start:
+            past_k, past_v = cache.self_kv[i]
+            kh, vh = ad.concat([past_k, kh], axis=1), ad.concat([past_v, vh], axis=1)
+            cache.self_kv[i] = (kh, vh)
+        else:
+            cache.self_kv.append((kh, vh))
+        h = ad.add(h, _attend(p, f"l{i}.attn", qh, kh, vh, mask=mask, collect=collect))
+        cross_q = _project_q(p, f"l{i}.cross", _ln(p, f"l{i}.ln2", h), cfg.n_heads)
+        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i]))
+        h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
+    cache.length = total
+    return _ln(p, "ln_out", h)
+
+
 def _decoder_hidden(
     params: ModelParams,
     u: Tensor,
@@ -274,26 +365,9 @@ def _decoder_hidden(
     prefix: Tensor | None,
     collect: list | None = None,
 ) -> Tensor:
-    cfg = params.config
-    p = params.decoder
-    n_prefix = prefix.shape[0] if prefix is not None else 0
-    total = n_prefix + len(cond_ids) + len(t_ids)
-    if total > cfg.max_tgt_len:
-        raise ModelError(f"conditioning length {total} exceeds max_tgt_len {cfg.max_tgt_len}")
-    if not cond_ids:
-        raise ModelError("conditioning must contain at least the transcript-start token")
-    emb = ad.embedding(p["embed"], list(cond_ids) + list(t_ids))
-    if prefix is not None:
-        emb = ad.concat([prefix, emb], axis=0)
-    # Soft prefix rows take positional encodings exactly like token positions.
-    h = ad.add(emb, _positions_tensor(total, cfg.d_model))
-    mask = _causal_mask(total)
-    for i in range(cfg.n_dec_layers):
-        normed = _ln(p, f"l{i}.ln1", h)
-        h = ad.add(h, _attention(p, f"l{i}.attn", normed, normed, cfg.n_heads, mask=mask, collect=collect))
-        h = ad.add(h, _attention(p, f"l{i}.cross", _ln(p, f"l{i}.ln2", h), u, cfg.n_heads))
-        h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
-    return _ln(p, "ln_out", h)
+    """Hidden states of every [prefix, cond, t] row in one causal pass."""
+    emb = _decoder_input(params, cond_ids, t_ids, prefix)
+    return _decoder_extend(params, decoder_cache(params, u), emb, collect)
 
 
 def _readout(params: ModelParams, rows: Tensor) -> Tensor:
@@ -324,9 +398,26 @@ def decode_next(
     cond_ids: Sequence[int],
     t_prev: Sequence[int],
     prefix: Tensor | None,
+    cache: DecoderCache | None = None,
 ) -> np.ndarray:
-    """Distribution over the vocabulary for the next token."""
-    h = _decoder_hidden(params, u, cond_ids, t_prev, prefix)
+    """Distribution over the vocabulary for the next token.
+
+    Without a cache every [prefix, cond, t_prev] row runs in one causal
+    pass.  A cache from `decoder_cache(params, u)` that holds the leading
+    rows of this same sequence runs only the rows after them, and is
+    extended with their keys and values.
+    """
+    if cache is None:
+        cache = decoder_cache(params, u)
+    if cache.length == 0:
+        emb = _decoder_input(params, cond_ids, t_prev, prefix)
+    else:
+        n_prefix = prefix.shape[0] if prefix is not None else 0
+        new_ids = [*cond_ids, *t_prev][cache.length - n_prefix :]
+        if not new_ids:
+            raise ModelError("nothing to decode: every row is already cached")
+        emb = ad.embedding(params.decoder["embed"], new_ids)
+    h = _decoder_extend(params, cache, emb)
     last = ad.narrow(h, 0, h.shape[0] - 1, 1)
     return ad.softmax(_readout(params, last), axis=-1).data[0]
 
@@ -339,11 +430,15 @@ def transcribe_greedy(
     eot_id: int,
     max_len: int,
 ) -> list[int]:
-    """Greedy decode; argmax ties break to the lowest token id."""
+    """Greedy decode; argmax ties break to the lowest token id.
+
+    The first step runs [prefix, cond] in one causal pass; every later
+    step runs only the newest token against the cached keys and values.
+    """
+    cache = decoder_cache(params, u)
     out: list[int] = []
     for _ in range(max_len):
-        probs = decode_next(params, u, cond_ids, out, prefix)
-        nxt = int(np.argmax(probs))
+        nxt = int(np.argmax(decode_next(params, u, cond_ids, out, prefix, cache)))
         if nxt == eot_id:
             break
         out.append(nxt)
@@ -364,6 +459,8 @@ def kws_logits(params: ModelParams, u: Tensor, keyword_tokens: Sequence[Sequence
     """One presence logit per keyword; shape (len(keywords),)."""
     cfg = params.config
     p = params.kws
+    keys = ad.swap_axes(ad.matmul(u, p["wk"]), 0, 1)
+    values = ad.matmul(u, p["wv"])
     rows: list[Tensor] = []
     for tokens in keyword_tokens:
         if not 1 <= len(tokens) <= 4:
@@ -371,9 +468,7 @@ def kws_logits(params: ModelParams, u: Tensor, keyword_tokens: Sequence[Sequence
         emb = ad.embedding(params.decoder["embed"], list(tokens))
         pooled = ad.scale(ad.matmul(Tensor(np.ones((1, len(tokens)))), emb), 1.0 / len(tokens))
         query = ad.add(ad.matmul(pooled, p["wq"]), p["bq"])
-        keys = ad.matmul(u, p["wk"])
-        values = ad.matmul(u, p["wv"])
-        att = ad.softmax(ad.scale(ad.matmul(query, ad.swap_axes(keys, 0, 1)), 1.0 / np.sqrt(cfg.d_model)), axis=-1)
+        att = ad.softmax(ad.scale(ad.matmul(query, keys), 1.0 / np.sqrt(cfg.d_model)), axis=-1)
         ctx = ad.matmul(att, values)
         feat = ad.concat([ctx, query], axis=1)
         hidden = ad.gelu(ad.add(ad.matmul(feat, p["w1"]), p["b1"]))

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .container import non_negative_ints, read_container, write_container
 from .errors import KwbiasError
 from .rng import stream
 
@@ -208,44 +208,36 @@ def dataset_save(path: Path | str, utterances: list[Utterance], spec: SynthSpec)
         "frame_counts": [u.frames.shape[0] for u in utterances],
         "contains_jargon": [int(u.contains_jargon) for u in utterances],
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with path.open("wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for u in utterances:
-            f.write(np.ascontiguousarray(u.frames, dtype="<f8").tobytes())
+    write_container(path, _MAGIC, header,
+                    (np.ascontiguousarray(u.frames, dtype="<f8").tobytes() for u in utterances))
     path.with_suffix(".txt").write_text("".join(u.text + "\n" for u in utterances), encoding="utf-8")
+
+
+_DATASET_FIELDS = {"n_utterances": int, "n_mels": int, "frame_counts": list, "contains_jargon": list}
 
 
 def dataset_load(path: Path | str) -> list[Utterance]:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise SynthError(f"{path}: not a dataset file (bad magic)")
-    off = len(_MAGIC)
-    (header_len,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    try:
-        header = json.loads(blob[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SynthError(f"{path}: corrupt dataset header: {exc}") from exc
-    off += header_len
+    header, payload = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS)
     n_mels = header["n_mels"]
     counts = header["frame_counts"]
-    if len(counts) != header["n_utterances"]:
+    flags = header["contains_jargon"]
+    if n_mels < 1 or not non_negative_ints(counts):
+        raise SynthError(f"{path}: corrupt dataset header: bad n_mels or frame counts")
+    if not len(counts) == len(flags) == header["n_utterances"]:
         raise SynthError(f"{path}: manifest count mismatch")
-    expected = off + 8 * n_mels * sum(counts)
-    if len(blob) != expected:
-        raise SynthError(f"{path}: truncated dataset: {len(blob)} bytes, expected {expected}")
+    expected = 8 * n_mels * sum(counts)
+    if len(payload) != expected:
+        raise SynthError(f"{path}: truncated dataset: {len(payload)} payload bytes, expected {expected}")
     sidecar = path.with_suffix(".txt")
     texts = sidecar.read_text(encoding="utf-8").splitlines()
     if len(texts) != header["n_utterances"]:
         raise SynthError(f"{sidecar}: transcript count {len(texts)} != manifest {header['n_utterances']}")
     utts: list[Utterance] = []
-    for count, flag, text in zip(counts, header["contains_jargon"], texts):
+    off = 0
+    for count, flag, text in zip(counts, flags, texts):
         n = 8 * n_mels * count
-        frames = np.frombuffer(blob[off : off + n], dtype="<f8").reshape(count, n_mels).copy()
+        frames = np.frombuffer(payload[off : off + n], dtype="<f8").reshape(count, n_mels).copy()
         off += n
         utts.append(Utterance(frames=frames, text=text, contains_jargon=bool(flag)))
     return utts

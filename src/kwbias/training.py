@@ -18,8 +18,7 @@ no gradient at all; their hashes are verified unchanged after every run.
 
 from __future__ import annotations
 
-import json
-import struct
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
+from .container import non_negative_ints, read_container, write_container
 from .errors import KwbiasError
 from .model import (
     ModelConfig,
@@ -297,32 +297,44 @@ def checkpoint_save(path: Path | str, params: ModelParams, vocab_hash: str, seed
         "payload_len": len(payload),
         "payload_sha256": hashlib.sha256(bytes(payload)).hexdigest(),
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with Path(path).open("wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        f.write(bytes(payload))
+    write_container(path, _CKPT_MAGIC, header, [payload])
+
+
+_CKPT_FIELDS = {"config": dict, "vocab_hash": str, "rng": dict, "groups": dict,
+                "payload_len": int, "payload_sha256": str}
+
+
+def _manifest_sizes(path: Path, groups: dict) -> dict[str, list[tuple[str, tuple[int, ...], int]]]:
+    """Validated (name, shape, byte size) entries of each parameter group."""
+    out = {}
+    for gname in ("encoder", "decoder", "kws", "prefix"):
+        entries = groups.get(gname)
+        if not isinstance(entries, list):
+            raise CheckpointError(f"{path}: corrupt checkpoint header: no manifest for group {gname!r}")
+        parsed = []
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                    and isinstance(entry[1], list) and non_negative_ints(entry[1])):
+                raise CheckpointError(f"{path}: corrupt checkpoint header: bad {gname} entry {entry!r}")
+            shape = tuple(entry[1])
+            parsed.append((entry[0], shape, 8 * math.prod(shape)))
+        out[gname] = parsed
+    return out
 
 
 def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) -> tuple[ModelParams, dict]:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(_CKPT_MAGIC)
-    (header_len,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    try:
-        header = json.loads(blob[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    off += header_len
-    payload = blob[off:]
+    header, payload = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS)
     if len(payload) != header["payload_len"]:
         raise CheckpointError(
             f"{path}: truncated payload: {len(payload)} bytes, expected {header['payload_len']}"
         )
+    manifest = _manifest_sizes(path, header["groups"])
+    if sum(size for entries in manifest.values() for _, _, size in entries) != len(payload):
+        raise CheckpointError(f"{path}: corrupt checkpoint header: manifest does not cover the payload")
+    seed = header["rng"].get("seed")
+    if not isinstance(seed, int):
+        raise CheckpointError(f"{path}: corrupt checkpoint header: rng seed must be int")
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload hash mismatch: file is corrupt")
@@ -331,17 +343,19 @@ def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) ->
             f"{path}: vocabulary hash mismatch: checkpoint {header['vocab_hash'][:12]}... "
             f"vs current {expected_vocab_hash[:12]}..."
         )
-    config = ModelConfig(**header["config"])
+    try:
+        config = ModelConfig(**header["config"])
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint header: bad model config: {exc}") from exc
     groups: dict[str, dict[str, Tensor]] = {}
     pos = 0
-    for gname in ("encoder", "decoder", "kws", "prefix"):
+    for gname, entries in manifest.items():
         group: dict[str, Tensor] = {}
-        for name, shape in header["groups"][gname]:
-            size = 8 * int(np.prod(shape)) if shape else 8
+        for name, shape, size in entries:
             arr = np.frombuffer(payload[pos : pos + size], dtype="<f8").reshape(shape).copy()
             pos += size
             group[name] = Tensor(arr)
         groups[gname] = group
     params = ModelParams(config=config, encoder=groups["encoder"], decoder=groups["decoder"],
                          kws=groups["kws"], prefix=groups["prefix"])
-    return params, {"vocab_hash": header["vocab_hash"], "seed": header["rng"]["seed"]}
+    return params, {"vocab_hash": header["vocab_hash"], "seed": seed}

@@ -188,6 +188,17 @@ def test_cli_reports_errors_as_single_line(cli_world, capsys, tmp_path):
     assert err.startswith("ConfigError: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--data", "/nonexistent"],
+    ["transcribe", "--data", "/nonexistent", "--ckpt", "/nonexistent/base.ckpt"],
+], ids=["evaluate", "transcribe"])
+def test_cli_reports_missing_inputs_as_single_line(argv, capsys, tmp_path):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("FileNotFoundError: ") and "vocab.tsv" in err
+
+
 def test_cli_unknown_set_key(tmp_path, capsys):
     rc = main(["gen-data", "--out", str(tmp_path / "d"), "--set", "prefx_len=9"])
     assert rc == 2

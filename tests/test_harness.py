@@ -27,6 +27,8 @@ from kwbias.harness import (
     write_reports,
 )
 from kwbias.model import param_group_hash
+from kwbias.prompts import select_eval_keywords
+from kwbias.rng import stream
 from kwbias.synth import generate_corpus
 from kwbias.text import build_vocab
 
@@ -68,6 +70,20 @@ def test_eval_keyword_sets_are_stable_per_index(tiny_world):
     assert a.keywords == b.keywords
     assert len(a) == TINY.eval_keywords
     assert len(a.positives()) == TINY.eval_positives
+
+
+def test_word_pool_gives_the_keywords_of_the_raw_training_texts():
+    splits, _ = generate_corpus(TINY.synth_spec())
+    train_texts = [u.text for u in splits["train"]]
+    vocab = build_vocab(train_texts, TINY.vocab_target)
+    ctx = make_eval_context(TINY, vocab, train_texts)
+    assert len(ctx.negatives_pool) < len(train_texts)
+    for index, utt in enumerate(splits["test"]):
+        rng = stream(TINY.seed, "eval-kw", index)
+        raw = select_eval_keywords(vocab, utt.text, ctx.tfidf, train_texts, rng,
+                                   n_positives=TINY.eval_positives,
+                                   n_negatives=TINY.eval_keywords - TINY.eval_positives)
+        assert ctx.keywords_for(index, utt.text) == raw
 
 
 def test_oracle_condition_bypasses_the_spotter(tiny_world):

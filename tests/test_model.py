@@ -9,12 +9,14 @@ from kwbias.model import (
     ModelError,
     encode,
     decode_next,
+    decoder_cache,
     init_params,
     init_prefix,
     kws_detect,
     param_count,
     param_group_hash,
     prompt_attention_block,
+    teacher_forced_logits,
     transcribe_greedy,
 )
 from kwbias.rng import stream
@@ -122,6 +124,67 @@ def test_transcribe_breaks_ties_to_lowest_id(params, vocab):
     u = encode(flat, stream(8, "u").normal(size=(10, 8)))
     out = transcribe_greedy(flat, u, [vocab.sop_id, vocab.sot_id], None, vocab.eot_id, 3)
     assert out == [0, 0, 0]
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+def _naive_greedy(params, u, cond_ids, prefix, eot_id, max_len):
+    """Reference decode: recompute the whole decoder for every token."""
+    out: list[int] = []
+    for _ in range(max_len):
+        logits = teacher_forced_logits(params, u, cond_ids, out, prefix).data[-1]
+        nxt = int(np.argmax(_softmax_rows(logits)))
+        if nxt == eot_id:
+            break
+        out.append(nxt)
+    return out
+
+
+@pytest.mark.parametrize("n_prefix", [0, 3])
+@pytest.mark.parametrize("keyworded", [False, True])
+def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
+    fresh = init_params(CFG, seed=11)
+    q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
+    u = encode(fresh, stream(14, "u").normal(size=(10, 8)))
+    cond = ([vocab.sop_id, 10, 11, vocab.delim_id, 12, vocab.sot_id] if keyworded
+            else [vocab.sop_id, vocab.sot_id])
+    t_ids = [7, 8, 9, 7, 20, 33, 41]
+    ref = _softmax_rows(teacher_forced_logits(fresh, u, cond, t_ids, q).data)
+    cache = decoder_cache(fresh, u)
+    for step in range(len(t_ids) + 1):
+        probs = decode_next(fresh, u, cond, t_ids[:step], q, cache)
+        np.testing.assert_allclose(probs, ref[step], rtol=0, atol=1e-12)
+    assert cache.length == n_prefix + len(cond) + len(t_ids)
+    # a cache extends by several rows at once as well
+    cache = decoder_cache(fresh, u)
+    decode_next(fresh, u, cond, t_ids[:2], q, cache)
+    np.testing.assert_allclose(decode_next(fresh, u, cond, t_ids, q, cache), ref[-1], rtol=0, atol=1e-12)
+    with pytest.raises(ModelError, match="already cached"):
+        decode_next(fresh, u, cond, t_ids, q, cache)
+
+
+@pytest.mark.parametrize("n_prefix", [0, 3])
+def test_transcribe_greedy_equals_naive_argmax_loop(vocab, n_prefix):
+    fresh = init_params(CFG, seed=11)
+    q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
+    u = encode(fresh, stream(15, "u").normal(size=(10, 8)))
+    prompt = [vocab.sop_id, 10, 11, vocab.sot_id]
+    # an untrained model stops early; with end-of-text suppressed every
+    # decode runs to max_len, and small token embeddings let the positions
+    # steer the argmax, so the tokens vary
+    assert transcribe_greedy(fresh, u, prompt, q, vocab.eot_id, 20) == _naive_greedy(
+        fresh, u, prompt, q, vocab.eot_id, 20)
+    fresh.decoder["out_b"].data[vocab.eot_id] = -50.0
+    fresh.decoder["embed"].data *= 0.1
+    max_len = CFG.max_tgt_len - n_prefix - len(prompt)
+    out = transcribe_greedy(fresh, u, prompt, q, vocab.eot_id, max_len)
+    assert len(out) == max_len and len(set(out)) > 2
+    assert out == _naive_greedy(fresh, u, prompt, q, vocab.eot_id, max_len)
+    with pytest.raises(ModelError, match="max_tgt_len"):
+        transcribe_greedy(fresh, u, prompt, q, vocab.eot_id, max_len + 2)
 
 
 def test_init_prefix_rows_copy_token_embeddings(params):

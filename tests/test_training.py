@@ -1,5 +1,8 @@
 """Losses, freeze contracts, determinism, and checkpointing."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,36 @@ def test_checkpoint_rejects_wrong_vocab(tmp_path, corpus):
     checkpoint_save(path, params, vocab.content_hash, seed=12)
     with pytest.raises(CheckpointError, match="vocabulary hash mismatch"):
         checkpoint_load(path, "0" * 64)
+
+
+def _container(magic: bytes, header: bytes) -> bytes:
+    return magic + struct.pack("<Q", len(header)) + header
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"KWBCKPT1\x00", "truncated"),
+    (_container(b"KWBCKPT1", b"{}"), "field 'config'"),
+    (_container(b"KWBCKPT1", b"[1,2]"), "JSON object"),
+    (_container(b"KWBCKPT1", b'{"a": 1}'[:5]), "truncated|corrupt"),
+], ids=["nine-bytes", "empty-object", "array", "short-header"])
+def test_malformed_checkpoint_is_a_structured_error(tmp_path, blob, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=message):
+        checkpoint_load(path)
+
+
+def test_checkpoint_manifest_must_cover_the_payload(tmp_path, corpus):
+    _, _, vocab = corpus
+    path = tmp_path / "m.ckpt"
+    checkpoint_save(path, init_params(MODEL, seed=14), vocab.content_hash, seed=14)
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + n])
+    header["groups"]["kws"].pop()
+    path.write_bytes(_container(b"KWBCKPT1", json.dumps(header).encode()) + blob[16 + n :])
+    with pytest.raises(CheckpointError, match="manifest"):
+        checkpoint_load(path)
 
 
 def test_set_trainable_matches_mode_contract():
