@@ -9,6 +9,7 @@ directional checks the mechanism is supposed to deliver.
 
 import argparse
 import time
+from dataclasses import replace
 
 from kwbias.config import RunConfig
 from kwbias.harness import evaluate_conditions, make_eval_context, train_stack
@@ -37,7 +38,7 @@ def main() -> None:
     wins = {"f1_gap": 0, "wer_order": 0, "sandwich": 0}
     for seed in args.seeds:
         t0 = time.monotonic()
-        stack = train_stack(cfg, splits["train"], vocab, seed=seed)
+        stack = train_stack(replace(cfg, seed=seed), splits["train"], vocab)
         reports = {r.condition: r for r in evaluate_conditions(
             CONDITIONS, stack, stack["kws"], splits["test"], ctx)}
         for name in CONDITIONS:

@@ -177,20 +177,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    k = _suffix_check("sub", a.data, b.data)
-    out = _track(a.data - b.data, (a, b))
-
-    def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -(g.sum(axis=tuple(range(k))) if k else g))
-
-    _record(out, adjoint)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     if a.data.shape != b.data.shape:
@@ -316,18 +302,6 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = _track(y, (a,))
-
-    def adjoint(g: np.ndarray) -> None:
-        _accum(a, g * y * (1.0 - y))
-
-    _record(out, adjoint)
-    return out
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along one axis."""
     z = a.data - a.data.max(axis=axis, keepdims=True)
@@ -381,10 +355,6 @@ def sum_all(a: Tensor) -> Tensor:
 
     _record(out, adjoint)
     return out
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool] | None = None) -> Tensor:

@@ -15,10 +15,8 @@ import hashlib
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .audio import load_wav, log_mel, resample
-from .config import ConfigError, RunConfig, parse_config, write_resolved
+from .config import STAGE_KEYS, ConfigError, RunConfig, parse_config, write_resolved
 from .errors import KwbiasError
 from .harness import (
     CONDITIONS,
@@ -31,11 +29,11 @@ from .harness import (
     write_attention_record,
     write_reports,
 )
-from .model import encode, init_params, kws_detect, transcribe_greedy
+from .model import decode_budget, encode, init_params, kws_detect, transcribe_greedy
 from .prompts import Keyword, KeywordSet, assemble_prompt, kws_to_prompt
 from .synth import dataset_load, dataset_save, generate_corpus, word_bank_load_words, word_bank_save
 from .text import Vocab, build_vocab, normalize
-from .training import TrainConfig, checkpoint_load, checkpoint_save, train_run
+from .training import checkpoint_load, checkpoint_save, train_run
 
 
 def _sha256_file(path: Path) -> str:
@@ -103,11 +101,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _train_stage(args: argparse.Namespace, mode: str, source_ckpt: str | None) -> int:
-    step_key = {"base-asr": "steps_asr", "kws": "steps_kws", "ft": "steps_ft", "pt": "steps_pt"}[mode]
-    lr_key = {"base-asr": "lr_asr", "kws": "lr_kws", "ft": "lr_ft", "pt": "lr_pt"}[mode]
+    steps_key, lr_key = STAGE_KEYS[mode]
     extra: dict[str, str] = {}
     if args.steps is not None:
-        extra[step_key] = str(args.steps)
+        extra[steps_key] = str(args.steps)
     if args.learning_rate is not None:
         extra[lr_key] = str(args.learning_rate)
     if getattr(args, "prefix_len", None) is not None:
@@ -124,15 +121,7 @@ def _train_stage(args: argparse.Namespace, mode: str, source_ckpt: str | None) -
         inputs[source_ckpt] = ckpt_path
         params, _ = checkpoint_load(ckpt_path, vocab.content_hash)
 
-    tc = TrainConfig(
-        mode=mode,
-        steps=getattr(cfg, step_key),
-        learning_rate=getattr(cfg, lr_key),
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        prefix_len=cfg.prefix_len,
-        prompt_exposure=cfg.prompt_exposure,
-    )
+    tc = cfg.train_config(mode)
     losses = train_run(tc, sets["train"], vocab, params)
     ckpt_out = out / f"{mode}.ckpt"
     checkpoint_save(ckpt_out, params, vocab.content_hash, cfg.seed)
@@ -244,6 +233,8 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     else:
         inputs["data"] = data_dir / "test.ds"
         utts = dataset_load(data_dir / "test.ds")
+        if not 0 <= args.index < len(utts):
+            raise ConfigError(f"--index {args.index} is outside the {len(utts)}-utterance test split")
         frames = utts[args.index].frames
 
     u = encode(params, frames)
@@ -269,8 +260,7 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     else:
         prompt = assemble_prompt(vocab, ())
 
-    max_len = params.config.max_tgt_len - len(prompt) - (prefix.shape[0] if prefix is not None else 0) - 1
-    ids = transcribe_greedy(params, u, prompt, prefix, vocab.eot_id, max_len)
+    ids = transcribe_greedy(params, u, prompt, prefix, vocab.eot_id, decode_budget(params, prompt, prefix))
     lines.append("transcript: " + normalize(vocab.detokenize(ids, skip_reserved=True)))
     text = "\n".join(lines) + "\n"
     (out / "transcript.txt").write_text(text, encoding="utf-8")

@@ -16,10 +16,20 @@ from typing import Mapping
 from .errors import KwbiasError
 from .model import ModelConfig
 from .synth import SynthSpec
+from .training import TrainConfig
 
 
 class ConfigError(KwbiasError):
     pass
+
+
+# The (steps key, learning-rate key) each training mode reads.
+STAGE_KEYS = {
+    "base-asr": ("steps_asr", "lr_asr"),
+    "kws": ("steps_kws", "lr_kws"),
+    "ft": ("steps_ft", "lr_ft"),
+    "pt": ("steps_pt", "lr_pt"),
+}
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,18 @@ class RunConfig:
             n_mels=self.n_mels,
             max_src_frames=self.max_src_frames,
             max_tgt_len=self.max_tgt_len,
+        )
+
+    def train_config(self, mode: str) -> TrainConfig:
+        steps_key, lr_key = STAGE_KEYS[mode]
+        return TrainConfig(
+            mode=mode,
+            steps=getattr(self, steps_key),
+            learning_rate=getattr(self, lr_key),
+            batch_size=self.batch_size,
+            seed=self.seed,
+            prefix_len=self.prefix_len,
+            prompt_exposure=self.prompt_exposure,
         )
 
     def ablation_lengths(self) -> list[int]:

@@ -1,14 +1,17 @@
-"""End-to-end evaluation: condition reports, prefix-length ablation, and
-attention export.
+"""End-to-end evaluation: condition reports, prefix-length ablation,
+attention export, and the four-stage training stack.
 
 Per-utterance evaluation keyword sets are derived from (seed, utterance
 index) alone, so every condition scores against identical keywords and a
 rerun with the same seed reproduces the report byte for byte.
+
+Every training run here takes its settings from `RunConfig.train_config`
+and every decode its length limit from `model.decode_budget`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +23,9 @@ from .errors import KwbiasError
 from .metrics import KeywordF1, WerBreakdown, compute_wer, keyword_f1
 from .model import (
     ModelParams,
+    decode_budget,
     encode,
+    init_params,
     kws_detect,
     param_count,
     prompt_attention_block,
@@ -29,8 +34,8 @@ from .model import (
 from .prompts import KeywordSet, assemble_prompt, kws_to_prompt, prompt_keyword_spans, select_eval_keywords
 from .rng import stream
 from .synth import Utterance
-from .text import TfidfTable, Vocab, normalize
-from .training import TrainConfig, train_run
+from .text import TfidfTable, Vocab, find_subsequence, normalize
+from .training import train_run
 
 
 class EvalError(KwbiasError):
@@ -147,8 +152,7 @@ def evaluate_condition(
         keywords = ctx.keywords_for(index, utt.text)
         u = encode(params, utt.frames)
         prompt = _condition_prompt(condition, keywords, u, kws_params, vocab, ctx.kws_threshold)
-        max_len = params.config.max_tgt_len - len(prompt) - (prefix.shape[0] if prefix is not None else 0) - 1
-        hyp_ids = transcribe_greedy(params, u, prompt, prefix, vocab.eot_id, max_len)
+        hyp_ids = transcribe_greedy(params, u, prompt, prefix, vocab.eot_id, decode_budget(params, prompt, prefix))
         hypothesis = normalize(vocab.detokenize(hyp_ids, skip_reserved=True))
         reference = normalize(utt.text)
         wer_total = wer_total + compute_wer(reference, hypothesis)
@@ -223,39 +227,6 @@ def write_reports(out_dir: Path | str, reports: Sequence[ConditionReport]) -> tu
 # ablation
 
 
-def clone_params(params: ModelParams) -> ModelParams:
-    groups = {
-        gname: {name: Tensor(t.data.copy()) for name, t in group.items()}
-        for gname, group in params.groups().items()
-    }
-    return ModelParams(config=params.config, encoder=groups["encoder"], decoder=groups["decoder"],
-                       kws=groups["kws"], prefix=groups["prefix"])
-
-
-def prompt_tune_and_evaluate(
-    stack_params: ModelParams,
-    prefix_len: int,
-    train_set: Sequence[Utterance],
-    test_set: Sequence[Utterance],
-    ctx: EvalContext,
-    cfg: RunConfig,
-    condition: str = "pt",
-) -> tuple[ModelParams, ConditionReport]:
-    params = clone_params(stack_params)
-    params.prefix = {}
-    tc = TrainConfig(
-        mode="pt",
-        steps=cfg.steps_pt,
-        learning_rate=cfg.lr_pt,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        prefix_len=prefix_len,
-    )
-    train_run(tc, train_set, ctx.vocab, params)
-    report = evaluate_condition(condition, params, stack_params, test_set, ctx)
-    return params, report
-
-
 def ablate_prefix_lengths(
     stack_params: ModelParams,
     lengths: Sequence[int],
@@ -269,7 +240,10 @@ def ablate_prefix_lengths(
         raise EvalError("ablation needs at least one prefix length")
     rows = []
     for n in sorted(lengths):
-        _, report = prompt_tune_and_evaluate(stack_params, n, train_set, test_set, ctx, cfg)
+        params = stack_params.clone()
+        params.prefix = {}
+        train_run(replace(cfg, prefix_len=n).train_config("pt"), train_set, ctx.vocab, params)
+        report = evaluate_condition("pt", params, stack_params, test_set, ctx)
         rows.append({"prefix_len": n, "wer": report.wer.wer, "f1": report.f1.f1})
     return rows
 
@@ -300,14 +274,6 @@ class AttentionRecord:
     prompt_labels: tuple[str, ...]
     output_labels: tuple[str, ...]
     keyword_hit: bool | None  # peak lands in the keyword's emission columns
-
-
-def _find_subsequence(haystack: Sequence[int], needle: Sequence[int]) -> int:
-    k = len(needle)
-    for i in range(len(haystack) - k + 1):
-        if list(haystack[i : i + k]) == list(needle):
-            return i
-    return -1
 
 
 def export_attention(
@@ -345,11 +311,11 @@ def export_attention(
         kw = jargon_kws[0]
         span = spans[positives.index(kw)]
         hit: bool | None = None
-        emit_start = _find_subsequence(t_ids, kw.tokens)
+        emit_start = find_subsequence(t_ids, kw.tokens)
         if emit_start < 0:
             # First-word variant tokenizes without the leading space.
             alt = tuple(vocab.tokenize(kw.surface))
-            emit_start = _find_subsequence(t_ids, alt)
+            emit_start = find_subsequence(t_ids, alt)
             emit_len = len(alt)
         else:
             emit_len = len(kw.tokens)
@@ -380,50 +346,21 @@ def write_attention_record(path: Path | str, record: AttentionRecord) -> None:
 # ---------------------------------------------------------------------------
 # full training stack
 
+# (stage, training mode, stage whose parameters it starts from)
+_STAGES = (("base", "base-asr", None), ("kws", "kws", "base"), ("ft", "ft", "kws"), ("pt", "pt", "kws"))
 
-def train_stack(
-    cfg: RunConfig,
-    train_set: Sequence[Utterance],
-    vocab: Vocab,
-    seed: int | None = None,
-    modes: Sequence[str] = ("base-asr", "kws", "ft", "pt"),
-) -> dict[str, ModelParams]:
-    """Train base -> kws -> {ft, pt} and return each stage's parameters."""
-    from .model import init_params
 
-    seed = cfg.seed if seed is None else seed
+def train_stack(cfg: RunConfig, train_set: Sequence[Utterance], vocab: Vocab) -> dict[str, ModelParams]:
+    """Train base -> kws -> {ft, pt} and return each stage's parameters.
+
+    Every stage but the first starts from a copy of its source stage.
+    """
     out: dict[str, ModelParams] = {}
-    params = init_params(cfg.model_config(len(vocab)), seed)
-    train_run(
-        TrainConfig(mode="base-asr", steps=cfg.steps_asr, learning_rate=cfg.lr_asr,
-                    batch_size=cfg.batch_size, seed=seed, prompt_exposure=cfg.prompt_exposure),
-        train_set, vocab, params,
-    )
-    out["base"] = params
-
-    kws_params = clone_params(params)
-    train_run(
-        TrainConfig(mode="kws", steps=cfg.steps_kws, learning_rate=cfg.lr_kws,
-                    batch_size=cfg.batch_size, seed=seed),
-        train_set, vocab, kws_params,
-    )
-    out["kws"] = kws_params
-
-    if "ft" in modes:
-        ft_params = clone_params(kws_params)
-        train_run(
-            TrainConfig(mode="ft", steps=cfg.steps_ft, learning_rate=cfg.lr_ft,
-                        batch_size=cfg.batch_size, seed=seed),
-            train_set, vocab, ft_params,
-        )
-        out["ft"] = ft_params
-
-    if "pt" in modes:
-        pt_params = clone_params(kws_params)
-        train_run(
-            TrainConfig(mode="pt", steps=cfg.steps_pt, learning_rate=cfg.lr_pt,
-                        batch_size=cfg.batch_size, seed=seed, prefix_len=cfg.prefix_len),
-            train_set, vocab, pt_params,
-        )
-        out["pt"] = pt_params
+    for stage, mode, source in _STAGES:
+        if source is None:
+            params = init_params(cfg.model_config(len(vocab)), cfg.seed)
+        else:
+            params = out[source].clone()
+        train_run(cfg.train_config(mode), train_set, vocab, params)
+        out[stage] = params
     return out

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import KwbiasError
-from .text import normalize
+from .text import find_subsequence, normalize
 
 
 class MetricsError(KwbiasError):
@@ -102,13 +102,6 @@ class KeywordF1:
         )
 
 
-def _contains_phrase(words: Sequence[str], phrase: Sequence[str]) -> bool:
-    k = len(phrase)
-    if k == 0:
-        return False
-    return any(list(words[i : i + k]) == list(phrase) for i in range(len(words) - k + 1))
-
-
 def keyword_f1(
     references: Sequence[str],
     hypotheses: Sequence[str],
@@ -133,13 +126,13 @@ def keyword_f1(
         tp = fp = fn = 0
         for kw in keywords:
             phrase = normalize(kw.surface).split()
-            in_hyp = _contains_phrase(hyp_words, phrase)
+            in_hyp = find_subsequence(hyp_words, phrase) >= 0
             if kw.positive:
                 if in_hyp:
                     tp += 1
                 else:
                     fn += 1
-            elif in_hyp and not _contains_phrase(ref_words, phrase):
+            elif in_hyp and find_subsequence(ref_words, phrase) < 0:
                 fp += 1
         total = total + KeywordF1(tp, fp, fn)
     return total

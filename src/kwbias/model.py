@@ -83,6 +83,14 @@ class ModelParams:
             for name, t in sorted(group.items()):
                 yield f"{gname}.{name}", t
 
+    def clone(self) -> "ModelParams":
+        """Deep copy: every tensor gets its own data array."""
+        groups = {
+            gname: {name: Tensor(t.data.copy()) for name, t in group.items()}
+            for gname, group in self.groups().items()
+        }
+        return ModelParams(config=self.config, **groups)
+
 
 def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int, std: float | None = None) -> np.ndarray:
     s = (1.0 / np.sqrt(fan_in)) if std is None else std
@@ -420,6 +428,13 @@ def decode_next(
     h = _decoder_extend(params, cache, emb)
     last = ad.narrow(h, 0, h.shape[0] - 1, 1)
     return ad.softmax(_readout(params, last), axis=-1).data[0]
+
+
+def decode_budget(params: ModelParams, cond_ids: Sequence[int], prefix: Tensor | None) -> int:
+    """Greedy decoding's token limit: the decoder's `max_tgt_len` positions
+    less the prefix rows, the conditioning tokens and one for end-of-text."""
+    n_prefix = prefix.shape[0] if prefix is not None else 0
+    return params.config.max_tgt_len - n_prefix - len(cond_ids) - 1
 
 
 def transcribe_greedy(

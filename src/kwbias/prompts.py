@@ -6,7 +6,8 @@ length is uniform on {1..4}, positives are contiguous token spans of the
 example's own transcript, and negatives are spans taken from another
 batch member.  A negative whose tokens also occur in the current
 transcript is redrawn (the span, not its length, so the length histogram
-stays exact) up to 10 times and then dropped.
+stays exact) up to 10 times and then dropped.  That test uses
+`text.find_subsequence`, the matcher keyword F1 scores hits with.
 
 Prompts wrap the keyword token runs in [SOP ... SOT] with a `|` delimiter
 between keywords.
@@ -20,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KwbiasError
-from .rng import stream
-from .text import TfidfTable, Vocab, normalize
+from .text import TfidfTable, Vocab, find_subsequence, normalize
 
 
 class PromptError(KwbiasError):
@@ -67,9 +67,9 @@ class KeywordSet:
         return tuple(k for k in self.keywords if k.positive)
 
 
-def _contains_span(haystack: Sequence[int], needle: Sequence[int]) -> bool:
-    k = len(needle)
-    return any(tuple(haystack[i : i + k]) == tuple(needle) for i in range(len(haystack) - k + 1))
+def _usable(vocab: Vocab, word: str) -> bool:
+    """Whether a whole word fits a keyword in its spoken (space-led) token form."""
+    return 1 <= len(vocab.tokenize(" " + word)) <= MAX_KEYWORD_TOKENS
 
 
 def sample_training_keywords(
@@ -102,7 +102,7 @@ def sample_training_keywords(
                 span_len = min(length, len(src))
                 start = int(rng.integers(0, len(src) - span_len + 1))
                 tokens = tuple(src[start : start + span_len])
-                if _contains_span(own, tokens):
+                if find_subsequence(own, tokens) >= 0:
                     continue
             surface = vocab.detokenize(tokens).strip()
             if not surface or any(k.surface == surface for k in keywords):
@@ -133,16 +133,12 @@ def sample_word_keywords(
     own_set = set(own)
     keywords: list[Keyword] = []
     n_keywords = int(rng.integers(1, 6))
-
-    def usable(word: str) -> bool:
-        return 1 <= len(vocab.tokenize(" " + word)) <= MAX_KEYWORD_TOKENS
-
     for _ in range(n_keywords):
         positive = bool(rng.random() < 0.9)
         for _attempt in range(_REDRAW_ATTEMPTS):
             if positive:
                 taken = {k.surface for k in keywords}
-                cands = sorted(w for w in own_set - taken if usable(w))
+                cands = sorted(w for w in own_set - taken if _usable(vocab, w))
                 if not cands:
                     break
                 w = np.array([weights.get(c) for c in cands])
@@ -154,7 +150,7 @@ def sample_word_keywords(
                     other += 1
                 src = list(batch_words[other])
                 word = src[int(rng.integers(0, len(src)))]
-                if word in own_set or not usable(word):
+                if word in own_set or not _usable(vocab, word):
                     continue
             if any(k.surface == word for k in keywords):
                 continue
@@ -186,25 +182,6 @@ def prompt_keyword_spans(keyword_set: KeywordSet | Sequence[Keyword]) -> list[tu
         spans.append((pos, pos + len(kw.tokens)))
         pos += len(kw.tokens)
     return spans
-
-
-def parse_prompt(vocab: Vocab, prompt: Sequence[int]) -> list[tuple[int, ...]]:
-    """Recover the keyword token runs; inverse of assemble_prompt."""
-    if len(prompt) < 2 or prompt[0] != vocab.sop_id or prompt[-1] != vocab.sot_id:
-        raise PromptError("prompt must be framed by SOP ... SOT")
-    body = list(prompt[1:-1])
-    if not body:
-        return []
-    runs: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for tok in body:
-        if tok == vocab.delim_id:
-            runs.append(tuple(current))
-            current = []
-        else:
-            current.append(tok)
-    runs.append(tuple(current))
-    return runs
 
 
 def kws_to_prompt(vocab: Vocab, decisions: Sequence[bool], keyword_set: KeywordSet) -> list[int]:
@@ -253,17 +230,13 @@ def select_eval_keywords(
     """
     words = normalize(transcript).split()
     present = set(words)
-
-    def usable(word: str) -> bool:
-        return 1 <= len(vocab.tokenize(" " + word)) <= MAX_KEYWORD_TOKENS
-
-    pos_candidates = sorted(w for w in present if usable(w))
+    pos_candidates = sorted(w for w in present if _usable(vocab, w))
     if len(pos_candidates) < n_positives:
         raise PromptError(
             f"transcript has {len(pos_candidates)} usable distinct words, need {n_positives}"
         )
     pool_words = sorted({w for t in negatives_pool for w in normalize(t).split()})
-    neg_candidates = [w for w in pool_words if w not in present and usable(w)]
+    neg_candidates = [w for w in pool_words if w not in present and _usable(vocab, w)]
     if len(neg_candidates) < n_negatives:
         raise PromptError(
             f"negatives pool has {len(neg_candidates)} usable words outside the transcript, "

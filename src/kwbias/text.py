@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import KwbiasError
 
@@ -36,6 +36,20 @@ def normalize(text: str) -> str:
     """Lowercase, map punctuation to spaces, collapse runs of whitespace."""
     chars = [ch if ch in _KEEP else " " for ch in text.lower()]
     return " ".join("".join(chars).split())
+
+
+def find_subsequence(haystack: Sequence, needle: Sequence) -> int:
+    """Start of the first contiguous run of `needle` in `haystack`; -1 if
+    there is none or `needle` is empty."""
+    needle = list(needle)
+    k = len(needle)
+    if not k:
+        return -1
+    haystack = list(haystack)
+    for i in range(len(haystack) - k + 1):
+        if haystack[i : i + k] == needle:
+            return i
+    return -1
 
 
 class Vocab:
@@ -92,8 +106,8 @@ class Vocab:
     def load(cls, path: Path | str) -> "Vocab":
         units: list[str] = []
         for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-            idx, _, unit = line.partition("\t")
-            if not _ or int(idx) != lineno:
+            idx, tab, unit = line.partition("\t")
+            if not tab or idx != str(lineno):
                 raise VocabError(f"malformed vocabulary line {lineno}: {line!r}")
             units.append(unit)
         return cls(units)

@@ -14,6 +14,8 @@ Four modes share one loop:
 
 Frozen groups get ``requires_grad = False`` up front, so they accumulate
 no gradient at all; their hashes are verified unchanged after every run.
+With the encoder frozen (every mode but ``base-asr``) a run encodes each
+utterance once, when a batch first draws it.
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ TRAINABLE_GROUPS = {
     "ft": frozenset({"decoder"}),
     "pt": frozenset({"prefix"}),
 }
-
-# Large-scale reference settings, kept as a documented preset; the
-# dataclass defaults below are the desk-scale working values.
-REFERENCE_PRESET = {"steps": 30000, "batch_size": 4, "lr_ft": 1e-7, "lr_pt": 5e-4}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -183,11 +180,6 @@ def loss_kws(
     return loss
 
 
-def _encode_frozen(params: ModelParams, utterances: Sequence[Utterance]) -> list[Tensor]:
-    # Encoder is frozen in these modes, so u can be computed once up front.
-    return [Tensor(encode(params, u.frames).data) for u in utterances]
-
-
 def train_run(
     config: TrainConfig,
     dataset: Sequence[Utterance],
@@ -208,7 +200,15 @@ def train_run(
 
     tokens = [vocab.tokenize(u.text) for u in dataset]
     empty_prompt = assemble_prompt(vocab, ())
-    cached_u = _encode_frozen(params, dataset) if config.mode != "base-asr" else None
+    encoded: dict[int, Tensor] = {}
+
+    def encoder_input(i: int) -> Tensor | np.ndarray:
+        if config.mode == "base-asr":
+            return dataset[i].frames
+        if i not in encoded:
+            encoded[i] = Tensor(encode(params, dataset[i].frames).data)
+        return encoded[i]
+
     if config.mode == "base-asr" and config.prompt_exposure > 0:
         # exposure prompts use whole-word keywords weighted like the
         # evaluation draw, so the base model sees eval-format prompts
@@ -238,7 +238,7 @@ def train_run(
                 batch = []
                 for j, i in enumerate(idx):
                     ks = sample_training_keywords(vocab, batch_tokens, j, rng)
-                    batch.append((cached_u[i], ks))
+                    batch.append((encoder_input(i), ks))
                 loss = loss_kws(params, batch)
             else:
                 prompts = []
@@ -253,10 +253,7 @@ def train_run(
                     else:
                         ks = sample_training_keywords(vocab, batch_tokens, j, rng)
                         prompts.append(assemble_prompt(vocab, ks))
-                items = [
-                    (dataset[i].frames if cached_u is None else cached_u[i], tokens[i])
-                    for i in idx
-                ]
+                items = [(encoder_input(i), tokens[i]) for i in idx]
                 loss = loss_asr(params, vocab, items, prompts)
             backward(loss)
         value = float(loss.data)

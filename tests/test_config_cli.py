@@ -8,6 +8,7 @@ import pytest
 
 from kwbias.cli import main
 from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, write_resolved
+from kwbias.training import MODES
 
 
 def test_defaults_from_empty_file(tmp_path):
@@ -62,6 +63,18 @@ def test_ablation_lengths_parsing():
         RunConfig(ablate_lengths="4,x").ablation_lengths()
     with pytest.raises(ConfigError, match="empty"):
         RunConfig(ablate_lengths=" , ").ablation_lengths()
+
+
+def test_train_config_reads_each_modes_keys():
+    cfg = RunConfig(steps_asr=11, steps_kws=12, steps_ft=13, steps_pt=14,
+                    lr_asr=0.1, lr_kws=0.2, lr_ft=0.3, lr_pt=0.4,
+                    batch_size=3, seed=9, prefix_len=5, prompt_exposure=0.25)
+    expected = {"base-asr": (11, 0.1), "kws": (12, 0.2), "ft": (13, 0.3), "pt": (14, 0.4)}
+    assert set(expected) == set(MODES)
+    for mode, (steps, lr) in expected.items():
+        tc = cfg.train_config(mode)
+        assert (tc.mode, tc.steps, tc.learning_rate) == (mode, steps, lr)
+        assert (tc.batch_size, tc.seed, tc.prefix_len, tc.prompt_exposure) == (3, 9, 5, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +175,17 @@ def test_transcribe_from_dataset(cli_world, tmp_path):
     assert rc == 0
     text = (out / "transcript.txt").read_text()
     assert text.startswith("transcript: ")
+
+
+@pytest.mark.parametrize("index", ["6", "99", "-1"])
+def test_transcribe_rejects_index_outside_test_split(cli_world, capsys, tmp_path, index):
+    _, data, asr, *_ = cli_world
+    rc = main(["transcribe", "--data", str(data), f"--index={index}",
+               "--ckpt", str(asr / "base-asr.ckpt"), "--out", str(tmp_path / "tr"), *TINY_OVERRIDES])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ConfigError: ") and f"--index {index} " in err
 
 
 def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):

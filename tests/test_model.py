@@ -244,6 +244,12 @@ def test_attention_block_shape_and_row_sums(params, vocab):
         prompt_attention_block(fresh, u, prompt, t_ids, q, CFG.n_dec_layers)
 
 
+def test_clone_is_deep(params):
+    clone = params.clone()
+    clone.encoder["in_w"].data[0, 0] += 1.0
+    assert params.encoder["in_w"].data[0, 0] != clone.encoder["in_w"].data[0, 0]
+
+
 def test_group_hash_tracks_content(params):
     h1 = param_group_hash(params.encoder)
     h2 = param_group_hash(params.encoder)

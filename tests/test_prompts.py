@@ -11,7 +11,6 @@ from kwbias.prompts import (
     PromptError,
     assemble_prompt,
     kws_to_prompt,
-    parse_prompt,
     prompt_keyword_spans,
     sample_training_keywords,
     select_eval_keywords,
@@ -138,14 +137,6 @@ def test_prompt_spans_locate_keywords(vocab):
     spans = prompt_keyword_spans((k1, k2))
     assert tuple(prompt[spans[0][0] : spans[0][1]]) == k1.tokens
     assert tuple(prompt[spans[1][0] : spans[1][1]]) == k2.tokens
-
-
-def test_prompt_parse_back_round_trip(vocab, batch_tokens):
-    rng = stream(81, "parse")
-    for i in range(200):
-        ks = sample_training_keywords(vocab, batch_tokens, i % len(batch_tokens), rng)
-        runs = parse_prompt(vocab, assemble_prompt(vocab, ks))
-        assert runs == [kw.tokens for kw in ks]
 
 
 def test_keyword_set_rejects_duplicate_surfaces():

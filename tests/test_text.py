@@ -12,6 +12,7 @@ from kwbias.text import (
     Vocab,
     VocabError,
     build_vocab,
+    find_subsequence,
     normalize,
     tfidf_scores,
 )
@@ -102,6 +103,33 @@ def test_vocab_save_load_round_trip(tmp_path, vocab):
     loaded = Vocab.load(path)
     assert loaded.units == vocab.units
     assert loaded.content_hash == vocab.content_hash
+
+
+def test_vocab_load_rejects_non_integer_index(tmp_path, vocab):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(vocab.serialize() + "x\ta\n", encoding="utf-8")
+    with pytest.raises(VocabError, match=f"malformed vocabulary line {len(vocab)}: "):
+        Vocab.load(path)
+
+
+def _naive_find(haystack, needle):
+    k = len(needle)
+    starts = [i for i in range(len(haystack) - k + 1) if tuple(haystack[i : i + k]) == tuple(needle)]
+    return starts[0] if k and starts else -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.lists(st.integers(0, 3), max_size=12), st.lists(st.integers(0, 3), max_size=4)),
+        st.tuples(st.lists(st.sampled_from("abc"), max_size=12), st.lists(st.sampled_from("abc"), max_size=4)),
+    )
+)
+def test_find_subsequence_equals_naive_scan(pair):
+    haystack, needle = pair
+    assert find_subsequence(haystack, needle) == _naive_find(haystack, needle)
+    assert find_subsequence(tuple(haystack), tuple(needle)) == _naive_find(haystack, needle)
+    assert find_subsequence(haystack, []) == -1
 
 
 def test_tfidf_word_in_every_document_scores_zero():
