@@ -25,11 +25,7 @@ def main() -> None:
     parser.add_argument("--steps-scale", type=float, default=1.0)
     args = parser.parse_args()
 
-    cfg = RunConfig()
-    if args.steps_scale != 1.0:
-        s = args.steps_scale
-        cfg = RunConfig(steps_asr=int(cfg.steps_asr * s), steps_kws=int(cfg.steps_kws * s),
-                        steps_ft=int(cfg.steps_ft * s), steps_pt=int(cfg.steps_pt * s))
+    cfg = RunConfig().scale_steps(args.steps_scale)
     splits, _ = generate_corpus(cfg.synth_spec())
     vocab = build_vocab([u.text for u in splits["train"]], cfg.vocab_target)
     ctx = make_eval_context(cfg, vocab, [u.text for u in splits["train"]])

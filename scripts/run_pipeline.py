@@ -29,24 +29,23 @@ def main() -> None:
                         help="multiply every stage's default step count")
     args = parser.parse_args()
 
-    cfg = RunConfig()
-    scale = args.steps_scale
+    cfg = RunConfig().scale_steps(args.steps_scale)
     root = args.root
     data = root / "data"
     common = ["--seed", str(args.seed)]
 
     run(["gen-data", "--out", str(data), *common])
     run(["train-asr", "--data", str(data), "--out", str(root / "asr"),
-         "--steps", str(max(1, int(cfg.steps_asr * scale))), *common])
+         "--steps", str(cfg.steps_asr), *common])
     run(["train-kws", "--data", str(data), "--out", str(root / "kws"),
          "--asr-ckpt", str(root / "asr" / "base-asr.ckpt"),
-         "--steps", str(max(1, int(cfg.steps_kws * scale))), *common])
+         "--steps", str(cfg.steps_kws), *common])
     run(["finetune", "--data", str(data), "--out", str(root / "ft"),
          "--kws-ckpt", str(root / "kws" / "kws.ckpt"),
-         "--steps", str(max(1, int(cfg.steps_ft * scale))), *common])
+         "--steps", str(cfg.steps_ft), *common])
     run(["prompt-tune", "--data", str(data), "--out", str(root / "pt"),
          "--kws-ckpt", str(root / "kws" / "kws.ckpt"),
-         "--steps", str(max(1, int(cfg.steps_pt * scale))), *common])
+         "--steps", str(cfg.steps_pt), *common])
     run(["evaluate", "--data", str(data), "--out", str(root / "eval"),
          "--conditions", "baseline,baseline+prompt,ft,pt,ft-oracle,pt-oracle",
          "--base-ckpt", str(root / "asr" / "base-asr.ckpt"),

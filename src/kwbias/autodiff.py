@@ -11,6 +11,9 @@ input requires gradients.  Running the recorded entries in reverse order
 visits every node after all of its consumers, so each adjoint fires
 exactly once.  With no active tape, ops are plain numpy calls, which is
 the fast path used for inference.
+
+Tensors hold no reference to their tape, so a graph lives as long as its
+tape: reference counting frees it once the `with Tape()` block is left.
 """
 
 from __future__ import annotations
@@ -65,13 +68,12 @@ class Tensor:
     accumulation and explicit optimizer updates write to them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data: object, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._tape: Tape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,17 +88,13 @@ class Tensor:
 
 
 def _track(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
-    tape = _active()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out = Tensor(data, requires_grad=True)
-        out._tape = tape
-        return out
-    return Tensor(data)
+    tracked = _active() is not None and any(t.requires_grad for t in inputs)
+    return Tensor(data, requires_grad=tracked)
 
 
 def _record(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
-    if out._tape is not None:
-        out._tape._nodes.append((out, adjoint))
+    if out.requires_grad:
+        _active()._nodes.append((out, adjoint))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -115,9 +113,9 @@ def backward(loss: Tensor) -> None:
     """Populate `grad` for every tracked tensor reachable from a scalar loss."""
     if loss.data.shape != ():
         raise AutodiffError(f"backward requires a scalar, got shape {loss.data.shape}")
-    tape = loss._tape
-    if tape is None:
-        raise AutodiffError("tensor was not recorded on a tape")
+    tape = _active()
+    if tape is None or not loss.requires_grad:
+        raise AutodiffError("loss was not recorded on an active tape")
     if tape.consumed:
         raise AutodiffError("stale tape: backward was already run on it")
     tape.consumed = True

@@ -126,6 +126,11 @@ class RunConfig:
             prompt_exposure=self.prompt_exposure,
         )
 
+    def scale_steps(self, factor: float) -> "RunConfig":
+        """Every stage's step count times `factor`, rounded down but at least 1."""
+        steps = {key: max(1, int(getattr(self, key) * factor)) for key, _ in STAGE_KEYS.values()}
+        return dataclasses.replace(self, **steps)
+
     def ablation_lengths(self) -> list[int]:
         try:
             lengths = sorted({int(x) for x in self.ablate_lengths.split(",") if x.strip()})

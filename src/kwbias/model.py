@@ -472,25 +472,22 @@ class KwsPrediction:
 
 def kws_logits(params: ModelParams, u: Tensor, keyword_tokens: Sequence[Sequence[int]]) -> Tensor:
     """One presence logit per keyword; shape (len(keywords),)."""
-    cfg = params.config
+    lengths = [len(tokens) for tokens in keyword_tokens]
+    for n in lengths:
+        if not 1 <= n <= 4:
+            raise ModelError(f"keyword must have 1..4 tokens, got {n}")
+    # row k averages keyword k's token embeddings
+    pool = np.zeros((len(lengths), sum(lengths)))
+    for k, (end, n) in enumerate(zip(np.cumsum(lengths, dtype=int), lengths)):
+        pool[k, end - n : end] = 1.0 / n
     p = params.kws
+    emb = ad.embedding(params.decoder["embed"], [t for tokens in keyword_tokens for t in tokens])
+    query = ad.add(ad.matmul(ad.matmul(Tensor(pool), emb), p["wq"]), p["bq"])
     keys = ad.swap_axes(ad.matmul(u, p["wk"]), 0, 1)
-    values = ad.matmul(u, p["wv"])
-    rows: list[Tensor] = []
-    for tokens in keyword_tokens:
-        if not 1 <= len(tokens) <= 4:
-            raise ModelError(f"keyword must have 1..4 tokens, got {len(tokens)}")
-        emb = ad.embedding(params.decoder["embed"], list(tokens))
-        pooled = ad.scale(ad.matmul(Tensor(np.ones((1, len(tokens)))), emb), 1.0 / len(tokens))
-        query = ad.add(ad.matmul(pooled, p["wq"]), p["bq"])
-        att = ad.softmax(ad.scale(ad.matmul(query, keys), 1.0 / np.sqrt(cfg.d_model)), axis=-1)
-        ctx = ad.matmul(att, values)
-        feat = ad.concat([ctx, query], axis=1)
-        hidden = ad.gelu(ad.add(ad.matmul(feat, p["w1"]), p["b1"]))
-        rows.append(ad.add(ad.matmul(hidden, p["w2"]), p["b2"]))
-    if not rows:
-        return Tensor(np.zeros((0,)))
-    return ad.reshape(ad.concat(rows, axis=0), (len(rows),))
+    att = ad.softmax(ad.scale(ad.matmul(query, keys), 1.0 / np.sqrt(params.config.d_model)), axis=-1)
+    feat = ad.concat([ad.matmul(att, ad.matmul(u, p["wv"])), query], axis=1)
+    hidden = ad.gelu(ad.add(ad.matmul(feat, p["w1"]), p["b1"]))
+    return ad.reshape(ad.add(ad.matmul(hidden, p["w2"]), p["b2"]), (len(lengths),))
 
 
 def kws_detect(
@@ -499,8 +496,6 @@ def kws_detect(
     keyword_tokens: Sequence[Sequence[int]],
     threshold: float = 0.5,
 ) -> KwsPrediction:
-    if not keyword_tokens:
-        return KwsPrediction(np.zeros(0), np.zeros(0, dtype=bool), threshold)
     logits = kws_logits(params, u, keyword_tokens)
     probs = 1.0 / (1.0 + np.exp(-logits.data))
     return KwsPrediction(probs, probs >= threshold, threshold)

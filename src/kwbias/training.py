@@ -148,15 +148,12 @@ def loss_asr(
     if len(prompts) != len(batch):
         raise TrainingError(f"got {len(prompts)} prompts for {len(batch)} examples")
     prefix = params.prefix.get("q")
-    total_positions = sum(len(t_ids) + 1 for _, t_ids in batch)
-    loss: Tensor | None = None
+    logits, targets = [], []
     for (enc, t_ids), prompt in zip(batch, prompts):
         u = enc if isinstance(enc, Tensor) else encode(params, enc)
-        logits = teacher_forced_logits(params, u, prompt, t_ids, prefix)
-        targets = list(t_ids) + [vocab.eot_id]
-        part = ad.scale(ad.cross_entropy(logits, targets), len(targets) / total_positions)
-        loss = part if loss is None else ad.add(loss, part)
-    return loss
+        logits.append(teacher_forced_logits(params, u, prompt, t_ids, prefix))
+        targets += [*t_ids, vocab.eot_id]
+    return ad.cross_entropy(ad.concat(logits, axis=0), targets)
 
 
 def loss_kws(
@@ -166,18 +163,11 @@ def loss_kws(
     """Mean binary cross-entropy over every sampled keyword in the batch."""
     if len(batch) < 2:
         raise TrainingError("keyword loss needs a batch of >= 2 examples")
-    total = sum(len(ks) for _, ks in batch)
-    if total == 0:
+    if not any(len(ks) for _, ks in batch):
         raise TrainingError("no keywords drawn for the batch")
-    loss: Tensor | None = None
-    for u, ks in batch:
-        if not len(ks):
-            continue
-        logits = kws_logits(params, u, [kw.tokens for kw in ks])
-        labels = np.array([1.0 if kw.positive else 0.0 for kw in ks])
-        part = ad.scale(ad.bce_with_logits(logits, labels), len(ks) / total)
-        loss = part if loss is None else ad.add(loss, part)
-    return loss
+    logits = [kws_logits(params, u, [kw.tokens for kw in ks]) for u, ks in batch]
+    labels = [1.0 if kw.positive else 0.0 for _, ks in batch for kw in ks]
+    return ad.bce_with_logits(ad.concat(logits, axis=0), labels)
 
 
 def train_run(

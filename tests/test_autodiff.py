@@ -1,5 +1,8 @@
 """Kernel-level checks: primitive semantics and gradient correctness."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +186,28 @@ def test_backward_without_tape_is_an_error():
     loss = ad.sum_all(Tensor([1.0], requires_grad=True))
     with pytest.raises(AutodiffError, match="tape"):
         backward(loss)
+
+
+def test_graph_is_freed_without_the_cycle_collector():
+    # Tensor has no weakref slot; the data array of an intermediate lives
+    # exactly as long as the tensor that owns it.
+    x = Tensor(stream(9, "free").normal(size=(3, 4)), requires_grad=True)
+    collector_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            hidden = ad.gelu(ad.matmul(x, Tensor(np.ones((4, 2)))))
+            constant = ad.add(Tensor(np.ones(2)), Tensor(np.ones(2)))  # not recorded
+            loss = ad.sum_all(ad.add(hidden, constant))
+            backward(loss)
+        assert len(tape) == 4  # matmul, gelu, add, sum_all
+        alive = weakref.ref(hidden.data)
+        del tape, hidden, loss
+        assert alive() is None
+    finally:
+        if collector_was_on:
+            gc.enable()
+    assert x.grad.shape == (3, 4)
 
 
 def test_gradients_accumulate_across_shared_use():

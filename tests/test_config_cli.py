@@ -4,10 +4,13 @@ CLI tests run on a miniature corpus; they verify wiring, provenance, and
 byte determinism rather than model quality.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from kwbias.cli import main
 from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, write_resolved
+from kwbias.synth import dataset_load
 from kwbias.training import MODES
 
 
@@ -75,6 +78,15 @@ def test_train_config_reads_each_modes_keys():
         tc = cfg.train_config(mode)
         assert (tc.mode, tc.steps, tc.learning_rate) == (mode, steps, lr)
         assert (tc.batch_size, tc.seed, tc.prefix_len, tc.prompt_exposure) == (3, 9, 5, 0.25)
+
+
+def test_scale_steps_scales_every_stage_and_floors_at_one():
+    cfg = RunConfig()
+    assert cfg.scale_steps(1.0) == cfg
+    assert cfg.scale_steps(0.5) == replace(cfg, steps_asr=1500, steps_kws=300, steps_ft=300, steps_pt=600)
+    tiny = cfg.scale_steps(0.001)
+    assert {mode: tiny.train_config(mode).steps for mode in MODES} == {
+        "base-asr": 3, "kws": 1, "ft": 1, "pt": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +202,21 @@ def test_transcribe_rejects_index_outside_test_split(cli_world, capsys, tmp_path
 
 def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):
     root, data, asr, kws, _ = cli_world
-    word = (data / "train.txt").read_text().split()[0]
+    train_words = sorted(set((data / "train.txt").read_text().split()))
+    spoken = dataset_load(data / "test.ds")[0].text.split()
+    present = next(w for w in spoken if w in train_words)
+    absent = next(w for w in train_words if w not in spoken)
     out = tmp_path / "tr_kw"
     rc = main(["transcribe", "--data", str(data), "--index", "0",
                "--ckpt", str(asr / "base-asr.ckpt"),
                "--kws-ckpt", str(kws / "kws.ckpt"),
-               "--keywords", f"{word},notaword",
+               "--keywords", f"{present},{absent}",
                "--out", str(out), *TINY_OVERRIDES])
-    assert rc == 2 or rc == 0  # 'notaword' may contain unknown chars only if outside alphabet
-    if rc == 0:
-        assert "detected:" in (out / "transcript.txt").read_text()
+    assert rc == 0
+    lines = (out / "transcript.txt").read_text().splitlines()
+    assert lines[0].startswith("detected: ") and lines[1].startswith("transcript: ")
+    detected = lines[0].removeprefix("detected: ")
+    assert detected == "(none)" or set(detected.split(", ")) <= {present, absent}
 
 
 def test_cli_reports_errors_as_single_line(cli_world, capsys, tmp_path):

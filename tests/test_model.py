@@ -13,6 +13,7 @@ from kwbias.model import (
     init_params,
     init_prefix,
     kws_detect,
+    kws_logits,
     param_count,
     param_group_hash,
     prompt_attention_block,
@@ -214,6 +215,30 @@ def test_kws_empty_keyword_set(params):
     u = encode(params, stream(10, "u").normal(size=(10, 8)))
     pred = kws_detect(params, u, [])
     assert len(pred) == 0
+    assert kws_logits(params, u, []).shape == (0,)
+
+
+def _kws_logit_reference(params, u, tokens):
+    """One keyword's logit in plain numpy, one keyword at a time."""
+    p = {name: t.data for name, t in params.kws.items()}
+    pooled = params.decoder["embed"].data[list(tokens)].mean(axis=0, keepdims=True)
+    query = pooled @ p["wq"] + p["bq"]
+    scores = query @ (u.data @ p["wk"]).T / np.sqrt(CFG.d_model)
+    att = np.exp(scores - scores.max())
+    att /= att.sum()
+    x = np.concatenate([att @ (u.data @ p["wv"]), query], axis=1) @ p["w1"] + p["b1"]
+    hidden = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    return float((hidden @ p["w2"] + p["b2"])[0, 0])
+
+
+def test_kws_logits_of_a_batch_match_one_keyword_at_a_time(params):
+    u = encode(params, stream(13, "u").normal(size=(10, 8)))
+    keywords = [[7, 8, 9], [10], [11, 12, 13, 14], [15, 16], [7], [20, 21, 22, 23], [9, 9, 9]]
+    logits = kws_logits(params, u, keywords).data
+    assert logits.shape == (len(keywords),)
+    for got, tokens in zip(logits, keywords):
+        expected = _kws_logit_reference(params, u, tokens)
+        assert abs(got - expected) <= 1e-12 * max(abs(expected), 1e-8), tokens
 
 
 def test_kws_probabilities_in_unit_interval(params):
