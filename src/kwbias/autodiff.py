@@ -118,6 +118,9 @@ def backward(loss: Tensor) -> None:
         raise AutodiffError("loss was not recorded on an active tape")
     if tape.consumed:
         raise AutodiffError("stale tape: backward was already run on it")
+    # the loss is normally the last node recorded, so this scan stops at once
+    if not any(out is loss for out, _ in reversed(tape._nodes)):
+        raise AutodiffError("loss was not recorded on the active tape")
     tape.consumed = True
     loss.grad = np.ones((), dtype=np.float64)
     for out, adjoint in reversed(tape._nodes):

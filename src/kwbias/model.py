@@ -4,10 +4,12 @@ Encoder: stride-2 frame downsampling (a kernel-2 convolution realized as
 reshape + matmul), sinusoidal positions, pre-norm self-attention blocks.
 Decoder: token embeddings plus optional learned soft-prefix rows, causal
 self-attention over [prefix, prompt, text], cross-attention to the
-encoder output, and an output projection.  The keyword head pools the
-keyword's token embeddings into a query, attends over the encoder
-output (keys and values projected once per call), and scores presence
-with a small MLP.
+encoder output, and an output projection.  The keyword head scores the
+whole keyword list in one pass: a (K, total token count) pooling matrix
+averages each keyword's token embeddings into one query row, the K
+queries attend over the encoder output (keys and values projected once
+per call), and a small MLP scores presence.  An empty list runs through
+the same graph and gives shape (0,).
 
 Decoding is incremental.  A `DecoderCache` holds each layer's
 cross-attention K/V over the encoder output, projected once per

@@ -182,6 +182,21 @@ def test_backward_twice_is_a_stale_tape_error():
             backward(loss)
 
 
+def test_backward_of_a_loss_from_an_earlier_tape_is_an_error():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape():
+        old_loss = ad.sum_all(w)
+        backward(old_loss)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(w, w))
+        with pytest.raises(AutodiffError, match="active tape"):
+            backward(old_loss)
+        assert not tape.consumed
+        w.zero_grad()
+        backward(loss)
+    assert np.allclose(w.grad, [2.0, 4.0])
+
+
 def test_backward_without_tape_is_an_error():
     loss = ad.sum_all(Tensor([1.0], requires_grad=True))
     with pytest.raises(AutodiffError, match="tape"):

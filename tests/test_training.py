@@ -63,17 +63,27 @@ def test_initial_asr_loss_is_log_vocab(corpus):
 def test_batch_of_identical_examples_equals_single_example_loss(corpus):
     splits, _, vocab = corpus
     params = init_params(MODEL, seed=1)
+    u = splits["train"][0]
+    item = (u.frames, vocab.tokenize(u.text))
+    prompt = assemble_prompt(vocab, ())
+    single = float(loss_asr(params, vocab, [item], [prompt]).data)
+    batch = float(loss_asr(params, vocab, [item] * 3, [prompt] * 3).data)
+    assert abs(single - batch) < 1e-12
+
+
+def test_batch_loss_is_the_position_weighted_mean_of_single_losses(corpus):
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=1)
     prompt = assemble_prompt(vocab, ())
     items = [(u.frames, vocab.tokenize(u.text)) for u in splits["train"]]
     by_length = {len(t_ids): (frames, t_ids) for frames, t_ids in items}
-    distinct = [by_length[n] for n in sorted(by_length)[:3]]
-    assert len({len(t_ids) for _, t_ids in distinct}) == 3
-    for batch in ([items[0]] * 3, distinct):
-        singles = [float(loss_asr(params, vocab, [item], [prompt]).data) for item in batch]
-        positions = [len(t_ids) + 1 for _, t_ids in batch]
-        expected = float(np.dot(singles, positions) / sum(positions))
-        loss = float(loss_asr(params, vocab, batch, [prompt] * len(batch)).data)
-        assert abs(loss - expected) <= 1e-12 * abs(expected)
+    batch = [by_length[n] for n in sorted(by_length)[:3]]
+    assert len({len(t_ids) for _, t_ids in batch}) == 3
+    singles = [float(loss_asr(params, vocab, [item], [prompt]).data) for item in batch]
+    positions = [len(t_ids) + 1 for _, t_ids in batch]
+    expected = float(np.dot(singles, positions) / sum(positions))
+    loss = float(loss_asr(params, vocab, batch, [prompt] * len(batch)).data)
+    assert abs(loss - expected) < 1e-12
 
 
 def test_empty_batch_is_an_error(corpus):
