@@ -14,6 +14,9 @@ the fast path used for inference.
 
 Tensors hold no reference to their tape, so a graph lives as long as its
 tape: reference counting frees it once the `with Tape()` block is left.
+The active tape is one attribute of a thread-local object whose class
+default is None, so an op finds out in a single attribute read whether
+it must record.
 """
 
 from __future__ import annotations
@@ -34,11 +37,15 @@ class ShapeError(AutodiffError):
     """Operand shapes are incompatible for the requested primitive."""
 
 
-_STATE = threading.local()
+class _State(threading.local):
+    tape: "Tape | None" = None
+
+
+_STATE = _State()
 
 
 def _active() -> "Tape | None":
-    return getattr(_STATE, "tape", None)
+    return _STATE.tape
 
 
 class Tape:
@@ -88,7 +95,7 @@ class Tensor:
 
 
 def _track(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
-    tracked = _active() is not None and any(t.requires_grad for t in inputs)
+    tracked = _STATE.tape is not None and any(t.requires_grad for t in inputs)
     return Tensor(data, requires_grad=tracked)
 
 
@@ -325,10 +332,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match last axis {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    yhat = (x.data - mu) * inv
+    # the reductions np.mean / np.var perform, without their wrappers and
+    # with the centred rows computed once
+    xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + eps)
+    yhat = xc * inv
     out = _track(yhat * gain.data + bias.data, (x, gain, bias))
     lead = tuple(range(x.data.ndim - 1))
 
@@ -340,7 +348,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if x.requires_grad:
             gy = g * gain.data
             gx = inv * (
-                gy - gy.mean(axis=-1, keepdims=True) - yhat * (gy * yhat).mean(axis=-1, keepdims=True)
+                gy
+                - np.add.reduce(gy, -1, keepdims=True) / d
+                - yhat * (np.add.reduce(gy * yhat, -1, keepdims=True) / d)
             )
             _accum(x, gx)
 

@@ -29,7 +29,7 @@ from .harness import (
     write_attention_record,
     write_reports,
 )
-from .model import decode_budget, encode, init_params, kws_detect, transcribe_greedy
+from .model import decode_budget, encode, init_params, kws_detect, same_encoder, transcribe_greedy
 from .prompts import Keyword, KeywordSet, assemble_prompt, kws_to_prompt
 from .synth import dataset_load, dataset_save, generate_corpus, word_bank_load_words, word_bank_save
 from .text import Vocab, build_vocab, normalize
@@ -250,8 +250,8 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
         if args.kws_ckpt is not None:
             inputs["kws-ckpt"] = Path(args.kws_ckpt)
             kws_params, _ = checkpoint_load(args.kws_ckpt, vocab.content_hash)
-            pred = kws_detect(kws_params, encode(kws_params, frames),
-                              [kw.tokens for kw in keywords], threshold=cfg.kws_threshold)
+            kws_u = u if same_encoder(kws_params, params) else encode(kws_params, frames)
+            pred = kws_detect(kws_params, kws_u, [kw.tokens for kw in keywords], threshold=cfg.kws_threshold)
             prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
             detected = [kw.surface for kw, d in zip(keywords, pred.decisions) if d]
             lines.append("detected: " + (", ".join(detected) if detected else "(none)"))

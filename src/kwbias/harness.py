@@ -3,7 +3,9 @@ attention export, and the four-stage training stack.
 
 Per-utterance evaluation keyword sets are derived from (seed, utterance
 index) alone, so every condition scores against identical keywords and a
-rerun with the same seed reproduces the report byte for byte.
+rerun with the same seed reproduces the report byte for byte.  A context
+draws each set once and keeps it; conditions whose models share an
+encoder share one encoder pass per utterance.
 
 Every training run here takes its settings from `RunConfig.train_config`
 and every decode its length limit from `model.decode_budget`.
@@ -11,7 +13,7 @@ and every decode its length limit from `model.decode_budget`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -29,6 +31,7 @@ from .model import (
     kws_detect,
     param_count,
     prompt_attention_block,
+    same_encoder,
     transcribe_greedy,
 )
 from .prompts import KeywordSet, assemble_prompt, kws_to_prompt, prompt_keyword_spans, select_eval_keywords
@@ -75,18 +78,24 @@ class EvalContext:
     n_keywords: int = 20
     n_positives: int = 3
     kws_threshold: float = 0.5
+    # draws made so far; `dataclasses.replace` starts an empty one
+    _drawn: dict[tuple[int, str], KeywordSet] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def keywords_for(self, index: int, transcript: str) -> KeywordSet:
-        rng = stream(self.seed, "eval-kw", index)
-        return select_eval_keywords(
-            self.vocab,
-            transcript,
-            self.tfidf,
-            self.negatives_pool,
-            rng,
-            n_positives=self.n_positives,
-            n_negatives=self.n_keywords - self.n_positives,
-        )
+        key = (index, transcript)
+        if key not in self._drawn:
+            self._drawn[key] = select_eval_keywords(
+                self.vocab,
+                transcript,
+                self.tfidf,
+                self.negatives_pool,
+                stream(self.seed, "eval-kw", index),
+                n_positives=self.n_positives,
+                n_negatives=self.n_keywords - self.n_positives,
+            )
+        return self._drawn[key]
 
 
 def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) -> EvalContext:
@@ -138,19 +147,28 @@ def evaluate_condition(
     kws_params: ModelParams | None,
     test_set: Sequence[Utterance],
     ctx: EvalContext,
+    *,
+    encoded: Sequence[Tensor] | None = None,
 ) -> ConditionReport:
-    """Greedy-transcribe the test set under one prompting condition."""
+    """Greedy-transcribe the test set under one prompting condition.
+
+    `encoded` holds the encoder outputs of `test_set` under `params`'s
+    encoder; without it every utterance is encoded here.
+    """
     if condition not in CONDITIONS:
         raise EvalError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
+    if encoded is None:
+        encoded = [encode(params, utt.frames) for utt in test_set]
+    elif len(encoded) != len(test_set):
+        raise EvalError(f"{len(encoded)} encoder outputs for {len(test_set)} test utterances")
     vocab = ctx.vocab
     prefix = params.prefix.get("q")
     wer_total = WerBreakdown(0, 0, 0, 0)
     refs: list[str] = []
     hyps: list[str] = []
     keyword_sets: list[KeywordSet] = []
-    for index, utt in enumerate(test_set):
+    for index, (utt, u) in enumerate(zip(test_set, encoded)):
         keywords = ctx.keywords_for(index, utt.text)
-        u = encode(params, utt.frames)
         prompt = _condition_prompt(condition, keywords, u, kws_params, vocab, ctx.kws_threshold)
         hyp_ids = transcribe_greedy(params, u, prompt, prefix, vocab.eot_id, decode_budget(params, prompt, prefix))
         hypothesis = normalize(vocab.detokenize(hyp_ids, skip_reserved=True))
@@ -170,14 +188,22 @@ def evaluate_conditions(
     test_set: Sequence[Utterance],
     ctx: EvalContext,
 ) -> list[ConditionReport]:
+    """One report per condition; each test utterance is encoded once per
+    distinct encoder among the models the conditions run."""
     reports = []
+    outputs: list[tuple[ModelParams, list[Tensor]]] = []  # (model, its encoder outputs)
     for condition in conditions:
         role = _CONDITION_MODEL.get(condition)
         if role is None:
             raise EvalError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
         if role not in checkpoints:
             raise EvalError(f"condition {condition!r} needs the {role!r} checkpoint")
-        reports.append(evaluate_condition(condition, checkpoints[role], kws_params, test_set, ctx))
+        params = checkpoints[role]
+        encoded = next((us for other, us in outputs if same_encoder(other, params)), None)
+        if encoded is None:
+            encoded = [encode(params, utt.frames) for utt in test_set]
+            outputs.append((params, encoded))
+        reports.append(evaluate_condition(condition, params, kws_params, test_set, ctx, encoded=encoded))
     return reports
 
 
@@ -238,12 +264,15 @@ def ablate_prefix_lengths(
     """One prompt-tuning run + evaluation per prefix length, ascending."""
     if not lengths:
         raise EvalError("ablation needs at least one prefix length")
+    # prompt tuning leaves the encoder frozen (train_run checks it), so
+    # every length decodes from the same encoder outputs
+    encoded = [encode(stack_params, utt.frames) for utt in test_set]
     rows = []
     for n in sorted(lengths):
         params = stack_params.clone()
         params.prefix = {}
         train_run(replace(cfg, prefix_len=n).train_config("pt"), train_set, ctx.vocab, params)
-        report = evaluate_condition("pt", params, stack_params, test_set, ctx)
+        report = evaluate_condition("pt", params, stack_params, test_set, ctx, encoded=encoded)
         rows.append({"prefix_len": n, "wer": report.wer.wer, "f1": report.f1.f1})
     return rows
 

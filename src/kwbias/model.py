@@ -538,6 +538,14 @@ def param_count(group: dict[str, Tensor]) -> int:
     return sum(t.data.size for t in group.values())
 
 
+def same_encoder(a: ModelParams, b: ModelParams) -> bool:
+    """Whether a and b encode every input identically: the same config and
+    the same encoder tensor names, shapes and values."""
+    if a.config != b.config or a.encoder.keys() != b.encoder.keys():
+        return False
+    return all(np.array_equal(t.data, b.encoder[name].data) for name, t in a.encoder.items())
+
+
 def param_group_hash(group: dict[str, Tensor]) -> str:
     h = hashlib.sha256()
     for name in sorted(group):

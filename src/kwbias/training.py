@@ -14,12 +14,13 @@ Four modes share one loop:
 
 Frozen groups get ``requires_grad = False`` up front, so they accumulate
 no gradient at all; their hashes are verified unchanged after every run.
-With the encoder frozen (every mode but ``base-asr``) a run encodes each
-utterance once, when a batch first draws it.
+A run tokenizes and, with the encoder frozen (every mode but
+``base-asr``), encodes an utterance once, when a batch first draws it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,24 +189,29 @@ def train_run(
         init_prefix(params, config.prefix_len, config.seed)
         params.prefix["q"].requires_grad = True
 
-    tokens = [vocab.tokenize(u.text) for u in dataset]
     empty_prompt = assemble_prompt(vocab, ())
-    encoded: dict[int, Tensor] = {}
 
+    # An utterance is tokenized, split and encoded when a batch first draws it.
+    @functools.cache
+    def tokens(i: int) -> list[int]:
+        return vocab.tokenize(dataset[i].text)
+
+    @functools.cache
+    def words(i: int) -> list[str]:
+        return normalize(dataset[i].text).split()
+
+    @functools.cache
     def encoder_input(i: int) -> Tensor | np.ndarray:
         if config.mode == "base-asr":
             return dataset[i].frames
-        if i not in encoded:
-            encoded[i] = Tensor(encode(params, dataset[i].frames).data)
-        return encoded[i]
+        return Tensor(encode(params, dataset[i].frames).data)
 
     if config.mode == "base-asr" and config.prompt_exposure > 0:
         # exposure prompts use whole-word keywords weighted like the
         # evaluation draw, so the base model sees eval-format prompts
-        words = [normalize(u.text).split() for u in dataset]
         word_weights = tfidf_scores([u.text for u in dataset])
     else:
-        words, word_weights = None, None
+        word_weights = None
 
     frozen_before = {
         g: param_group_hash(group)
@@ -222,7 +228,7 @@ def train_run(
 
     for step in range(config.steps):
         idx = [int(i) for i in rng.integers(0, len(dataset), size=config.batch_size)]
-        batch_tokens = [tokens[i] for i in idx]
+        batch_tokens = [tokens(i) for i in idx]
         with Tape():
             if config.mode == "kws":
                 batch = []
@@ -237,13 +243,13 @@ def train_run(
                         if rng.random() >= config.prompt_exposure:
                             prompts.append(empty_prompt)
                         else:
-                            batch_words = [words[i] for i in idx]
+                            batch_words = [words(i) for i in idx]
                             ks = sample_word_keywords(vocab, batch_words, j, word_weights, rng)
                             prompts.append(assemble_prompt(vocab, ks))
                     else:
                         ks = sample_training_keywords(vocab, batch_tokens, j, rng)
                         prompts.append(assemble_prompt(vocab, ks))
-                items = [(encoder_input(i), tokens[i]) for i in idx]
+                items = [(encoder_input(i), tokens(i)) for i in idx]
                 loss = loss_asr(params, vocab, items, prompts)
             backward(loss)
         value = float(loss.data)

@@ -1,6 +1,7 @@
 """Kernel-level checks: primitive semantics and gradient correctness."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -94,6 +95,20 @@ def test_layer_norm_two_point_slice():
     # mean 2, var 1 -> (x - 2) / sqrt(1 + 1e-5)
     out = ad.layer_norm(Tensor([1.0, 3.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
     assert np.allclose(out.data, [-1.0, 1.0], atol=1e-4)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 64), (17, 64), (2, 5, 8), (2, 4, 3, 16)])
+def test_layer_norm_equals_the_mean_var_formula_bit_for_bit(shape):
+    rng = stream(4, "ln-ref", *shape)
+    x = rng.normal(3.0, 5.0, size=shape)
+    x[(0,) * (x.ndim - 1)] = 7.25  # one constant row
+    g = rng.normal(size=shape[-1])
+    b = rng.normal(size=shape[-1])
+    mu = np.mean(x, axis=-1, keepdims=True)
+    var = np.var(x, axis=-1, keepdims=True)
+    reference = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * g + b
+    out = ad.layer_norm(Tensor(x), Tensor(g), Tensor(b))
+    assert np.array_equal(out.data, reference)
 
 
 def test_layer_norm_gradients_match_finite_differences():
@@ -201,6 +216,25 @@ def test_backward_without_tape_is_an_error():
     loss = ad.sum_all(Tensor([1.0], requires_grad=True))
     with pytest.raises(AutodiffError, match="tape"):
         backward(loss)
+
+
+def test_a_tape_is_active_only_on_the_thread_that_entered_it():
+    x = Tensor(np.ones(3), requires_grad=True)
+    seen = {}
+
+    def other_thread():
+        out = ad.scale(x, 2.0)
+        seen["tracked"] = out.requires_grad
+
+    with Tape() as tape:
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(tape) == 0
+        assert ad.scale(x, 2.0).requires_grad
+    assert seen == {"tracked": False}
+    assert len(tape) == 1
 
 
 def test_graph_is_freed_without_the_cycle_collector():

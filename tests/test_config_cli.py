@@ -8,10 +8,12 @@ from dataclasses import replace
 
 import pytest
 
+from kwbias import cli
 from kwbias.cli import main
 from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, write_resolved
 from kwbias.synth import dataset_load
-from kwbias.training import MODES
+from kwbias.text import Vocab
+from kwbias.training import MODES, checkpoint_load, checkpoint_save
 
 
 def test_defaults_from_empty_file(tmp_path):
@@ -217,6 +219,32 @@ def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):
     assert lines[0].startswith("detected: ") and lines[1].startswith("transcript: ")
     detected = lines[0].removeprefix("detected: ")
     assert detected == "(none)" or set(detected.split(", ")) <= {present, absent}
+
+
+def test_transcribe_encodes_once_when_the_spotter_shares_the_encoder(cli_world, tmp_path, monkeypatch):
+    _, data, asr, kws, _ = cli_world
+    vocab = Vocab.load(data / "vocab.tsv")
+    perturbed, meta = checkpoint_load(kws / "kws.ckpt", vocab.content_hash)
+    perturbed.encoder["in_b"].data[0] += 1e-3
+    checkpoint_save(tmp_path / "kws-perturbed.ckpt", perturbed, vocab.content_hash, meta["seed"])
+    word = dataset_load(data / "test.ds")[0].text.split()[0]
+
+    calls = []
+    original = cli.encode
+
+    def counted(params, frames):
+        calls.append(params)
+        return original(params, frames)
+
+    monkeypatch.setattr(cli, "encode", counted)
+    encodes = []
+    for kws_ckpt in (kws / "kws.ckpt", tmp_path / "kws-perturbed.ckpt"):
+        calls.clear()
+        assert main(["transcribe", "--data", str(data), "--index", "0",
+                     "--ckpt", str(asr / "base-asr.ckpt"), "--kws-ckpt", str(kws_ckpt),
+                     "--keywords", word, "--out", str(tmp_path / kws_ckpt.stem), *TINY_OVERRIDES]) == 0
+        encodes.append(len(calls))
+    assert encodes == [1, 2]
 
 
 def test_cli_reports_errors_as_single_line(cli_world, capsys, tmp_path):

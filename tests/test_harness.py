@@ -5,9 +5,12 @@ they exercise plumbing, not model quality; quality lives in the
 acceptance suite.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kwbias import harness
 from kwbias.config import RunConfig
 from kwbias.harness import (
     CONDITIONS,
@@ -83,6 +86,77 @@ def test_word_pool_gives_the_keywords_of_the_raw_training_texts():
                                    n_positives=TINY.eval_positives,
                                    n_negatives=TINY.eval_keywords - TINY.eval_positives)
         assert ctx.keywords_for(index, utt.text) == raw
+
+
+def _counting(monkeypatch, name):
+    """Replace harness.<name> with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_a_context_draws_each_keyword_set_once(tiny_world, monkeypatch):
+    splits, _, _, stack, ctx = tiny_world
+    ctx = replace(ctx)  # a fresh context: nothing drawn yet
+    draws = _counting(monkeypatch, "select_eval_keywords")
+    evaluate_condition("pt-oracle", stack["pt"], None, splits["test"], ctx)
+    evaluate_condition("ft-oracle", stack["ft"], None, splits["test"], ctx)
+    assert len(draws) == len(splits["test"])
+
+
+def test_replacing_the_seed_draws_afresh(tiny_world, monkeypatch):
+    splits, _, _, _, ctx = tiny_world
+    text = splits["test"][0].text
+    before = ctx.keywords_for(0, text)
+    draws = _counting(monkeypatch, "select_eval_keywords")
+    assert ctx.keywords_for(0, text) is before
+    assert draws == []
+    reseeded = replace(ctx, seed=ctx.seed + 1)
+    raw = select_eval_keywords(ctx.vocab, text, ctx.tfidf, ctx.negatives_pool,
+                               stream(ctx.seed + 1, "eval-kw", 0), n_positives=ctx.n_positives,
+                               n_negatives=ctx.n_keywords - ctx.n_positives)
+    assert reseeded.keywords_for(0, text) == raw
+    assert len(draws) == 1
+    assert replace(ctx).keywords_for(0, text) == before
+    assert len(draws) == 2
+
+
+def test_conditions_share_one_encoder_pass_per_utterance(tiny_world, monkeypatch):
+    splits, _, _, stack, ctx = tiny_world
+    test = splits["test"]
+    separate = [evaluate_conditions([c], stack, stack["kws"], test, ctx)[0] for c in CONDITIONS]
+    encodes = _counting(monkeypatch, "encode")
+    together = evaluate_conditions(list(CONDITIONS), stack, stack["kws"], test, ctx)
+    assert len(encodes) == len(test)
+    assert together == separate
+
+
+def test_a_perturbed_encoder_gets_its_own_encoder_pass(tiny_world, monkeypatch):
+    splits, _, _, stack, ctx = tiny_world
+    test = splits["test"]
+    ft = stack["ft"].clone()
+    ft.encoder["in_b"].data[0] += 1e-3
+    perturbed = {**stack, "ft": ft}
+    encodes = _counting(monkeypatch, "encode")
+    reports = evaluate_conditions(list(CONDITIONS), perturbed, stack["kws"], test, ctx)
+    assert len(encodes) == 2 * len(test)
+    assert sum(args[0] is ft for args in encodes) == len(test)
+    by_name = {r.condition: r for r in reports}
+    for c in ("ft", "ft-oracle"):
+        assert by_name[c] == evaluate_condition(c, ft, stack["kws"], test, ctx)
+
+
+def test_encoder_outputs_must_cover_the_test_set(tiny_world):
+    splits, _, _, stack, ctx = tiny_world
+    with pytest.raises(EvalError, match="2 encoder outputs for 8 test utterances"):
+        evaluate_condition("baseline", stack["base"], None, splits["test"], ctx,
+                           encoded=[harness.encode(stack["base"], u.frames) for u in splits["test"][:2]])
 
 
 def test_oracle_condition_bypasses_the_spotter(tiny_world):

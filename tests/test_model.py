@@ -17,6 +17,7 @@ from kwbias.model import (
     param_count,
     param_group_hash,
     prompt_attention_block,
+    same_encoder,
     teacher_forced_logits,
     transcribe_greedy,
 )
@@ -273,6 +274,18 @@ def test_clone_is_deep(params):
     clone = params.clone()
     clone.encoder["in_w"].data[0, 0] += 1.0
     assert params.encoder["in_w"].data[0, 0] != clone.encoder["in_w"].data[0, 0]
+
+
+def test_same_encoder_compares_config_and_every_encoder_tensor(params):
+    clone = params.clone()
+    clone.decoder["embed"].data[0, 0] += 1.0
+    assert same_encoder(params, clone)
+    clone.encoder["ln_out.b"].data[-1] += 1e-12
+    assert not same_encoder(params, clone)
+    assert not same_encoder(params, init_params(CFG, seed=12))
+    other_heads = params.clone()
+    other_heads.config = ModelConfig(**{**CFG.__dict__, "n_heads": 2})
+    assert not same_encoder(params, other_heads)
 
 
 def test_group_hash_tracks_content(params):
