@@ -11,6 +11,7 @@ output directory, which is enough to rerun it bit-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -283,6 +284,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", type=float, default=None, help="override this stage's learning rate")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kwbias",

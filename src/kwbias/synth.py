@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import non_negative_ints, read_container, write_container
+from .container import read_container, write_container
 from .errors import KwbiasError
 from .rng import stream
 
@@ -199,48 +199,36 @@ def generate_corpus(spec: SynthSpec) -> tuple[dict[str, list[Utterance]], WordBa
 
 
 def dataset_save(path: Path | str, utterances: list[Utterance], spec: SynthSpec) -> None:
-    """Binary container: manifest header + float64 frames; text sidecar."""
+    """Frames in a container with header fields `n_mels`, `spec_hash` and one
+    `contains_jargon` flag per utterance; transcripts in a `.txt` sidecar."""
     path = Path(path)
     header = {
-        "n_utterances": len(utterances),
         "n_mels": spec.n_mels,
         "spec_hash": spec_hash(spec),
-        "frame_counts": [u.frames.shape[0] for u in utterances],
         "contains_jargon": [int(u.contains_jargon) for u in utterances],
     }
-    write_container(path, _MAGIC, header,
-                    (np.ascontiguousarray(u.frames, dtype="<f8").tobytes() for u in utterances))
+    write_container(path, _MAGIC, header, [u.frames for u in utterances])
     path.with_suffix(".txt").write_text("".join(u.text + "\n" for u in utterances), encoding="utf-8")
 
 
-_DATASET_FIELDS = {"n_utterances": int, "n_mels": int, "frame_counts": list, "contains_jargon": list}
+_DATASET_FIELDS = {"n_mels": int, "spec_hash": str, "contains_jargon": list}
 
 
 def dataset_load(path: Path | str) -> list[Utterance]:
     path = Path(path)
-    header, payload = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS)
+    header, frames = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS)
     n_mels = header["n_mels"]
-    counts = header["frame_counts"]
     flags = header["contains_jargon"]
-    if n_mels < 1 or not non_negative_ints(counts):
-        raise SynthError(f"{path}: corrupt dataset header: bad n_mels or frame counts")
-    if not len(counts) == len(flags) == header["n_utterances"]:
+    if n_mels < 1 or any(f.ndim != 2 or f.shape[1] != n_mels for f in frames):
+        raise SynthError(f"{path}: corrupt dataset header: every utterance must be (T, n_mels), n_mels >= 1")
+    if len(flags) != len(frames):
         raise SynthError(f"{path}: manifest count mismatch")
-    expected = 8 * n_mels * sum(counts)
-    if len(payload) != expected:
-        raise SynthError(f"{path}: truncated dataset: {len(payload)} payload bytes, expected {expected}")
     sidecar = path.with_suffix(".txt")
     texts = sidecar.read_text(encoding="utf-8").splitlines()
-    if len(texts) != header["n_utterances"]:
-        raise SynthError(f"{sidecar}: transcript count {len(texts)} != manifest {header['n_utterances']}")
-    utts: list[Utterance] = []
-    off = 0
-    for count, flag, text in zip(counts, flags, texts):
-        n = 8 * n_mels * count
-        frames = np.frombuffer(payload[off : off + n], dtype="<f8").reshape(count, n_mels).copy()
-        off += n
-        utts.append(Utterance(frames=frames, text=text, contains_jargon=bool(flag)))
-    return utts
+    if len(texts) != len(frames):
+        raise SynthError(f"{sidecar}: transcript count {len(texts)} != manifest {len(frames)}")
+    return [Utterance(frames=f, text=text, contains_jargon=bool(flag))
+            for f, flag, text in zip(frames, flags, texts)]
 
 
 def word_bank_save(path: Path | str, bank: WordBank) -> None:

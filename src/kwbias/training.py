@@ -21,18 +21,15 @@ A run tokenizes and, with the encoder frozen (every mode but
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import hashlib
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .container import non_negative_ints, read_container, write_container
+from .container import read_container, write_container
 from .errors import KwbiasError
 from .model import (
     ModelConfig,
@@ -272,65 +269,40 @@ _CKPT_MAGIC = b"KWBCKPT1"
 
 
 def checkpoint_save(path: Path | str, params: ModelParams, vocab_hash: str, seed: int) -> None:
-    """Self-describing container: config, groups, vocab hash, rng seed."""
-    payload = bytearray()
-    manifest: dict[str, list] = {}
-    for gname, group in params.groups().items():
-        entries = []
-        for name in sorted(group):
-            arr = np.ascontiguousarray(group[name].data, dtype="<f8")
-            entries.append([name, list(arr.shape)])
-            payload.extend(arr.tobytes())
-        manifest[gname] = entries
+    """Container of every parameter; header fields `config`, `vocab_hash`,
+    `rng.seed` and `groups`, each group's parameter names in payload order."""
+    groups = params.groups()
+    manifest = {gname: sorted(group) for gname, group in groups.items()}
     header = {
         "config": params.config.__dict__,
         "vocab_hash": vocab_hash,
         "rng": {"seed": seed},
         "groups": manifest,
-        "payload_len": len(payload),
-        "payload_sha256": hashlib.sha256(bytes(payload)).hexdigest(),
     }
-    write_container(path, _CKPT_MAGIC, header, [payload])
+    write_container(path, _CKPT_MAGIC, header,
+                    [groups[gname][name].data for gname, names in manifest.items() for name in names])
 
 
-_CKPT_FIELDS = {"config": dict, "vocab_hash": str, "rng": dict, "groups": dict,
-                "payload_len": int, "payload_sha256": str}
-
-
-def _manifest_sizes(path: Path, groups: dict) -> dict[str, list[tuple[str, tuple[int, ...], int]]]:
-    """Validated (name, shape, byte size) entries of each parameter group."""
-    out = {}
-    for gname in ("encoder", "decoder", "kws", "prefix"):
-        entries = groups.get(gname)
-        if not isinstance(entries, list):
-            raise CheckpointError(f"{path}: corrupt checkpoint header: no manifest for group {gname!r}")
-        parsed = []
-        for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                    and isinstance(entry[1], list) and non_negative_ints(entry[1])):
-                raise CheckpointError(f"{path}: corrupt checkpoint header: bad {gname} entry {entry!r}")
-            shape = tuple(entry[1])
-            parsed.append((entry[0], shape, 8 * math.prod(shape)))
-        out[gname] = parsed
-    return out
+_CKPT_FIELDS = {"config": dict, "vocab_hash": str, "rng": dict, "groups": dict}
 
 
 def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) -> tuple[ModelParams, dict]:
     path = Path(path)
-    header, payload = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS)
-    if len(payload) != header["payload_len"]:
-        raise CheckpointError(
-            f"{path}: truncated payload: {len(payload)} bytes, expected {header['payload_len']}"
-        )
-    manifest = _manifest_sizes(path, header["groups"])
-    if sum(size for entries in manifest.values() for _, _, size in entries) != len(payload):
+    header, arrays = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS)
+    manifest = {}
+    for gname in ("encoder", "decoder", "kws", "prefix"):
+        names = header["groups"].get(gname)
+        if not isinstance(names, list):
+            raise CheckpointError(f"{path}: corrupt checkpoint header: no manifest for group {gname!r}")
+        for name in names:
+            if not isinstance(name, str):
+                raise CheckpointError(f"{path}: corrupt checkpoint header: bad {gname} entry {name!r}")
+        manifest[gname] = names
+    if sum(map(len, manifest.values())) != len(arrays):
         raise CheckpointError(f"{path}: corrupt checkpoint header: manifest does not cover the payload")
     seed = header["rng"].get("seed")
     if not isinstance(seed, int):
         raise CheckpointError(f"{path}: corrupt checkpoint header: rng seed must be int")
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["payload_sha256"]:
-        raise CheckpointError(f"{path}: payload hash mismatch: file is corrupt")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError(
             f"{path}: vocabulary hash mismatch: checkpoint {header['vocab_hash'][:12]}... "
@@ -340,15 +312,6 @@ def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) ->
         config = ModelConfig(**header["config"])
     except TypeError as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header: bad model config: {exc}") from exc
-    groups: dict[str, dict[str, Tensor]] = {}
-    pos = 0
-    for gname, entries in manifest.items():
-        group: dict[str, Tensor] = {}
-        for name, shape, size in entries:
-            arr = np.frombuffer(payload[pos : pos + size], dtype="<f8").reshape(shape).copy()
-            pos += size
-            group[name] = Tensor(arr)
-        groups[gname] = group
-    params = ModelParams(config=config, encoder=groups["encoder"], decoder=groups["decoder"],
-                         kws=groups["kws"], prefix=groups["prefix"])
-    return params, {"vocab_hash": header["vocab_hash"], "seed": seed}
+    tensors = iter(arrays)
+    groups = {gname: {name: Tensor(next(tensors)) for name in names} for gname, names in manifest.items()}
+    return ModelParams(config=config, **groups), {"vocab_hash": header["vocab_hash"], "seed": seed}

@@ -6,6 +6,7 @@ byte determinism rather than model quality.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from kwbias import cli
@@ -245,6 +246,27 @@ def test_transcribe_encodes_once_when_the_spotter_shares_the_encoder(cli_world, 
                      "--keywords", word, "--out", str(tmp_path / kws_ckpt.stem), *TINY_OVERRIDES]) == 0
         encodes.append(len(calls))
     assert encodes == [1, 2]
+
+
+def test_second_run_in_a_process_reads_its_own_flags(cli_world, tmp_path, monkeypatch):
+    """The parser is built once per process; no flag of one run reaches the next."""
+    _, data, asr, *_ = cli_world
+    frames = []
+    original = cli.encode
+
+    def recorded(params, x):
+        frames.append(x)
+        return original(params, x)
+
+    monkeypatch.setattr(cli, "encode", recorded)
+    argv = ["transcribe", "--data", str(data), "--ckpt", str(asr / "base-asr.ckpt"), *TINY_OVERRIDES]
+    assert main([*argv, "--index", "1", "--set", "kws_threshold=0.9", "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert parse_config(tmp_path / "a" / "config.resolved", {}).kws_threshold == 0.9
+    assert parse_config(tmp_path / "b" / "config.resolved", {}).kws_threshold == RunConfig().kws_threshold
+    test = dataset_load(data / "test.ds")
+    assert np.array_equal(frames[0], test[1].frames) and np.array_equal(frames[1], test[0].frames)
 
 
 def test_cli_reports_errors_as_single_line(cli_world, capsys, tmp_path):

@@ -120,13 +120,13 @@ def test_truncated_dataset_is_a_structured_error(tmp_path):
     dataset_save(path, splits["dev"], SMALL)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 17])
-    with pytest.raises(SynthError, match="truncated"):
+    with pytest.raises(SynthError, match=r"\.ds: truncated dataset: "):
         dataset_load(path)
 
 
 @pytest.mark.parametrize("blob, message", [
     (b"KWBDS001\x00", "truncated"),
-    (b"KWBDS001" + struct.pack("<Q", 2) + b"{}", "field 'n_utterances'"),
+    (b"KWBDS001" + struct.pack("<Q", 2) + b"{}", "field 'n_mels'"),
     (b"KWBDS001" + struct.pack("<Q", 5) + b"[1,2]", "JSON object"),
 ], ids=["nine-bytes", "empty-object", "array"])
 def test_malformed_dataset_header_is_a_structured_error(tmp_path, blob, message):

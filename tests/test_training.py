@@ -1,12 +1,12 @@
 """Losses, freeze contracts, determinism, and checkpointing."""
 
-import json
 import struct
 
 import numpy as np
 import pytest
 
 from kwbias.autodiff import Tape, Tensor, backward
+from kwbias.container import read_container, write_container
 from kwbias.model import ModelConfig, init_params, param_group_hash
 from kwbias.prompts import sample_training_keywords, assemble_prompt
 from kwbias.rng import stream
@@ -270,12 +270,11 @@ def test_checkpoint_manifest_must_cover_the_payload(tmp_path, corpus):
     _, _, vocab = corpus
     path = tmp_path / "m.ckpt"
     checkpoint_save(path, init_params(MODEL, seed=14), vocab.content_hash, seed=14)
-    blob = path.read_bytes()
-    (n,) = struct.unpack_from("<Q", blob, 8)
-    header = json.loads(blob[16 : 16 + n])
+    header, arrays = read_container(path, b"KWBCKPT1", "checkpoint", CheckpointError, {})
+    del header["digest"]
     header["groups"]["kws"].pop()
-    path.write_bytes(_container(b"KWBCKPT1", json.dumps(header).encode()) + blob[16 + n :])
-    with pytest.raises(CheckpointError, match="manifest"):
+    write_container(path, b"KWBCKPT1", header, arrays)  # a valid digest, so the manifest check fires
+    with pytest.raises(CheckpointError, match=r"\.ckpt: corrupt checkpoint header: manifest"):
         checkpoint_load(path)
 
 
