@@ -91,12 +91,6 @@ def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(n_mels: int, sample_rate_hz: int) -> np.ndarray:
-    """Center frequency (Hz) of each triangular filter."""
-    edges = np.linspace(0.0, hz_to_mel(sample_rate_hz / 2), n_mels + 2)
-    return np.asarray(mel_to_hz(edges[1:-1]))
-
-
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
     """(n_mels, n_fft//2 + 1) triangular filters, unit peak, HTK mel spacing."""
     edges_hz = np.asarray(mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2), n_mels + 2)))

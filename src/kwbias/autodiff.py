@@ -10,7 +10,15 @@ Ops executed while a `Tape` is active record an adjoint closure when any
 input requires gradients.  Running the recorded entries in reverse order
 visits every node after all of its consumers, so each adjoint fires
 exactly once.  With no active tape, ops are plain numpy calls, which is
-the fast path used for inference.
+the fast path used for inference: a primitive returns its output before
+it builds an adjoint closure.
+
+Two fused primitives keep the graph small: `affine` is a linear layer
+with its bias, and `attention` is the whole multi-head softmax attention
+(head split, scores, mask, softmax, weighted sum, head merge) with one
+hand-written adjoint.  Both run the numpy sequence of the chain of
+elementary ops they replace, so their outputs and gradients are those of
+that chain bit for bit.
 
 Tensors hold no reference to their tape, so a graph lives as long as its
 tape: reference counting frees it once the `with Tape()` block is left.
@@ -100,8 +108,7 @@ def _track(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
 
 
 def _record(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
-    if out.requires_grad:
-        _active()._nodes.append((out, adjoint))
+    _STATE.tape._nodes.append((out, adjoint))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -150,12 +157,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ):
         raise ShapeError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
     out = _track(ad @ bd, (a, b))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g @ np.swapaxes(bd, -1, -2))
+            _accum(a, g @ bd.swapaxes(-1, -2))
         if b.requires_grad:
-            _accum(b, np.swapaxes(ad, -1, -2) @ g)
+            _accum(b, ad.swapaxes(-1, -2) @ g)
 
     _record(out, adjoint)
     return out
@@ -174,6 +183,8 @@ def _suffix_check(op: str, a: np.ndarray, b: np.ndarray) -> int:
 def add(a: Tensor, b: Tensor) -> Tensor:
     k = _suffix_check("add", a.data, b.data)
     out = _track(a.data + b.data, (a, b))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -185,18 +196,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    ad, bd = a.data, b.data
-    out = _track(ad * bd, (a, b))
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w + b for 2-D x and w and a bias over w's columns, as one node."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise ShapeError(f"affine shape mismatch: {xd.shape} x {wd.shape}")
+    if b is not None and b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"affine bias shape {b.data.shape} does not match {wd.shape[1]} columns")
+    y = xd @ wd
+    out = _track(y if b is None else y + b.data, (x, w) if b is None else (x, w, b))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, g * bd)
-        if b.requires_grad:
-            _accum(b, g * ad)
+        if b is not None and b.requires_grad:
+            _accum(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, g @ wd.T)
+        if w.requires_grad:
+            _accum(w, xd.T @ g)
 
     _record(out, adjoint)
     return out
@@ -205,6 +223,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = _track(a.data * c, (a,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         _accum(a, g * c)
@@ -216,6 +236,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     orig = a.data.shape
     out = _track(a.data.reshape(shape), (a,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         _accum(a, g.reshape(orig))
@@ -225,10 +247,12 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def swap_axes(a: Tensor, i: int, j: int) -> Tensor:
-    out = _track(np.swapaxes(a.data, i, j), (a,))
+    out = _track(a.data.swapaxes(i, j), (a,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
-        _accum(a, np.swapaxes(g, i, j))
+        _accum(a, g.swapaxes(i, j))
 
     _record(out, adjoint)
     return out
@@ -243,6 +267,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl[axis] = slice(start, start + length)
     index = tuple(sl)
     out = _track(a.data[index].copy(), (a,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -258,6 +284,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of zero tensors")
     out = _track(np.concatenate([t.data for t in tensors], axis=axis), tensors)
+    if not out.requires_grad:
+        return out
     sizes = [t.data.shape[axis] for t in tensors]
 
     def adjoint(g: np.ndarray) -> None:
@@ -281,6 +309,8 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ShapeError(f"embedding id out of range for table of {table.data.shape[0]} rows")
     out = _track(table.data[idx], (table,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         if table.requires_grad:
@@ -300,6 +330,8 @@ def gelu(a: Tensor) -> Tensor:
     x2 = x * x
     t = np.tanh(_GELU_C * (x + 0.044715 * (x * x2)))
     out = _track(0.5 * x * (1.0 + t), (a,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -316,10 +348,67 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
     out = _track(y, (a,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
             _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    _record(out, adjoint)
+    return out
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    mask: np.ndarray | None = None,
+    collect: list | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q is (nq, d); k and v are (nk, d).  Each of the n_heads heads takes a
+    contiguous d / n_heads slice of the columns, and the heads' outputs
+    are merged back into (nq, d).  `mask` (nq, nk) is added to every
+    head's scaled scores before the softmax.  `collect`, if given, gets
+    the head-averaged weights (nq, nk) appended.
+    """
+    nq, d = q.data.shape
+    nk = k.data.shape[0]
+    if k.data.shape != (nk, d) or v.data.shape != (nk, d) or d % n_heads:
+        raise ShapeError(
+            f"attention shape mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}, {n_heads} heads"
+        )
+    if mask is not None and mask.shape != (nq, nk):
+        raise ShapeError(f"attention mask shape {mask.shape} does not match scores ({nq}, {nk})")
+    hd = d // n_heads
+    qh = q.data.reshape(nq, n_heads, hd).swapaxes(0, 1)
+    kh = k.data.reshape(nk, n_heads, hd).swapaxes(0, 1)
+    vh = v.data.reshape(nk, n_heads, hd).swapaxes(0, 1)
+    c = float(1.0 / np.sqrt(hd))
+    scores = (qh @ kh.swapaxes(-1, -2)) * c
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    if collect is not None:
+        collect.append(att.mean(axis=0))
+    out = _track((att @ vh).swapaxes(0, 1).reshape(nq, d), (q, k, v))
+    if not out.requires_grad:
+        return out
+
+    def adjoint(g: np.ndarray) -> None:
+        gh = g.reshape(nq, n_heads, hd).swapaxes(0, 1)
+        ga = gh @ vh.swapaxes(-1, -2)
+        if v.requires_grad:
+            _accum(v, (att.swapaxes(-1, -2) @ gh).swapaxes(0, 1).reshape(nk, d))
+        gs = att * (ga - (ga * att).sum(axis=-1, keepdims=True)) * c
+        if q.requires_grad:
+            _accum(q, (gs @ kh).swapaxes(0, 1).reshape(nq, d))
+        if k.requires_grad:
+            _accum(k, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).swapaxes(0, 1).reshape(nk, d))
 
     _record(out, adjoint)
     return out
@@ -338,6 +427,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + eps)
     yhat = xc * inv
     out = _track(yhat * gain.data + bias.data, (x, gain, bias))
+    if not out.requires_grad:
+        return out
     lead = tuple(range(x.data.ndim - 1))
 
     def adjoint(g: np.ndarray) -> None:
@@ -353,16 +444,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 - yhat * (np.add.reduce(gy * yhat, -1, keepdims=True) / d)
             )
             _accum(x, gx)
-
-    _record(out, adjoint)
-    return out
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = _track(np.asarray(a.data.sum()), (a,))
-
-    def adjoint(g: np.ndarray) -> None:
-        _accum(a, np.broadcast_to(g, a.data.shape).astype(np.float64))
 
     _record(out, adjoint)
     return out
@@ -395,6 +476,8 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool] |
     count = int(msk.sum())
     nll = -logp[np.arange(n), tgt]
     out = _track(np.asarray((nll * msk).sum() / count), (logits,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         if logits.requires_grad:
@@ -418,6 +501,8 @@ def bce_with_logits(logits: Tensor, labels: Sequence[float]) -> Tensor:
     loss = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     n = x.size
     out = _track(np.asarray(loss.sum() / n), (logits,))
+    if not out.requires_grad:
+        return out
 
     def adjoint(g: np.ndarray) -> None:
         if logits.requires_grad:

@@ -11,13 +11,18 @@ queries attend over the encoder output (keys and values projected once
 per call), and a small MLP scores presence.  An empty list runs through
 the same graph and gives shape (0,).
 
+One fused primitive, `autodiff.attention`, serves the encoder, the
+decoder's self- and cross-attention and the keyword head (as a single
+head); every linear layer is one `autodiff.affine`.  Both take and give
+unsplit (rows, d_model) tensors, so head splitting never shows up here.
+
 Decoding is incremental.  A `DecoderCache` holds each layer's
 cross-attention K/V over the encoder output, projected once per
 utterance, and each layer's self-attention K/V of the rows decoded so
-far.  Greedy decoding runs [prefix, prompt] in one causal pass, then one
-new row per step against the cache.  Teacher forcing, training and
-attention export run the same layer code as a single pass over an empty
-cache, so both share one attention implementation.
+far, all unsplit.  Greedy decoding runs [prefix, prompt] in one causal
+pass, then one new row per step against the cache.  Teacher forcing,
+training and attention export run the same layer code as a single pass
+over an empty cache, so both share one attention implementation.
 
 Parameters live in four plain name->Tensor dicts (encoder / decoder /
 kws / prefix) so training regimes can freeze each group independently.
@@ -213,60 +218,38 @@ def _positions_tensor(n: int, d: int) -> Tensor:
 
 
 @lru_cache(maxsize=256)
-def _causal_mask(n: int, start: int) -> Tensor:
+def _causal_mask(n: int, start: int) -> np.ndarray:
     """Mask for n new rows at positions start.. over all start + n rows."""
-    return Tensor(np.triu(np.full((n, start + n), -1e30), k=start + 1))
+    return np.triu(np.full((n, start + n), -1e30), k=start + 1)
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    length, d = x.shape
-    return ad.swap_axes(ad.reshape(x, (length, n_heads, d // n_heads)), 0, 1)
+def _project_kv(p: dict[str, Tensor], prefix: str, kv: Tensor) -> tuple[Tensor, Tensor]:
+    """Keys and values of the rows of kv, each (len(kv), d_model).
 
-
-def _merge_heads(x: Tensor) -> Tensor:
-    h, length, hd = x.shape
-    return ad.reshape(ad.swap_axes(x, 0, 1), (length, h * hd))
-
-
-def _project_q(p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int) -> Tensor:
-    """Per-head queries, shape (n_heads, len(x), head_dim)."""
-    return _split_heads(ad.add(ad.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]), n_heads)
-
-
-def _project_kv(p: dict[str, Tensor], prefix: str, kv: Tensor, n_heads: int) -> tuple[Tensor, Tensor]:
-    """Per-head keys and values, each (n_heads, len(kv), head_dim)."""
-    k = ad.matmul(kv, p[f"{prefix}.wk"])
-    v = ad.add(ad.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-    return _split_heads(k, n_heads), _split_heads(v, n_heads)
+    Self-attention projects its queries before these; that fixes the order
+    (value, key, query) in which the shared input's gradient accumulates,
+    and with it the last bits of trained weights."""
+    return ad.affine(kv, p[f"{prefix}.wk"]), ad.affine(kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
 
 
 def _attend(
     p: dict[str, Tensor],
     prefix: str,
-    qh: Tensor,
-    kh: Tensor,
-    vh: Tensor,
-    mask: Tensor | None = None,
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    mask: np.ndarray | None = None,
     collect: list | None = None,
 ) -> Tensor:
-    scores = ad.scale(ad.matmul(qh, ad.swap_axes(kh, -1, -2)), 1.0 / np.sqrt(qh.shape[-1]))
-    if mask is not None:
-        scores = ad.add(scores, mask)
-    att = ad.softmax(scores, axis=-1)
-    if collect is not None:
-        collect.append(att.data.mean(axis=0))
-    ctx = _merge_heads(ad.matmul(att, vh))
-    return ad.add(ad.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
-
-
-def _attention(p: dict[str, Tensor], prefix: str, x: Tensor, kv: Tensor, n_heads: int) -> Tensor:
-    qh = _project_q(p, prefix, x, n_heads)
-    return _attend(p, prefix, qh, *_project_kv(p, prefix, kv, n_heads))
+    """Multi-head attention of queries q over k/v, then the output projection."""
+    ctx = ad.attention(q, k, v, n_heads, mask, collect)
+    return ad.affine(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _feed_forward(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    h = ad.gelu(ad.add(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-    return ad.add(ad.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+    h = ad.gelu(ad.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    return ad.affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def _ln(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -287,11 +270,13 @@ def encode(params: ModelParams, frames: np.ndarray) -> Tensor:
     p = params.encoder
     half = n // 2
     x = Tensor(frames[: 2 * half].reshape(half, 2 * cfg.n_mels))
-    h = ad.gelu(ad.add(ad.matmul(x, p["in_w"]), p["in_b"]))
+    h = ad.gelu(ad.affine(x, p["in_w"], p["in_b"]))
     h = ad.add(h, _positions_tensor(half, cfg.d_model))
     for i in range(cfg.n_enc_layers):
         normed = _ln(p, f"l{i}.ln1", h)
-        h = ad.add(h, _attention(p, f"l{i}.attn", normed, normed, cfg.n_heads))
+        q = ad.affine(normed, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
+        k, v = _project_kv(p, f"l{i}.attn", normed)
+        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln2", h)))
     return _ln(p, "ln_out", h)
 
@@ -302,7 +287,8 @@ class DecoderCache:
 
     `cross` holds each layer's cross-attention K/V over the encoder output;
     `self_kv` each layer's self-attention K/V over the `length` rows decoded
-    so far.  All are split into heads, (n_heads, rows, head_dim).
+    so far.  All are unsplit, (rows, d_model): `ad.attention` splits the
+    heads.
     """
 
     cross: list[tuple[Tensor, Tensor]]
@@ -314,7 +300,7 @@ def decoder_cache(params: ModelParams, u: Tensor) -> DecoderCache:
     """An empty cache holding the cross-attention K/V over encoder output u."""
     cfg = params.config
     return DecoderCache(
-        [_project_kv(params.decoder, f"l{i}.cross", u, cfg.n_heads) for i in range(cfg.n_dec_layers)]
+        [_project_kv(params.decoder, f"l{i}.cross", u) for i in range(cfg.n_dec_layers)]
     )
 
 
@@ -351,17 +337,17 @@ def _decoder_extend(
     mask = _causal_mask(n, start) if n > 1 else None
     for i in range(cfg.n_dec_layers):
         normed = _ln(p, f"l{i}.ln1", h)
-        qh = _project_q(p, f"l{i}.attn", normed, cfg.n_heads)
-        kh, vh = _project_kv(p, f"l{i}.attn", normed, cfg.n_heads)
+        q = ad.affine(normed, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
+        k, v = _project_kv(p, f"l{i}.attn", normed)
         if start:
             past_k, past_v = cache.self_kv[i]
-            kh, vh = ad.concat([past_k, kh], axis=1), ad.concat([past_v, vh], axis=1)
-            cache.self_kv[i] = (kh, vh)
+            k, v = ad.concat([past_k, k], axis=0), ad.concat([past_v, v], axis=0)
+            cache.self_kv[i] = (k, v)
         else:
-            cache.self_kv.append((kh, vh))
-        h = ad.add(h, _attend(p, f"l{i}.attn", qh, kh, vh, mask=mask, collect=collect))
-        cross_q = _project_q(p, f"l{i}.cross", _ln(p, f"l{i}.ln2", h), cfg.n_heads)
-        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i]))
+            cache.self_kv.append((k, v))
+        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, mask, collect))
+        cross_q = ad.affine(_ln(p, f"l{i}.ln2", h), p[f"l{i}.cross.wq"], p[f"l{i}.cross.bq"])
+        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
     cache.length = total
     return _ln(p, "ln_out", h)
@@ -484,12 +470,10 @@ def kws_logits(params: ModelParams, u: Tensor, keyword_tokens: Sequence[Sequence
         pool[k, end - n : end] = 1.0 / n
     p = params.kws
     emb = ad.embedding(params.decoder["embed"], [t for tokens in keyword_tokens for t in tokens])
-    query = ad.add(ad.matmul(ad.matmul(Tensor(pool), emb), p["wq"]), p["bq"])
-    keys = ad.swap_axes(ad.matmul(u, p["wk"]), 0, 1)
-    att = ad.softmax(ad.scale(ad.matmul(query, keys), 1.0 / np.sqrt(params.config.d_model)), axis=-1)
-    feat = ad.concat([ad.matmul(att, ad.matmul(u, p["wv"])), query], axis=1)
-    hidden = ad.gelu(ad.add(ad.matmul(feat, p["w1"]), p["b1"]))
-    return ad.reshape(ad.add(ad.matmul(hidden, p["w2"]), p["b2"]), (len(lengths),))
+    query = ad.affine(ad.matmul(Tensor(pool), emb), p["wq"], p["bq"])
+    att = ad.attention(query, ad.affine(u, p["wk"]), ad.affine(u, p["wv"]), 1)
+    hidden = ad.gelu(ad.affine(ad.concat([att, query], axis=1), p["w1"], p["b1"]))
+    return ad.reshape(ad.affine(hidden, p["w2"], p["b2"]), (len(lengths),))
 
 
 def kws_detect(

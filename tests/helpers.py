@@ -6,7 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from kwbias.autodiff import Tape, backward
+from kwbias import autodiff as ad
+from kwbias.autodiff import Tape, Tensor, backward
 from kwbias.rng import stream
 from kwbias.training import TRAINABLE_GROUPS, set_trainable
 
@@ -20,6 +21,13 @@ def finite_difference(fn, tensor, index, h: float = 1e-5) -> float:
     down = fn()
     tensor.data[index] = orig
     return (up - down) / (2.0 * h)
+
+
+def weighted_sum(x: Tensor, w) -> Tensor:
+    """Scalar loss sum(x * w) for a constant weight array w of x's size,
+    from reshape and matmul only; the gradient it sends to x is w."""
+    n = x.data.size
+    return ad.reshape(ad.matmul(ad.reshape(x, (1, n)), Tensor(np.reshape(w, (n, 1)))), ())
 
 
 def relative_error(a: float, b: float) -> float:

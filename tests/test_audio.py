@@ -11,7 +11,6 @@ from kwbias.audio import (
     load_wav,
     log_mel,
     log_mel_raw,
-    mel_filter_centers,
     mel_filterbank,
     resample,
 )
@@ -123,7 +122,9 @@ def test_log_mel_rejects_wrong_rate():
 def test_pure_tone_peaks_at_nearest_filter_center(f0):
     t = np.arange(16000) / 16000
     feats = log_mel(Waveform(0.5 * np.sin(2 * np.pi * f0 * t), 16000))
-    centers = mel_filter_centers(80, 16000)
+    # peaks of 80 triangles spaced evenly on the HTK mel scale, 0 Hz to Nyquist
+    mel_edges = np.linspace(0.0, 2595.0 * np.log10(1.0 + 8000.0 / 700.0), 82)
+    centers = 700.0 * (10.0 ** (mel_edges[1:-1] / 2595.0) - 1.0)
     nearest = int(np.argmin(np.abs(centers - f0)))
     per_frame = feats.frames.argmax(axis=1)
     assert (per_frame == nearest).all()

@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 
 from kwbias import autodiff as ad
 from kwbias.autodiff import AutodiffError, ShapeError, Tape, Tensor, backward
+from kwbias.model import _causal_mask
 from kwbias.rng import stream
 
-from helpers import finite_difference, relative_error
+from helpers import finite_difference, relative_error, weighted_sum
+
+
+def _dot_self(w: Tensor) -> Tensor:
+    """Scalar sum(w * w), with w entering both matmul operands."""
+    n = w.data.size
+    return ad.reshape(ad.matmul(ad.reshape(w, (1, n)), ad.reshape(w, (n, 1))), ())
 
 
 def test_matmul_identity():
@@ -38,12 +45,12 @@ def test_matmul_gradient_of_sum_is_ones_times_b_transpose():
     a = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
     b = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     with Tape():
-        loss = ad.sum_all(ad.matmul(a, b))
+        loss = weighted_sum(ad.matmul(a, b), np.ones((5, 3)))
         backward(loss)
     assert np.allclose(a.grad, np.ones((5, 3)) @ b.data.T)
     # spot-check against central differences
     def loss_value():
-        return float(ad.sum_all(ad.matmul(a, b)).data)
+        return float((a.data @ b.data).sum())
 
     for index in [(0, 0), (2, 5), (4, 6)]:
         fd = finite_difference(loss_value, a, index)
@@ -79,7 +86,7 @@ def test_softmax_jacobian_matches_finite_differences():
         return float((ad.softmax(x).data * w).sum())
 
     with Tape():
-        loss = ad.sum_all(ad.mul(ad.softmax(x), Tensor(w)))
+        loss = weighted_sum(ad.softmax(x), w)
         backward(loss)
     for i in range(7):
         fd = finite_difference(loss_value, x, (i,))
@@ -122,7 +129,7 @@ def test_layer_norm_gradients_match_finite_differences():
         return float((ad.layer_norm(x, g, b).data * w).sum())
 
     with Tape():
-        backward(ad.sum_all(ad.mul(ad.layer_norm(x, g, b), Tensor(w))))
+        backward(weighted_sum(ad.layer_norm(x, g, b), w))
     for t in (x, g, b):
         flat = int(stream(3, "pick", id(t)).integers(t.data.size))
         index = np.unravel_index(flat, t.data.shape)
@@ -169,21 +176,21 @@ def test_cross_entropy_all_masked_is_an_error():
 def test_backward_of_sum_gives_ones():
     w = Tensor(stream(5, "w").normal(size=(2, 3)), requires_grad=True)
     with Tape():
-        backward(ad.sum_all(w))
+        backward(weighted_sum(w, np.ones((2, 3))))
     assert np.array_equal(w.grad, np.ones((2, 3)))
 
 
 def test_backward_of_sum_of_squares():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():
-        backward(ad.sum_all(ad.mul(w, w)))
+        backward(_dot_self(w))
     assert np.allclose(w.grad, [2.0, 4.0])
 
 
 def test_backward_requires_scalar():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():
-        out = ad.mul(w, w)
+        out = ad.add(w, w)
         with pytest.raises(AutodiffError, match="scalar"):
             backward(out)
 
@@ -191,7 +198,7 @@ def test_backward_requires_scalar():
 def test_backward_twice_is_a_stale_tape_error():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():
-        loss = ad.sum_all(w)
+        loss = weighted_sum(w, np.ones(2))
         backward(loss)
         with pytest.raises(AutodiffError, match="stale"):
             backward(loss)
@@ -200,10 +207,10 @@ def test_backward_twice_is_a_stale_tape_error():
 def test_backward_of_a_loss_from_an_earlier_tape_is_an_error():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with Tape():
-        old_loss = ad.sum_all(w)
+        old_loss = weighted_sum(w, np.ones(2))
         backward(old_loss)
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(w, w))
+        loss = _dot_self(w)
         with pytest.raises(AutodiffError, match="active tape"):
             backward(old_loss)
         assert not tape.consumed
@@ -213,7 +220,7 @@ def test_backward_of_a_loss_from_an_earlier_tape_is_an_error():
 
 
 def test_backward_without_tape_is_an_error():
-    loss = ad.sum_all(Tensor([1.0], requires_grad=True))
+    loss = weighted_sum(Tensor([1.0], requires_grad=True), [1.0])
     with pytest.raises(AutodiffError, match="tape"):
         backward(loss)
 
@@ -247,9 +254,9 @@ def test_graph_is_freed_without_the_cycle_collector():
         with Tape() as tape:
             hidden = ad.gelu(ad.matmul(x, Tensor(np.ones((4, 2)))))
             constant = ad.add(Tensor(np.ones(2)), Tensor(np.ones(2)))  # not recorded
-            loss = ad.sum_all(ad.add(hidden, constant))
+            loss = weighted_sum(ad.add(hidden, constant), np.ones((3, 2)))
             backward(loss)
-        assert len(tape) == 4  # matmul, gelu, add, sum_all
+        assert len(tape) == 6  # matmul, gelu, add, then reshape, matmul, reshape
         alive = weakref.ref(hidden.data)
         del tape, hidden, loss
         assert alive() is None
@@ -262,14 +269,14 @@ def test_graph_is_freed_without_the_cycle_collector():
 def test_gradients_accumulate_across_shared_use():
     w = Tensor([3.0], requires_grad=True)
     with Tape():
-        backward(ad.sum_all(ad.add(w, w)))
+        backward(weighted_sum(ad.add(w, w), [1.0]))
     assert np.allclose(w.grad, [2.0])
 
 
 def test_embedding_scatter_adds_repeated_ids():
     table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     with Tape():
-        backward(ad.sum_all(ad.embedding(table, [1, 1, 2])))
+        backward(weighted_sum(ad.embedding(table, [1, 1, 2]), np.ones((3, 2))))
     assert np.array_equal(table.grad, [[0, 0], [2, 2], [1, 1]])
 
 
@@ -277,7 +284,7 @@ def test_suffix_broadcast_add_sums_grad_over_leading_axes():
     x = Tensor(np.zeros((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
     with Tape():
-        backward(ad.sum_all(ad.add(x, b)))
+        backward(weighted_sum(ad.add(x, b), np.ones((4, 3))))
     assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
     with pytest.raises(ShapeError, match="suffix"):
         ad.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
@@ -289,7 +296,7 @@ def test_determinism_same_seed_same_grads():
         x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         with Tape():
             y = ad.gelu(ad.matmul(x, x))
-            backward(ad.sum_all(ad.softmax(y, axis=-1)))
+            backward(weighted_sum(ad.softmax(y, axis=-1), np.ones((4, 4))))
         return x.data.copy(), x.grad.copy()
 
     d1, g1 = run()
@@ -301,25 +308,96 @@ def test_determinism_same_seed_same_grads():
 def test_primitive_gradients_match_finite_differences():
     rng = stream(8, "prims")
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    w = rng.normal(size=(3, 4))
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    # 3 query rows at positions 2..4 over 5 key rows, as in a cached decoder step
+    q = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    k = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    v = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    mask = _causal_mask(3, 2)
 
     cases = {
-        "gelu": lambda: ad.gelu(x),
-        "narrow": lambda: ad.concat([ad.narrow(x, 0, 1, 2), ad.narrow(x, 0, 0, 1)], axis=0),
-        "swap": lambda: ad.swap_axes(ad.reshape(x, (4, 3)), 0, 1),
-        "scale": lambda: ad.scale(ad.add(x, Tensor(-np.ones(4))), -1.7),
+        "gelu": (lambda: ad.gelu(x), [x]),
+        "narrow": (lambda: ad.concat([ad.narrow(x, 0, 1, 2), ad.narrow(x, 0, 0, 1)], axis=0), [x]),
+        "swap": (lambda: ad.swap_axes(ad.reshape(x, (4, 3)), 0, 1), [x]),
+        "scale": (lambda: ad.scale(ad.add(x, Tensor(-np.ones(4))), -1.7), [x]),
+        "affine": (lambda: ad.affine(x, w, b), [x, w, b]),
+        "affine without bias": (lambda: ad.affine(x, w), [x, w]),
+        "attention, 1 head": (lambda: ad.attention(q, k, v, 1), [q, k, v]),
+        "attention, 4 heads": (lambda: ad.attention(q, k, v, 4), [q, k, v]),
+        "attention, 4 heads, causal": (lambda: ad.attention(q, k, v, 4, mask), [q, k, v]),
     }
-    for name, build in cases.items():
-        x.grad = None
+    for name, (build, inputs) in cases.items():
+        weights = stream(8, "weights", name).normal(size=build().shape)
+        for t in inputs:
+            t.grad = None
         with Tape():
-            backward(ad.sum_all(ad.mul(build(), Tensor(w))))
+            backward(weighted_sum(build(), weights))
 
         def loss_value():
-            return float((build().data * w).sum())
+            return float((build().data * weights).sum())
 
-        for index in [(0, 0), (1, 2), (2, 3)]:
-            fd = finite_difference(loss_value, x, index)
-            assert relative_error(x.grad[index], fd) < 1e-6, name
+        for t in inputs:
+            for flat in stream(8, "coords", name, t.data.shape).choice(t.data.size, 3, replace=False):
+                index = np.unravel_index(flat, t.data.shape)
+                fd = finite_difference(loss_value, t, index)
+                assert relative_error(t.grad[index], fd) < 1e-6, (name, t.data.shape, index)
+
+
+def _attention_reference(q, k, v, n_heads, mask):
+    """The split -> scores -> mask -> softmax -> merge chain, in plain numpy."""
+    hd = q.shape[1] // n_heads
+    qh, kh, vh = (np.swapaxes(t.reshape(len(t), n_heads, hd), 0, 1) for t in (q, k, v))
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(hd))
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    att = e / np.sum(e, axis=-1, keepdims=True)
+    return np.swapaxes(np.matmul(att, vh), 0, 1).reshape(q.shape), np.mean(att, axis=0)
+
+
+@pytest.mark.parametrize("n_heads, masked", [(1, False), (4, False), (4, True)])
+def test_fused_primitives_equal_the_plain_numpy_chain_bit_for_bit(n_heads, masked):
+    rng = stream(10, "fused", n_heads, masked)
+    q, k, v = rng.normal(size=(3, 8)), rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
+    mask = _causal_mask(3, 2) if masked else None
+    collect = []
+    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), n_heads, mask, collect)
+    expected, weights = _attention_reference(q, k, v, n_heads, mask)
+    assert np.array_equal(out.data, expected)
+    assert len(collect) == 1 and np.array_equal(collect[0], weights)
+    x, w, b = rng.normal(size=(3, 8)), rng.normal(size=(8, 6)), rng.normal(size=6)
+    assert np.array_equal(ad.affine(Tensor(x), Tensor(w), Tensor(b)).data, np.matmul(x, w) + b)
+    assert np.array_equal(ad.affine(Tensor(x), Tensor(w)).data, np.matmul(x, w))
+
+
+def test_attention_and_affine_each_record_one_node():
+    rng = stream(11, "one-node")
+    x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    w, b = Tensor(rng.normal(size=(8, 8))), Tensor(rng.normal(size=8))
+    with Tape() as tape:
+        y = ad.affine(x, w, b)
+        assert len(tape) == 1
+        ad.attention(y, x, y, 4, _causal_mask(3, 0))
+        assert len(tape) == 2
+        # nothing that requires a gradient: no node
+        ad.attention(Tensor(x.data), w, w, 2)
+        ad.affine(w, w)
+        assert len(tape) == 2
+
+
+def test_fused_primitives_reject_mismatched_shapes():
+    a, b = Tensor(np.ones((3, 8))), Tensor(np.ones((5, 8)))
+    with pytest.raises(ShapeError, match="affine"):
+        ad.affine(a, b)
+    with pytest.raises(ShapeError, match="bias"):
+        ad.affine(a, Tensor(np.ones((8, 2))), Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="attention"):
+        ad.attention(a, b, a, 4)
+    with pytest.raises(ShapeError, match="attention"):
+        ad.attention(a, b, b, 3)
+    with pytest.raises(ShapeError, match="mask"):
+        ad.attention(a, b, b, 4, _causal_mask(3, 0))
 
 
 def test_bce_with_logits_matches_manual_formula():

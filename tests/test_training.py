@@ -93,6 +93,27 @@ def test_empty_batch_is_an_error(corpus):
         loss_asr(params, vocab, [], [])
 
 
+def test_one_asr_batch_records_the_hand_counted_graph(corpus):
+    # base-asr from raw frames records every op of the encoder and decoder
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=1)
+    set_trainable(params, "base-asr")
+    batch = [(u.frames, vocab.tokenize(u.text)) for u in splits["train"][:2]]
+    # input affine, gelu, + positions; per layer: layer norm, q/k/v affines,
+    # attention, output affine, residual add, layer norm, affine, gelu,
+    # affine, residual add; final layer norm
+    encoder = 3 + 12 * MODEL.n_enc_layers + 1
+    # cross-attention k/v affines per layer, embedding, + positions; per
+    # layer: self-attention as in the encoder (7), cross-attention q affine,
+    # attention, output affine and residual add after a layer norm (5),
+    # feed-forward (5); final layer norm, narrow, and the tied readout's
+    # swap, matmul, scale and bias add
+    decoder = 2 * MODEL.n_dec_layers + 2 + 17 * MODEL.n_dec_layers + 1 + 1 + 4
+    with Tape() as tape:
+        loss_asr(params, vocab, batch, [assemble_prompt(vocab, ())] * 2)
+    assert len(tape) == 2 * (encoder + decoder) + 2 == 88  # + concat, cross-entropy
+
+
 def test_initial_kws_loss_is_chance_level(corpus):
     splits, _, vocab = corpus
     from kwbias.model import encode
