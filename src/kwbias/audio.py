@@ -12,6 +12,7 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -49,10 +50,10 @@ class FeatureSequence:
         return self.frames.shape[1]
 
 
-def load_wav(path: Path | str) -> Waveform:
-    """Read a 16-bit PCM WAV file; stereo is averaged down to mono."""
+def load_wav(source: Path | str | BinaryIO) -> Waveform:
+    """Read a 16-bit PCM WAV file or binary stream; stereo is averaged down to mono."""
     try:
-        with wave.open(str(path), "rb") as w:
+        with wave.open(source if hasattr(source, "read") else str(source), "rb") as w:
             comptype = w.getcomptype()
             if comptype != "NONE":
                 raise AudioFormatError(f"unsupported WAV encoding {comptype!r}: need plain PCM")

@@ -344,7 +344,8 @@ def gelu(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along one axis."""
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+    # the ufunc reduce gives ndarray.max's values without its Python-level wrapper
+    z = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
     out = _track(y, (a,))
@@ -391,7 +392,7 @@ def attention(
     scores = (qh @ kh.swapaxes(-1, -2)) * c
     if mask is not None:
         scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     att = e / e.sum(axis=-1, keepdims=True)
     if collect is not None:
         collect.append(att.mean(axis=0))
@@ -470,7 +471,7 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool] |
     if live.size and (live.min() < 0 or live.max() >= v):
         raise ShapeError(f"target id out of range for {v} classes")
 
-    z = ld - ld.max(axis=-1, keepdims=True)
+    z = ld - np.maximum.reduce(ld, axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - lse
     count = int(msk.sum())

@@ -4,8 +4,11 @@ Subcommands cover the whole pipeline: `gen-data`, the four training
 stages (`train-asr`, `train-kws`, `finetune`, `prompt-tune`),
 `evaluate`, `ablate`, `attn-export`, and a single-utterance `transcribe`
 demo.  Every subcommand resolves its configuration (file < flags), runs,
-and writes `config.resolved` with input-checkpoint hashes into the
-output directory, which is enough to rerun it bit-identically.
+and writes `config.resolved` into the output directory, which is enough
+to rerun it bit-identically.  Its provenance lines record each input
+dataset and checkpoint with the container digest its loader verified,
+so no input is read or hashed a second time; a WAV input, which has no
+container, is recorded with the sha256 of its bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -35,10 +39,6 @@ from .prompts import Keyword, KeywordSet, assemble_prompt, kws_to_prompt
 from .synth import dataset_load, dataset_save, generate_corpus, word_bank_load_words, word_bank_save
 from .text import Vocab, build_vocab, normalize
 from .training import checkpoint_load, checkpoint_save, train_run
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -65,18 +65,32 @@ def _config(args: argparse.Namespace, extra: dict[str, str] | None = None) -> Ru
     return parse_config(args.config, overrides)
 
 
-def _provenance(command: str, inputs: dict[str, Path]) -> dict[str, str]:
+Source = tuple[Path, str]  # an input file and the container digest its loader verified
+
+
+def _provenance(command: str, inputs: dict[str, Source]) -> dict[str, str]:
     record = {"command": command}
-    for role, path in sorted(inputs.items()):
-        record[f"input.{role}"] = f"{path} sha256={_sha256_file(Path(path))}"
+    for role, (path, digest) in sorted(inputs.items()):
+        record[f"input.{role}"] = f"{path} digest={digest}"
     return record
 
 
-def _load_data(data_dir: Path | str, splits: tuple[str, ...] = ("train", "dev", "test")):
+def _load_checkpoint(path: Path | str, vocab: Vocab):
+    """(params, source) of a checkpoint written for `vocab`."""
+    params, meta = checkpoint_load(path, vocab.content_hash)
+    return params, (Path(path), meta["digest"])
+
+
+def _load_data(data_dir: Path | str, splits: tuple[str, ...]):
+    """The vocabulary, then per split its utterances and its source."""
     data_dir = Path(data_dir)
     vocab = Vocab.load(data_dir / "vocab.tsv")
-    sets = {name: dataset_load(data_dir / f"{name}.ds") for name in splits}
-    return vocab, sets
+    sets, sources = {}, {}
+    for name in splits:
+        path = data_dir / f"{name}.ds"
+        sets[name], digest = dataset_load(path)
+        sources[name] = (path, digest)
+    return vocab, sets, sources
 
 
 def _write_metrics(out: Path, losses: list[float]) -> None:
@@ -112,15 +126,13 @@ def _train_stage(args: argparse.Namespace, mode: str, source_ckpt: str | None) -
         extra["prefix_len"] = str(args.prefix_len)
     cfg = _config(args, extra)
     out = _out_dir(args)
-    vocab, sets = _load_data(args.data, ("train",))
+    vocab, sets, sources = _load_data(args.data, ("train",))
 
-    inputs: dict[str, Path] = {"data": Path(args.data) / "train.ds"}
+    inputs = {"data": sources["train"]}
     if source_ckpt is None:
         params = init_params(cfg.model_config(len(vocab)), cfg.seed)
     else:
-        ckpt_path = Path(getattr(args, source_ckpt.replace("-", "_")))
-        inputs[source_ckpt] = ckpt_path
-        params, _ = checkpoint_load(ckpt_path, vocab.content_hash)
+        params, inputs[source_ckpt] = _load_checkpoint(getattr(args, source_ckpt.replace("-", "_")), vocab)
 
     tc = cfg.train_config(mode)
     losses = train_run(tc, sets["train"], vocab, params)
@@ -151,19 +163,17 @@ def cmd_prompt_tune(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     out = _out_dir(args)
-    vocab, sets = _load_data(args.data, ("train", "test"))
+    vocab, sets, sources = _load_data(args.data, ("train", "test"))
     conditions = [c.strip() for c in args.conditions.split(",") if c.strip()]
 
-    inputs: dict[str, Path] = {"data": Path(args.data) / "test.ds"}
+    inputs = {"data": sources["test"]}
     checkpoints = {}
     for role, flag in (("base", args.base_ckpt), ("ft", args.ft_ckpt), ("pt", args.pt_ckpt)):
         if flag is not None:
-            inputs[f"{role}-ckpt"] = Path(flag)
-            checkpoints[role], _ = checkpoint_load(flag, vocab.content_hash)
+            checkpoints[role], inputs[f"{role}-ckpt"] = _load_checkpoint(flag, vocab)
     kws_params = None
     if args.kws_ckpt is not None:
-        inputs["kws-ckpt"] = Path(args.kws_ckpt)
-        kws_params, _ = checkpoint_load(args.kws_ckpt, vocab.content_hash)
+        kws_params, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
 
     ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
     reports = evaluate_conditions(conditions, checkpoints, kws_params, sets["test"], ctx)
@@ -177,14 +187,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     extra = {"ablate_lengths": args.lengths} if args.lengths else {}
     cfg = _config(args, extra)
     out = _out_dir(args)
-    vocab, sets = _load_data(args.data, ("train", "test"))
-    stack, _ = checkpoint_load(args.kws_ckpt, vocab.content_hash)
+    vocab, sets, sources = _load_data(args.data, ("train", "test"))
+    stack, kws_source = _load_checkpoint(args.kws_ckpt, vocab)
     ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
     rows = ablate_prefix_lengths(stack, cfg.ablation_lengths(), sets["train"], sets["test"], ctx, cfg)
     (out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
     (out / "ablation.txt").write_text(ablation_table(rows), encoding="utf-8")
-    write_resolved(out, cfg, _provenance("ablate", {"kws-ckpt": Path(args.kws_ckpt),
-                                                    "data": Path(args.data) / "train.ds"}))
+    write_resolved(out, cfg, _provenance("ablate", {"kws-ckpt": kws_source, "data": sources["train"]}))
     print((out / "ablation.txt").read_text(), end="")
     return 0
 
@@ -193,8 +202,8 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
     extra = {"attn_layer": str(args.layer)} if args.layer is not None else {}
     cfg = _config(args, extra)
     out = _out_dir(args)
-    vocab, sets = _load_data(args.data, ("train", "test"))
-    params, _ = checkpoint_load(args.pt_ckpt, vocab.content_hash)
+    vocab, sets, sources = _load_data(args.data, ("train", "test"))
+    params, pt_source = _load_checkpoint(args.pt_ckpt, vocab)
     words = word_bank_load_words(Path(args.data) / "words.json")
     ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
     records = export_attention(params, sets["test"], ctx, words["jargon"], cfg.attn_layer,
@@ -210,8 +219,7 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
         f"keyword-peak hits: {hits}/{len(scored)}\n"
     )
     (out / "attn_summary.txt").write_text(summary, encoding="utf-8")
-    write_resolved(out, cfg, _provenance("attn-export", {"pt-ckpt": Path(args.pt_ckpt),
-                                                         "data": Path(args.data) / "test.ds"}))
+    write_resolved(out, cfg, _provenance("attn-export", {"pt-ckpt": pt_source, "data": sources["test"]}))
     print(summary, end="")
     return 0
 
@@ -219,21 +227,24 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
 def cmd_transcribe(args: argparse.Namespace) -> int:
     cfg = _config(args)
     out = _out_dir(args)
-    inputs: dict[str, Path] = {"ckpt": Path(args.ckpt)}
-
     data_dir = Path(args.data) if args.data else None
     if args.wav is None and data_dir is None:
         raise ConfigError("transcribe needs either --wav or --data/--index")
+    if not args.vocab and data_dir is None:
+        raise ConfigError("transcribe --wav needs --vocab or --data to find the vocabulary")
     vocab = Vocab.load(Path(args.vocab) if args.vocab else data_dir / "vocab.tsv")
-    params, _ = checkpoint_load(args.ckpt, vocab.content_hash)
+    params, ckpt_source = _load_checkpoint(args.ckpt, vocab)
+    inputs = {"ckpt": ckpt_source}
 
+    wav_sha256 = None
     if args.wav is not None:
-        inputs["wav"] = Path(args.wav)
-        wave = resample(load_wav(args.wav), 16000)
+        blob = Path(args.wav).read_bytes()
+        wav_sha256 = hashlib.sha256(blob).hexdigest()
+        wave = resample(load_wav(io.BytesIO(blob)), 16000)
         frames = log_mel(wave, n_mels=params.config.n_mels).frames
     else:
-        inputs["data"] = data_dir / "test.ds"
-        utts = dataset_load(data_dir / "test.ds")
+        utts, digest = dataset_load(data_dir / "test.ds")
+        inputs["data"] = (data_dir / "test.ds", digest)
         if not 0 <= args.index < len(utts):
             raise ConfigError(f"--index {args.index} is outside the {len(utts)}-utterance test split")
         frames = utts[args.index].frames
@@ -249,8 +260,7 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
             source="external",
         )
         if args.kws_ckpt is not None:
-            inputs["kws-ckpt"] = Path(args.kws_ckpt)
-            kws_params, _ = checkpoint_load(args.kws_ckpt, vocab.content_hash)
+            kws_params, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
             kws_u = u if same_encoder(kws_params, params) else encode(kws_params, frames)
             pred = kws_detect(kws_params, kws_u, [kw.tokens for kw in keywords], threshold=cfg.kws_threshold)
             prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
@@ -265,7 +275,10 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     lines.append("transcript: " + normalize(vocab.detokenize(ids, skip_reserved=True)))
     text = "\n".join(lines) + "\n"
     (out / "transcript.txt").write_text(text, encoding="utf-8")
-    write_resolved(out, cfg, _provenance("transcribe", inputs))
+    record = _provenance("transcribe", inputs)
+    if wav_sha256 is not None:  # a WAV has no container digest
+        record["input.wav"] = f"{args.wav} sha256={wav_sha256}"
+    write_resolved(out, cfg, record)
     print(text, end="")
     return 0
 

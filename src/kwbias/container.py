@@ -12,18 +12,25 @@ writes and checks:
 * ``digest``: the sha256 hex of the header's other fields as canonical
   JSON, followed by the payload.
 
-Reading checks the framing, the type of every header field the caller
-names, the shapes, the payload length and then the digest, so a damaged
-or truncated file fails as the caller's `KwbiasError` subclass with one
-line that starts with the path, never as a `struct`, `numpy`, `KeyError`
-or `TypeError` traceback.
+Reading opens the file once and reads every byte of it once. It checks
+the framing, the type of every header field the caller names, the
+shapes, and the header and payload lengths against the file size before
+it allocates anything; it then reads the payload straight into one
+aligned float64 buffer and checks the digest over it. A damaged or
+truncated file fails as the caller's `KwbiasError` subclass with one
+line that starts with the path, never as a `struct`, `numpy`, `KeyError`,
+`TypeError` or `MemoryError` traceback. The arrays returned are
+writable views of that one buffer, and the verified digest identifies
+the file's content for provenance records.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Iterable
@@ -64,43 +71,54 @@ def read_container(
 ) -> tuple[dict, list[np.ndarray]]:
     """(header, arrays) of a container whose header has `fields` with their types.
 
-    The arrays are writable copies: a loaded checkpoint is trained in place.
+    The file is read once, its payload straight into one aligned float64
+    buffer; the arrays are writable, C-contiguous views of that buffer, so
+    a loaded checkpoint is trained in place. `header["digest"]` has been
+    checked against the content.
     """
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[: len(magic)] != magic:
-        raise error(f"{path}: not a {kind} file (bad magic)")
-    off = len(magic) + _LEN.size
-    if len(blob) < off:
-        raise error(f"{path}: truncated {kind} file: {len(blob)} bytes, no header length")
-    (header_len,) = _LEN.unpack_from(blob, len(magic))
-    if len(blob) - off < header_len:
-        raise error(f"{path}: truncated {kind} header: {len(blob) - off} of {header_len} bytes")
-    try:
-        header = json.loads(blob[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise error(f"{path}: corrupt {kind} header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise error(f"{path}: corrupt {kind} header: expected a JSON object, got {type(header).__name__}")
-    for name, expected in {**fields, "shapes": list, "digest": str}.items():
-        value = header.get(name)
-        # bool is an int subclass; no header field is a flag
-        if not isinstance(value, expected) or isinstance(value, bool):
-            raise error(f"{path}: corrupt {kind} header: field {name!r} must be {expected.__name__}")
-    shapes = header["shapes"]
-    if not all(isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape) for shape in shapes):
-        raise error(f"{path}: corrupt {kind} header: every shape must be a list of non-negative ints")
-    payload = memoryview(blob)[off + header_len :]
-    expected_len = 8 * sum(math.prod(shape) for shape in shapes)
-    if len(payload) != expected_len:
-        raise error(f"{path}: truncated {kind}: {len(payload)} payload bytes, expected {expected_len}")
+    with path.open("rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        off = len(magic) + _LEN.size
+        prefix = f.read(off)
+        if prefix[: len(magic)] != magic:
+            raise error(f"{path}: not a {kind} file (bad magic)")
+        if len(prefix) < off:
+            raise error(f"{path}: truncated {kind} file: {len(prefix)} bytes, no header length")
+        (header_len,) = _LEN.unpack_from(prefix, len(magic))
+        if size - off < header_len:
+            raise error(f"{path}: truncated {kind} header: {size - off} of {header_len} bytes")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error(f"{path}: corrupt {kind} header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise error(f"{path}: corrupt {kind} header: expected a JSON object, got {type(header).__name__}")
+        for name, expected in {**fields, "shapes": list, "digest": str}.items():
+            value = header.get(name)
+            # bool is an int subclass; no header field is a flag
+            if not isinstance(value, expected) or isinstance(value, bool):
+                raise error(f"{path}: corrupt {kind} header: field {name!r} must be {expected.__name__}")
+        shapes = header["shapes"]
+        # JSON gives exact lists and ints, so a type set checks every entry in one C-level pass
+        dims = list(itertools.chain.from_iterable(shapes)) if set(map(type, shapes)) <= {list} else None
+        if dims is None or not set(map(type, dims)) <= {int} or min(dims, default=0) < 0:
+            raise error(f"{path}: corrupt {kind} header: every shape must be a list of non-negative ints")
+        counts = [math.prod(shape) for shape in shapes]
+        payload_len = size - off - header_len
+        expected_len = 8 * sum(counts)
+        if payload_len != expected_len:
+            raise error(f"{path}: truncated {kind}: {payload_len} payload bytes, expected {expected_len}")
+        buf = np.empty(expected_len // 8, dtype="<f8")
+        got = f.readinto(buf)
+        if got != expected_len or f.read(1):
+            raise error(f"{path}: {kind} changed size while being read")
     digest = hashlib.sha256(_canonical({k: v for k, v in header.items() if k != "digest"}))
-    digest.update(payload)
+    digest.update(buf)
     if digest.hexdigest() != header["digest"]:
         raise error(f"{path}: {kind} digest mismatch: file is corrupt")
     arrays, pos = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        arrays.append(np.frombuffer(payload, dtype="<f8", count=n, offset=8 * pos).reshape(shape).copy())
+    for shape, n in zip(shapes, counts):
+        arrays.append(buf[pos : pos + n].reshape(shape))
         pos += n
     return header, arrays

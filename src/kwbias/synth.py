@@ -214,7 +214,8 @@ def dataset_save(path: Path | str, utterances: list[Utterance], spec: SynthSpec)
 _DATASET_FIELDS = {"n_mels": int, "spec_hash": str, "contains_jargon": list}
 
 
-def dataset_load(path: Path | str) -> list[Utterance]:
+def dataset_load(path: Path | str) -> tuple[list[Utterance], str]:
+    """(utterances, digest): the digest is the one the reader verified."""
     path = Path(path)
     header, frames = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS)
     n_mels = header["n_mels"]
@@ -227,8 +228,9 @@ def dataset_load(path: Path | str) -> list[Utterance]:
     texts = sidecar.read_text(encoding="utf-8").splitlines()
     if len(texts) != len(frames):
         raise SynthError(f"{sidecar}: transcript count {len(texts)} != manifest {len(frames)}")
-    return [Utterance(frames=f, text=text, contains_jargon=bool(flag))
-            for f, flag, text in zip(frames, flags, texts)]
+    utterances = [Utterance(frames=f, text=text, contains_jargon=bool(flag))
+                  for f, flag, text in zip(frames, flags, texts)]
+    return utterances, header["digest"]
 
 
 def word_bank_save(path: Path | str, bank: WordBank) -> None:

@@ -10,6 +10,7 @@ by construction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -112,7 +113,7 @@ class Vocab:
             units.append(unit)
         return cls(units)
 
-    @property
+    @functools.cached_property  # the units are a tuple, fixed at construction
     def content_hash(self) -> str:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 

@@ -287,6 +287,8 @@ _CKPT_FIELDS = {"config": dict, "vocab_hash": str, "rng": dict, "groups": dict}
 
 
 def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) -> tuple[ModelParams, dict]:
+    """(params, meta): meta holds the header's `vocab_hash`, the rng `seed`
+    and the `digest` the reader verified."""
     path = Path(path)
     header, arrays = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS)
     manifest = {}
@@ -314,4 +316,5 @@ def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) ->
         raise CheckpointError(f"{path}: corrupt checkpoint header: bad model config: {exc}") from exc
     tensors = iter(arrays)
     groups = {gname: {name: Tensor(next(tensors)) for name in names} for gname, names in manifest.items()}
-    return ModelParams(config=config, **groups), {"vocab_hash": header["vocab_hash"], "seed": seed}
+    meta = {"vocab_hash": header["vocab_hash"], "seed": seed, "digest": header["digest"]}
+    return ModelParams(config=config, **groups), meta

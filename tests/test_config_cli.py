@@ -4,6 +4,13 @@ CLI tests run on a miniature corpus; they verify wiring, provenance, and
 byte determinism rather than model quality.
 """
 
+import builtins
+import hashlib
+import io
+import json
+import struct
+import wave
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -140,8 +147,11 @@ def test_training_stages_write_checkpoint_metrics_provenance(cli_world):
         lines = (out / "metrics.log").read_text().splitlines()
         assert lines[0].startswith("0\t")
         assert (out / "config.resolved").exists()
-    # provenance records input hashes
-    assert "sha256=" in (kws / "config.resolved").read_text()
+    # provenance records the input checkpoint's header digest, read here from its framing
+    blob = (asr / "base-asr.ckpt").read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    digest = json.loads(blob[16 : 16 + header_len])["digest"]
+    assert f"# input.asr-ckpt = {asr / 'base-asr.ckpt'} digest={digest}\n" in (kws / "config.resolved").read_text()
 
 
 def test_evaluate_writes_reports(cli_world):
@@ -206,7 +216,7 @@ def test_transcribe_rejects_index_outside_test_split(cli_world, capsys, tmp_path
 def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):
     root, data, asr, kws, _ = cli_world
     train_words = sorted(set((data / "train.txt").read_text().split()))
-    spoken = dataset_load(data / "test.ds")[0].text.split()
+    spoken = dataset_load(data / "test.ds")[0][0].text.split()
     present = next(w for w in spoken if w in train_words)
     absent = next(w for w in train_words if w not in spoken)
     out = tmp_path / "tr_kw"
@@ -228,7 +238,7 @@ def test_transcribe_encodes_once_when_the_spotter_shares_the_encoder(cli_world, 
     perturbed, meta = checkpoint_load(kws / "kws.ckpt", vocab.content_hash)
     perturbed.encoder["in_b"].data[0] += 1e-3
     checkpoint_save(tmp_path / "kws-perturbed.ckpt", perturbed, vocab.content_hash, meta["seed"])
-    word = dataset_load(data / "test.ds")[0].text.split()[0]
+    word = dataset_load(data / "test.ds")[0][0].text.split()[0]
 
     calls = []
     original = cli.encode
@@ -248,6 +258,80 @@ def test_transcribe_encodes_once_when_the_spotter_shares_the_encoder(cli_world, 
     assert encodes == [1, 2]
 
 
+def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path, monkeypatch):
+    """Provenance comes from the digests the loaders verified: no input file
+    is opened twice, and sha256 sees no more bytes than the inputs hold."""
+    _, data, asr, kws, _ = cli_world
+    word = (data / "test.txt").read_text().split()[0]
+    opened = Counter()
+    real_open = builtins.open
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            opened[str(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    hashed = [0]
+    real_sha256 = hashlib.sha256
+
+    class CountedSha256:
+        def __init__(self, data=b""):
+            self._h = real_sha256()
+            self.update(data)
+
+        def update(self, data):
+            hashed[0] += memoryview(data).nbytes
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    monkeypatch.setattr(io, "open", counted_open)
+    monkeypatch.setattr(hashlib, "sha256", CountedSha256)
+    assert main(["transcribe", "--data", str(data), "--index", "0",
+                 "--ckpt", str(asr / "base-asr.ckpt"), "--kws-ckpt", str(kws / "kws.ckpt"),
+                 "--keywords", word, "--out", str(tmp_path / "tr"), *TINY_OVERRIDES]) == 0
+    monkeypatch.undo()
+    inputs = [asr / "base-asr.ckpt", kws / "kws.ckpt", data / "test.ds", data / "test.txt", data / "vocab.tsv"]
+    assert opened == Counter({str(path): 1 for path in inputs})
+    assert hashed[0] <= sum(path.stat().st_size for path in inputs)
+
+
+def _write_wav(path, seconds=0.5, rate=16000):
+    t = np.arange(int(seconds * rate)) / rate
+    pcm = (0.3 * 32767 * np.sin(2 * np.pi * 440.0 * t)).astype("<i2")
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(rate)
+        w.writeframes(pcm.tobytes())
+
+
+def test_transcribe_wav_records_its_sha256(cli_world, tmp_path):
+    _, data, asr, *_ = cli_world
+    wav = tmp_path / "tone.wav"
+    _write_wav(wav)
+    out = tmp_path / "tr_wav"
+    rc = main(["transcribe", "--wav", str(wav), "--vocab", str(data / "vocab.tsv"),
+               "--ckpt", str(asr / "base-asr.ckpt"), "--out", str(out), *TINY_OVERRIDES])
+    assert rc == 0
+    assert (out / "transcript.txt").read_text().startswith("transcript: ")
+    resolved = (out / "config.resolved").read_text()
+    assert f"# input.wav = {wav} sha256={hashlib.sha256(wav.read_bytes()).hexdigest()}\n" in resolved
+
+
+def test_transcribe_wav_without_a_vocabulary_is_a_config_error(capsys, tmp_path):
+    wav = tmp_path / "tone.wav"
+    _write_wav(wav)
+    rc = main(["transcribe", "--wav", str(wav), "--ckpt", str(tmp_path / "missing.ckpt"),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ConfigError: ") and "--vocab" in err
+
+
 def test_second_run_in_a_process_reads_its_own_flags(cli_world, tmp_path, monkeypatch):
     """The parser is built once per process; no flag of one run reaches the next."""
     _, data, asr, *_ = cli_world
@@ -265,7 +349,7 @@ def test_second_run_in_a_process_reads_its_own_flags(cli_world, tmp_path, monkey
     assert cli.build_parser() is cli.build_parser()
     assert parse_config(tmp_path / "a" / "config.resolved", {}).kws_threshold == 0.9
     assert parse_config(tmp_path / "b" / "config.resolved", {}).kws_threshold == RunConfig().kws_threshold
-    test = dataset_load(data / "test.ds")
+    test, _ = dataset_load(data / "test.ds")
     assert np.array_equal(frames[0], test[1].frames) and np.array_equal(frames[1], test[0].frames)
 
 

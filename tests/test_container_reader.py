@@ -1,0 +1,64 @@
+"""What `read_container` hands back, and how it refuses an oversized header.
+
+The payload is read into one float64 buffer; the arrays are views of it.
+A header may declare any shape, so lengths are checked against the file
+size before anything is allocated.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from kwbias.container import read_container, write_container
+from kwbias.errors import KwbiasError
+from kwbias.synth import SynthError, dataset_load
+
+MAGIC = b"KWBTEST1"
+
+
+class ReadError(KwbiasError):
+    pass
+
+
+def _read(path):
+    return read_container(path, MAGIC, "test", ReadError, {"name": str})
+
+
+def test_loaded_arrays_equal_the_saved_ones_as_aligned_writable_views(tmp_path):
+    rng = np.random.default_rng(0)
+    saved = [rng.normal(size=(3, 5)), np.array([2.5]), np.zeros((0, 4)), rng.normal(size=7),
+             np.arange(24.0).reshape(2, 3, 4)]
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC, {"name": "x"}, saved)
+
+    header, arrays = _read(path)
+    assert header["name"] == "x" and header["shapes"] == [[3, 5], [1], [0, 4], [7], [2, 3, 4]]
+    assert len(arrays) == len(saved)
+    for a, b in zip(arrays, saved):
+        assert a.dtype == np.dtype("<f8") and a.shape == np.shape(b)
+        assert np.array_equal(a, b)
+        assert a.flags.aligned and a.flags.c_contiguous and a.flags.writeable
+    # views of one buffer: writing one array leaves its neighbours alone
+    arrays[0][...] = -1.0
+    assert np.array_equal(arrays[3], saved[3]) and arrays[1][0] == 2.5
+    assert arrays[0].base is not None and arrays[0].base is arrays[3].base
+
+
+def test_a_trailing_byte_is_a_truncated_error(tmp_path):
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC, {"name": "x"}, [np.ones(2)])
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ReadError, match=r"c\.bin: truncated test: 17 payload bytes, expected 16$"):
+        _read(path)
+
+
+def test_a_huge_declared_shape_fails_as_truncated_not_memory_error(tmp_path):
+    header = json.dumps({"n_mels": 4, "spec_hash": "0" * 64, "contains_jargon": [0],
+                         "shapes": [[2**40]], "digest": "0" * 64}).encode()
+    path = tmp_path / "huge.ds"
+    path.write_bytes(b"KWBDS001" + struct.pack("<Q", len(header)) + header + bytes(16))
+    (tmp_path / "huge.txt").write_text("one\n", encoding="utf-8")
+    with pytest.raises(SynthError, match=rf"huge\.ds: truncated dataset: 16 payload bytes, expected {8 * 2**40}$"):
+        dataset_load(path)

@@ -98,7 +98,7 @@ def test_dataset_round_trip(tmp_path):
     splits, _ = generate_corpus(SMALL)
     path = tmp_path / "dev.ds"
     dataset_save(path, splits["dev"], SMALL)
-    loaded = dataset_load(path)
+    loaded, _ = dataset_load(path)
     assert len(loaded) == len(splits["dev"])
     for a, b in zip(splits["dev"], loaded):
         assert a.text == b.text
