@@ -4,7 +4,9 @@
 Trains the full stack per seed on the default corpus and prints, per
 seed, WER and keyword F1 for the no-prompt baseline, prompt tuning with
 a real spotter, and both oracle-prompt variants, plus the three
-directional checks the mechanism is supposed to deliver.
+directional checks the mechanism is supposed to deliver.  It also prints
+its set-up time (corpus, vocabulary, evaluation context) and its total
+time.
 """
 
 import argparse
@@ -25,10 +27,12 @@ def main() -> None:
     parser.add_argument("--steps-scale", type=float, default=1.0)
     args = parser.parse_args()
 
+    start = time.monotonic()
     cfg = RunConfig().scale_steps(args.steps_scale)
     splits, _ = generate_corpus(cfg.synth_spec())
     vocab = build_vocab([u.text for u in splits["train"]], cfg.vocab_target)
     ctx = make_eval_context(cfg, vocab, [u.text for u in splits["train"]])
+    print(f"set-up (corpus, vocabulary, context): {time.monotonic() - start:.2f}s")
 
     print(f"{'seed':>4}  {'cond':<12} {'WER':>7} {'F1':>7}")
     wins = {"f1_gap": 0, "wer_order": 0, "sandwich": 0}
@@ -49,6 +53,7 @@ def main() -> None:
     print(f"\nF1(pt-oracle) >= F1(baseline)+0.10 : {wins['f1_gap']}/{n} seeds")
     print(f"WER(pt-oracle) <= WER(baseline)    : {wins['wer_order']}/{n} seeds")
     print(f"F1 baseline <= pt <= pt-oracle     : {wins['sandwich']}/{n} seeds")
+    print(f"total: {time.monotonic() - start:.0f}s")
 
 
 if __name__ == "__main__":

@@ -157,6 +157,8 @@ def evaluate_condition(
     """
     if condition not in CONDITIONS:
         raise EvalError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
+    if not test_set:
+        raise EvalError("empty test set: WER and F1 are undefined")
     if encoded is None:
         encoded = [encode(params, utt.frames) for utt in test_set]
     elif len(encoded) != len(test_set):

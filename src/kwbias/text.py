@@ -3,7 +3,9 @@
 One normalization (lowercase, punctuation stripped, single-spaced) is
 shared by the tokenizer, the WER scorer, and keyword matching so the
 metrics cannot drift apart.  The vocabulary is a frequency-merged unit
-inventory over the normalized character stream; tokenization is greedy
+inventory (byte-pair-encoding style, Sennrich et al., arXiv 1508.07909),
+learned from a table of distinct word forms weighted by their counts
+rather than from every transcript's characters; tokenization is greedy
 longest-match, which makes detokenize(tokenize(s)) == normalize(s) hold
 by construction.
 """
@@ -136,25 +138,35 @@ def build_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
 
     Deterministic: ties in pair frequency break toward the lexicographically
     smallest pair, and merging stops early when no pair repeats.
+
+    Merges run over the distinct word forms of the normalized corpus, each
+    weighted by its count: a transcript's first word bare, every later word
+    with its leading space.  This equals merging over the character stream
+    of every transcript, where a pair whose second unit starts with a space
+    is never merged: that rule keeps each merge inside one form, so a
+    stream's pairs are its forms' pairs, and only a form's first unit can
+    start with a space.
     """
-    docs = [normalize(t) for t in corpus]
-    docs = [d for d in docs if d]
-    if not docs:
+    forms: Counter[str] = Counter()
+    for text in corpus:
+        first, *rest = normalize(text).split(" ")
+        if first:
+            forms[first] += 1
+            forms.update(" " + w for w in rest)
+    if not forms:
         raise VocabError("cannot build a vocabulary from an empty corpus")
-    alphabet = sorted({ch for d in docs for ch in d})
+    alphabet = sorted({ch for form in forms for ch in form})
     units = list(RESERVED) + alphabet
     if target_size < len(units):
         raise VocabError(
             f"target_size {target_size} is below reserved+alphabet size {len(units)}"
         )
-    seqs = [list(d) for d in docs]
+    seqs = [(list(form), n) for form, n in forms.items()]
     while len(units) < target_size:
         pairs: Counter[tuple[str, str]] = Counter()
-        for seq in seqs:
-            pairs.update(zip(seq, seq[1:]))
-        # units may start with a space (word-leading form) but merging
-        # never crosses a word boundary, so no unit gets an internal space
-        pairs = Counter({p: c for p, c in pairs.items() if not p[1].startswith(" ")})
+        for seq, n in seqs:
+            for pair in zip(seq, seq[1:]):
+                pairs[pair] += n
         if not pairs:
             break
         top = max(pairs.values())
@@ -163,7 +175,7 @@ def build_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
         a, b = min(p for p, c in pairs.items() if c == top)
         merged = a + b
         units.append(merged)
-        seqs = [_merge_pair(seq, a, b, merged) for seq in seqs]
+        seqs = [(_merge_pair(seq, a, b, merged), n) for seq, n in seqs]
     return Vocab(units)
 
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from kwbias import autodiff as ad
 from kwbias.autodiff import Tape, Tensor, backward
 from kwbias.rng import stream
+from kwbias.text import RESERVED, Vocab, VocabError, _merge_pair, normalize
 from kwbias.training import TRAINABLE_GROUPS, set_trainable
 
 
@@ -32,6 +35,37 @@ def weighted_sum(x: Tensor, w) -> Tensor:
 
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
+
+
+def reference_build_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
+    """`text.build_vocab` as a merge over each transcript's whole character
+    stream, never merging a pair whose second unit starts with a space."""
+    docs = [normalize(t) for t in corpus]
+    docs = [d for d in docs if d]
+    if not docs:
+        raise VocabError("cannot build a vocabulary from an empty corpus")
+    alphabet = sorted({ch for d in docs for ch in d})
+    units = list(RESERVED) + alphabet
+    if target_size < len(units):
+        raise VocabError(
+            f"target_size {target_size} is below reserved+alphabet size {len(units)}"
+        )
+    seqs = [list(d) for d in docs]
+    while len(units) < target_size:
+        pairs: Counter[tuple[str, str]] = Counter()
+        for seq in seqs:
+            pairs.update(zip(seq, seq[1:]))
+        pairs = Counter({p: c for p, c in pairs.items() if not p[1].startswith(" ")})
+        if not pairs:
+            break
+        top = max(pairs.values())
+        if top < 2:
+            break
+        a, b = min(p for p, c in pairs.items() if c == top)
+        merged = a + b
+        units.append(merged)
+        seqs = [_merge_pair(seq, a, b, merged) for seq in seqs]
+    return Vocab(units)
 
 
 def brute_force_edit_distance(ref: list[str], hyp: list[str]) -> int:

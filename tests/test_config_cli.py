@@ -8,6 +8,7 @@ import builtins
 import hashlib
 import io
 import json
+import shutil
 import struct
 import wave
 from collections import Counter
@@ -19,7 +20,7 @@ import pytest
 from kwbias import cli
 from kwbias.cli import main
 from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, write_resolved
-from kwbias.synth import dataset_load
+from kwbias.synth import dataset_load, dataset_save
 from kwbias.text import Vocab
 from kwbias.training import MODES, checkpoint_load, checkpoint_save
 
@@ -361,6 +362,18 @@ def test_cli_reports_errors_as_single_line(cli_world, capsys, tmp_path):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith("ConfigError: ")
+
+
+def test_evaluate_on_an_empty_test_split_is_a_single_line_error(cli_world, capsys, tmp_path):
+    _, data, asr, *_ = cli_world
+    empty = tmp_path / "data"
+    shutil.copytree(data, empty)
+    dataset_save(empty / "test.ds", [], parse_config(data / "config.resolved", {}).synth_spec())
+    rc = main(["evaluate", "--data", str(empty), "--out", str(tmp_path / "eval"),
+               "--conditions", "baseline", "--base-ckpt", str(asr / "base-asr.ckpt"), *TINY_OVERRIDES])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "EvalError: empty test set: WER and F1 are undefined"
 
 
 @pytest.mark.parametrize("argv", [

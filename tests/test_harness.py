@@ -159,6 +159,14 @@ def test_encoder_outputs_must_cover_the_test_set(tiny_world):
                            encoded=[harness.encode(stack["base"], u.frames) for u in splits["test"][:2]])
 
 
+def test_empty_test_set_is_an_eval_error(tiny_world):
+    _, _, _, stack, ctx = tiny_world
+    with pytest.raises(EvalError, match="empty test set"):
+        evaluate_condition("baseline", stack["base"], None, [], ctx)
+    with pytest.raises(EvalError, match="empty test set"):
+        evaluate_conditions(["baseline", "pt"], stack, None, [], ctx)
+
+
 def test_oracle_condition_bypasses_the_spotter(tiny_world):
     splits, _, vocab, stack, ctx = tiny_world
     report = evaluate_condition("pt-oracle", stack["pt"], None, splits["test"], ctx)

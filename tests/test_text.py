@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_build_vocab
+from kwbias.config import RunConfig
+from kwbias.synth import generate_corpus
 from kwbias.text import (
     N_RESERVED,
     RESERVED,
@@ -73,6 +76,46 @@ def test_build_vocab_is_deterministic():
     v2 = build_vocab(CORPUS, 80)
     assert v1.units == v2.units
     assert v1.content_hash == v2.content_hash
+
+
+@pytest.fixture(scope="module")
+def default_train_texts():
+    splits, _ = generate_corpus(RunConfig().synth_spec())
+    return [u.text for u in splits["train"]]
+
+
+def _vocab_or_error(build, corpus, target_size):
+    try:
+        return build(corpus, target_size).units
+    except VocabError as exc:
+        return str(exc)
+
+
+# letters, upper case, digits, spaces and punctuation, plus transcripts
+# that normalize to nothing
+_TRANSCRIPTS = st.one_of(
+    st.text(alphabet="abcde AB09 .,!-|", max_size=30),
+    st.sampled_from(["", " ", ".,!", "- | -"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TRANSCRIPTS, max_size=8), st.data())
+def test_build_vocab_equals_the_character_stream_merge(corpus, data):
+    alphabet = {ch for t in corpus for ch in normalize(t)}
+    target = data.draw(st.integers(N_RESERVED + len(alphabet), N_RESERVED + len(alphabet) + 40))
+    assert _vocab_or_error(build_vocab, corpus, target) == _vocab_or_error(reference_build_vocab, corpus, target)
+
+
+@pytest.mark.parametrize("target", [40, 61, 80, 120])
+def test_build_vocab_equals_the_character_stream_merge_on_the_default_corpus(default_train_texts, target):
+    assert build_vocab(default_train_texts, target).units == reference_build_vocab(default_train_texts, target).units
+
+
+def test_default_vocabulary_is_pinned(default_train_texts):
+    vocab = build_vocab(default_train_texts, RunConfig().vocab_target)
+    assert len(vocab) == 61
+    assert vocab.content_hash == "d1ea84d01682d2f1ebacc04edffb40cd07cf5beeff27f297677e7a56709cf233"
 
 
 def test_reserved_ids_distinct_and_never_tokenized(vocab):
