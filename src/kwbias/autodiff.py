@@ -450,11 +450,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool] | None = None) -> Tensor:
-    """Mean negative log-softmax probability over unmasked positions.
-
-    `logits` is (n, V); masked positions contribute nothing to the mean.
-    """
+def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
+    """Mean negative log-softmax probability of the targets; `logits` is (n, V)."""
     ld = logits.data
     if ld.ndim != 2:
         raise ShapeError(f"cross_entropy expects 2-D logits, got {ld.shape}")
@@ -462,21 +459,16 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool] |
     tgt = np.asarray(targets, dtype=np.int64)
     if tgt.shape != (n,):
         raise ShapeError(f"targets shape {tgt.shape} does not match logits rows {n}")
-    msk = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if msk.shape != (n,):
-        raise ShapeError(f"mask shape {msk.shape} does not match logits rows {n}")
-    if not msk.any():
-        raise AutodiffError("empty loss: all positions are masked")
-    live = tgt[msk]
-    if live.size and (live.min() < 0 or live.max() >= v):
+    if not n:
+        raise AutodiffError("empty loss: no targets")
+    if tgt.min() < 0 or tgt.max() >= v:
         raise ShapeError(f"target id out of range for {v} classes")
 
     z = ld - np.maximum.reduce(ld, axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - lse
-    count = int(msk.sum())
     nll = -logp[np.arange(n), tgt]
-    out = _track(np.asarray((nll * msk).sum() / count), (logits,))
+    out = _track(np.asarray(nll.sum() / n), (logits,))
     if not out.requires_grad:
         return out
 
@@ -484,7 +476,7 @@ def cross_entropy(logits: Tensor, targets: Sequence[int], mask: Sequence[bool] |
         if logits.requires_grad:
             grad = np.exp(logp)
             grad[np.arange(n), tgt] -= 1.0
-            grad *= (msk / count)[:, None]
+            grad *= 1.0 / n
             _accum(logits, g * grad)
 
     _record(out, adjoint)

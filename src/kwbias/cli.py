@@ -7,8 +7,8 @@ demo.  Every subcommand resolves its configuration (file < flags), runs,
 and writes `config.resolved` into the output directory, which is enough
 to rerun it bit-identically.  Its provenance lines record each input
 dataset and checkpoint with the container digest its loader verified,
-so no input is read or hashed a second time; a WAV input, which has no
-container, is recorded with the sha256 of its bytes.
+so no input is read or hashed a second time; a WAV or word-list input,
+which has no container, is recorded with the sha256 of its bytes.
 """
 
 from __future__ import annotations
@@ -65,31 +65,31 @@ def _config(args: argparse.Namespace, extra: dict[str, str] | None = None) -> Ru
     return parse_config(args.config, overrides)
 
 
-Source = tuple[Path, str]  # an input file and the container digest its loader verified
+Source = tuple[Path, str]  # an input file and "digest=<verified container digest>" or "sha256=<of its bytes>"
 
 
 def _provenance(command: str, inputs: dict[str, Source]) -> dict[str, str]:
     record = {"command": command}
-    for role, (path, digest) in sorted(inputs.items()):
-        record[f"input.{role}"] = f"{path} digest={digest}"
+    for role, (path, content) in sorted(inputs.items()):
+        record[f"input.{role}"] = f"{path} {content}"
     return record
 
 
 def _load_checkpoint(path: Path | str, vocab: Vocab):
     """(params, source) of a checkpoint written for `vocab`."""
     params, meta = checkpoint_load(path, vocab.content_hash)
-    return params, (Path(path), meta["digest"])
+    return params, (Path(path), f"digest={meta['digest']}")
 
 
 def _load_data(data_dir: Path | str, splits: tuple[str, ...]):
-    """The vocabulary, then per split its utterances and its source."""
+    """The vocabulary, then per split its utterances and, as `<split>-data`, its source."""
     data_dir = Path(data_dir)
     vocab = Vocab.load(data_dir / "vocab.tsv")
     sets, sources = {}, {}
     for name in splits:
         path = data_dir / f"{name}.ds"
         sets[name], digest = dataset_load(path)
-        sources[name] = (path, digest)
+        sources[f"{name}-data"] = (path, f"digest={digest}")
     return vocab, sets, sources
 
 
@@ -128,7 +128,7 @@ def _train_stage(args: argparse.Namespace, mode: str, source_ckpt: str | None) -
     out = _out_dir(args)
     vocab, sets, sources = _load_data(args.data, ("train",))
 
-    inputs = {"data": sources["train"]}
+    inputs = sources
     if source_ckpt is None:
         params = init_params(cfg.model_config(len(vocab)), cfg.seed)
     else:
@@ -166,7 +166,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     vocab, sets, sources = _load_data(args.data, ("train", "test"))
     conditions = [c.strip() for c in args.conditions.split(",") if c.strip()]
 
-    inputs = {"data": sources["test"]}
+    inputs = sources  # train.ds fixes every keyword draw through tf-idf and the negatives pool
     checkpoints = {}
     for role, flag in (("base", args.base_ckpt), ("ft", args.ft_ckpt), ("pt", args.pt_ckpt)):
         if flag is not None:
@@ -193,7 +193,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     rows = ablate_prefix_lengths(stack, cfg.ablation_lengths(), sets["train"], sets["test"], ctx, cfg)
     (out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
     (out / "ablation.txt").write_text(ablation_table(rows), encoding="utf-8")
-    write_resolved(out, cfg, _provenance("ablate", {"kws-ckpt": kws_source, "data": sources["train"]}))
+    write_resolved(out, cfg, _provenance("ablate", {"kws-ckpt": kws_source, **sources}))
     print((out / "ablation.txt").read_text(), end="")
     return 0
 
@@ -204,7 +204,8 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     vocab, sets, sources = _load_data(args.data, ("train", "test"))
     params, pt_source = _load_checkpoint(args.pt_ckpt, vocab)
-    words = word_bank_load_words(Path(args.data) / "words.json")
+    words_path = Path(args.data) / "words.json"
+    words, words_sha256 = word_bank_load_words(words_path)
     ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
     records = export_attention(params, sets["test"], ctx, words["jargon"], cfg.attn_layer,
                                limit=args.limit)
@@ -219,7 +220,8 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
         f"keyword-peak hits: {hits}/{len(scored)}\n"
     )
     (out / "attn_summary.txt").write_text(summary, encoding="utf-8")
-    write_resolved(out, cfg, _provenance("attn-export", {"pt-ckpt": pt_source, "data": sources["test"]}))
+    inputs = {"pt-ckpt": pt_source, "words": (words_path, f"sha256={words_sha256}"), **sources}
+    write_resolved(out, cfg, _provenance("attn-export", inputs))
     print(summary, end="")
     return 0
 
@@ -236,15 +238,14 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     params, ckpt_source = _load_checkpoint(args.ckpt, vocab)
     inputs = {"ckpt": ckpt_source}
 
-    wav_sha256 = None
     if args.wav is not None:
         blob = Path(args.wav).read_bytes()
-        wav_sha256 = hashlib.sha256(blob).hexdigest()
+        inputs["wav"] = (Path(args.wav), f"sha256={hashlib.sha256(blob).hexdigest()}")
         wave = resample(load_wav(io.BytesIO(blob)), 16000)
         frames = log_mel(wave, n_mels=params.config.n_mels).frames
     else:
         utts, digest = dataset_load(data_dir / "test.ds")
-        inputs["data"] = (data_dir / "test.ds", digest)
+        inputs["test-data"] = (data_dir / "test.ds", f"digest={digest}")
         if not 0 <= args.index < len(utts):
             raise ConfigError(f"--index {args.index} is outside the {len(utts)}-utterance test split")
         frames = utts[args.index].frames
@@ -254,11 +255,8 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     lines = []
     if args.keywords:
         surfaces = [normalize(k) for k in args.keywords.split(",") if normalize(k)]
-        keywords = KeywordSet(
-            tuple(Keyword(surface=s, tokens=tuple(vocab.tokenize(" " + s)), positive=True)
-                  for s in dict.fromkeys(surfaces)),
-            source="external",
-        )
+        keywords = KeywordSet(tuple(Keyword(surface=s, tokens=tuple(vocab.word_tokens(s)), positive=True)
+                                    for s in dict.fromkeys(surfaces)))
         if args.kws_ckpt is not None:
             kws_params, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
             kws_u = u if same_encoder(kws_params, params) else encode(kws_params, frames)
@@ -275,10 +273,7 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     lines.append("transcript: " + normalize(vocab.detokenize(ids, skip_reserved=True)))
     text = "\n".join(lines) + "\n"
     (out / "transcript.txt").write_text(text, encoding="utf-8")
-    record = _provenance("transcribe", inputs)
-    if wav_sha256 is not None:  # a WAV has no container digest
-        record["input.wav"] = f"{args.wav} sha256={wav_sha256}"
-    write_resolved(out, cfg, record)
+    write_resolved(out, cfg, _provenance("transcribe", inputs))
     print(text, end="")
     return 0
 

@@ -37,7 +37,7 @@ from .model import (
 from .prompts import KeywordSet, assemble_prompt, kws_to_prompt, prompt_keyword_spans, select_eval_keywords
 from .rng import stream
 from .synth import Utterance
-from .text import TfidfTable, Vocab, find_subsequence, normalize
+from .text import TfidfTable, Vocab, find_subsequence, normalize, tfidf_scores
 from .training import train_run
 
 
@@ -45,18 +45,24 @@ class EvalError(KwbiasError):
     pass
 
 
-CONDITIONS = ("baseline", "baseline+prompt", "ft", "pt", "ft-oracle", "pt-oracle")
-
-# Which trained model each condition runs, and whether the prompt comes
-# from the keyword spotter, the ground-truth positives, or is empty.
+# Which trained model each condition runs; the prompt comes from the keyword
+# spotter, the ground-truth positives (-oracle), or nowhere (baseline).
 _CONDITION_MODEL = {
     "baseline": "base",
     "baseline+prompt": "base",
     "ft": "ft",
-    "ft-oracle": "ft",
     "pt": "pt",
+    "ft-oracle": "ft",
     "pt-oracle": "pt",
 }
+CONDITIONS = tuple(_CONDITION_MODEL)
+
+
+def _condition_model(condition: str) -> str:
+    """The checkpoint role a condition runs; an unknown name is an EvalError."""
+    if condition not in _CONDITION_MODEL:
+        raise EvalError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
+    return _CONDITION_MODEL[condition]
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,9 @@ class EvalContext:
     tfidf: TfidfTable
     negatives_pool: tuple[str, ...]
     seed: int
-    n_keywords: int = 20
-    n_positives: int = 3
-    kws_threshold: float = 0.5
+    n_keywords: int
+    n_positives: int
+    kws_threshold: float
     # draws made so far; `dataclasses.replace` starts an empty one
     _drawn: dict[tuple[int, str], KeywordSet] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -99,8 +105,6 @@ class EvalContext:
 
 
 def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) -> EvalContext:
-    from .text import tfidf_scores
-
     # select_eval_keywords draws negatives from the pool's distinct
     # normalized words, so the words alone give the same draws.
     words = sorted({w for t in train_texts for w in normalize(t).split()})
@@ -133,10 +137,11 @@ def _condition_prompt(
     return kws_to_prompt(vocab, list(pred.decisions), keywords)
 
 
-def _trainable_count(condition: str, params: ModelParams) -> int:
-    if condition.startswith("ft"):
+def _trainable_count(role: str, params: ModelParams) -> int:
+    """Parameters the model of checkpoint `role` trained beyond the base."""
+    if role == "ft":
         return param_count(params.decoder)
-    if condition.startswith("pt"):
+    if role == "pt":
         return param_count(params.prefix)
     return 0
 
@@ -155,8 +160,7 @@ def evaluate_condition(
     `encoded` holds the encoder outputs of `test_set` under `params`'s
     encoder; without it every utterance is encoded here.
     """
-    if condition not in CONDITIONS:
-        raise EvalError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
+    role = _condition_model(condition)
     if not test_set:
         raise EvalError("empty test set: WER and F1 are undefined")
     if encoded is None:
@@ -180,7 +184,7 @@ def evaluate_condition(
         hyps.append(hypothesis)
         keyword_sets.append(keywords)
     f1 = keyword_f1(refs, hyps, keyword_sets)
-    return ConditionReport(condition, wer_total, f1, _trainable_count(condition, params))
+    return ConditionReport(condition, wer_total, f1, _trainable_count(role, params))
 
 
 def evaluate_conditions(
@@ -195,9 +199,7 @@ def evaluate_conditions(
     reports = []
     outputs: list[tuple[ModelParams, list[Tensor]]] = []  # (model, its encoder outputs)
     for condition in conditions:
-        role = _CONDITION_MODEL.get(condition)
-        if role is None:
-            raise EvalError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
+        role = _condition_model(condition)
         if role not in checkpoints:
             raise EvalError(f"condition {condition!r} needs the {role!r} checkpoint")
         params = checkpoints[role]

@@ -26,14 +26,18 @@ over an empty cache, so both share one attention implementation.
 
 Parameters live in four plain name->Tensor dicts (encoder / decoder /
 kws / prefix) so training regimes can freeze each group independently.
+`param_layout` declares the shape and initialization of every encoder,
+decoder and keyword-head tensor once: `init_params` builds from it, and
+`training.checkpoint_load` accepts only a file that matches it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,16 +66,17 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if value < 1:
-                raise ModelError(f"{name} must be >= 1, got {value}")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ModelError(f"{name} must be an int >= 1, got {value!r}")
         if self.d_model % self.n_heads:
             raise ModelError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size <= N_RESERVED:
             raise ModelError(f"vocab_size {self.vocab_size} leaves no room for text units")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
+
+# parameter groups, in the order `ModelParams.groups` gives them and
+# checkpoints store them
+GROUPS = ("encoder", "decoder", "kws", "prefix")
 
 
 @dataclass
@@ -83,12 +88,7 @@ class ModelParams:
     prefix: dict[str, Tensor] = field(default_factory=dict)
 
     def groups(self) -> dict[str, dict[str, Tensor]]:
-        return {"encoder": self.encoder, "decoder": self.decoder, "kws": self.kws, "prefix": self.prefix}
-
-    def all_tensors(self):
-        for gname, group in self.groups().items():
-            for name, t in sorted(group.items()):
-                yield f"{gname}.{name}", t
+        return {g: getattr(self, g) for g in GROUPS}
 
     def clone(self) -> "ModelParams":
         """Deep copy: every tensor gets its own data array."""
@@ -99,95 +99,71 @@ class ModelParams:
         return ModelParams(config=self.config, **groups)
 
 
-def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int, std: float | None = None) -> np.ndarray:
-    s = (1.0 / np.sqrt(fan_in)) if std is None else std
-    return rng.normal(0.0, s, size=(fan_in, fan_out))
+class ParamSpec(NamedTuple):
+    shape: tuple[int, ...]
+    # "zeros" or "ones" for a constant; a float is the standard deviation of
+    # a zero-mean normal draw from the tensor's own named rng stream
+    init: str | float
+
+
+def param_layout(config: ModelConfig) -> dict[str, dict[str, ParamSpec]]:
+    """Every encoder, decoder and keyword-head parameter: group -> name -> spec.
+
+    The soft prefix is not here: it is optional, and its row count is the
+    prompt-tuning run's own setting."""
+    d, ff, v = config.d_model, config.d_ff, config.vocab_size
+
+    def linear(w: str, b: str | None, fan_in: int, fan_out: int, std: float | None = None) -> dict:
+        spec = {w: ParamSpec((fan_in, fan_out), 1.0 / math.sqrt(fan_in) if std is None else std)}
+        if b is not None:
+            spec[b] = ParamSpec((fan_out,), "zeros")
+        return spec
+
+    def attention(p: str) -> dict:
+        # no key bias: it cancels inside the softmax
+        return {**linear(f"{p}.wq", f"{p}.bq", d, d), **linear(f"{p}.wk", None, d, d),
+                **linear(f"{p}.wv", f"{p}.bv", d, d), **linear(f"{p}.wo", f"{p}.bo", d, d)}
+
+    def norm(p: str) -> dict:
+        return {f"{p}.g": ParamSpec((d,), "ones"), f"{p}.b": ParamSpec((d,), "zeros")}
+
+    def feed_forward(p: str) -> dict:
+        return {**linear(f"{p}.w1", f"{p}.b1", d, ff), **linear(f"{p}.w2", f"{p}.b2", ff, d)}
+
+    encoder = linear("in_w", "in_b", 2 * config.n_mels, d)
+    for i in range(config.n_enc_layers):
+        encoder |= {**attention(f"l{i}.attn"), **norm(f"l{i}.ln1"),
+                    **feed_forward(f"l{i}.ff"), **norm(f"l{i}.ln2")}
+    encoder |= norm("ln_out")
+
+    decoder = {"embed": ParamSpec((v, d), 1.0)}
+    for i in range(config.n_dec_layers):
+        decoder |= {**attention(f"l{i}.attn"), **attention(f"l{i}.cross"), **norm(f"l{i}.ln1"),
+                    **norm(f"l{i}.ln2"), **feed_forward(f"l{i}.ff"), **norm(f"l{i}.ln3")}
+    # the readout ties to the embedding table; a zero bias starts the
+    # output distribution near uniform
+    decoder |= {**norm("ln_out"), "out_b": ParamSpec((v,), "zeros")}
+
+    kws = {**linear("wq", "bq", d, d), **linear("wk", None, d, d), **linear("wv", None, d, d),
+           **linear("w1", "b1", 2 * d, d), **linear("w2", "b2", d, 1, std=0.01)}
+    return {"encoder": encoder, "decoder": decoder, "kws": kws}
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Fresh parameter groups; every tensor gets its own named rng stream."""
-
-    def make(group: str, name: str, build) -> tuple[str, Tensor]:
-        return name, Tensor(build(stream(seed, "init", group, name)))
-
-    d, ff, v = config.d_model, config.d_ff, config.vocab_size
-
-    encoder: dict[str, Tensor] = {}
-    encoder.update([make("encoder", "in_w", lambda r: _linear_init(r, 2 * config.n_mels, d))])
-    encoder.update([make("encoder", "in_b", lambda r: np.zeros(d))])
-    for i in range(config.n_enc_layers):
-        p = f"l{i}"
-        for w in ("wq", "wk", "wv", "wo"):
-            encoder.update([make("encoder", f"{p}.attn.{w}", lambda r: _linear_init(r, d, d))])
-            if w != "wk":  # key bias cancels inside the softmax
-                encoder.update([make("encoder", f"{p}.attn.b{w[-1]}", lambda r: np.zeros(d))])
-        encoder.update(
-            [
-                make("encoder", f"{p}.ln1.g", lambda r: np.ones(d)),
-                make("encoder", f"{p}.ln1.b", lambda r: np.zeros(d)),
-                make("encoder", f"{p}.ff.w1", lambda r: _linear_init(r, d, ff)),
-                make("encoder", f"{p}.ff.b1", lambda r: np.zeros(ff)),
-                make("encoder", f"{p}.ff.w2", lambda r: _linear_init(r, ff, d)),
-                make("encoder", f"{p}.ff.b2", lambda r: np.zeros(d)),
-                make("encoder", f"{p}.ln2.g", lambda r: np.ones(d)),
-                make("encoder", f"{p}.ln2.b", lambda r: np.zeros(d)),
-            ]
-        )
-    encoder.update(
-        [
-            make("encoder", "ln_out.g", lambda r: np.ones(d)),
-            make("encoder", "ln_out.b", lambda r: np.zeros(d)),
-        ]
-    )
-
-    decoder: dict[str, Tensor] = {}
-    decoder.update([make("decoder", "embed", lambda r: r.normal(0.0, 1.0, size=(v, d)))])
-    for i in range(config.n_dec_layers):
-        p = f"l{i}"
-        for section in ("attn", "cross"):
-            for w in ("wq", "wk", "wv", "wo"):
-                decoder.update([make("decoder", f"{p}.{section}.{w}", lambda r: _linear_init(r, d, d))])
-                if w != "wk":
-                    decoder.update([make("decoder", f"{p}.{section}.b{w[-1]}", lambda r: np.zeros(d))])
-        decoder.update(
-            [
-                make("decoder", f"{p}.ln1.g", lambda r: np.ones(d)),
-                make("decoder", f"{p}.ln1.b", lambda r: np.zeros(d)),
-                make("decoder", f"{p}.ln2.g", lambda r: np.ones(d)),
-                make("decoder", f"{p}.ln2.b", lambda r: np.zeros(d)),
-                make("decoder", f"{p}.ff.w1", lambda r: _linear_init(r, d, ff)),
-                make("decoder", f"{p}.ff.b1", lambda r: np.zeros(ff)),
-                make("decoder", f"{p}.ff.w2", lambda r: _linear_init(r, ff, d)),
-                make("decoder", f"{p}.ff.b2", lambda r: np.zeros(d)),
-                make("decoder", f"{p}.ln3.g", lambda r: np.ones(d)),
-                make("decoder", f"{p}.ln3.b", lambda r: np.zeros(d)),
-            ]
-        )
-    decoder.update(
-        [
-            make("decoder", "ln_out.g", lambda r: np.ones(d)),
-            make("decoder", "ln_out.b", lambda r: np.zeros(d)),
-            # readout ties to the embedding table; the bias starts the
-            # output distribution near uniform
-            make("decoder", "out_b", lambda r: np.zeros(v)),
-        ]
-    )
-
-    kws: dict[str, Tensor] = {}
-    kws.update(
-        [
-            make("kws", "wq", lambda r: _linear_init(r, d, d)),
-            make("kws", "bq", lambda r: np.zeros(d)),
-            make("kws", "wk", lambda r: _linear_init(r, d, d)),
-            make("kws", "wv", lambda r: _linear_init(r, d, d)),
-            make("kws", "w1", lambda r: _linear_init(r, 2 * d, d)),
-            make("kws", "b1", lambda r: np.zeros(d)),
-            make("kws", "w2", lambda r: _linear_init(r, d, 1, std=0.01)),
-            make("kws", "b2", lambda r: np.zeros(1)),
-        ]
-    )
-
-    return ModelParams(config=config, encoder=encoder, decoder=decoder, kws=kws, prefix={})
+    """Fresh parameter groups as `param_layout` declares them; every drawn
+    tensor gets its own named rng stream."""
+    constants = {"zeros": np.zeros, "ones": np.ones}
+    groups = {
+        gname: {
+            name: Tensor(
+                constants[init](shape) if isinstance(init, str)
+                else stream(seed, "init", gname, name).normal(0.0, init, size=shape)
+            )
+            for name, (shape, init) in specs.items()
+        }
+        for gname, specs in param_layout(config).items()
+    }
+    return ModelParams(config=config, **groups)
 
 
 def init_prefix(params: ModelParams, n_tokens: int, seed: int) -> Tensor:
@@ -452,7 +428,6 @@ def transcribe_greedy(
 class KwsPrediction:
     probabilities: np.ndarray
     decisions: np.ndarray
-    threshold: float
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -484,7 +459,7 @@ def kws_detect(
 ) -> KwsPrediction:
     logits = kws_logits(params, u, keyword_tokens)
     probs = 1.0 / (1.0 + np.exp(-logits.data))
-    return KwsPrediction(probs, probs >= threshold, threshold)
+    return KwsPrediction(probs, probs >= threshold)
 
 
 def prompt_attention_block(

@@ -50,7 +50,6 @@ class Keyword:
 @dataclass(frozen=True)
 class KeywordSet:
     keywords: tuple[Keyword, ...]
-    source: str  # curriculum | tfidf-eval | oracle | external
 
     def __post_init__(self) -> None:
         surfaces = [k.surface for k in self.keywords]
@@ -69,7 +68,7 @@ class KeywordSet:
 
 def _usable(vocab: Vocab, word: str) -> bool:
     """Whether a whole word fits a keyword in its spoken (space-led) token form."""
-    return 1 <= len(vocab.tokenize(" " + word)) <= MAX_KEYWORD_TOKENS
+    return 1 <= len(vocab.word_tokens(word)) <= MAX_KEYWORD_TOKENS
 
 
 def sample_training_keywords(
@@ -109,7 +108,7 @@ def sample_training_keywords(
                 continue
             keywords.append(Keyword(surface=surface, tokens=tokens, positive=positive))
             break
-    return KeywordSet(tuple(keywords), source="curriculum")
+    return KeywordSet(tuple(keywords))
 
 
 def sample_word_keywords(
@@ -154,11 +153,9 @@ def sample_word_keywords(
                     continue
             if any(k.surface == word for k in keywords):
                 continue
-            keywords.append(
-                Keyword(surface=word, tokens=tuple(vocab.tokenize(" " + word)), positive=positive)
-            )
+            keywords.append(Keyword(surface=word, tokens=tuple(vocab.word_tokens(word)), positive=positive))
             break
-    return KeywordSet(tuple(keywords), source="curriculum")
+    return KeywordSet(tuple(keywords))
 
 
 def assemble_prompt(vocab: Vocab, keyword_set: KeywordSet | Sequence[Keyword]) -> list[int]:
@@ -225,8 +222,7 @@ def select_eval_keywords(
     """Evaluation mix: tf-idf-weighted positives from the transcript plus
     tf-idf-weighted negatives absent from it.
 
-    Keywords are whole words, tokenized in spoken-context form (with a
-    leading space) so their token ids match in-transcript occurrences.
+    Keywords are whole words in `Vocab.word_tokens` form.
     """
     words = normalize(transcript).split()
     present = set(words)
@@ -249,9 +245,7 @@ def select_eval_keywords(
     negatives = _weighted_draw_without_replacement(
         neg_candidates, np.array([tfidf.get(w) for w in neg_candidates]), n_negatives, rng
     )
-    keywords = [
-        Keyword(surface=w, tokens=tuple(vocab.tokenize(" " + w)), positive=True) for w in positives
-    ] + [
-        Keyword(surface=w, tokens=tuple(vocab.tokenize(" " + w)), positive=False) for w in negatives
-    ]
-    return KeywordSet(tuple(keywords), source="tfidf-eval")
+    return KeywordSet(tuple(
+        Keyword(surface=w, tokens=tuple(vocab.word_tokens(w)), positive=w in positives)
+        for w in positives + negatives
+    ))

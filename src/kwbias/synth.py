@@ -242,6 +242,8 @@ def word_bank_save(path: Path | str, bank: WordBank) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def word_bank_load_words(path: Path | str) -> dict:
-    """Word lists only; prototypes are reproducible from the spec."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def word_bank_load_words(path: Path | str) -> tuple[dict, str]:
+    """(word lists, the sha256 hex of the file's bytes); prototypes are
+    reproducible from the spec."""
+    blob = Path(path).read_bytes()
+    return json.loads(blob.decode("utf-8")), hashlib.sha256(blob).hexdigest()

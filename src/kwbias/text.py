@@ -87,6 +87,13 @@ class Vocab:
                 raise VocabError(f"character {s[i]!r} is not in the vocabulary alphabet")
         return ids
 
+    def word_tokens(self, word: str) -> list[int]:
+        """Token ids of `word` as every keyword draw, prompt and spotter
+        query spells it.  Meant as the space-led form a word takes after
+        another in a transcript, but `tokenize` normalizes first, which
+        strips the space: these are the bare word's ids."""
+        return self.tokenize(" " + word)
+
     def detokenize(self, ids: Iterable[int], skip_reserved: bool = False) -> str:
         parts: list[str] = []
         for i in ids:

@@ -32,12 +32,15 @@ from .autodiff import Tape, Tensor, backward
 from .container import read_container, write_container
 from .errors import KwbiasError
 from .model import (
+    GROUPS,
     ModelConfig,
+    ModelError,
     ModelParams,
     encode,
     init_prefix,
     kws_logits,
     param_group_hash,
+    param_layout,
     teacher_forced_logits,
 )
 from .prompts import KeywordSet, assemble_prompt, sample_training_keywords, sample_word_keywords
@@ -216,9 +219,8 @@ def train_run(
         if g not in TRAINABLE_GROUPS[config.mode]
     }
 
-    trainable = [
-        (name, t) for name, t in params.all_tensors() if t.requires_grad
-    ]
+    trainable = [(f"{g}.{name}", t) for g, group in params.groups().items()
+                 for name, t in sorted(group.items()) if t.requires_grad]
     opt = Adam(trainable, lr=config.learning_rate)
     rng = stream(config.seed, "train", config.mode)
     losses: list[float] = []
@@ -286,22 +288,49 @@ def checkpoint_save(path: Path | str, params: ModelParams, vocab_hash: str, seed
 _CKPT_FIELDS = {"config": dict, "vocab_hash": str, "rng": dict, "groups": dict}
 
 
-def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) -> tuple[ModelParams, dict]:
-    """(params, meta): meta holds the header's `vocab_hash`, the rng `seed`
-    and the `digest` the reader verified."""
-    path = Path(path)
-    header, arrays = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS)
-    manifest = {}
-    for gname in ("encoder", "decoder", "kws", "prefix"):
+def _checked_manifest(path: Path, header: dict, config: ModelConfig) -> list[tuple[str, list[str]]]:
+    """(group, parameter names) in payload order, once the header's manifest
+    and shapes are found to be exactly `param_layout(config)` plus an
+    optional soft prefix `q` of shape (n >= 1, d_model)."""
+    layout = param_layout(config)
+    manifest = []
+    for gname in GROUPS:  # payload order; JSON gave the header's groups back sorted
         names = header["groups"].get(gname)
         if not isinstance(names, list):
             raise CheckpointError(f"{path}: corrupt checkpoint header: no manifest for group {gname!r}")
-        for name in names:
-            if not isinstance(name, str):
-                raise CheckpointError(f"{path}: corrupt checkpoint header: bad {gname} entry {name!r}")
-        manifest[gname] = names
-    if sum(map(len, manifest.values())) != len(arrays):
+        expected = sorted(layout[gname]) if gname in layout else ["q"] if names else []
+        if names != expected:
+            raise CheckpointError(
+                f"{path}: corrupt checkpoint header: manifest of group {gname!r} does not match the "
+                f"model layout: missing {[n for n in expected if n not in names]}, "
+                f"extra {[n for n in names if n not in expected]}"
+            )
+        manifest.append((gname, names))
+    if sum(len(names) for _, names in manifest) != len(header["shapes"]):
         raise CheckpointError(f"{path}: corrupt checkpoint header: manifest does not cover the payload")
+    shapes = iter(header["shapes"])
+    for gname, names in manifest:
+        specs = layout.get(gname)
+        for name in names:
+            shape = next(shapes)
+            # a soft prefix has d_model columns and any number n >= 1 of rows
+            want = list(specs[name].shape) if specs is not None else [max([1, *shape[:1]]), config.d_model]
+            if shape != want:
+                raise CheckpointError(
+                    f"{path}: corrupt checkpoint: {gname} tensor {name!r} has shape {shape}, "
+                    f"the model layout says {want}"
+                )
+    return manifest
+
+
+def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) -> tuple[ModelParams, dict]:
+    """(params, meta): meta holds the header's `vocab_hash`, the rng `seed`
+    and the `digest` the reader verified.
+
+    A file whose tensors are not exactly those `param_layout` declares for
+    its config (plus an optional prefix) fails here as one line."""
+    path = Path(path)
+    header, arrays = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS)
     seed = header["rng"].get("seed")
     if not isinstance(seed, int):
         raise CheckpointError(f"{path}: corrupt checkpoint header: rng seed must be int")
@@ -312,9 +341,10 @@ def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) ->
         )
     try:
         config = ModelConfig(**header["config"])
-    except TypeError as exc:
+    except (TypeError, ModelError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header: bad model config: {exc}") from exc
     tensors = iter(arrays)
-    groups = {gname: {name: Tensor(next(tensors)) for name in names} for gname, names in manifest.items()}
+    groups = {gname: {name: Tensor(next(tensors)) for name in names}
+              for gname, names in _checked_manifest(path, header, config)}
     meta = {"vocab_hash": header["vocab_hash"], "seed": seed, "digest": header["digest"]}
     return ModelParams(config=config, **groups), meta

@@ -10,9 +10,10 @@ import numpy as np
 
 from kwbias import autodiff as ad
 from kwbias.autodiff import Tape, Tensor, backward
+from kwbias.container import read_container, write_container
 from kwbias.rng import stream
 from kwbias.text import RESERVED, Vocab, VocabError, _merge_pair, normalize
-from kwbias.training import TRAINABLE_GROUPS, set_trainable
+from kwbias.training import TRAINABLE_GROUPS, CheckpointError, set_trainable
 
 
 def finite_difference(fn, tensor, index, h: float = 1e-5) -> float:
@@ -128,3 +129,58 @@ def gradcheck_modes(params, loss_builders, n_coords=20, h=1e-5):
                 t.grad = None
         results[mode] = worst
     return results
+
+
+_CKPT_GROUPS = ("encoder", "decoder", "kws", "prefix")
+
+
+def rewrite_checkpoint(src, dst, edit) -> None:
+    """Copy checkpoint `src` to `dst` after `edit(config, groups)` has changed
+    its header config dict or its {group: {name: array}} tensors.  The copy
+    is framed as `checkpoint_save` frames a file (names sorted, payload in
+    group order) and carries a valid digest, so only a layout check can
+    reject it."""
+    header, arrays = read_container(src, b"KWBCKPT1", "checkpoint", CheckpointError, {})
+    payload = iter(arrays)
+    groups = {g: {name: next(payload) for name in header["groups"][g]} for g in _CKPT_GROUPS}
+    edit(header["config"], groups)
+    header = {k: v for k, v in header.items() if k not in ("digest", "shapes")}
+    header["groups"] = {g: sorted(groups[g]) for g in _CKPT_GROUPS}
+    write_container(dst, b"KWBCKPT1", header,
+                    [groups[g][name] for g in _CKPT_GROUPS for name in header["groups"][g]])
+
+
+def _drop_tensor(config, groups):
+    del groups["encoder"]["l0.attn.wq"]
+
+
+def _extra_tensor(config, groups):
+    groups["encoder"]["l0.attn.bk"] = np.zeros(config["d_model"])
+
+
+def _wrong_shape(config, groups):
+    groups["encoder"]["l0.attn.wq"] = groups["encoder"]["l0.attn.wq"][:, :-1]
+
+
+def _narrow_prefix(config, groups):
+    groups["prefix"] = {"q": np.zeros((3, config["d_model"] - 1))}
+
+
+def _float_config_field(config, groups):
+    config["d_model"] = float(config["d_model"])
+
+
+# (edit, a regex the one-line CheckpointError must match) per kind of damage,
+# for a checkpoint with d_model 32
+MALFORMED_CHECKPOINTS = {
+    "missing-tensor": (
+        _drop_tensor, r"manifest of group 'encoder' .*: missing \['l0\.attn\.wq'\], extra \[\]$"),
+    "extra-tensor": (
+        _extra_tensor, r"manifest of group 'encoder' .*: missing \[\], extra \['l0\.attn\.bk'\]$"),
+    "wrong-shape": (
+        _wrong_shape, r"encoder tensor 'l0\.attn\.wq' has shape \[32, 31\], the model layout says \[32, 32\]$"),
+    "narrow-prefix": (
+        _narrow_prefix, r"prefix tensor 'q' has shape \[3, 31\], the model layout says \[3, 32\]$"),
+    "float-config": (
+        _float_config_field, r"bad model config: d_model must be an int >= 1, got 32\.0$"),
+}

@@ -8,6 +8,7 @@ import builtins
 import hashlib
 import io
 import json
+import re
 import shutil
 import struct
 import wave
@@ -23,6 +24,8 @@ from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, w
 from kwbias.synth import dataset_load, dataset_save
 from kwbias.text import Vocab
 from kwbias.training import MODES, checkpoint_load, checkpoint_save
+
+from helpers import MALFORMED_CHECKPOINTS, rewrite_checkpoint
 
 
 def test_defaults_from_empty_file(tmp_path):
@@ -168,6 +171,78 @@ def test_evaluate_writes_reports(cli_world):
     assert report[0] == "condition,wer,S,D,I,f1,tp,fp,fn,params"
     assert len(report) == 4
     assert (out / "report.txt").exists()
+
+
+def _input_line(resolved_dir, role, path, content):
+    return f"# input.{role} = {path} {content}\n" in (resolved_dir / "config.resolved").read_text()
+
+
+def test_evaluate_records_both_splits_it_reads(cli_world, tmp_path):
+    _, data, asr, *_ = cli_world
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--data", str(data), "--out", str(out), "--conditions", "baseline",
+                 "--base-ckpt", str(asr / "base-asr.ckpt"), *TINY_OVERRIDES]) == 0
+    for split in ("train", "test"):
+        digest = dataset_load(data / f"{split}.ds")[1]
+        assert _input_line(out, f"{split}-data", data / f"{split}.ds", f"digest={digest}")
+
+
+def test_finetune_then_evaluate_the_ft_conditions(cli_world, tmp_path):
+    _, data, asr, kws, _ = cli_world
+    ft = tmp_path / "ft"
+    assert main(["finetune", "--data", str(data), "--out", str(ft),
+                 "--kws-ckpt", str(kws / "kws.ckpt"), *TINY_OVERRIDES]) == 0
+    vocab = Vocab.load(data / "vocab.tsv")
+    tuned, _ = checkpoint_load(ft / "ft.ckpt", vocab.content_hash)
+    before, _ = checkpoint_load(kws / "kws.ckpt", vocab.content_hash)
+    assert any(not np.array_equal(t.data, before.decoder[n].data) for n, t in tuned.decoder.items())
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--data", str(data), "--out", str(out), "--conditions", "ft,ft-oracle",
+                 "--ft-ckpt", str(ft / "ft.ckpt"), "--kws-ckpt", str(kws / "kws.ckpt"),
+                 *TINY_OVERRIDES]) == 0
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    decoder_size = sum(t.data.size for t in tuned.decoder.values())
+    assert [(r[0], r[-1]) for r in rows] == [("ft", str(decoder_size)), ("ft-oracle", str(decoder_size))]
+
+
+def test_ablate_scores_each_prefix_length(cli_world, tmp_path):
+    _, data, _, kws, _ = cli_world
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--data", str(data), "--out", str(out), "--kws-ckpt", str(kws / "kws.ckpt"),
+                 "--lengths", "2,1", *TINY_OVERRIDES]) == 0
+    lines = (out / "ablation.csv").read_text().splitlines()
+    assert lines[0] == "prefix_len,wer,f1"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+    assert _input_line(out, "test-data", data / "test.ds", f"digest={dataset_load(data / 'test.ds')[1]}")
+
+
+def test_attn_export_writes_its_summary(cli_world, tmp_path):
+    _, data, _, _, pt = cli_world
+    out = tmp_path / "attn"
+    assert main(["attn-export", "--data", str(data), "--out", str(out), "--pt-ckpt", str(pt / "pt.ckpt"),
+                 "--layer", "0", "--limit", "2", *TINY_OVERRIDES]) == 0
+    records, hits = (out / "attn_summary.txt").read_text().splitlines()
+    n = int(records.removeprefix("records: "))
+    assert 1 <= n <= 2 and len(list((out / "attn").iterdir())) == n
+    assert hits.startswith("keyword-peak hits: ")
+    words = data / "words.json"
+    assert _input_line(out, "words", words, f"sha256={hashlib.sha256(words.read_bytes()).hexdigest()}")
+    assert _input_line(out, "train-data", data / "train.ds", f"digest={dataset_load(data / 'train.ds')[1]}")
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_transcribe_rejects_a_checkpoint_off_the_model_layout(cli_world, capsys, tmp_path, case):
+    _, data, asr, *_ = cli_world
+    edit, message = MALFORMED_CHECKPOINTS[case]
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(asr / "base-asr.ckpt", bad, edit)
+    rc = main(["transcribe", "--data", str(data), "--ckpt", str(bad), "--out", str(tmp_path / "tr"),
+               *TINY_OVERRIDES])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"CheckpointError: {bad}: ")
+    assert re.search(message, err)
 
 
 def test_evaluate_rerun_is_byte_identical(cli_world):

@@ -16,6 +16,7 @@ from kwbias.model import (
     kws_logits,
     param_count,
     param_group_hash,
+    param_layout,
     prompt_attention_block,
     same_encoder,
     teacher_forced_logits,
@@ -43,6 +44,37 @@ def test_config_validation():
         ModelConfig(d_model=30, n_heads=4)
     with pytest.raises(ModelError, match=">= 1"):
         ModelConfig(n_enc_layers=0)
+
+
+@pytest.mark.parametrize("value", [16.0, True, "16", None])
+def test_config_fields_must_be_ints(value):
+    with pytest.raises(ModelError, match=f"d_model must be an int >= 1, got {value!r}"):
+        ModelConfig(d_model=value)
+
+
+def test_default_init_is_pinned():
+    params = init_params(ModelConfig(), seed=0)
+    assert {g: param_group_hash(group) for g, group in params.groups().items() if group} == {
+        "encoder": "3a9fa542e2cede9c1d6210e5fbb7a053ec1758adde6606d73093b06ff04180a9",
+        "decoder": "502c2ea381bac2877d2a8195956bd49449176bb20d7819379c2a9da6ec1f8005",
+        "kws": "94a93ba218f6dd6a65e259033f8dae015f8fe0689d835e3519f1c6658615da91",
+    }
+
+
+def test_init_params_builds_exactly_the_layout(params):
+    layout = param_layout(CFG)
+    assert params.prefix == {} and set(layout) == {"encoder", "decoder", "kws"}
+    for gname, specs in layout.items():
+        group = params.groups()[gname]
+        assert group.keys() == specs.keys()
+        for name, (shape, init) in specs.items():
+            assert group[name].shape == shape
+            if init == "zeros":
+                assert not group[name].data.any()
+            elif init == "ones":
+                assert (group[name].data == 1.0).all()
+            else:
+                assert group[name].data.std() > 0
 
 
 def test_encode_halves_the_frame_count(params):

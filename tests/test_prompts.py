@@ -146,7 +146,6 @@ def test_keyword_set_rejects_duplicate_surfaces():
                 Keyword(surface="x", tokens=(9,), positive=True),
                 Keyword(surface="x", tokens=(10,), positive=False),
             ),
-            source="external",
         )
 
 
@@ -156,7 +155,6 @@ def test_kws_to_prompt_all_negative(vocab):
             Keyword(surface="bako", tokens=tuple(vocab.tokenize("bako")), positive=True),
             Keyword(surface="demo", tokens=tuple(vocab.tokenize("demo")), positive=False),
         ),
-        source="external",
     )
     assert kws_to_prompt(vocab, [False, False], ks) == [vocab.sop_id, vocab.sot_id]
 
@@ -167,7 +165,6 @@ def test_kws_to_prompt_all_positive_keeps_order(vocab):
             Keyword(surface="bako", tokens=tuple(vocab.tokenize("bako")), positive=True),
             Keyword(surface="demo", tokens=tuple(vocab.tokenize("demo")), positive=False),
         ),
-        source="external",
     )
     assert kws_to_prompt(vocab, [True, True], ks) == assemble_prompt(vocab, ks.keywords)
 
@@ -179,7 +176,7 @@ def test_kws_to_prompt_oracle_truth_equals_positive_subset(vocab, batch_tokens):
 
 
 def test_kws_to_prompt_length_mismatch(vocab):
-    ks = KeywordSet((Keyword(surface="bako", tokens=(9,), positive=True),), source="external")
+    ks = KeywordSet((Keyword(surface="bako", tokens=(9,), positive=True),))
     with pytest.raises(PromptError, match="1 keywords"):
         kws_to_prompt(vocab, [True, False], ks)
 

@@ -1,5 +1,6 @@
 """Synthetic corpus generation and its serialization."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -150,7 +151,8 @@ def test_word_bank_round_trip(tmp_path):
     _, bank = generate_corpus(SMALL)
     path = tmp_path / "words.json"
     word_bank_save(path, bank)
-    words = word_bank_load_words(path)
+    words, sha256 = word_bank_load_words(path)
+    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
     assert words["common"] == list(bank.common)
     assert words["jargon"] == list(bank.jargon)
     assert words["confusable"] == bank.confusable

@@ -1,5 +1,6 @@
 """Losses, freeze contracts, determinism, and checkpointing."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -25,7 +26,7 @@ from kwbias.training import (
     train_run,
 )
 
-from helpers import gradcheck_modes
+from helpers import MALFORMED_CHECKPOINTS, gradcheck_modes, rewrite_checkpoint
 
 SPEC = SynthSpec(train_size=60, dev_size=8, test_size=8, n_mels=12, seed=21)
 MODEL = ModelConfig(d_model=32, n_heads=4, n_enc_layers=1, n_dec_layers=1, d_ff=64,
@@ -297,6 +298,35 @@ def test_checkpoint_manifest_must_cover_the_payload(tmp_path, corpus):
     write_container(path, b"KWBCKPT1", header, arrays)  # a valid digest, so the manifest check fires
     with pytest.raises(CheckpointError, match=r"\.ckpt: corrupt checkpoint header: manifest"):
         checkpoint_load(path)
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_checkpoint_off_the_model_layout_fails_at_load(tmp_path, corpus, case):
+    _, _, vocab = corpus
+    edit, message = MALFORMED_CHECKPOINTS[case]
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    checkpoint_save(good, init_params(MODEL, seed=15), vocab.content_hash, seed=15)
+    rewrite_checkpoint(good, good, lambda config, groups: None)
+    checkpoint_load(good, vocab.content_hash)  # the rewrite alone keeps a loadable file
+    rewrite_checkpoint(good, bad, edit)
+    with pytest.raises(CheckpointError, match=message) as info:
+        checkpoint_load(bad, vocab.content_hash)
+    assert str(info.value).startswith(f"{bad}: ") and "\n" not in str(info.value)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    from kwbias.model import init_prefix
+
+    params = init_params(MODEL, seed=16)
+    init_prefix(params, 3, seed=16)
+    path = tmp_path / "m.ckpt"
+    checkpoint_save(path, params, "v" * 64, seed=16)
+    # the file format is fixed: any change to a written byte shows here
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e12d697ed1bc0ed49c8b96c29c5925ea61cb4bd307894454e3e695bb9fac0f4a"
+    )
+    loaded, _ = checkpoint_load(path, "v" * 64)
+    assert loaded.prefix["q"].shape == (3, MODEL.d_model)
 
 
 def test_set_trainable_matches_mode_contract():
