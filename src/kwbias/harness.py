@@ -106,12 +106,12 @@ class EvalContext:
 
 def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) -> EvalContext:
     # select_eval_keywords draws negatives from the pool's distinct
-    # normalized words, so the words alone give the same draws.
-    words = sorted({w for t in train_texts for w in normalize(t).split()})
+    # normalized words, which are exactly the words tf-idf scored.
+    tfidf = tfidf_scores(train_texts)
     return EvalContext(
         vocab=vocab,
-        tfidf=tfidf_scores(train_texts),
-        negatives_pool=tuple(words),
+        tfidf=tfidf,
+        negatives_pool=tuple(sorted(tfidf.scores)),
         seed=cfg.seed,
         n_keywords=cfg.eval_keywords,
         n_positives=cfg.eval_positives,

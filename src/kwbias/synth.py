@@ -175,20 +175,28 @@ def _make_utterance(spec: SynthSpec, bank: WordBank, rng: np.random.Generator) -
 
 
 def generate_corpus(spec: SynthSpec) -> tuple[dict[str, list[Utterance]], WordBank]:
-    """Seeded train/dev/test splits, disjoint by utterance content hash."""
+    """Seeded train/dev/test splits with no utterance in common.
+
+    Under noise (`noise_sigma > 0`) the splits are disjoint by
+    construction: every utterance carries its own continuous noise draw,
+    so no two repeat.  At `noise_sigma == 0` an utterance is just its word
+    sequence, so repeats are dropped by content hash before they reach
+    any split.
+    """
     bank = make_word_bank(spec)
     sizes = {"train": spec.train_size, "dev": spec.dev_size, "test": spec.test_size}
     splits: dict[str, list[Utterance]] = {}
-    seen_hashes: set[str] = set()
+    seen_hashes: set[str] | None = set() if spec.noise_sigma == 0 else None
     for name, size in sizes.items():
         rng = stream(spec.seed, "corpus", name)
         utts: list[Utterance] = []
         while len(utts) < size:
             utt = _make_utterance(spec, bank, rng)
-            digest = utt.content_hash()
-            if digest in seen_hashes:
-                continue  # duplicates only realistic at noise_sigma == 0
-            seen_hashes.add(digest)
+            if seen_hashes is not None:
+                digest = utt.content_hash()
+                if digest in seen_hashes:
+                    continue
+                seen_hashes.add(digest)
             utts.append(utt)
         splits[name] = utts
     return splits, bank
@@ -199,23 +207,28 @@ def generate_corpus(spec: SynthSpec) -> tuple[dict[str, list[Utterance]], WordBa
 
 
 def dataset_save(path: Path | str, utterances: list[Utterance], spec: SynthSpec) -> None:
-    """Frames in a container with header fields `n_mels`, `spec_hash` and one
-    `contains_jargon` flag per utterance; transcripts in a `.txt` sidecar."""
+    """Frames in a container with header fields `n_mels`, `spec_hash`, one
+    `contains_jargon` flag per utterance and `transcripts_sha256`;
+    transcripts in a `.txt` sidecar whose bytes that hash covers, so the
+    container's digest identifies the transcripts too."""
     path = Path(path)
+    transcripts = "".join(u.text + "\n" for u in utterances).encode("utf-8")
     header = {
         "n_mels": spec.n_mels,
         "spec_hash": spec_hash(spec),
         "contains_jargon": [int(u.contains_jargon) for u in utterances],
+        "transcripts_sha256": hashlib.sha256(transcripts).hexdigest(),
     }
     write_container(path, _MAGIC, header, [u.frames for u in utterances])
-    path.with_suffix(".txt").write_text("".join(u.text + "\n" for u in utterances), encoding="utf-8")
+    path.with_suffix(".txt").write_bytes(transcripts)
 
 
 _DATASET_FIELDS = {"n_mels": int, "spec_hash": str, "contains_jargon": list}
 
 
 def dataset_load(path: Path | str) -> tuple[list[Utterance], str]:
-    """(utterances, digest): the digest is the one the reader verified."""
+    """(utterances, digest): the digest is the one the reader verified, and
+    the transcripts are checked against the `transcripts_sha256` it covers."""
     path = Path(path)
     header, frames = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS)
     n_mels = header["n_mels"]
@@ -225,7 +238,13 @@ def dataset_load(path: Path | str) -> tuple[list[Utterance], str]:
     if len(flags) != len(frames):
         raise SynthError(f"{path}: manifest count mismatch")
     sidecar = path.with_suffix(".txt")
-    texts = sidecar.read_text(encoding="utf-8").splitlines()
+    transcripts = sidecar.read_bytes()
+    recorded = header.get("transcripts_sha256")
+    if recorded is None:
+        raise SynthError(f"{path}: no transcripts_sha256 in the dataset header: regenerate the data with gen-data")
+    if hashlib.sha256(transcripts).hexdigest() != recorded:
+        raise SynthError(f"{sidecar}: transcripts do not match the transcripts_sha256 recorded in {path.name}")
+    texts = transcripts.decode("utf-8").splitlines()
     if len(texts) != len(frames):
         raise SynthError(f"{sidecar}: transcript count {len(texts)} != manifest {len(frames)}")
     utterances = [Utterance(frames=f, text=text, contains_jargon=bool(flag))
@@ -244,6 +263,17 @@ def word_bank_save(path: Path | str, bank: WordBank) -> None:
 
 def word_bank_load_words(path: Path | str) -> tuple[dict, str]:
     """(word lists, the sha256 hex of the file's bytes); prototypes are
-    reproducible from the spec."""
-    blob = Path(path).read_bytes()
-    return json.loads(blob.decode("utf-8")), hashlib.sha256(blob).hexdigest()
+    reproducible from the spec.  A file that is not UTF-8 JSON, not an
+    object, or whose `jargon` is not a list of strings is a SynthError."""
+    path = Path(path)
+    blob = path.read_bytes()
+    try:
+        words = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SynthError(f"{path}: corrupt word bank: {exc}") from exc
+    if not isinstance(words, dict):
+        raise SynthError(f"{path}: corrupt word bank: expected a JSON object, got {type(words).__name__}")
+    jargon = words.get("jargon")
+    if not isinstance(jargon, list) or not all(isinstance(w, str) for w in jargon):
+        raise SynthError(f"{path}: corrupt word bank: 'jargon' must be a list of strings")
+    return words, hashlib.sha256(blob).hexdigest()

@@ -1,9 +1,11 @@
 """Text normalization, sub-word vocabulary, tokenization, and tf-idf.
 
-One normalization (lowercase, punctuation stripped, single-spaced) is
-shared by the tokenizer, the WER scorer, and keyword matching so the
-metrics cannot drift apart.  The vocabulary is a frequency-merged unit
-inventory (byte-pair-encoding style, Sennrich et al., arXiv 1508.07909),
+One normalization is shared by the tokenizer, the WER scorer, and
+keyword matching so the metrics cannot drift apart: lowercase, then every
+character outside `[a-z0-9 ]` becomes a space (one compiled-regex
+substitution), then runs of spaces collapse to one and the ends are
+trimmed.  The vocabulary is a frequency-merged unit inventory
+(byte-pair-encoding style, Sennrich et al., arXiv 1508.07909),
 learned from a table of distinct word forms weighted by their counts
 rather than from every transcript's characters; tokenization is greedy
 longest-match, which makes detokenize(tokenize(s)) == normalize(s) hold
@@ -15,6 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +30,7 @@ class VocabError(KwbiasError):
     pass
 
 
-_KEEP = frozenset("abcdefghijklmnopqrstuvwxyz0123456789 ")
+_NOT_KEPT = re.compile("[^a-z0-9 ]")  # every character normalization turns into a space
 
 # Reserved units, listed first in every vocabulary.  Their surfaces use
 # characters normalization removes, so text can never tokenize to them.
@@ -36,9 +39,9 @@ N_RESERVED = len(RESERVED)
 
 
 def normalize(text: str) -> str:
-    """Lowercase, map punctuation to spaces, collapse runs of whitespace."""
-    chars = [ch if ch in _KEEP else " " for ch in text.lower()]
-    return " ".join("".join(chars).split())
+    """Lowercase, map every character outside [a-z0-9 ] to a space, collapse
+    runs of spaces and trim the ends."""
+    return " ".join(_NOT_KEPT.sub(" ", text.lower()).split())
 
 
 def find_subsequence(haystack: Sequence, needle: Sequence) -> int:
@@ -67,6 +70,7 @@ class Vocab:
         self._ids: dict[str, int] = {u: i for i, u in enumerate(units)}
         self._max_unit_len = max(len(u) for u in units[N_RESERVED:]) if len(units) > N_RESERVED else 0
         self.pad_id, self.sop_id, self.sot_id, self.eot_id, self.delim_id = range(N_RESERVED)
+        self._word_tokens: dict[str, tuple[int, ...]] = {}  # units are fixed, so never stale
 
     def __len__(self) -> int:
         return len(self.units)
@@ -91,8 +95,12 @@ class Vocab:
         """Token ids of `word` as every keyword draw, prompt and spotter
         query spells it.  Meant as the space-led form a word takes after
         another in a transcript, but `tokenize` normalizes first, which
-        strips the space: these are the bare word's ids."""
-        return self.tokenize(" " + word)
+        strips the space: these are the bare word's ids.  Memoized per
+        vocabulary; every call returns a fresh list."""
+        tokens = self._word_tokens.get(word)
+        if tokens is None:
+            tokens = self._word_tokens[word] = tuple(self.tokenize(" " + word))
+        return list(tokens)
 
     def detokenize(self, ids: Iterable[int], skip_reserved: bool = False) -> str:
         parts: list[str] = []

@@ -20,6 +20,7 @@ A run tokenizes and, with the encoder frozen (every mode but
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from pathlib import Path
@@ -327,8 +328,9 @@ def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) ->
     """(params, meta): meta holds the header's `vocab_hash`, the rng `seed`
     and the `digest` the reader verified.
 
-    A file whose tensors are not exactly those `param_layout` declares for
-    its config (plus an optional prefix) fails here as one line."""
+    A file whose config keys are not exactly `ModelConfig`'s fields, or
+    whose tensors are not exactly those `param_layout` declares for its
+    config (plus an optional prefix), fails here as one line."""
     path = Path(path)
     header, arrays = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS)
     seed = header["rng"].get("seed")
@@ -339,9 +341,15 @@ def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) ->
             f"{path}: vocabulary hash mismatch: checkpoint {header['vocab_hash'][:12]}... "
             f"vs current {expected_vocab_hash[:12]}..."
         )
+    keys, fields = set(header["config"]), {f.name for f in dataclasses.fields(ModelConfig)}
+    if keys != fields:
+        raise CheckpointError(
+            f"{path}: corrupt checkpoint header: model config keys do not match ModelConfig: "
+            f"missing {sorted(fields - keys)}, extra {sorted(keys - fields)}"
+        )
     try:
         config = ModelConfig(**header["config"])
-    except (TypeError, ModelError) as exc:
+    except ModelError as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header: bad model config: {exc}") from exc
     tensors = iter(arrays)
     groups = {gname: {name: Tensor(next(tensors)) for name in names}

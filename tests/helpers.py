@@ -170,6 +170,14 @@ def _float_config_field(config, groups):
     config["d_model"] = float(config["d_model"])
 
 
+def _missing_config_key(config, groups):
+    del config["max_src_frames"]  # shapes no tensor, so only the key check sees it
+
+
+def _extra_config_key(config, groups):
+    config["dropout"] = 1
+
+
 # (edit, a regex the one-line CheckpointError must match) per kind of damage,
 # for a checkpoint with d_model 32
 MALFORMED_CHECKPOINTS = {
@@ -183,4 +191,9 @@ MALFORMED_CHECKPOINTS = {
         _narrow_prefix, r"prefix tensor 'q' has shape \[3, 31\], the model layout says \[3, 32\]$"),
     "float-config": (
         _float_config_field, r"bad model config: d_model must be an int >= 1, got 32\.0$"),
+    "missing-config-key": (
+        _missing_config_key,
+        r"model config keys do not match ModelConfig: missing \['max_src_frames'\], extra \[\]$"),
+    "extra-config-key": (
+        _extra_config_key, r"model config keys do not match ModelConfig: missing \[\], extra \['dropout'\]$"),
 }

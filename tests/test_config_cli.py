@@ -230,6 +230,35 @@ def test_attn_export_writes_its_summary(cli_world, tmp_path):
     assert _input_line(out, "train-data", data / "train.ds", f"digest={dataset_load(data / 'train.ds')[1]}")
 
 
+def test_attn_export_on_a_truncated_word_bank_is_a_single_line_error(cli_world, capsys, tmp_path):
+    _, data, _, _, pt = cli_world
+    cut = tmp_path / "data"
+    shutil.copytree(data, cut)
+    (cut / "words.json").write_text('{"jargon": [', encoding="utf-8")
+    rc = main(["attn-export", "--data", str(cut), "--out", str(tmp_path / "attn"),
+               "--pt-ckpt", str(pt / "pt.ckpt"), "--layer", "0", *TINY_OVERRIDES])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"SynthError: {cut / 'words.json'}: corrupt word bank: ")
+
+
+def test_an_edited_reference_transcript_fails_the_request(cli_world, capsys, tmp_path):
+    """The container digest that provenance records covers the transcripts."""
+    _, data, asr, *_ = cli_world
+    edited = tmp_path / "data"
+    shutil.copytree(data, edited)
+    texts = (edited / "test.txt").read_text(encoding="utf-8").splitlines()
+    texts[0] += " " + texts[0].split()[0]
+    (edited / "test.txt").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    rc = main(["transcribe", "--data", str(edited), "--index", "0", "--ckpt", str(asr / "base-asr.ckpt"),
+               "--out", str(tmp_path / "tr"), *TINY_OVERRIDES])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err == (f"SynthError: {edited / 'test.txt'}: transcripts do not match the transcripts_sha256 "
+                   f"recorded in test.ds")
+
+
 @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
 def test_transcribe_rejects_a_checkpoint_off_the_model_layout(cli_world, capsys, tmp_path, case):
     _, data, asr, *_ = cli_world

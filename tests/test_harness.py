@@ -5,6 +5,7 @@ they exercise plumbing, not model quality; quality lives in the
 acceptance suite.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -262,3 +263,23 @@ def test_attention_export_records(tiny_world, tmp_path):
         assert lines[0].startswith("# rows: <sop>")
         assert lines[1].startswith("# cols: ")
         assert len(lines) == 2 + n_prompt
+
+
+def test_default_set_up_is_pinned():
+    """Every split, the vocabulary and the 100 evaluation keyword sets of the
+    default config hash to the value computed before set-up was optimized."""
+    cfg = RunConfig()
+    splits, _ = generate_corpus(cfg.synth_spec())
+    train_texts = [u.text for u in splits["train"]]
+    vocab = build_vocab(train_texts, cfg.vocab_target)
+    ctx = make_eval_context(cfg, vocab, train_texts)
+    h = hashlib.sha256()
+    for name in ("train", "dev", "test"):
+        for u in splits[name]:
+            h.update(f"{name}\t{u.text}\t{int(u.contains_jargon)}\t{u.frames.shape}\n".encode())
+            h.update(np.ascontiguousarray(u.frames, dtype="<f8").tobytes())
+    h.update("\n".join(vocab.units).encode())
+    for i, u in enumerate(splits["test"]):
+        for kw in ctx.keywords_for(i, u.text):
+            h.update(f"{i}\t{kw.surface}\t{kw.tokens}\t{int(kw.positive)}\n".encode())
+    assert h.hexdigest() == "69d674fd7a5ce50db040fb7c3c7d13b912f4144b48798ed5ecceb5aaf75d2728"

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from kwbias.container import read_container, write_container
 from kwbias.synth import (
     SynthError,
     SynthSpec,
@@ -35,6 +36,19 @@ def test_splits_are_disjoint_by_content_hash():
     splits, _ = generate_corpus(SMALL)
     hashes = [u.content_hash() for s in splits.values() for u in s]
     assert len(set(hashes)) == len(hashes)
+
+
+def test_noiseless_splits_drop_repeated_utterances():
+    # 3 common words, 2 or 3 per utterance: 12 distinct utterances, of which
+    # the splits take 11, so the raw draws of each split repeat
+    spec = SynthSpec(n_common=3, n_jargon=0, min_words=2, max_words=3, noise_sigma=0.0,
+                     jargon_fraction=0.0, train_size=6, dev_size=3, test_size=2, seed=11)
+    splits, _ = generate_corpus(spec)
+    texts = [u.text for s in splits.values() for u in s]
+    hashes = [u.content_hash() for s in splits.values() for u in s]
+    assert [len(s) for s in splits.values()] == [6, 3, 2]
+    assert len(set(texts)) == len(texts) == 11
+    assert len(set(hashes)) == 11
 
 
 def test_every_jargon_word_has_a_confusable_counterpart():
@@ -137,13 +151,45 @@ def test_malformed_dataset_header_is_a_structured_error(tmp_path, blob, message)
         dataset_load(path)
 
 
+def _rewrite_dataset(path, edit) -> None:
+    """Rewrite dataset `path` after `edit(header)` has changed its own header
+    fields; the copy carries a valid digest."""
+    header, frames = read_container(path, b"KWBDS001", "dataset", SynthError, {})
+    header = {k: v for k, v in header.items() if k not in ("digest", "shapes")}
+    edit(header)
+    write_container(path, b"KWBDS001", header, frames)
+
+
 def test_transcript_count_mismatch_is_detected(tmp_path):
+    """The header records a one-line sidecar for ten utterances, digest and all."""
+    splits, _ = generate_corpus(SMALL)
+    path = tmp_path / "dev.ds"
+    dataset_save(path, splits["dev"], SMALL)
+    one_line = b"only one line\n"
+    _rewrite_dataset(path, lambda h: h.update(transcripts_sha256=hashlib.sha256(one_line).hexdigest()))
+    path.with_suffix(".txt").write_bytes(one_line)
+    with pytest.raises(SynthError, match="transcript count"):
+        dataset_load(path)
+
+
+def test_edited_transcript_fails_against_the_recorded_sha256(tmp_path):
     splits, _ = generate_corpus(SMALL)
     path = tmp_path / "dev.ds"
     dataset_save(path, splits["dev"], SMALL)
     sidecar = path.with_suffix(".txt")
-    sidecar.write_text("only one line\n", encoding="utf-8")
-    with pytest.raises(SynthError, match="transcript count"):
+    texts = sidecar.read_text(encoding="utf-8").splitlines()
+    texts[0] += " " + texts[0].split()[0]  # same line count, one reference changed
+    sidecar.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    with pytest.raises(SynthError, match=r"dev\.txt: transcripts do not match the transcripts_sha256 recorded in dev\.ds$"):
+        dataset_load(path)
+
+
+def test_dataset_without_a_transcripts_sha256_must_be_regenerated(tmp_path):
+    splits, _ = generate_corpus(SMALL)
+    path = tmp_path / "dev.ds"
+    dataset_save(path, splits["dev"], SMALL)
+    _rewrite_dataset(path, lambda h: h.pop("transcripts_sha256"))
+    with pytest.raises(SynthError, match=r"dev\.ds: no transcripts_sha256 .*regenerate"):
         dataset_load(path)
 
 
@@ -156,6 +202,22 @@ def test_word_bank_round_trip(tmp_path):
     assert words["common"] == list(bank.common)
     assert words["jargon"] == list(bank.jargon)
     assert words["confusable"] == bank.confusable
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b'{"jargon": [', r"corrupt word bank: Expecting value"),
+    (b'{"jargon": ["\xff"]}', r"corrupt word bank: 'utf-8' codec can't decode"),
+    (b'["kiso"]', r"corrupt word bank: expected a JSON object, got list$"),
+    (b'{"common": ["kiso"]}', r"corrupt word bank: 'jargon' must be a list of strings$"),
+    (b'{"jargon": "kisozy"}', r"corrupt word bank: 'jargon' must be a list of strings$"),
+    (b'{"jargon": ["kisozy", 7]}', r"corrupt word bank: 'jargon' must be a list of strings$"),
+], ids=["truncated", "not-utf8", "array", "no-jargon", "jargon-string", "jargon-number"])
+def test_malformed_word_bank_is_a_synth_error(tmp_path, blob, message):
+    path = tmp_path / "words.json"
+    path.write_bytes(blob)
+    with pytest.raises(SynthError, match=message) as info:
+        word_bank_load_words(path)
+    assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)
 
 
 def test_spec_hash_changes_with_fields():

@@ -38,6 +38,28 @@ def test_normalize_lowercases_and_strips_punctuation():
     assert normalize("  Hello,   WORLD!x | y ") == "hello world x y"
 
 
+_KEEP = frozenset("abcdefghijklmnopqrstuvwxyz0123456789 ")
+
+
+# any text, plus text dense in kept characters, case changes, whitespace other
+# than the space, and characters whose lower case is longer than they are
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="abzAZ09 \t\n\u00a0\u2028.,|\u0130\u1e9e")))
+def test_normalize_equals_the_per_character_reference(s):
+    chars = [ch if ch in _KEEP else " " for ch in s.lower()]
+    assert normalize(s) == " ".join("".join(chars).split())
+
+
+def test_word_tokens_is_the_space_led_tokenization_and_each_call_owns_its_list(vocab):
+    for word in ["bako", "demo", "vanu", "Kipo!", "mivo lemo"]:
+        assert vocab.word_tokens(word) == vocab.tokenize(" " + word)
+    first = vocab.word_tokens("bako")
+    first.append(0)
+    first[0] = -1
+    assert vocab.word_tokens("bako") == vocab.tokenize(" bako")
+    assert vocab.word_tokens("bako") is not vocab.word_tokens("bako")
+
+
 def test_tokenize_empty_text(vocab):
     assert vocab.tokenize("") == []
 
