@@ -1,7 +1,8 @@
 """WAV ingestion and log-mel feature extraction.
 
-The feature recipe: 25 ms Hann windows with a 10 ms hop, power spectrum,
-an 80-filter triangular mel bank (HTK scale, 0 Hz to Nyquist), log10 with
+The feature recipe: 25 ms Hann windows with a 10 ms hop over 16 kHz
+audio, power spectrum, a triangular mel bank of the model's `n_mels`
+filters (HTK scale, 0 Hz to Nyquist), log10 with
 a 1e-10 floor, then a per-utterance clamp to [max-8, max] followed by the
 (x+4)/4 affine rescale.  The clamp/rescale step is an implementation
 choice for a bounded, silence-safe feature range.
@@ -23,6 +24,10 @@ class AudioFormatError(KwbiasError):
     pass
 
 
+SAMPLE_RATE_HZ = 16000
+WINDOW_MS, HOP_MS = 25, 10
+
+
 @dataclass(frozen=True)
 class Waveform:
     samples: np.ndarray
@@ -37,17 +42,11 @@ class Waveform:
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    frames: np.ndarray  # (T, n_mels)
-    frame_hop_ms: int = 10
-    frame_window_ms: int = 25
+    frames: np.ndarray  # (T, n_mels), one frame every HOP_MS
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def n_mels(self) -> int:
-        return self.frames.shape[1]
 
 
 def load_wav(source: Path | str | BinaryIO) -> Waveform:
@@ -105,14 +104,14 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int) -> np.ndarray:
     return fb
 
 
-def log_mel_raw(w: Waveform, n_mels: int = 80, window_ms: int = 25, hop_ms: int = 10) -> np.ndarray:
+def log_mel_raw(w: Waveform, n_mels: int) -> np.ndarray:
     """Pre-clamp log-mel energies; useful for checking log-domain identities."""
-    if w.sample_rate_hz != 16000:
+    if w.sample_rate_hz != SAMPLE_RATE_HZ:
         raise AudioFormatError(
-            f"log_mel expects 16000 Hz input, got {w.sample_rate_hz} Hz: resample first"
+            f"log_mel expects {SAMPLE_RATE_HZ} Hz input, got {w.sample_rate_hz} Hz: resample first"
         )
-    win = w.sample_rate_hz * window_ms // 1000
-    hop = w.sample_rate_hz * hop_ms // 1000
+    win = w.sample_rate_hz * WINDOW_MS // 1000
+    hop = w.sample_rate_hz * HOP_MS // 1000
     n = len(w.samples)
     if n < win:
         raise AudioFormatError(f"input too short: need at least {win} samples, got {n}")
@@ -124,13 +123,8 @@ def log_mel_raw(w: Waveform, n_mels: int = 80, window_ms: int = 25, hop_ms: int 
     return np.log10(np.maximum(mel, 1e-10))
 
 
-def log_mel(
-    w: Waveform,
-    n_mels: int = 80,
-    window_ms: int = 25,
-    hop_ms: int = 10,
-) -> FeatureSequence:
+def log_mel(w: Waveform, n_mels: int) -> FeatureSequence:
     """Log-mel features for 16 kHz audio; frames fully inside the signal."""
-    logm = log_mel_raw(w, n_mels=n_mels, window_ms=window_ms, hop_ms=hop_ms)
+    logm = log_mel_raw(w, n_mels)
     clamped = np.maximum(logm, logm.max() - 8.0)
     return FeatureSequence(frames=(clamped + 4.0) / 4.0)

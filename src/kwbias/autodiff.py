@@ -415,7 +415,10 @@ def attention(
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -425,7 +428,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # the reductions np.mean / np.var perform, without their wrappers and
     # with the centred rows computed once
     xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + LAYER_NORM_EPS)
     yhat = xc * inv
     out = _track(yhat * gain.data + bias.data, (x, gain, bias))
     if not out.requires_grad:

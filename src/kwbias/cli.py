@@ -20,7 +20,7 @@ import io
 import sys
 from pathlib import Path
 
-from .audio import load_wav, log_mel, resample
+from .audio import SAMPLE_RATE_HZ, load_wav, log_mel, resample
 from .config import STAGE_KEYS, ConfigError, RunConfig, parse_config, write_resolved
 from .errors import KwbiasError
 from .harness import (
@@ -166,7 +166,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     vocab, sets, sources = _load_data(args.data, ("train", "test"))
     conditions = [c.strip() for c in args.conditions.split(",") if c.strip()]
 
-    inputs = sources  # train.ds fixes every keyword draw through tf-idf and the negatives pool
+    inputs = sources  # train.ds fixes every keyword draw through its tf-idf table
     checkpoints = {}
     for role, flag in (("base", args.base_ckpt), ("ft", args.ft_ckpt), ("pt", args.pt_ckpt)):
         if flag is not None:
@@ -241,8 +241,8 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     if args.wav is not None:
         blob = Path(args.wav).read_bytes()
         inputs["wav"] = (Path(args.wav), f"sha256={hashlib.sha256(blob).hexdigest()}")
-        wave = resample(load_wav(io.BytesIO(blob)), 16000)
-        frames = log_mel(wave, n_mels=params.config.n_mels).frames
+        wave = resample(load_wav(io.BytesIO(blob)), SAMPLE_RATE_HZ)
+        frames = log_mel(wave, params.config.n_mels).frames
     else:
         utts, digest = dataset_load(data_dir / "test.ds")
         inputs["test-data"] = (data_dir / "test.ds", f"digest={digest}")
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--kws-ckpt", required=True)
-    p.add_argument("--lengths", default=None, help="comma list, default 4,8,12,16,20,24")
+    p.add_argument("--lengths", default=None, help=f"comma list, default {RunConfig.ablate_lengths}")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("attn-export", help="export prompt-attention matrices for plotting")

@@ -34,36 +34,39 @@ STAGE_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 42
+    """Every setting of a run.  A setting a component config shares takes
+    that config's default, and each component is built from those fields."""
+
+    seed: int = SynthSpec.seed
 
     # synthetic data
-    train_size: int = 2000
-    dev_size: int = 100
-    test_size: int = 100
-    n_common: int = 5
-    n_jargon: int = 24
-    jargon_fraction: float = 0.6
-    jargon_per_utterance: int = 2
-    noise_sigma: float = 0.2
-    confusable_offset: float = 0.035
-    min_words: int = 4
-    max_words: int = 5
-    min_word_frames: int = 5
-    max_word_frames: int = 6
+    train_size: int = SynthSpec.train_size
+    dev_size: int = SynthSpec.dev_size
+    test_size: int = SynthSpec.test_size
+    n_common: int = SynthSpec.n_common
+    n_jargon: int = SynthSpec.n_jargon
+    jargon_fraction: float = SynthSpec.jargon_fraction
+    jargon_per_utterance: int = SynthSpec.jargon_per_utterance
+    noise_sigma: float = SynthSpec.noise_sigma
+    confusable_offset: float = SynthSpec.confusable_offset
+    min_words: int = SynthSpec.min_words
+    max_words: int = SynthSpec.max_words
+    min_word_frames: int = SynthSpec.min_word_frames
+    max_word_frames: int = SynthSpec.max_word_frames
     vocab_target: int = 61
 
     # model
-    n_mels: int = 80
-    d_model: int = 64
-    n_heads: int = 4
-    n_enc_layers: int = 2
-    n_dec_layers: int = 2
-    d_ff: int = 256
-    max_src_frames: int = 1024
-    max_tgt_len: int = 128
+    n_mels: int = ModelConfig.n_mels
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    n_enc_layers: int = ModelConfig.n_enc_layers
+    n_dec_layers: int = ModelConfig.n_dec_layers
+    d_ff: int = ModelConfig.d_ff
+    max_src_frames: int = ModelConfig.max_src_frames
+    max_tgt_len: int = ModelConfig.max_tgt_len
 
     # training
-    batch_size: int = 4
+    batch_size: int = TrainConfig.batch_size
     steps_asr: int = 3000
     steps_kws: int = 600
     steps_ft: int = 600
@@ -72,8 +75,8 @@ class RunConfig:
     lr_kws: float = 1e-3
     lr_ft: float = 1e-4
     lr_pt: float = 5e-4
-    prefix_len: int = 12
-    prompt_exposure: float = 0.5
+    prefix_len: int = TrainConfig.prefix_len
+    prompt_exposure: float = TrainConfig.prompt_exposure
 
     # evaluation
     eval_keywords: int = 20
@@ -82,49 +85,26 @@ class RunConfig:
     attn_layer: int = 1
     ablate_lengths: str = "4,8,12,16,20,24"
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.eval_positives <= self.eval_keywords:
+            raise ConfigError(f"eval_positives must be in [0, eval_keywords {self.eval_keywords}], "
+                              f"got {self.eval_positives}")
+
+    def _build(self, cls: type, **explicit: object):
+        """`cls` from the fields it shares with this config, plus `explicit`."""
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(cls) if f.name not in explicit}
+        return cls(**shared, **explicit)
+
     def synth_spec(self) -> SynthSpec:
-        return SynthSpec(
-            n_common=self.n_common,
-            n_jargon=self.n_jargon,
-            n_mels=self.n_mels,
-            min_word_frames=self.min_word_frames,
-            max_word_frames=self.max_word_frames,
-            min_words=self.min_words,
-            max_words=self.max_words,
-            jargon_per_utterance=self.jargon_per_utterance,
-            noise_sigma=self.noise_sigma,
-            confusable_offset=self.confusable_offset,
-            jargon_fraction=self.jargon_fraction,
-            train_size=self.train_size,
-            dev_size=self.dev_size,
-            test_size=self.test_size,
-            seed=self.seed,
-        )
+        return self._build(SynthSpec)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            n_enc_layers=self.n_enc_layers,
-            n_dec_layers=self.n_dec_layers,
-            d_ff=self.d_ff,
-            vocab_size=vocab_size,
-            n_mels=self.n_mels,
-            max_src_frames=self.max_src_frames,
-            max_tgt_len=self.max_tgt_len,
-        )
+        return self._build(ModelConfig, vocab_size=vocab_size)
 
     def train_config(self, mode: str) -> TrainConfig:
         steps_key, lr_key = STAGE_KEYS[mode]
-        return TrainConfig(
-            mode=mode,
-            steps=getattr(self, steps_key),
-            learning_rate=getattr(self, lr_key),
-            batch_size=self.batch_size,
-            seed=self.seed,
-            prefix_len=self.prefix_len,
-            prompt_exposure=self.prompt_exposure,
-        )
+        return self._build(TrainConfig, mode=mode, steps=getattr(self, steps_key),
+                           learning_rate=getattr(self, lr_key))
 
     def scale_steps(self, factor: float) -> "RunConfig":
         """Every stage's step count times `factor`, rounded down but at least 1."""

@@ -79,7 +79,6 @@ class EvalContext:
 
     vocab: Vocab
     tfidf: TfidfTable
-    negatives_pool: tuple[str, ...]
     seed: int
     n_keywords: int
     n_positives: int
@@ -96,7 +95,6 @@ class EvalContext:
                 self.vocab,
                 transcript,
                 self.tfidf,
-                self.negatives_pool,
                 stream(self.seed, "eval-kw", index),
                 n_positives=self.n_positives,
                 n_negatives=self.n_keywords - self.n_positives,
@@ -105,13 +103,9 @@ class EvalContext:
 
 
 def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) -> EvalContext:
-    # select_eval_keywords draws negatives from the pool's distinct
-    # normalized words, which are exactly the words tf-idf scored.
-    tfidf = tfidf_scores(train_texts)
     return EvalContext(
         vocab=vocab,
-        tfidf=tfidf,
-        negatives_pool=tuple(sorted(tfidf.scores)),
+        tfidf=tfidf_scores(train_texts),
         seed=cfg.seed,
         n_keywords=cfg.eval_keywords,
         n_positives=cfg.eval_positives,
@@ -345,17 +339,10 @@ def export_attention(
         span = spans[positives.index(kw)]
         hit: bool | None = None
         emit_start = find_subsequence(t_ids, kw.tokens)
-        if emit_start < 0:
-            # First-word variant tokenizes without the leading space.
-            alt = tuple(vocab.tokenize(kw.surface))
-            emit_start = find_subsequence(t_ids, alt)
-            emit_len = len(alt)
-        else:
-            emit_len = len(kw.tokens)
         if emit_start >= 0:
             profile = block[span[0] : span[1]].max(axis=0)
             peak = int(np.argmax(profile))
-            hit = emit_start <= peak < emit_start + emit_len
+            hit = emit_start <= peak < emit_start + len(kw.tokens)
 
         prompt_labels = tuple(vocab.units[i] for i in prompt)
         output_labels = tuple(vocab.units[i] for i in t_ids)

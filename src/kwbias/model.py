@@ -455,7 +455,7 @@ def kws_detect(
     params: ModelParams,
     u: Tensor,
     keyword_tokens: Sequence[Sequence[int]],
-    threshold: float = 0.5,
+    threshold: float,
 ) -> KwsPrediction:
     logits = kws_logits(params, u, keyword_tokens)
     probs = 1.0 / (1.0 + np.exp(-logits.data))

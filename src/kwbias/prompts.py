@@ -1,13 +1,17 @@
 """Keyword sampling and prompt assembly.
 
-Training draws a fresh keyword set per example: the set size is uniform
-on {1..5}, each keyword is positive with probability 0.9, its token
-length is uniform on {1..4}, positives are contiguous token spans of the
-example's own transcript, and negatives are spans taken from another
-batch member.  A negative whose tokens also occur in the current
-transcript is redrawn (the span, not its length, so the length histogram
-stays exact) up to 10 times and then dropped.  That test uses
-`text.find_subsequence`, the matcher keyword F1 scores hits with.
+The ``kws``, ``ft`` and ``pt`` stages train on `sample_training_keywords`
+token spans: the set size is uniform on {1..5}, each keyword is positive
+with probability 0.9, its token length is uniform on {1..4}, positives
+are contiguous token spans of the example's own transcript, and negatives
+are spans taken from another batch member.  A negative whose tokens also
+occur in the current transcript is redrawn (the span, not its length, so
+the length histogram stays exact) up to 10 times and then dropped.  That
+test uses `text.find_subsequence`, the matcher keyword F1 scores hits
+with.  ``base-asr`` prompt exposure (`sample_word_keywords`) and
+evaluation (`select_eval_keywords`) draw whole words instead, so the
+spotter and both prompted decoders train on spans but are scored on
+whole words.
 
 Prompts wrap the keyword token runs in [SOP ... SOT] with a `|` delimiter
 between keywords.
@@ -214,13 +218,13 @@ def select_eval_keywords(
     vocab: Vocab,
     transcript: str,
     tfidf: TfidfTable,
-    negatives_pool: Sequence[str],
     rng: np.random.Generator,
-    n_positives: int = 3,
-    n_negatives: int = 17,
+    n_positives: int,
+    n_negatives: int,
 ) -> KeywordSet:
     """Evaluation mix: tf-idf-weighted positives from the transcript plus
-    tf-idf-weighted negatives absent from it.
+    tf-idf-weighted negatives, drawn from the words `tfidf` scored that
+    the transcript lacks.
 
     Keywords are whole words in `Vocab.word_tokens` form.
     """
@@ -231,8 +235,7 @@ def select_eval_keywords(
         raise PromptError(
             f"transcript has {len(pos_candidates)} usable distinct words, need {n_positives}"
         )
-    pool_words = sorted({w for t in negatives_pool for w in normalize(t).split()})
-    neg_candidates = [w for w in pool_words if w not in present and _usable(vocab, w)]
+    neg_candidates = [w for w in sorted(tfidf.scores) if w not in present and _usable(vocab, w)]
     if len(neg_candidates) < n_negatives:
         raise PromptError(
             f"negatives pool has {len(neg_candidates)} usable words outside the transcript, "

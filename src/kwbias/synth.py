@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -82,6 +83,24 @@ class SynthSpec:
             raise SynthError("jargon_per_utterance must be in [1, n_jargon]")
         if min(self.train_size, self.dev_size, self.test_size) < 1:
             raise SynthError("all split sizes must be positive")
+        wanted = self.train_size + self.dev_size + self.test_size
+        if self.noise_sigma == 0 and (distinct := self.distinct_utterances()) < wanted:
+            raise SynthError(
+                f"a noiseless corpus has only {distinct} distinct utterances, but its splits ask for {wanted}"
+            )
+
+    def distinct_utterances(self) -> int:
+        """How many word sequences `_make_utterance` can produce: an ordered
+        pick of k distinct common words, plus, in a jargon-bearing utterance,
+        an ordered pick of `jargon_per_utterance` distinct jargon words
+        placed among them."""
+        plain = self.jargon_fraction < 1 or not self.n_jargon
+        jargon = self.jargon_fraction > 0 and self.n_jargon > 0
+        j = self.jargon_per_utterance
+        return sum(
+            math.perm(self.n_common, k) * (plain + jargon * math.perm(self.n_jargon, j) * math.comb(k + j, j))
+            for k in range(self.min_words, self.max_words + 1)
+        )
 
 
 def spec_hash(spec: SynthSpec) -> str:

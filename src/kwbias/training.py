@@ -3,14 +3,15 @@
 Four modes share one loop:
 
 * ``base-asr``  trains encoder+decoder on teacher-forced transcripts.  A
-  configurable fraction of examples sees a sampled keyword prompt so the
-  decoder acquires generic prompt-conditioning, mirroring a large
-  pretrained model's exposure to previous-text context; the rest train
-  with the empty prompt.
-* ``kws``       trains only the keyword head against sampled
-  positive/negative keywords, encoder frozen.
-* ``ft``        fine-tunes only the decoder on keyword-prompted data.
-* ``pt``        trains only the soft prompt prefix, everything else frozen.
+  configurable fraction of examples sees a prompt of whole-word keywords
+  (`prompts.sample_word_keywords`) so the decoder acquires generic
+  prompt-conditioning, mirroring a large pretrained model's exposure to
+  previous-text context; the rest train with the empty prompt.
+* ``kws``       trains only the keyword head against positive/negative
+  token spans (`prompts.sample_training_keywords`), encoder frozen.
+* ``ft``        fine-tunes only the decoder on prompts of such spans.
+* ``pt``        trains only the soft prompt prefix on prompts of such
+  spans, everything else frozen.  Evaluation keywords are whole words.
 
 Frozen groups get ``requires_grad = False`` up front, so they accumulate
 no gradient at all; their hashes are verified unchanged after every run.
@@ -98,18 +99,18 @@ class TrainConfig:
 class Adam:
     """Adam with the standard constants; state keyed by parameter name."""
 
-    def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float) -> None:
         self.params = list(named_params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name, p in self.params:
             if p.grad is None:
                 continue
@@ -118,7 +119,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             mhat = self.m[name] / (1 - b1**self.t)
             vhat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
     def zero_grad(self) -> None:
         for _, p in self.params:

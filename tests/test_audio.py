@@ -96,7 +96,7 @@ def test_resample_sine_keeps_dominant_frequency():
 
 
 def test_log_mel_silence_is_98_equal_finite_frames():
-    feats = log_mel(Waveform(np.zeros(16000), 16000))
+    feats = log_mel(Waveform(np.zeros(16000), 16000), 80)
     assert feats.frames.shape == (98, 80)
     assert np.isfinite(feats.frames).all()
     assert np.allclose(feats.frames, feats.frames[0])
@@ -104,24 +104,24 @@ def test_log_mel_silence_is_98_equal_finite_frames():
 
 def test_frame_count_formula_across_lengths():
     for n in (400, 401, 559, 560, 561, 4000, 16000):
-        feats = log_mel(Waveform(np.ones(n) * 0.1, 16000))
+        feats = log_mel(Waveform(np.ones(n) * 0.1, 16000), 80)
         assert feats.n_frames == (n - 400) // 160 + 1
 
 
 def test_log_mel_rejects_short_input():
     with pytest.raises(AudioFormatError, match="400"):
-        log_mel(Waveform(np.zeros(399), 16000))
+        log_mel(Waveform(np.zeros(399), 16000), 80)
 
 
 def test_log_mel_rejects_wrong_rate():
     with pytest.raises(AudioFormatError, match="16000"):
-        log_mel(Waveform(np.zeros(8000), 8000))
+        log_mel(Waveform(np.zeros(8000), 8000), 80)
 
 
 @pytest.mark.parametrize("f0", [250.0, 1000.0, 4000.0])
 def test_pure_tone_peaks_at_nearest_filter_center(f0):
     t = np.arange(16000) / 16000
-    feats = log_mel(Waveform(0.5 * np.sin(2 * np.pi * f0 * t), 16000))
+    feats = log_mel(Waveform(0.5 * np.sin(2 * np.pi * f0 * t), 16000), 80)
     # peaks of 80 triangles spaced evenly on the HTK mel scale, 0 Hz to Nyquist
     mel_edges = np.linspace(0.0, 2595.0 * np.log10(1.0 + 8000.0 / 700.0), 82)
     centers = 700.0 * (10.0 ** (mel_edges[1:-1] / 2595.0) - 1.0)
@@ -133,8 +133,8 @@ def test_pure_tone_peaks_at_nearest_filter_center(f0):
 def test_doubling_amplitude_shifts_raw_log_uniformly():
     t = np.arange(16000) / 16000
     tone = 0.25 * np.sin(2 * np.pi * 1000 * t)
-    lo = log_mel_raw(Waveform(tone, 16000))
-    hi = log_mel_raw(Waveform(2 * tone, 16000))
+    lo = log_mel_raw(Waveform(tone, 16000), 80)
+    hi = log_mel_raw(Waveform(2 * tone, 16000), 80)
     delta = hi - lo
     # floor at 1e-10 never engages for a loud tone on active filters
     active = lo > -9
@@ -152,5 +152,5 @@ def test_filterbank_rows_nonnegative_and_bins_covered():
 def test_log_mel_finite_for_noise_and_silence_mixture():
     rng = np.random.default_rng(0)
     samples = np.concatenate([np.zeros(8000), rng.normal(0, 0.1, 8000)])
-    feats = log_mel(Waveform(np.clip(samples, -1, 1), 16000))
+    feats = log_mel(Waveform(np.clip(samples, -1, 1), 16000), 80)
     assert np.isfinite(feats.frames).all()

@@ -13,17 +13,18 @@ import shutil
 import struct
 import wave
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from kwbias import cli
 from kwbias.cli import main
-from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, write_resolved
-from kwbias.synth import dataset_load, dataset_save
+from kwbias.config import STAGE_KEYS, ConfigError, RunConfig, parse_config, resolved_text, write_resolved
+from kwbias.model import ModelConfig
+from kwbias.synth import SynthSpec, dataset_load, dataset_save
 from kwbias.text import Vocab
-from kwbias.training import MODES, checkpoint_load, checkpoint_save
+from kwbias.training import MODES, TrainConfig, checkpoint_load, checkpoint_save
 
 from helpers import MALFORMED_CHECKPOINTS, rewrite_checkpoint
 
@@ -92,6 +93,41 @@ def test_train_config_reads_each_modes_keys():
         tc = cfg.train_config(mode)
         assert (tc.mode, tc.steps, tc.learning_rate) == (mode, steps, lr)
         assert (tc.batch_size, tc.seed, tc.prefix_len, tc.prompt_exposure) == (3, 9, 5, 0.25)
+
+
+# the component fields RunConfig's builders pass in explicitly
+_EXPLICIT = {SynthSpec: set(), ModelConfig: {"vocab_size"}, TrainConfig: {"mode", "steps", "learning_rate"}}
+
+
+def test_every_component_field_is_a_run_setting_or_passed_explicitly():
+    run_fields = {f.name for f in fields(RunConfig)}
+    for cls, explicit in _EXPLICIT.items():
+        names = {f.name for f in fields(cls)}
+        assert explicit <= names, cls.__name__
+        assert names - explicit <= run_fields, (cls.__name__, sorted(names - explicit - run_fields))
+
+
+def test_default_run_builds_each_component_with_its_own_defaults():
+    cfg = RunConfig()
+    assert cfg.synth_spec() == SynthSpec()
+    assert cfg.model_config(99) == ModelConfig(vocab_size=99)
+    for mode, (steps_key, lr_key) in STAGE_KEYS.items():
+        steps, lr = getattr(cfg, steps_key), getattr(cfg, lr_key)
+        # a run seeds its training from the run seed, not TrainConfig's own default
+        assert cfg.train_config(mode) == TrainConfig(mode, steps, lr, seed=cfg.seed)
+
+
+def test_more_positives_than_keywords_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="eval_positives must be in \\[0, eval_keywords 2\\], got 3$"):
+        RunConfig(eval_keywords=2, eval_positives=3)
+    with pytest.raises(ConfigError, match="eval_positives"):
+        RunConfig(eval_positives=-1)
+    assert RunConfig(eval_keywords=3, eval_positives=3).eval_positives == 3
+    rc = main(["evaluate", "--data", str(tmp_path), "--out", str(tmp_path / "x"), "--set", "eval_keywords=2"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ConfigError: eval_positives")
 
 
 def test_scale_steps_scales_every_stage_and_floors_at_one():

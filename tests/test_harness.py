@@ -75,20 +75,6 @@ def test_eval_keyword_sets_are_stable_per_index(tiny_world):
     assert len(a.positives()) == TINY.eval_positives
 
 
-def test_word_pool_gives_the_keywords_of_the_raw_training_texts():
-    splits, _ = generate_corpus(TINY.synth_spec())
-    train_texts = [u.text for u in splits["train"]]
-    vocab = build_vocab(train_texts, TINY.vocab_target)
-    ctx = make_eval_context(TINY, vocab, train_texts)
-    assert len(ctx.negatives_pool) < len(train_texts)
-    for index, utt in enumerate(splits["test"]):
-        rng = stream(TINY.seed, "eval-kw", index)
-        raw = select_eval_keywords(vocab, utt.text, ctx.tfidf, train_texts, rng,
-                                   n_positives=TINY.eval_positives,
-                                   n_negatives=TINY.eval_keywords - TINY.eval_positives)
-        assert ctx.keywords_for(index, utt.text) == raw
-
-
 def _counting(monkeypatch, name):
     """Replace harness.<name> with a wrapper that counts its calls."""
     calls = []
@@ -119,9 +105,8 @@ def test_replacing_the_seed_draws_afresh(tiny_world, monkeypatch):
     assert ctx.keywords_for(0, text) is before
     assert draws == []
     reseeded = replace(ctx, seed=ctx.seed + 1)
-    raw = select_eval_keywords(ctx.vocab, text, ctx.tfidf, ctx.negatives_pool,
-                               stream(ctx.seed + 1, "eval-kw", 0), n_positives=ctx.n_positives,
-                               n_negatives=ctx.n_keywords - ctx.n_positives)
+    raw = select_eval_keywords(ctx.vocab, text, ctx.tfidf, stream(ctx.seed + 1, "eval-kw", 0),
+                               n_positives=ctx.n_positives, n_negatives=ctx.n_keywords - ctx.n_positives)
     assert reseeded.keywords_for(0, text) == raw
     assert len(draws) == 1
     assert replace(ctx).keywords_for(0, text) == before

@@ -246,7 +246,7 @@ def test_prefix_changes_the_distribution(params, vocab):
 
 def test_kws_empty_keyword_set(params):
     u = encode(params, stream(10, "u").normal(size=(10, 8)))
-    pred = kws_detect(params, u, [])
+    pred = kws_detect(params, u, [], threshold=0.5)
     assert len(pred) == 0
     assert kws_logits(params, u, []).shape == (0,)
 
@@ -276,7 +276,7 @@ def test_kws_logits_of_a_batch_match_one_keyword_at_a_time(params):
 
 def test_kws_probabilities_in_unit_interval(params):
     u = encode(params, stream(11, "u").normal(size=(10, 8)))
-    pred = kws_detect(params, u, [[7], [8, 9], [10, 11, 12, 13]])
+    pred = kws_detect(params, u, [[7], [8, 9], [10, 11, 12, 13]], threshold=0.5)
     assert len(pred) == 3
     assert ((pred.probabilities >= 0) & (pred.probabilities <= 1)).all()
     assert pred.decisions.dtype == bool
@@ -285,7 +285,7 @@ def test_kws_probabilities_in_unit_interval(params):
 def test_kws_rejects_overlong_keyword(params):
     u = encode(params, stream(12, "u").normal(size=(10, 8)))
     with pytest.raises(ModelError, match="1..4"):
-        kws_detect(params, u, [[7, 8, 9, 10, 11]])
+        kws_detect(params, u, [[7, 8, 9, 10, 11]], threshold=0.5)
 
 
 def test_attention_block_shape_and_row_sums(params, vocab):

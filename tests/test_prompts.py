@@ -195,7 +195,7 @@ def test_select_eval_keywords_mix():
     tfidf = tfidf_scores(BIG_CORPUS)
     rng = stream(83, "eval")
     transcript = BIG_CORPUS[0]
-    ks = select_eval_keywords(vocab, transcript, tfidf, BIG_CORPUS, rng)
+    ks = select_eval_keywords(vocab, transcript, tfidf, rng, n_positives=3, n_negatives=17)
     positives = [kw for kw in ks if kw.positive]
     negatives = [kw for kw in ks if not kw.positive]
     assert len(positives) == 3 and len(negatives) == 17
@@ -214,9 +214,7 @@ def test_select_eval_keywords_zero_score_words_wait_their_turn(vocab):
     assert tfidf.get("bako") == 0.0
     rng = stream(84, "zero")
     for _ in range(50):
-        ks = select_eval_keywords(
-            vocab2, docs[0], tfidf, docs, rng, n_positives=2, n_negatives=1
-        )
+        ks = select_eval_keywords(vocab2, docs[0], tfidf, rng, n_positives=2, n_negatives=1)
         assert "bako" not in [kw.surface for kw in ks.positives()]
 
 
@@ -229,7 +227,7 @@ def test_select_eval_keywords_draw_frequencies_follow_scores(vocab):
     counts = {w: 0 for w in words}
     trials = 4000
     for _ in range(trials):
-        ks = select_eval_keywords(vocab, transcript, tfidf, CORPUS, rng, n_positives=1, n_negatives=1)
+        ks = select_eval_keywords(vocab, transcript, tfidf, rng, n_positives=1, n_negatives=1)
         counts[ks.positives()[0].surface] += 1
     expected = scores / scores.sum() * trials
     for w, exp in zip(words, expected):
@@ -241,6 +239,7 @@ def test_select_eval_keywords_shortfall_errors(vocab):
     tfidf = tfidf_scores(CORPUS)
     rng = stream(86, "short")
     with pytest.raises(PromptError, match="need 3"):
-        select_eval_keywords(vocab, "bako demo", tfidf, CORPUS, rng)
+        select_eval_keywords(vocab, "bako demo", tfidf, rng, n_positives=3, n_negatives=17)
     with pytest.raises(PromptError, match="negatives pool"):
-        select_eval_keywords(vocab, CORPUS[0], tfidf, ["bako demo rila"], rng)
+        select_eval_keywords(vocab, CORPUS[0], tfidf_scores(["bako demo rila"]), rng,
+                             n_positives=3, n_negatives=17)

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,33 @@ def test_noiseless_splits_drop_repeated_utterances():
     assert [len(s) for s in splits.values()] == [6, 3, 2]
     assert len(set(texts)) == len(texts) == 11
     assert len(set(hashes)) == 11
+
+
+def test_noiseless_spec_with_too_few_distinct_utterances_is_rejected_at_once():
+    # 2 common words, 1 or 2 per utterance, no jargon: 2 + 2 = 4 distinct
+    # utterances, and the splits ask for 5, so generation could never finish
+    with pytest.raises(SynthError, match="only 4 distinct utterances, but its splits ask for 5"):
+        SynthSpec(n_common=2, n_jargon=0, jargon_fraction=0.0, min_words=1, max_words=2,
+                  noise_sigma=0.0, train_size=3, dev_size=1, test_size=1)
+    # with noise every utterance is distinct, so the same shape is fine
+    SynthSpec(n_common=2, n_jargon=0, jargon_fraction=0.0, min_words=1, max_words=2,
+              noise_sigma=0.1, train_size=3, dev_size=1, test_size=1)
+
+
+@pytest.mark.parametrize("n_jargon, fraction, expected", [
+    (0, 0.0, 9), (0, 1.0, 9), (2, 0.0, 9), (2, 0.5, 57), (2, 1.0, 48),
+])
+def test_distinct_utterances_counts_every_reachable_word_sequence(n_jargon, fraction, expected):
+    # 3 common words, 1 or 2 per utterance, one jargon word when drawn
+    spec = SynthSpec(n_common=3, n_jargon=n_jargon, jargon_per_utterance=1, jargon_fraction=fraction,
+                     min_words=1, max_words=2, noise_sigma=0.0, train_size=2, dev_size=1, test_size=1)
+    assert spec.distinct_utterances() == expected
+    # every distinct utterance is drawn: the corpus takes all of them
+    full = replace(spec, train_size=expected - 2)
+    splits, _ = generate_corpus(full)
+    assert len({u.text for s in splits.values() for u in s}) == expected
+    with pytest.raises(SynthError, match=f"only {expected} distinct"):
+        replace(spec, train_size=expected - 1)
 
 
 def test_every_jargon_word_has_a_confusable_counterpart():
