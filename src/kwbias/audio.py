@@ -26,6 +26,7 @@ class AudioFormatError(KwbiasError):
 
 SAMPLE_RATE_HZ = 16000
 WINDOW_MS, HOP_MS = 25, 10
+N_MELS = 80  # default feature width of corpus and model alike
 
 
 @dataclass(frozen=True)

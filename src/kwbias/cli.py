@@ -190,7 +190,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     vocab, sets, sources = _load_data(args.data, ("train", "test"))
     stack, kws_source = _load_checkpoint(args.kws_ckpt, vocab)
     ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
-    rows = ablate_prefix_lengths(stack, cfg.ablation_lengths(), sets["train"], sets["test"], ctx, cfg)
+    rows = ablate_prefix_lengths(stack, cfg.ablation_lengths(), sets["train"], sets["test"], ctx)
     (out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
     (out / "ablation.txt").write_text(ablation_table(rows), encoding="utf-8")
     write_resolved(out, cfg, _provenance("ablate", {"kws-ckpt": kws_source, **sources}))

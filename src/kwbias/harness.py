@@ -4,8 +4,12 @@ attention export, and the four-stage training stack.
 Per-utterance evaluation keyword sets are derived from (seed, utterance
 index) alone, so every condition scores against identical keywords and a
 rerun with the same seed reproduces the report byte for byte.  A context
-draws each set once and keeps it; conditions whose models share an
-encoder share one encoder pass per utterance.
+draws each set once and keeps it.
+
+Each model reads its own encoder's output: the decoding model, and for
+spotter conditions the keyword spotter too.  One `EncoderPasses` table per
+evaluation call holds those outputs, and models that `same_encoder` finds
+equal read one shared pass over the test set.
 
 Every training run here takes its settings from `RunConfig.train_config`
 and every decode its length limit from `model.decode_budget`.
@@ -45,24 +49,24 @@ class EvalError(KwbiasError):
     pass
 
 
-# Which trained model each condition runs; the prompt comes from the keyword
-# spotter, the ground-truth positives (-oracle), or nowhere (baseline).
-_CONDITION_MODEL = {
-    "baseline": "base",
-    "baseline+prompt": "base",
-    "ft": "ft",
-    "pt": "pt",
-    "ft-oracle": "ft",
-    "pt-oracle": "pt",
+# (trained model, prompt source) of each condition: the prompt lists the
+# keywords the spotter flags, the ground-truth positives, or none at all.
+_CONDITIONS = {
+    "baseline": ("base", "none"),
+    "baseline+prompt": ("base", "spotter"),
+    "ft": ("ft", "spotter"),
+    "pt": ("pt", "spotter"),
+    "ft-oracle": ("ft", "oracle"),
+    "pt-oracle": ("pt", "oracle"),
 }
-CONDITIONS = tuple(_CONDITION_MODEL)
+CONDITIONS = tuple(_CONDITIONS)
 
 
-def _condition_model(condition: str) -> str:
-    """The checkpoint role a condition runs; an unknown name is an EvalError."""
-    if condition not in _CONDITION_MODEL:
+def _condition(condition: str) -> tuple[str, str]:
+    """(checkpoint role, prompt source) of a condition; an unknown name is an EvalError."""
+    if condition not in _CONDITIONS:
         raise EvalError(f"unknown condition {condition!r}, expected one of {CONDITIONS}")
-    return _CONDITION_MODEL[condition]
+    return _CONDITIONS[condition]
 
 
 @dataclass(frozen=True)
@@ -77,12 +81,9 @@ class ConditionReport:
 class EvalContext:
     """Everything an evaluation pass needs besides the model parameters."""
 
+    cfg: RunConfig
     vocab: Vocab
     tfidf: TfidfTable
-    seed: int
-    n_keywords: int
-    n_positives: int
-    kws_threshold: float
     # draws made so far; `dataclasses.replace` starts an empty one
     _drawn: dict[tuple[int, str], KeywordSet] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -95,40 +96,32 @@ class EvalContext:
                 self.vocab,
                 transcript,
                 self.tfidf,
-                stream(self.seed, "eval-kw", index),
-                n_positives=self.n_positives,
-                n_negatives=self.n_keywords - self.n_positives,
+                stream(self.cfg.seed, "eval-kw", index),
+                n_positives=self.cfg.eval_positives,
+                n_negatives=self.cfg.eval_keywords - self.cfg.eval_positives,
             )
         return self._drawn[key]
 
 
 def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) -> EvalContext:
-    return EvalContext(
-        vocab=vocab,
-        tfidf=tfidf_scores(train_texts),
-        seed=cfg.seed,
-        n_keywords=cfg.eval_keywords,
-        n_positives=cfg.eval_positives,
-        kws_threshold=cfg.kws_threshold,
-    )
+    return EvalContext(cfg, vocab, tfidf_scores(train_texts))
 
 
-def _condition_prompt(
-    condition: str,
-    keywords: KeywordSet,
-    u: Tensor,
-    kws_params: ModelParams | None,
-    vocab: Vocab,
-    threshold: float,
-) -> list[int]:
-    if condition == "baseline":
-        return assemble_prompt(vocab, ())
-    if condition.endswith("-oracle"):
-        return assemble_prompt(vocab, keywords.positives())
-    if kws_params is None:
-        raise EvalError(f"condition {condition!r} needs a keyword-spotter checkpoint")
-    pred = kws_detect(kws_params, u, [kw.tokens for kw in keywords], threshold=threshold)
-    return kws_to_prompt(vocab, list(pred.decisions), keywords)
+class EncoderPasses:
+    """Encoder outputs by test set and encoder: a model reads the pass of the
+    first model before it that `same_encoder` finds equal on the same test
+    set, and otherwise makes its own."""
+
+    def __init__(self) -> None:
+        self._passes: list[tuple[Sequence[Utterance], ModelParams, list[Tensor]]] = []
+
+    def __call__(self, params: ModelParams, test_set: Sequence[Utterance]) -> list[Tensor]:
+        for seen_set, seen, outputs in self._passes:
+            if seen_set is test_set and same_encoder(seen, params):
+                return outputs
+        outputs = [encode(params, utt.frames) for utt in test_set]
+        self._passes.append((test_set, params, outputs))
+        return outputs
 
 
 def _trainable_count(role: str, params: ModelParams) -> int:
@@ -147,29 +140,34 @@ def evaluate_condition(
     test_set: Sequence[Utterance],
     ctx: EvalContext,
     *,
-    encoded: Sequence[Tensor] | None = None,
+    passes: EncoderPasses | None = None,
 ) -> ConditionReport:
     """Greedy-transcribe the test set under one prompting condition.
 
-    `encoded` holds the encoder outputs of `test_set` under `params`'s
-    encoder; without it every utterance is encoded here.
+    The model and, for spotter conditions, `kws_params` read their encoder
+    outputs from `passes`, a table of their own when none is given.
     """
-    role = _condition_model(condition)
+    role, source = _condition(condition)
     if not test_set:
         raise EvalError("empty test set: WER and F1 are undefined")
-    if encoded is None:
-        encoded = [encode(params, utt.frames) for utt in test_set]
-    elif len(encoded) != len(test_set):
-        raise EvalError(f"{len(encoded)} encoder outputs for {len(test_set)} test utterances")
+    if source == "spotter" and kws_params is None:
+        raise EvalError(f"condition {condition!r} needs a keyword-spotter checkpoint")
+    passes = EncoderPasses() if passes is None else passes
+    encoded = passes(params, test_set)
+    spotter_inputs = passes(kws_params, test_set) if source == "spotter" else encoded
     vocab = ctx.vocab
     prefix = params.prefix.get("q")
     wer_total = WerBreakdown(0, 0, 0, 0)
     refs: list[str] = []
     hyps: list[str] = []
     keyword_sets: list[KeywordSet] = []
-    for index, (utt, u) in enumerate(zip(test_set, encoded)):
+    for index, (utt, u, kws_u) in enumerate(zip(test_set, encoded, spotter_inputs)):
         keywords = ctx.keywords_for(index, utt.text)
-        prompt = _condition_prompt(condition, keywords, u, kws_params, vocab, ctx.kws_threshold)
+        if source == "spotter":
+            pred = kws_detect(kws_params, kws_u, [kw.tokens for kw in keywords], threshold=ctx.cfg.kws_threshold)
+            prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
+        else:
+            prompt = assemble_prompt(vocab, keywords.positives() if source == "oracle" else ())
         hyp_ids = transcribe_greedy(params, u, prompt, prefix, vocab.eot_id, decode_budget(params, prompt, prefix))
         hypothesis = normalize(vocab.detokenize(hyp_ids, skip_reserved=True))
         reference = normalize(utt.text)
@@ -188,20 +186,14 @@ def evaluate_conditions(
     test_set: Sequence[Utterance],
     ctx: EvalContext,
 ) -> list[ConditionReport]:
-    """One report per condition; each test utterance is encoded once per
-    distinct encoder among the models the conditions run."""
+    """One report per condition, all reading one table of encoder passes."""
+    passes = EncoderPasses()
     reports = []
-    outputs: list[tuple[ModelParams, list[Tensor]]] = []  # (model, its encoder outputs)
     for condition in conditions:
-        role = _condition_model(condition)
+        role, _ = _condition(condition)
         if role not in checkpoints:
             raise EvalError(f"condition {condition!r} needs the {role!r} checkpoint")
-        params = checkpoints[role]
-        encoded = next((us for other, us in outputs if same_encoder(other, params)), None)
-        if encoded is None:
-            encoded = [encode(params, utt.frames) for utt in test_set]
-            outputs.append((params, encoded))
-        reports.append(evaluate_condition(condition, params, kws_params, test_set, ctx, encoded=encoded))
+        reports.append(evaluate_condition(condition, checkpoints[role], kws_params, test_set, ctx, passes=passes))
     return reports
 
 
@@ -257,20 +249,19 @@ def ablate_prefix_lengths(
     train_set: Sequence[Utterance],
     test_set: Sequence[Utterance],
     ctx: EvalContext,
-    cfg: RunConfig,
 ) -> list[dict]:
     """One prompt-tuning run + evaluation per prefix length, ascending."""
     if not lengths:
         raise EvalError("ablation needs at least one prefix length")
     # prompt tuning leaves the encoder frozen (train_run checks it), so
-    # every length decodes from the same encoder outputs
-    encoded = [encode(stack_params, utt.frames) for utt in test_set]
+    # every length and the spotter read one encoder pass
+    passes = EncoderPasses()
     rows = []
     for n in sorted(lengths):
         params = stack_params.clone()
         params.prefix = {}
-        train_run(replace(cfg, prefix_len=n).train_config("pt"), train_set, ctx.vocab, params)
-        report = evaluate_condition("pt", params, stack_params, test_set, ctx, encoded=encoded)
+        train_run(replace(ctx.cfg, prefix_len=n).train_config("pt"), train_set, ctx.vocab, params)
+        report = evaluate_condition("pt", params, stack_params, test_set, ctx, passes=passes)
         rows.append({"prefix_len": n, "wer": report.wer.wer, "f1": report.f1.f1})
     return rows
 

@@ -42,8 +42,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .audio import N_MELS
 from .autodiff import Tensor
 from .errors import KwbiasError
+from .prompts import MAX_KEYWORD_TOKENS
 from .rng import stream
 from .text import N_RESERVED
 
@@ -60,7 +62,7 @@ class ModelConfig:
     n_dec_layers: int = 2
     d_ff: int = 256
     vocab_size: int = 200
-    n_mels: int = 80
+    n_mels: int = N_MELS
     max_src_frames: int = 1024
     max_tgt_len: int = 128
 
@@ -437,8 +439,8 @@ def kws_logits(params: ModelParams, u: Tensor, keyword_tokens: Sequence[Sequence
     """One presence logit per keyword; shape (len(keywords),)."""
     lengths = [len(tokens) for tokens in keyword_tokens]
     for n in lengths:
-        if not 1 <= n <= 4:
-            raise ModelError(f"keyword must have 1..4 tokens, got {n}")
+        if not 1 <= n <= MAX_KEYWORD_TOKENS:
+            raise ModelError(f"keyword must have 1..{MAX_KEYWORD_TOKENS} tokens, got {n}")
     # row k averages keyword k's token embeddings
     pool = np.zeros((len(lengths), sum(lengths)))
     for k, (end, n) in enumerate(zip(np.cumsum(lengths, dtype=int), lengths)):

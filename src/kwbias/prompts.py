@@ -144,9 +144,7 @@ def sample_word_keywords(
                 cands = sorted(w for w in own_set - taken if _usable(vocab, w))
                 if not cands:
                     break
-                w = np.array([weights.get(c) for c in cands])
-                p = w / w.sum() if w.sum() > 0 else np.full(len(cands), 1.0 / len(cands))
-                word = cands[int(rng.choice(len(cands), p=p))]
+                word = cands[_weighted_pick(np.array([weights.get(c) for c in cands]), rng)]
             else:
                 other = int(rng.integers(0, len(batch_words) - 1))
                 if other >= index:
@@ -195,6 +193,13 @@ def kws_to_prompt(vocab: Vocab, decisions: Sequence[bool], keyword_set: KeywordS
     return assemble_prompt(vocab, kept)
 
 
+def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn in proportion to `weights`, uniformly if they sum to 0."""
+    total = weights.sum()
+    p = weights / total if total > 0 else np.full(len(weights), 1.0 / len(weights))
+    return int(rng.choice(len(weights), p=p))
+
+
 def _weighted_draw_without_replacement(
     candidates: list[str],
     weights: np.ndarray,
@@ -203,14 +208,10 @@ def _weighted_draw_without_replacement(
 ) -> list[str]:
     # Zero-weight candidates are drawn only once every positive weight is used up.
     avail = list(range(len(candidates)))
-    w = weights.astype(np.float64).copy()
+    w = weights.astype(np.float64)
     chosen: list[str] = []
     for _ in range(count):
-        cur = w[avail]
-        total = cur.sum()
-        p = cur / total if total > 0 else np.full(len(avail), 1.0 / len(avail))
-        pick = int(rng.choice(len(avail), p=p))
-        chosen.append(candidates[avail.pop(pick)])
+        chosen.append(candidates[avail.pop(_weighted_pick(w[avail], rng))])
     return chosen
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio import N_MELS
 from .container import read_container, write_container
 from .errors import KwbiasError
 from .rng import stream
@@ -52,7 +53,7 @@ class SynthSpec:
 
     n_common: int = 5
     n_jargon: int = 24
-    n_mels: int = 80
+    n_mels: int = N_MELS
     min_word_frames: int = 5
     max_word_frames: int = 6
     min_words: int = 4

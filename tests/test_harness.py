@@ -29,11 +29,12 @@ from kwbias.harness import (
     write_attention_record,
     write_reports,
 )
-from kwbias.model import param_group_hash
-from kwbias.prompts import select_eval_keywords
+from kwbias.metrics import WerBreakdown, compute_wer, keyword_f1
+from kwbias.model import decode_budget, encode, kws_detect, param_group_hash, transcribe_greedy
+from kwbias.prompts import kws_to_prompt, select_eval_keywords
 from kwbias.rng import stream
 from kwbias.synth import generate_corpus
-from kwbias.text import build_vocab
+from kwbias.text import build_vocab, normalize
 
 TINY = RunConfig(
     train_size=50, dev_size=8, test_size=8,
@@ -104,9 +105,10 @@ def test_replacing_the_seed_draws_afresh(tiny_world, monkeypatch):
     draws = _counting(monkeypatch, "select_eval_keywords")
     assert ctx.keywords_for(0, text) is before
     assert draws == []
-    reseeded = replace(ctx, seed=ctx.seed + 1)
-    raw = select_eval_keywords(ctx.vocab, text, ctx.tfidf, stream(ctx.seed + 1, "eval-kw", 0),
-                               n_positives=ctx.n_positives, n_negatives=ctx.n_keywords - ctx.n_positives)
+    reseeded = replace(ctx, cfg=replace(ctx.cfg, seed=ctx.cfg.seed + 1))
+    raw = select_eval_keywords(ctx.vocab, text, ctx.tfidf, stream(ctx.cfg.seed + 1, "eval-kw", 0),
+                               n_positives=ctx.cfg.eval_positives,
+                               n_negatives=ctx.cfg.eval_keywords - ctx.cfg.eval_positives)
     assert reseeded.keywords_for(0, text) == raw
     assert len(draws) == 1
     assert replace(ctx).keywords_for(0, text) == before
@@ -138,11 +140,35 @@ def test_a_perturbed_encoder_gets_its_own_encoder_pass(tiny_world, monkeypatch):
         assert by_name[c] == evaluate_condition(c, ft, stack["kws"], test, ctx)
 
 
-def test_encoder_outputs_must_cover_the_test_set(tiny_world):
-    splits, _, _, stack, ctx = tiny_world
-    with pytest.raises(EvalError, match="2 encoder outputs for 8 test utterances"):
-        evaluate_condition("baseline", stack["base"], None, splits["test"], ctx,
-                           encoded=[harness.encode(stack["base"], u.frames) for u in splits["test"][:2]])
+def test_the_spotter_reads_its_own_encoder_pass(tiny_world, monkeypatch):
+    splits, _, vocab, stack, ctx = tiny_world
+    test = splits["test"]
+    kws = stack["kws"].clone()
+    kws.encoder["in_b"].data[0] += 1e-3
+    encodes = _counting(monkeypatch, "encode")
+    spotted = _counting(monkeypatch, "kws_detect")
+    report = evaluate_condition("pt", stack["pt"], kws, test, ctx)
+    assert len(encodes) == 2 * len(test)
+    assert sum(args[0] is kws for args in encodes) == len(test)
+
+    pt = stack["pt"]
+    prefix = pt.prefix["q"]
+    wer = WerBreakdown(0, 0, 0, 0)
+    refs, hyps, keyword_sets = [], [], []
+    for i, utt in enumerate(test):
+        keywords = ctx.keywords_for(i, utt.text)
+        kws_u = encode(kws, utt.frames)
+        assert np.array_equal(spotted[i][1].data, kws_u.data)
+        pred = kws_detect(kws, kws_u, [kw.tokens for kw in keywords], threshold=TINY.kws_threshold)
+        prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
+        ids = transcribe_greedy(pt, encode(pt, utt.frames), prompt, prefix, vocab.eot_id,
+                                decode_budget(pt, prompt, prefix))
+        refs.append(normalize(utt.text))
+        hyps.append(normalize(vocab.detokenize(ids, skip_reserved=True)))
+        keyword_sets.append(keywords)
+        wer = wer + compute_wer(refs[-1], hyps[-1])
+    assert report.wer == wer
+    assert report.f1 == keyword_f1(refs, hyps, keyword_sets)
 
 
 def test_empty_test_set_is_an_eval_error(tiny_world):
@@ -217,16 +243,16 @@ def test_every_condition_name_is_reportable(tiny_world):
 def test_ablation_rows_ascending_and_rerunnable(tiny_world):
     splits, _, _, stack, ctx = tiny_world
     lengths = [6, 2]
-    rows = ablate_prefix_lengths(stack["kws"], lengths, splits["train"], splits["test"], ctx, TINY)
+    rows = ablate_prefix_lengths(stack["kws"], lengths, splits["train"], splits["test"], ctx)
     assert [r["prefix_len"] for r in rows] == [2, 6]
-    rows2 = ablate_prefix_lengths(stack["kws"], lengths, splits["train"], splits["test"], ctx, TINY)
+    rows2 = ablate_prefix_lengths(stack["kws"], lengths, splits["train"], splits["test"], ctx)
     assert rows == rows2
     csv = ablation_csv(rows)
     assert csv.splitlines()[0] == "prefix_len,wer,f1"
     assert len(csv.strip().splitlines()) == 3
     assert "tokens" in ablation_table(rows)
     with pytest.raises(EvalError, match="at least one"):
-        ablate_prefix_lengths(stack["kws"], [], splits["train"], splits["test"], ctx, TINY)
+        ablate_prefix_lengths(stack["kws"], [], splits["train"], splits["test"], ctx)
 
 
 def test_attention_export_records(tiny_world, tmp_path):

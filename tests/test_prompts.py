@@ -1,5 +1,7 @@
 """Curriculum statistics, prompt assembly, and evaluation keyword selection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,11 @@ from kwbias.prompts import (
     kws_to_prompt,
     prompt_keyword_spans,
     sample_training_keywords,
+    sample_word_keywords,
     select_eval_keywords,
 )
 from kwbias.rng import stream
-from kwbias.text import build_vocab, tfidf_scores
+from kwbias.text import TfidfTable, build_vocab, normalize, tfidf_scores
 
 CORPUS = [
     "bako demo rila sotu kipo vanu",
@@ -109,6 +112,20 @@ def test_curriculum_reproducible(vocab, batch_tokens):
     a = sample_training_keywords(vocab, batch_tokens, 1, stream(5, "r"))
     b = sample_training_keywords(vocab, batch_tokens, 1, stream(5, "r"))
     assert a.keywords == b.keywords
+
+
+def test_word_keyword_draws_are_pinned(vocab):
+    """300 whole-word training draws under tf-idf weights and under all-zero
+    (uniform) weights hash to a fixed value, so no change to the weighted
+    pick moves a training draw unnoticed."""
+    batch_words = [normalize(t).split() for t in CORPUS]
+    h = hashlib.sha256()
+    for name, weights in (("tfidf", tfidf_scores(CORPUS)), ("zero", TfidfTable({}))):
+        rng = stream(31, "word-draw", name)
+        for i in range(300):
+            for kw in sample_word_keywords(vocab, batch_words, i % len(batch_words), weights, rng):
+                h.update(f"{name}\t{i}\t{kw.surface}\t{kw.tokens}\t{int(kw.positive)}\n".encode())
+    assert h.hexdigest() == "c220dd772224057ba48c0f6c3217460ae1d233c9f967ec0ae8420d4f7b244a09"
 
 
 def test_assemble_prompt_empty(vocab):
