@@ -20,9 +20,19 @@ Decoding is incremental.  A `DecoderCache` holds each layer's
 cross-attention K/V over the encoder output, projected once per
 utterance, and each layer's self-attention K/V of the rows decoded so
 far, all unsplit.  Greedy decoding runs [prefix, prompt] in one causal
-pass, then one new row per step against the cache.  Teacher forcing,
-training and attention export run the same layer code as a single pass
-over an empty cache, so both share one attention implementation.
+pass, then one new row per step against the cache.
+
+Training batches are packed, with no padding: `encode_batch` stacks the
+frame rows of every utterance into one encoder pass, and
+`teacher_forced_logits` stacks every example's [prefix, prompt, text]
+rows into one decoder pass over an empty cache.  Block-diagonal masks
+keep the examples apart: encoder self-attention stays within each
+utterance, decoder self-attention is causal within each example, and
+example b's decoder rows cross-attend to utterance b's encoder rows
+only.  Every sequence counts positions from 0.  A batch of one is the
+plain single-sequence pass, so `encode`, greedy decoding and attention
+export run the very same layer loops, without a mask where none is
+needed.
 
 Parameters live in four plain name->Tensor dicts (encoder / decoder /
 kws / prefix) so training regimes can freeze each group independently.
@@ -201,6 +211,34 @@ def _causal_mask(n: int, start: int) -> np.ndarray:
     return np.triu(np.full((n, start + n), -1e30), k=start + 1)
 
 
+def _block_mask(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...], causal: bool) -> np.ndarray | None:
+    """Additive mask of a packed batch: query sequence b sees key sequence b
+    only and, with `causal` (queries and keys the same rows), none of its
+    later rows.  None when it would mask nothing."""
+    if len(q_lengths) == 1 and not causal:
+        return None
+    q_seq = np.repeat(np.arange(len(q_lengths)), q_lengths)
+    seen = q_seq[:, None] == np.repeat(np.arange(len(k_lengths)), k_lengths)[None, :]
+    if causal:
+        seen &= np.tri(len(q_seq), dtype=bool)
+    return np.where(seen, 0.0, -1e30)
+
+
+def _positions(lengths: tuple[int, ...], d: int) -> Tensor:
+    """Positional rows of sequences of the given lengths, stacked; each
+    sequence counts from position 0."""
+    table = _positions_tensor(max(lengths), d).data
+    return Tensor(np.concatenate([table[:n] for n in lengths]))
+
+
+class Packed(NamedTuple):
+    """Rows of several sequences stacked into one 2-D tensor, sequence b
+    holding `lengths[b]` rows."""
+
+    rows: Tensor
+    lengths: tuple[int, ...]
+
+
 def _project_kv(p: dict[str, Tensor], prefix: str, kv: Tensor) -> tuple[Tensor, Tensor]:
     """Keys and values of the rows of kv, each (len(kv), d_model).
 
@@ -234,29 +272,44 @@ def _ln(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return ad.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
 
-def encode(params: ModelParams, frames: np.ndarray) -> Tensor:
-    """Encoder output u with shape (floor(T/2), d_model)."""
+def encode_batch(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
+    """Encoder outputs of several utterances in one packed pass.
+
+    Utterance b gives floor(T_b/2) rows, which attend only to each other
+    and count positions from 0, so each equals its own `encode` up to
+    rounding."""
     cfg = params.config
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != cfg.n_mels:
-        raise ModelError(f"expected (T, {cfg.n_mels}) features, got {frames.shape}")
-    n = frames.shape[0]
-    if n > cfg.max_src_frames:
-        raise ModelError(f"input of {n} frames exceeds max_src_frames {cfg.max_src_frames}")
-    if n < 2:
-        raise ModelError("need at least 2 feature frames")
+    inputs = []
+    for f in frames:
+        f = np.asarray(f, dtype=np.float64)
+        if f.ndim != 2 or f.shape[1] != cfg.n_mels:
+            raise ModelError(f"expected (T, {cfg.n_mels}) features, got {f.shape}")
+        n = f.shape[0]
+        if n > cfg.max_src_frames:
+            raise ModelError(f"input of {n} frames exceeds max_src_frames {cfg.max_src_frames}")
+        if n < 2:
+            raise ModelError("need at least 2 feature frames")
+        inputs.append(f[: n // 2 * 2].reshape(n // 2, 2 * cfg.n_mels))
+    if not inputs:
+        raise ModelError("nothing to encode")
+    lengths = tuple(len(x) for x in inputs)
+    mask = _block_mask(lengths, lengths, causal=False)
     p = params.encoder
-    half = n // 2
-    x = Tensor(frames[: 2 * half].reshape(half, 2 * cfg.n_mels))
+    x = Tensor(np.concatenate(inputs))
     h = ad.gelu(ad.affine(x, p["in_w"], p["in_b"]))
-    h = ad.add(h, _positions_tensor(half, cfg.d_model))
+    h = ad.add(h, _positions(lengths, cfg.d_model))
     for i in range(cfg.n_enc_layers):
         normed = _ln(p, f"l{i}.ln1", h)
         q = ad.affine(normed, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         k, v = _project_kv(p, f"l{i}.attn", normed)
-        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads))
+        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, mask))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln2", h)))
-    return _ln(p, "ln_out", h)
+    return Packed(_ln(p, "ln_out", h), lengths)
+
+
+def encode(params: ModelParams, frames: np.ndarray) -> Tensor:
+    """Encoder output u with shape (floor(T/2), d_model)."""
+    return encode_batch(params, [frames]).rows
 
 
 @dataclass
@@ -283,41 +336,53 @@ def decoder_cache(params: ModelParams, u: Tensor) -> DecoderCache:
 
 
 def _decoder_input(
-    params: ModelParams, cond_ids: Sequence[int], t_ids: Sequence[int], prefix: Tensor | None
+    params: ModelParams,
+    cond_ids: Sequence[Sequence[int]],
+    t_ids: Sequence[Sequence[int]],
+    prefix: Tensor | None,
 ) -> Tensor:
-    """Embedded [prefix, cond, t] rows of a fresh decode."""
-    if not cond_ids:
+    """Embedded [prefix, cond, t] rows of each fresh decode, stacked, as one
+    gather."""
+    if not all(cond_ids):
         raise ModelError("conditioning must contain at least the transcript-start token")
-    emb = ad.embedding(params.decoder["embed"], list(cond_ids) + list(t_ids))
-    if prefix is not None:
-        emb = ad.concat([prefix, emb], axis=0)
-    return emb
+    table = params.decoder["embed"]
+    if prefix is None:
+        return ad.embedding(table, [tok for c, t in zip(cond_ids, t_ids) for tok in (*c, *t)])
+    # the prefix rows sit before the table, so token id i is row n + i
+    n = prefix.shape[0]
+    rows = [r for c, t in zip(cond_ids, t_ids) for r in (*range(n), *(n + i for i in (*c, *t)))]
+    return ad.embedding(ad.concat([prefix, table], axis=0), rows)
+
+
+def _check_length(cfg: ModelConfig, total: int) -> None:
+    if total > cfg.max_tgt_len:
+        raise ModelError(f"conditioning length {total} exceeds max_tgt_len {cfg.max_tgt_len}")
 
 
 def _decoder_extend(
-    params: ModelParams, cache: DecoderCache, emb: Tensor, collect: list | None = None
+    params: ModelParams,
+    cache: DecoderCache,
+    emb: Tensor,
+    positions: Tensor,
+    mask: np.ndarray | None,
+    cross_mask: np.ndarray | None = None,
+    collect: list | None = None,
 ) -> Tensor:
     """Run the decoder over rows appended after the cached ones.
 
     Returns the final hidden states of the new rows and extends each
-    layer's self-attention cache with their keys and values.  New rows
-    attend causally among themselves and to every cached row.
+    layer's self-attention cache with their keys and values.  `mask` is
+    the new rows' self-attention mask over every cached and new row,
+    `cross_mask` their mask over the encoder rows.
     """
     cfg = params.config
     p = params.decoder
-    start = cache.length
-    n = emb.shape[0]
-    total = start + n
-    if total > cfg.max_tgt_len:
-        raise ModelError(f"conditioning length {total} exceeds max_tgt_len {cfg.max_tgt_len}")
-    # Soft prefix rows take positional encodings exactly like token positions.
-    h = ad.add(emb, Tensor(_positions_tensor(total, cfg.d_model).data[start:]))
-    mask = _causal_mask(n, start) if n > 1 else None
+    h = ad.add(emb, positions)
     for i in range(cfg.n_dec_layers):
         normed = _ln(p, f"l{i}.ln1", h)
         q = ad.affine(normed, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         k, v = _project_kv(p, f"l{i}.attn", normed)
-        if start:
+        if cache.length:
             past_k, past_v = cache.self_kv[i]
             k, v = ad.concat([past_k, k], axis=0), ad.concat([past_v, v], axis=0)
             cache.self_kv[i] = (k, v)
@@ -325,23 +390,37 @@ def _decoder_extend(
             cache.self_kv.append((k, v))
         h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, mask, collect))
         cross_q = ad.affine(_ln(p, f"l{i}.ln2", h), p[f"l{i}.cross.wq"], p[f"l{i}.cross.bq"])
-        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads))
+        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads, cross_mask))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
-    cache.length = total
+    cache.length += emb.shape[0]
     return _ln(p, "ln_out", h)
 
 
 def _decoder_hidden(
     params: ModelParams,
-    u: Tensor,
-    cond_ids: Sequence[int],
-    t_ids: Sequence[int],
+    u: Packed,
+    cond_ids: Sequence[Sequence[int]],
+    t_ids: Sequence[Sequence[int]],
     prefix: Tensor | None,
     collect: list | None = None,
-) -> Tensor:
-    """Hidden states of every [prefix, cond, t] row in one causal pass."""
+) -> tuple[Tensor, tuple[int, ...]]:
+    """Hidden states of every example's [prefix, cond, t] rows in one pass,
+    stacked, and each example's row count.
+
+    Example b reads sequence b of u.  Its rows attend causally among
+    themselves and, soft prefix rows included, count positions from 0,
+    like a decode of b alone."""
+    if len(cond_ids) != len(u.lengths) or len(t_ids) != len(u.lengths):
+        raise ModelError(f"got {len(cond_ids)} conditionings and {len(t_ids)} targets "
+                         f"for {len(u.lengths)} encoder outputs")
+    n_prefix = prefix.shape[0] if prefix is not None else 0
+    lengths = tuple(n_prefix + len(c) + len(t) for c, t in zip(cond_ids, t_ids))
     emb = _decoder_input(params, cond_ids, t_ids, prefix)
-    return _decoder_extend(params, decoder_cache(params, u), emb, collect)
+    _check_length(params.config, max(lengths))
+    h = _decoder_extend(params, decoder_cache(params, u.rows), emb, _positions(lengths, params.config.d_model),
+                        _block_mask(lengths, lengths, causal=True),
+                        _block_mask(lengths, u.lengths, causal=False), collect)
+    return h, lengths
 
 
 def _readout(params: ModelParams, rows: Tensor) -> Tensor:
@@ -353,17 +432,18 @@ def _readout(params: ModelParams, rows: Tensor) -> Tensor:
 
 def teacher_forced_logits(
     params: ModelParams,
-    u: Tensor,
-    cond_ids: Sequence[int],
-    t_ids: Sequence[int],
+    u: Packed,
+    cond_ids: Sequence[Sequence[int]],
+    t_ids: Sequence[Sequence[int]],
     prefix: Tensor | None,
 ) -> Tensor:
-    """Logits for the len(t)+1 positions that predict t plus end-of-text."""
-    n_prefix = prefix.shape[0] if prefix is not None else 0
-    h = _decoder_hidden(params, u, cond_ids, t_ids, prefix)
-    start = n_prefix + len(cond_ids) - 1
-    rows = ad.narrow(h, 0, start, len(t_ids) + 1)
-    return _readout(params, rows)
+    """Logits of a packed batch: for each example b in turn, the
+    len(t_ids[b])+1 positions that predict t_ids[b] plus end-of-text,
+    conditioned on cond_ids[b] and sequence b of the encoder outputs u."""
+    h, lengths = _decoder_hidden(params, u, cond_ids, t_ids, prefix)
+    # an example's last len(t)+1 rows predict t and end-of-text
+    rows = [r for end, t in zip(np.cumsum(lengths), t_ids) for r in range(end - len(t) - 1, end)]
+    return _readout(params, ad.embedding(h, rows))
 
 
 def decode_next(
@@ -383,24 +463,33 @@ def decode_next(
     """
     if cache is None:
         cache = decoder_cache(params, u)
-    if cache.length == 0:
-        emb = _decoder_input(params, cond_ids, t_prev, prefix)
+    start = cache.length
+    if start == 0:
+        emb = _decoder_input(params, [cond_ids], [t_prev], prefix)
     else:
         n_prefix = prefix.shape[0] if prefix is not None else 0
-        new_ids = [*cond_ids, *t_prev][cache.length - n_prefix :]
+        new_ids = [*cond_ids, *t_prev][start - n_prefix :]
         if not new_ids:
             raise ModelError("nothing to decode: every row is already cached")
         emb = ad.embedding(params.decoder["embed"], new_ids)
-    h = _decoder_extend(params, cache, emb)
+    n = emb.shape[0]
+    _check_length(params.config, start + n)
+    positions = Tensor(_positions_tensor(start + n, params.config.d_model).data[start:])
+    h = _decoder_extend(params, cache, emb, positions, _causal_mask(n, start) if n > 1 else None)
     last = ad.narrow(h, 0, h.shape[0] - 1, 1)
     return ad.softmax(_readout(params, last), axis=-1).data[0]
 
 
 def decode_budget(params: ModelParams, cond_ids: Sequence[int], prefix: Tensor | None) -> int:
     """Greedy decoding's token limit: the decoder's `max_tgt_len` positions
-    less the prefix rows, the conditioning tokens and one for end-of-text."""
+    less the prefix rows, the conditioning tokens and one for end-of-text.
+    A conditioning that leaves no room for end-of-text is an error."""
     n_prefix = prefix.shape[0] if prefix is not None else 0
-    return params.config.max_tgt_len - n_prefix - len(cond_ids) - 1
+    budget = params.config.max_tgt_len - n_prefix - len(cond_ids) - 1
+    if budget < 0:
+        raise ModelError(f"conditioning of {n_prefix + len(cond_ids)} rows leaves no room for "
+                         f"end-of-text within max_tgt_len {params.config.max_tgt_len}")
+    return budget
 
 
 def transcribe_greedy(
@@ -484,7 +573,7 @@ def prompt_attention_block(
         raise ModelError(f"layer {layer} out of range for {cfg.n_dec_layers} decoder layers")
     layer = layer % cfg.n_dec_layers
     collect: list[np.ndarray] = []
-    _decoder_hidden(params, u, cond_ids, t_ids, prefix, collect=collect)
+    _decoder_hidden(params, Packed(u, (u.shape[0],)), [cond_ids], [t_ids], prefix, collect=collect)
     attn = collect[layer]
     n_prefix = prefix.shape[0] if prefix is not None else 0
     n_cond = len(cond_ids)

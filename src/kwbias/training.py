@@ -15,8 +15,15 @@ Four modes share one loop:
 
 Frozen groups get ``requires_grad = False`` up front, so they accumulate
 no gradient at all; their hashes are verified unchanged after every run.
-A run tokenizes and, with the encoder frozen (every mode but
-``base-asr``), encodes an utterance once, when a batch first draws it.
+A run tokenizes an utterance once, when a batch first draws it.
+
+Teacher-forced batches are packed: `loss_asr` stacks the rows of every
+example into one encoder pass (`model.encode_batch`) and one decoder pass
+(`model.teacher_forced_logits`), with no padding, instead of one pass per
+example.  The frozen encoder of ``ft`` and ``pt`` runs in that same pass
+and, requiring no gradient, records nothing on the tape; ``kws`` encodes
+each drawn utterance with `model.encode`.  No encoder output is kept
+across steps, so a frozen encoder reruns on every draw of an utterance.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .model import (
     ModelError,
     ModelParams,
     encode,
+    encode_batch,
     init_prefix,
     kws_logits,
     param_group_hash,
@@ -137,26 +145,24 @@ def set_trainable(params: ModelParams, mode: str) -> None:
 def loss_asr(
     params: ModelParams,
     vocab: Vocab,
-    batch: Sequence[tuple[Tensor | np.ndarray, Sequence[int]]],
+    batch: Sequence[tuple[np.ndarray, Sequence[int]]],
     prompts: Sequence[Sequence[int]],
 ) -> Tensor:
     """Mean token cross-entropy over all target positions in the batch.
 
-    Each batch item is (encoder output or raw frames, target token ids);
-    the loss covers the targets plus the closing end-of-text token, never
-    the prompt or prefix positions.
+    Each batch item is (feature frames, target token ids); the whole batch
+    runs as one packed encoder pass and one packed decoder pass.  The loss
+    covers the targets plus the closing end-of-text token, never the
+    prompt or prefix positions.
     """
     if not batch:
         raise TrainingError("empty batch")
     if len(prompts) != len(batch):
         raise TrainingError(f"got {len(prompts)} prompts for {len(batch)} examples")
-    prefix = params.prefix.get("q")
-    logits, targets = [], []
-    for (enc, t_ids), prompt in zip(batch, prompts):
-        u = enc if isinstance(enc, Tensor) else encode(params, enc)
-        logits.append(teacher_forced_logits(params, u, prompt, t_ids, prefix))
-        targets += [*t_ids, vocab.eot_id]
-    return ad.cross_entropy(ad.concat(logits, axis=0), targets)
+    u = encode_batch(params, [frames for frames, _ in batch])
+    t_ids = [t for _, t in batch]
+    logits = teacher_forced_logits(params, u, prompts, t_ids, params.prefix.get("q"))
+    return ad.cross_entropy(logits, [tok for t in t_ids for tok in (*t, vocab.eot_id)])
 
 
 def loss_kws(
@@ -193,7 +199,7 @@ def train_run(
 
     empty_prompt = assemble_prompt(vocab, ())
 
-    # An utterance is tokenized, split and encoded when a batch first draws it.
+    # An utterance is tokenized and split when a batch first draws it.
     @functools.cache
     def tokens(i: int) -> list[int]:
         return vocab.tokenize(dataset[i].text)
@@ -201,12 +207,6 @@ def train_run(
     @functools.cache
     def words(i: int) -> list[str]:
         return normalize(dataset[i].text).split()
-
-    @functools.cache
-    def encoder_input(i: int) -> Tensor | np.ndarray:
-        if config.mode == "base-asr":
-            return dataset[i].frames
-        return Tensor(encode(params, dataset[i].frames).data)
 
     if config.mode == "base-asr" and config.prompt_exposure > 0:
         # exposure prompts use whole-word keywords weighted like the
@@ -235,7 +235,7 @@ def train_run(
                 batch = []
                 for j, i in enumerate(idx):
                     ks = sample_training_keywords(vocab, batch_tokens, j, rng)
-                    batch.append((encoder_input(i), ks))
+                    batch.append((encode(params, dataset[i].frames), ks))
                 loss = loss_kws(params, batch)
             else:
                 prompts = []
@@ -250,7 +250,7 @@ def train_run(
                     else:
                         ks = sample_training_keywords(vocab, batch_tokens, j, rng)
                         prompts.append(assemble_prompt(vocab, ks))
-                items = [(encoder_input(i), tokens(i)) for i in idx]
+                items = [(dataset[i].frames, tokens(i)) for i in idx]
                 loss = loss_asr(params, vocab, items, prompts)
             backward(loss)
         value = float(loss.data)

@@ -354,6 +354,19 @@ def test_transcribe_rejects_index_outside_test_split(cli_world, capsys, tmp_path
     assert err.startswith("ConfigError: ") and f"--index {index} " in err
 
 
+def test_transcribe_with_too_long_a_keyword_prompt_is_a_single_line_error(cli_world, capsys, tmp_path):
+    _, data, asr, *_ = cli_world
+    words = sorted(set((data / "train.txt").read_text().split()))
+    keywords = ",".join(a + b for a in words for b in words[:4])  # far beyond max_tgt_len
+    rc = main(["transcribe", "--data", str(data), "--index", "0", "--ckpt", str(asr / "base-asr.ckpt"),
+               "--keywords", keywords, "--out", str(tmp_path / "tr"), *TINY_OVERRIDES])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(r"ModelError: conditioning of \d+ rows leaves no room for end-of-text "
+                        rf"within max_tgt_len {ModelConfig.max_tgt_len}", err)
+
+
 def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):
     root, data, asr, kws, _ = cli_world
     train_words = sorted(set((data / "train.txt").read_text().split()))

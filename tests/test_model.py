@@ -1,5 +1,7 @@
 """Model forward-pass contracts: shapes, determinism, prompt handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from kwbias.autodiff import Tensor
 from kwbias.model import (
     ModelConfig,
     ModelError,
+    Packed,
     encode,
+    decode_budget,
     decode_next,
     decoder_cache,
     init_params,
@@ -169,7 +173,7 @@ def _naive_greedy(params, u, cond_ids, prefix, eot_id, max_len):
     """Reference decode: recompute the whole decoder for every token."""
     out: list[int] = []
     for _ in range(max_len):
-        logits = teacher_forced_logits(params, u, cond_ids, out, prefix).data[-1]
+        logits = teacher_forced_logits(params, Packed(u, (u.shape[0],)), [cond_ids], [out], prefix).data[-1]
         nxt = int(np.argmax(_softmax_rows(logits)))
         if nxt == eot_id:
             break
@@ -186,7 +190,7 @@ def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
     cond = ([vocab.sop_id, 10, 11, vocab.delim_id, 12, vocab.sot_id] if keyworded
             else [vocab.sop_id, vocab.sot_id])
     t_ids = [7, 8, 9, 7, 20, 33, 41]
-    ref = _softmax_rows(teacher_forced_logits(fresh, u, cond, t_ids, q).data)
+    ref = _softmax_rows(teacher_forced_logits(fresh, Packed(u, (u.shape[0],)), [cond], [t_ids], q).data)
     cache = decoder_cache(fresh, u)
     for step in range(len(t_ids) + 1):
         probs = decode_next(fresh, u, cond, t_ids[:step], q, cache)
@@ -219,6 +223,20 @@ def test_transcribe_greedy_equals_naive_argmax_loop(vocab, n_prefix):
     assert out == _naive_greedy(fresh, u, prompt, q, vocab.eot_id, max_len)
     with pytest.raises(ModelError, match="max_tgt_len"):
         transcribe_greedy(fresh, u, prompt, q, vocab.eot_id, max_len + 2)
+
+
+@pytest.mark.parametrize("n_prefix", [0, 3])
+def test_conditioning_without_room_for_end_of_text_is_an_error(vocab, n_prefix):
+    fresh = init_params(replace(CFG, max_tgt_len=8), seed=11)
+    q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
+    # 7 rows with the prefix: room for end-of-text and nothing else
+    fits = [vocab.sop_id, *[10] * (5 - n_prefix), vocab.sot_id]
+    assert decode_budget(fresh, fits, q) == 0
+    for cond in ([vocab.sop_id, 10, *fits[1:]], [vocab.sop_id, *[10] * 10, vocab.sot_id]):
+        with pytest.raises(ModelError) as info:
+            decode_budget(fresh, cond, q)
+        assert str(info.value) == (f"conditioning of {n_prefix + len(cond)} rows leaves no room for "
+                                   "end-of-text within max_tgt_len 8")
 
 
 def test_init_prefix_rows_copy_token_embeddings(params):

@@ -6,9 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from kwbias import autodiff as ad
 from kwbias.autodiff import Tape, Tensor, backward
 from kwbias.container import read_container, write_container
-from kwbias.model import ModelConfig, init_params, param_group_hash
+from kwbias.model import ModelConfig, encode_batch, init_params, init_prefix, param_group_hash, teacher_forced_logits
 from kwbias.prompts import sample_training_keywords, assemble_prompt
 from kwbias.rng import stream
 from kwbias.synth import SynthSpec, Utterance, generate_corpus
@@ -95,11 +96,11 @@ def test_empty_batch_is_an_error(corpus):
 
 
 def test_one_asr_batch_records_the_hand_counted_graph(corpus):
-    # base-asr from raw frames records every op of the encoder and decoder
+    # base-asr from raw frames records every op of one packed encoder pass
+    # and one packed decoder pass, whatever the batch size
     splits, _, vocab = corpus
     params = init_params(MODEL, seed=1)
     set_trainable(params, "base-asr")
-    batch = [(u.frames, vocab.tokenize(u.text)) for u in splits["train"][:2]]
     # input affine, gelu, + positions; per layer: layer norm, q/k/v affines,
     # attention, output affine, residual add, layer norm, affine, gelu,
     # affine, residual add; final layer norm
@@ -107,12 +108,91 @@ def test_one_asr_batch_records_the_hand_counted_graph(corpus):
     # cross-attention k/v affines per layer, embedding, + positions; per
     # layer: self-attention as in the encoder (7), cross-attention q affine,
     # attention, output affine and residual add after a layer norm (5),
-    # feed-forward (5); final layer norm, narrow, and the tied readout's
-    # swap, matmul, scale and bias add
+    # feed-forward (5); final layer norm, the gather of the predicting rows,
+    # and the tied readout's swap, matmul, scale and bias add
     decoder = 2 * MODEL.n_dec_layers + 2 + 17 * MODEL.n_dec_layers + 1 + 1 + 4
-    with Tape() as tape:
-        loss_asr(params, vocab, batch, [assemble_prompt(vocab, ())] * 2)
-    assert len(tape) == 2 * (encoder + decoder) + 2 == 88  # + concat, cross-entropy
+    counts = []
+    for n in (1, 2, 4):
+        batch = [(u.frames, vocab.tokenize(u.text)) for u in splits["train"][:n]]
+        with Tape() as tape:
+            loss_asr(params, vocab, batch, [assemble_prompt(vocab, ())] * n)
+        counts.append(len(tape))
+    assert counts == [encoder + decoder + 1] * 3 and counts[0] == 44  # + cross-entropy
+
+
+def _mixed_batch(splits, vocab):
+    """Three examples with distinct frame counts, target lengths and prompt
+    lengths, the first with the empty prompt."""
+    by_frames = {len(u.frames): u for u in splits["train"]}
+    utts = [by_frames[n] for n in sorted(by_frames)[::4][:3]]
+    tokens = [vocab.tokenize(u.text) for u in utts]
+    assert len({len(u.frames) for u in utts}) == len({len(t) for t in tokens}) == 3
+    keyword_sets = [(), *(sample_training_keywords(vocab, tokens, j, stream(19, "mixed", j)) for j in (1, 2))]
+    prompts = [assemble_prompt(vocab, ks) for ks in keyword_sets]
+    assert len({len(p) for p in prompts}) == 3 and prompts[0] == assemble_prompt(vocab, ())
+    return [(u.frames, t) for u, t in zip(utts, tokens)], prompts
+
+
+def _close(got, want, what):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), what
+
+
+@pytest.mark.parametrize("mode, n_prefix", [
+    ("base-asr", 0), ("base-asr", 3), ("ft", 0), ("ft", 3), ("pt", 3),
+])
+def test_packed_batch_equals_batches_of_one(corpus, mode, n_prefix):
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=17)
+    if n_prefix:
+        init_prefix(params, n_prefix, seed=17)
+    set_trainable(params, mode)
+    prefix = params.prefix.get("q")
+    trainable = [(f"{g}.{name}", t) for g, group in params.groups().items()
+                 for name, t in group.items() if t.requires_grad]
+    batch, prompts = _mixed_batch(splits, vocab)
+
+    def logits(items, conds):
+        u = encode_batch(params, [frames for frames, _ in items])
+        return teacher_forced_logits(params, u, conds, [t for _, t in items], prefix).data
+
+    _close(logits(batch, prompts),
+           np.concatenate([logits([item], [p]) for item, p in zip(batch, prompts)]), "logits")
+
+    def loss_and_grads(items, conds):
+        with Tape():
+            loss = loss_asr(params, vocab, items, conds)
+            backward(loss)
+        grads = {name: t.grad for name, t in trainable}
+        for _, t in trainable:
+            t.grad = None
+        return float(loss.data), grads
+
+    packed_loss, packed = loss_and_grads(batch, prompts)
+    # the batch loss is the mean over all predicted positions
+    weights = np.array([len(t) + 1 for _, t in batch]) / sum(len(t) + 1 for _, t in batch)
+    singles = [loss_and_grads([item], [p]) for item, p in zip(batch, prompts)]
+    _close(packed_loss, sum(w * loss for w, (loss, _) in zip(weights, singles)), "loss")
+    for name, _ in trainable:
+        _close(packed[name], sum(w * grads[name] for w, (_, grads) in zip(weights, singles)), name)
+
+
+@pytest.mark.parametrize("mode", ["base-asr", "ft", "pt"])
+def test_a_frozen_encoder_records_no_node(corpus, mode):
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=18)
+    init_prefix(params, 3, seed=18)
+    set_trainable(params, mode)
+    batch, prompts = _mixed_batch(splits, vocab)
+    t_ids = [t for _, t in batch]
+    u = encode_batch(params, [frames for frames, _ in batch])  # outside any tape
+    with Tape() as decoder_only:
+        logits = teacher_forced_logits(params, u, prompts, t_ids, params.prefix["q"])
+        ad.cross_entropy(logits, [tok for t in t_ids for tok in (*t, vocab.eot_id)])
+    with Tape() as step:
+        loss_asr(params, vocab, batch, prompts)
+    encoder = 3 + 12 * MODEL.n_enc_layers + 1
+    assert len(decoder_only) > 0
+    assert len(step) - len(decoder_only) == (encoder if mode == "base-asr" else 0)
 
 
 def test_initial_kws_loss_is_chance_level(corpus):
