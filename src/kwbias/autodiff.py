@@ -2,9 +2,8 @@
 
 The kernel is deliberately small: row-major numpy storage and just the
 primitives an encoder-decoder transformer with a keyword scoring head
-needs.  Broadcasting is restricted to suffix alignment (bias vectors,
-shared attention masks); everything else must match shapes exactly so
-errors surface early.
+needs.  Broadcasting is restricted to suffix alignment (bias vectors);
+everything else must match shapes exactly so errors surface early.
 
 Ops executed while a `Tape` is active record an adjoint closure when any
 input requires gradients.  Running the recorded entries in reverse order
@@ -15,10 +14,16 @@ it builds an adjoint closure.
 
 Two fused primitives keep the graph small: `affine` is a linear layer
 with its bias, and `attention` is the whole multi-head softmax attention
-(head split, scores, mask, softmax, weighted sum, head merge) with one
-hand-written adjoint.  Both run the numpy sequence of the chain of
+(head split, scores, causal mask, softmax, weighted sum, head merge) with
+one hand-written adjoint.  Both run the numpy sequence of the chain of
 elementary ops they replace, so their outputs and gradients are those of
-that chain bit for bit.
+that chain bit for bit.  `attention` takes per-sequence lengths instead
+of a dense mask: packed sequences attend within their own block, and
+forward and adjoint loop over the blocks, so no array spans two of them.
+
+An adjoint that builds a new gradient array for one input hands it over
+to be kept as that input's gradient; an array handed to several inputs
+is copied on first accumulation.
 
 Tensors hold no reference to their tape, so a graph lives as long as its
 tape: reference counting frees it once the `with Tape()` block is left.
@@ -29,6 +34,8 @@ it must record.
 
 from __future__ import annotations
 
+import functools
+import operator
 import threading
 from typing import Callable, Sequence
 
@@ -111,14 +118,19 @@ def _record(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
     _STATE.tape._nodes.append((out, adjoint))
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
+    """Add g to t's gradient.  With `own`, g is a new array its adjoint made
+    for t alone, so t may keep it; otherwise the adjoint may hand g, or a
+    view of it, to several inputs, and the first accumulation copies it."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # copy: adjoints may hand the same array to several inputs
-        t.grad = np.array(g, dtype=np.float64)
-        if t.grad.shape != t.data.shape:
-            t.grad = np.broadcast_to(t.grad, t.data.shape).copy()
+        if own and g.shape == t.data.shape:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=np.float64)
+            if t.grad.shape != t.data.shape:
+                t.grad = np.broadcast_to(t.grad, t.data.shape).copy()
     else:
         t.grad += g
 
@@ -162,9 +174,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g @ bd.swapaxes(-1, -2))
+            _accum(a, g @ bd.swapaxes(-1, -2), own=True)
         if b.requires_grad:
-            _accum(b, ad.swapaxes(-1, -2) @ g)
+            _accum(b, ad.swapaxes(-1, -2) @ g, own=True)
 
     _record(out, adjoint)
     return out
@@ -210,11 +222,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=0))
+            _accum(b, g.sum(axis=0), own=True)
         if x.requires_grad:
-            _accum(x, g @ wd.T)
+            _accum(x, g @ wd.T, own=True)
         if w.requires_grad:
-            _accum(w, xd.T @ g)
+            _accum(w, xd.T @ g, own=True)
 
     _record(out, adjoint)
     return out
@@ -227,7 +239,7 @@ def scale(a: Tensor, c: float) -> Tensor:
         return out
 
     def adjoint(g: np.ndarray) -> None:
-        _accum(a, g * c)
+        _accum(a, g * c, own=True)
 
     _record(out, adjoint)
     return out
@@ -253,28 +265,6 @@ def swap_axes(a: Tensor, i: int, j: int) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         _accum(a, g.swapaxes(i, j))
-
-    _record(out, adjoint)
-    return out
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    n = a.data.shape[axis]
-    if not (0 <= start and start + length <= n):
-        raise ShapeError(f"narrow [{start}:{start + length}) out of range for axis of size {n}")
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    index = tuple(sl)
-    out = _track(a.data[index].copy(), (a,))
-    if not out.requires_grad:
-        return out
-
-    def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[index] = g
-            _accum(a, ga)
 
     _record(out, adjoint)
     return out
@@ -316,7 +306,7 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         if table.requires_grad:
             gt = np.zeros_like(table.data)
             np.add.at(gt, idx, g)
-            _accum(table, gt)
+            _accum(table, gt, own=True)
 
     _record(out, adjoint)
     return out
@@ -336,7 +326,7 @@ def gelu(a: Tensor) -> Tensor:
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
             d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 0.134145 * x2)
-            _accum(a, g * d)
+            _accum(a, g * d, own=True)
 
     _record(out, adjoint)
     return out
@@ -354,10 +344,43 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)), own=True)
 
     _record(out, adjoint)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> np.ndarray:
+    """Read-only (n, n) additive mask that hides from each row every later
+    column."""
+    mask = np.triu(np.full((n, n), -1e30), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _causal_mask(nq: int, nk: int) -> np.ndarray:
+    """Additive mask of nq queries that are the last rows of nk keys: query r
+    sits at key row nk - nq + r and sees no later key.  A view of one
+    triangle shared by every size up to the next power of two."""
+    return _upper_triangle(1 << (nk - 1).bit_length())[nk - nq : nk, :nk]
+
+
+def _check_blocks(lengths: tuple[Sequence[int], Sequence[int]], nq: int, nk: int, causal: bool) -> None:
+    q_lengths, k_lengths = lengths
+    if (
+        not k_lengths
+        or len(q_lengths) != len(k_lengths)
+        or sum(q_lengths) != nq
+        or sum(k_lengths) != nk
+        or min(q_lengths) < 0
+        or min(k_lengths) < 1
+        or causal and any(map(operator.gt, q_lengths, k_lengths))
+    ):
+        raise ShapeError(
+            f"attention lengths {tuple(q_lengths)} x {tuple(k_lengths)} do not pack {nq} query and {nk} key rows"
+            + (" with each query block at most its key block" if causal else "")
+        )
 
 
 def attention(
@@ -365,16 +388,23 @@ def attention(
     k: Tensor,
     v: Tensor,
     n_heads: int,
-    mask: np.ndarray | None = None,
+    lengths: tuple[Sequence[int], Sequence[int]] | None = None,
+    causal: bool = False,
     collect: list | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     q is (nq, d); k and v are (nk, d).  Each of the n_heads heads takes a
     contiguous d / n_heads slice of the columns, and the heads' outputs
-    are merged back into (nq, d).  `mask` (nq, nk) is added to every
-    head's scaled scores before the softmax.  `collect`, if given, gets
-    the head-averaged weights (nq, nk) appended.
+    are merged back into (nq, d).
+
+    `lengths` = (q_lengths, k_lengths) packs several sequences: the
+    q_lengths[b] query rows of block b attend to the k_lengths[b] key rows
+    of block b only.  None is one block of every row.  With `causal`,
+    block b's queries are the last rows of its keys, and each sees no key
+    after its own row.  Forward and adjoint loop over the blocks, so no
+    array spans two of them.  `collect`, if given, gets each block's
+    head-averaged weights (q_lengths[b], k_lengths[b]) appended in order.
     """
     nq, d = q.data.shape
     nk = k.data.shape[0]
@@ -382,34 +412,50 @@ def attention(
         raise ShapeError(
             f"attention shape mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}, {n_heads} heads"
         )
-    if mask is not None and mask.shape != (nq, nk):
-        raise ShapeError(f"attention mask shape {mask.shape} does not match scores ({nq}, {nk})")
+    if lengths is None:
+        lengths = ((nq,), (nk,))
+    _check_blocks(lengths, nq, nk, causal)
     hd = d // n_heads
-    qh = q.data.reshape(nq, n_heads, hd).swapaxes(0, 1)
-    kh = k.data.reshape(nk, n_heads, hd).swapaxes(0, 1)
-    vh = v.data.reshape(nk, n_heads, hd).swapaxes(0, 1)
     c = float(1.0 / np.sqrt(hd))
-    scores = (qh @ kh.swapaxes(-1, -2)) * c
-    if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    att = e / e.sum(axis=-1, keepdims=True)
-    if collect is not None:
-        collect.append(att.mean(axis=0))
-    out = _track((att @ vh).swapaxes(0, 1).reshape(nq, d), (q, k, v))
+    blocks = []  # (query rows, key rows, qh, kh, vh, att) of each block
+    outs = []
+    q0 = k0 = 0
+    for n, m in zip(*lengths):
+        rows, keys = slice(q0, q0 + n), slice(k0, k0 + m)
+        q0, k0 = q0 + n, k0 + m
+        qh = q.data[rows].reshape(n, n_heads, hd).swapaxes(0, 1)
+        kh = k.data[keys].reshape(m, n_heads, hd).swapaxes(0, 1)
+        vh = v.data[keys].reshape(m, n_heads, hd).swapaxes(0, 1)
+        scores = (qh @ kh.swapaxes(-1, -2)) * c
+        if causal and n > 1:
+            scores = scores + _causal_mask(n, m)
+        e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        if collect is not None:
+            collect.append(att.mean(axis=0))
+        outs.append((att @ vh).swapaxes(0, 1).reshape(n, d))
+        blocks.append((rows, keys, qh, kh, vh, att))
+    out = _track(outs[0] if len(outs) == 1 else np.concatenate(outs), (q, k, v))
     if not out.requires_grad:
         return out
 
     def adjoint(g: np.ndarray) -> None:
-        gh = g.reshape(nq, n_heads, hd).swapaxes(0, 1)
-        ga = gh @ vh.swapaxes(-1, -2)
-        if v.requires_grad:
-            _accum(v, (att.swapaxes(-1, -2) @ gh).swapaxes(0, 1).reshape(nk, d))
-        gs = att * (ga - (ga * att).sum(axis=-1, keepdims=True)) * c
-        if q.requires_grad:
-            _accum(q, (gs @ kh).swapaxes(0, 1).reshape(nq, d))
-        if k.requires_grad:
-            _accum(k, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).swapaxes(0, 1).reshape(nk, d))
+        gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
+        for rows, keys, qh, kh, vh, att in blocks:
+            n, m = qh.shape[1], kh.shape[1]
+            gh = g[rows].reshape(n, n_heads, hd).swapaxes(0, 1)
+            ga = gh @ vh.swapaxes(-1, -2)
+            if gv is not None:
+                gv[keys] = (att.swapaxes(-1, -2) @ gh).swapaxes(0, 1).reshape(m, d)
+            gs = att * (ga - (ga * att).sum(axis=-1, keepdims=True)) * c
+            if gq is not None:
+                gq[rows] = (gs @ kh).swapaxes(0, 1).reshape(n, d)
+            if gk is not None:
+                gk[keys] = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).swapaxes(0, 1).reshape(m, d)
+        # value, query, key: the order in which an input passed twice accumulates
+        for t, gt in ((v, gv), (q, gq), (k, gk)):
+            if gt is not None:
+                _accum(t, gt, own=True)
 
     _record(out, adjoint)
     return out
@@ -437,9 +483,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def adjoint(g: np.ndarray) -> None:
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=lead))
+            _accum(bias, g.sum(axis=lead), own=True)
         if gain.requires_grad:
-            _accum(gain, (g * yhat).sum(axis=lead))
+            _accum(gain, (g * yhat).sum(axis=lead), own=True)
         if x.requires_grad:
             gy = g * gain.data
             gx = inv * (
@@ -447,7 +493,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                 - np.add.reduce(gy, -1, keepdims=True) / d
                 - yhat * (np.add.reduce(gy * yhat, -1, keepdims=True) / d)
             )
-            _accum(x, gx)
+            _accum(x, gx, own=True)
 
     _record(out, adjoint)
     return out
@@ -480,7 +526,7 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
             grad = np.exp(logp)
             grad[np.arange(n), tgt] -= 1.0
             grad *= 1.0 / n
-            _accum(logits, g * grad)
+            _accum(logits, g * grad, own=True)
 
     _record(out, adjoint)
     return out
@@ -503,7 +549,7 @@ def bce_with_logits(logits: Tensor, labels: Sequence[float]) -> Tensor:
     def adjoint(g: np.ndarray) -> None:
         if logits.requires_grad:
             sig = 1.0 / (1.0 + np.exp(-x))
-            _accum(logits, g * (sig - y) / n)
+            _accum(logits, g * (sig - y) / n, own=True)
 
     _record(out, adjoint)
     return out

@@ -162,9 +162,11 @@ def cmd_prompt_tune(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    conditions = [c.strip() for c in args.conditions.split(",") if c.strip()]
+    if not conditions:
+        raise ConfigError(f"--conditions names no condition: {args.conditions!r}")
     out = _out_dir(args)
     vocab, sets, sources = _load_data(args.data, ("train", "test"))
-    conditions = [c.strip() for c in args.conditions.split(",") if c.strip()]
 
     inputs = sources  # train.ds fixes every keyword draw through its tf-idf table
     checkpoints = {}

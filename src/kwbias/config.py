@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import KwbiasError
+from .errors import KwbiasError, require_finite
 from .model import ModelConfig
 from .synth import SynthSpec
 from .training import TrainConfig
@@ -86,6 +86,9 @@ class RunConfig:
     ablate_lengths: str = "4,8,12,16,20,24"
 
     def __post_init__(self) -> None:
+        require_finite(self, ConfigError)
+        if not 0.0 <= self.kws_threshold <= 1.0:
+            raise ConfigError(f"kws_threshold must be in [0, 1], got {self.kws_threshold}")
         if not 0 <= self.eval_positives <= self.eval_keywords:
             raise ConfigError(f"eval_positives must be in [0, eval_keywords {self.eval_keywords}], "
                               f"got {self.eval_positives}")

@@ -25,14 +25,20 @@ pass, then one new row per step against the cache.
 Training batches are packed, with no padding: `encode_batch` stacks the
 frame rows of every utterance into one encoder pass, and
 `teacher_forced_logits` stacks every example's [prefix, prompt, text]
-rows into one decoder pass over an empty cache.  Block-diagonal masks
-keep the examples apart: encoder self-attention stays within each
-utterance, decoder self-attention is causal within each example, and
-example b's decoder rows cross-attend to utterance b's encoder rows
-only.  Every sequence counts positions from 0.  A batch of one is the
-plain single-sequence pass, so `encode`, greedy decoding and attention
-export run the very same layer loops, without a mask where none is
-needed.
+rows into one decoder pass over an empty cache.  Attention takes each
+sequence's lengths instead of a mask and runs block by block: encoder
+self-attention stays within each utterance, decoder self-attention is
+causal within each example, and example b's decoder rows cross-attend to
+utterance b's encoder rows only.  Every sequence counts positions from 0.
+A batch of one is the plain single-sequence pass, so `encode`, greedy
+decoding and attention export run the very same layer loops.
+
+The decoder computes only the rows its caller reads.  Its last layer
+still projects keys and values for every row, which the cache needs, but
+runs the query, self- and cross-attention, feed-forward and final norm
+on the trailing rows each sequence reads: the len(t)+1 rows that predict
+a target in teacher forcing, the newest row in a decode step, and every
+row in attention export.
 
 Parameters live in four plain name->Tensor dicts (encoder / decoder /
 kws / prefix) so training regimes can freeze each group independently.
@@ -205,25 +211,6 @@ def _positions_tensor(n: int, d: int) -> Tensor:
     return Tensor(sinusoid_positions(n, d))
 
 
-@lru_cache(maxsize=256)
-def _causal_mask(n: int, start: int) -> np.ndarray:
-    """Mask for n new rows at positions start.. over all start + n rows."""
-    return np.triu(np.full((n, start + n), -1e30), k=start + 1)
-
-
-def _block_mask(q_lengths: tuple[int, ...], k_lengths: tuple[int, ...], causal: bool) -> np.ndarray | None:
-    """Additive mask of a packed batch: query sequence b sees key sequence b
-    only and, with `causal` (queries and keys the same rows), none of its
-    later rows.  None when it would mask nothing."""
-    if len(q_lengths) == 1 and not causal:
-        return None
-    q_seq = np.repeat(np.arange(len(q_lengths)), q_lengths)
-    seen = q_seq[:, None] == np.repeat(np.arange(len(k_lengths)), k_lengths)[None, :]
-    if causal:
-        seen &= np.tri(len(q_seq), dtype=bool)
-    return np.where(seen, 0.0, -1e30)
-
-
 def _positions(lengths: tuple[int, ...], d: int) -> Tensor:
     """Positional rows of sequences of the given lengths, stacked; each
     sequence counts from position 0."""
@@ -255,11 +242,12 @@ def _attend(
     k: Tensor,
     v: Tensor,
     n_heads: int,
-    mask: np.ndarray | None = None,
+    lengths: tuple[Sequence[int], Sequence[int]] | None = None,
+    causal: bool = False,
     collect: list | None = None,
 ) -> Tensor:
     """Multi-head attention of queries q over k/v, then the output projection."""
-    ctx = ad.attention(q, k, v, n_heads, mask, collect)
+    ctx = ad.attention(q, k, v, n_heads, lengths, causal, collect)
     return ad.affine(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
@@ -293,7 +281,6 @@ def encode_batch(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
     if not inputs:
         raise ModelError("nothing to encode")
     lengths = tuple(len(x) for x in inputs)
-    mask = _block_mask(lengths, lengths, causal=False)
     p = params.encoder
     x = Tensor(np.concatenate(inputs))
     h = ad.gelu(ad.affine(x, p["in_w"], p["in_b"]))
@@ -302,7 +289,7 @@ def encode_batch(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
         normed = _ln(p, f"l{i}.ln1", h)
         q = ad.affine(normed, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         k, v = _project_kv(p, f"l{i}.attn", normed)
-        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, mask))
+        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, (lengths, lengths)))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln2", h)))
     return Packed(_ln(p, "ln_out", h), lengths)
 
@@ -314,24 +301,29 @@ def encode(params: ModelParams, frames: np.ndarray) -> Tensor:
 
 @dataclass
 class DecoderCache:
-    """Per-layer attention keys and values of one utterance's decode.
+    """Per-layer attention keys and values of a decode or a packed batch.
 
-    `cross` holds each layer's cross-attention K/V over the encoder output;
-    `self_kv` each layer's self-attention K/V over the `length` rows decoded
-    so far.  All are unsplit, (rows, d_model): `ad.attention` splits the
-    heads.
+    `cross` holds each layer's cross-attention K/V over the encoder output,
+    whose sequences have `cross_lengths` rows each; `self_kv` each layer's
+    self-attention K/V over the `length` rows decoded so far.  All are
+    unsplit, (rows, d_model): `ad.attention` splits the heads.  A cache
+    that holds decoded rows holds one sequence.
     """
 
     cross: list[tuple[Tensor, Tensor]]
+    cross_lengths: tuple[int, ...]
     self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
     length: int = 0
 
 
-def decoder_cache(params: ModelParams, u: Tensor) -> DecoderCache:
-    """An empty cache holding the cross-attention K/V over encoder output u."""
+def decoder_cache(params: ModelParams, u: Tensor | Packed) -> DecoderCache:
+    """An empty cache holding the cross-attention K/V over encoder output u,
+    one utterance's or a packed batch's."""
+    if not isinstance(u, Packed):
+        u = Packed(u, (u.shape[0],))
     cfg = params.config
     return DecoderCache(
-        [_project_kv(params.decoder, f"l{i}.cross", u) for i in range(cfg.n_dec_layers)]
+        [_project_kv(params.decoder, f"l{i}.cross", u.rows) for i in range(cfg.n_dec_layers)], u.lengths
     )
 
 
@@ -364,23 +356,31 @@ def _decoder_extend(
     cache: DecoderCache,
     emb: Tensor,
     positions: Tensor,
-    mask: np.ndarray | None,
-    cross_mask: np.ndarray | None = None,
+    lengths: tuple[int, ...],
+    read: tuple[int, ...] | None = None,
     collect: list | None = None,
 ) -> Tensor:
     """Run the decoder over rows appended after the cached ones.
 
-    Returns the final hidden states of the new rows and extends each
-    layer's self-attention cache with their keys and values.  `mask` is
-    the new rows' self-attention mask over every cached and new row,
-    `cross_mask` their mask over the encoder rows.
+    `emb` stacks lengths[b] new rows of each sequence b; sequence b
+    attends causally to its cached and new rows and cross-attends to the
+    cache's encoder sequence b.  Every layer extends its self-attention
+    cache with the new rows' keys and values.  The last layer runs its
+    query, attention, feed-forward and the final norm on the last read[b]
+    rows of each sequence only (every row when `read` is None), and those
+    rows' hidden states, stacked, are returned.
     """
     cfg = params.config
     p = params.decoder
+    keys = tuple(cache.length + n for n in lengths)
     h = ad.add(emb, positions)
     for i in range(cfg.n_dec_layers):
         normed = _ln(p, f"l{i}.ln1", h)
-        q = ad.affine(normed, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
+        queries = normed
+        if i == cfg.n_dec_layers - 1 and read is not None and read != lengths:
+            rows = [r for end, r_b in zip(np.cumsum(lengths), read) for r in range(end - r_b, end)]
+            queries, h, lengths = ad.embedding(normed, rows), ad.embedding(h, rows), read
+        q = ad.affine(queries, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         k, v = _project_kv(p, f"l{i}.attn", normed)
         if cache.length:
             past_k, past_v = cache.self_kv[i]
@@ -388,9 +388,11 @@ def _decoder_extend(
             cache.self_kv[i] = (k, v)
         else:
             cache.self_kv.append((k, v))
-        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, mask, collect))
+        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, (lengths, keys), causal=True,
+                              collect=collect))
         cross_q = ad.affine(_ln(p, f"l{i}.ln2", h), p[f"l{i}.cross.wq"], p[f"l{i}.cross.bq"])
-        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads, cross_mask))
+        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads,
+                              (lengths, cache.cross_lengths)))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
     cache.length += emb.shape[0]
     return _ln(p, "ln_out", h)
@@ -402,10 +404,11 @@ def _decoder_hidden(
     cond_ids: Sequence[Sequence[int]],
     t_ids: Sequence[Sequence[int]],
     prefix: Tensor | None,
+    read: tuple[int, ...] | None,
     collect: list | None = None,
-) -> tuple[Tensor, tuple[int, ...]]:
+) -> Tensor:
     """Hidden states of every example's [prefix, cond, t] rows in one pass,
-    stacked, and each example's row count.
+    the last read[b] rows of example b (all when `read` is None), stacked.
 
     Example b reads sequence b of u.  Its rows attend causally among
     themselves and, soft prefix rows included, count positions from 0,
@@ -417,10 +420,8 @@ def _decoder_hidden(
     lengths = tuple(n_prefix + len(c) + len(t) for c, t in zip(cond_ids, t_ids))
     emb = _decoder_input(params, cond_ids, t_ids, prefix)
     _check_length(params.config, max(lengths))
-    h = _decoder_extend(params, decoder_cache(params, u.rows), emb, _positions(lengths, params.config.d_model),
-                        _block_mask(lengths, lengths, causal=True),
-                        _block_mask(lengths, u.lengths, causal=False), collect)
-    return h, lengths
+    return _decoder_extend(params, decoder_cache(params, u), emb, _positions(lengths, params.config.d_model),
+                           lengths, read, collect)
 
 
 def _readout(params: ModelParams, rows: Tensor) -> Tensor:
@@ -440,10 +441,8 @@ def teacher_forced_logits(
     """Logits of a packed batch: for each example b in turn, the
     len(t_ids[b])+1 positions that predict t_ids[b] plus end-of-text,
     conditioned on cond_ids[b] and sequence b of the encoder outputs u."""
-    h, lengths = _decoder_hidden(params, u, cond_ids, t_ids, prefix)
     # an example's last len(t)+1 rows predict t and end-of-text
-    rows = [r for end, t in zip(np.cumsum(lengths), t_ids) for r in range(end - len(t) - 1, end)]
-    return _readout(params, ad.embedding(h, rows))
+    return _readout(params, _decoder_hidden(params, u, cond_ids, t_ids, prefix, tuple(len(t) + 1 for t in t_ids)))
 
 
 def decode_next(
@@ -475,8 +474,7 @@ def decode_next(
     n = emb.shape[0]
     _check_length(params.config, start + n)
     positions = Tensor(_positions_tensor(start + n, params.config.d_model).data[start:])
-    h = _decoder_extend(params, cache, emb, positions, _causal_mask(n, start) if n > 1 else None)
-    last = ad.narrow(h, 0, h.shape[0] - 1, 1)
+    last = _decoder_extend(params, cache, emb, positions, (n,), read=(1,))
     return ad.softmax(_readout(params, last), axis=-1).data[0]
 
 
@@ -573,7 +571,7 @@ def prompt_attention_block(
         raise ModelError(f"layer {layer} out of range for {cfg.n_dec_layers} decoder layers")
     layer = layer % cfg.n_dec_layers
     collect: list[np.ndarray] = []
-    _decoder_hidden(params, Packed(u, (u.shape[0],)), [cond_ids], [t_ids], prefix, collect=collect)
+    _decoder_hidden(params, Packed(u, (u.shape[0],)), [cond_ids], [t_ids], prefix, None, collect)
     attn = collect[layer]
     n_prefix = prefix.shape[0] if prefix is not None else 0
     n_cond = len(cond_ids)

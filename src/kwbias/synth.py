@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio import N_MELS
 from .container import read_container, write_container
-from .errors import KwbiasError
+from .errors import KwbiasError, require_finite
 from .rng import stream
 
 
@@ -68,6 +68,7 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        require_finite(self, SynthError)
         if self.n_common < 1 or self.n_jargon < 0:
             raise SynthError("need at least one common word and a nonnegative jargon count")
         if self.noise_sigma < 0:

@@ -24,6 +24,11 @@ example.  The frozen encoder of ``ft`` and ``pt`` runs in that same pass
 and, requiring no gradient, records nothing on the tape; ``kws`` encodes
 each drawn utterance with `model.encode`.  No encoder output is kept
 across steps, so a frozen encoder reruns on every draw of an utterance.
+The decoder computes only the rows the loss reads (see `model`), and
+attention keeps each packed example within its own block.
+
+`Adam` updates its moments and the parameters in place, with the
+textbook update's operations in its order, so a step allocates no array.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .container import read_container, write_container
-from .errors import KwbiasError
+from .errors import KwbiasError, require_finite
 from .model import (
     GROUPS,
     ModelConfig,
@@ -88,6 +93,7 @@ class TrainConfig:
     prompt_exposure: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self, TrainingError)
         if self.mode not in MODES:
             raise TrainingError(f"unknown training mode {self.mode!r}, expected one of {MODES}")
         if self.learning_rate <= 0:
@@ -105,7 +111,11 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with the standard constants; state keyed by parameter name."""
+    """Adam with the standard constants; state keyed by parameter name.
+
+    A step updates the moments and the parameter in place, through two
+    scratch arrays per parameter, with the operations of the textbook
+    update in its order, so the results are that update's bit for bit."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -115,19 +125,31 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        self._scratch = {name: (np.empty_like(p.data), np.empty_like(p.data)) for name, p in self.params}
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for name, p in self.params:
-            if p.grad is None:
-                continue
             g = p.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1**self.t)
-            vhat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
+            if g is None:
+                continue
+            m, v = self.m[name], self.v[name]
+            a, b = self._scratch[name]
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            m += np.multiply(1 - b1, g, out=a)
+            # v = b2 * v + (1 - b2) * g * g
+            v *= b2
+            np.multiply(1 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.sqrt(np.divide(v, c2, out=b), out=b)
+            b += self.EPS
+            p.data -= np.divide(a, b, out=a)
 
     def zero_grad(self) -> None:
         for _, p in self.params:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from kwbias import autodiff as ad
 from kwbias.autodiff import AutodiffError, ShapeError, Tape, Tensor, backward
-from kwbias.model import _causal_mask
 from kwbias.rng import stream
 
 from helpers import finite_difference, relative_error, weighted_sum
@@ -264,6 +263,18 @@ def test_gradients_accumulate_across_shared_use():
     assert np.allclose(w.grad, [2.0])
 
 
+def test_an_array_handed_to_two_inputs_is_not_shared_by_their_grads():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    w = np.array([0.5, -2.0])
+    with Tape():
+        tripled = ad.scale(a, 3.0)  # recorded first, so its adjoint adds to a.grad last
+        total = ad.add(ad.add(a, b), tripled)  # the inner add hands one array to a and b
+        backward(weighted_sum(total, w))
+    assert np.array_equal(a.grad, w + 3.0 * w)
+    assert np.array_equal(b.grad, w)
+
+
 def test_embedding_scatter_adds_repeated_ids():
     table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     with Tape():
@@ -301,22 +312,26 @@ def test_primitive_gradients_match_finite_differences():
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=5), requires_grad=True)
-    # 3 query rows at positions 2..4 over 5 key rows, as in a cached decoder step
     q = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
     k = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
     v = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
-    mask = _causal_mask(3, 2)
+    # 3 query rows at positions 2..4 over 5 key rows, as in a cached decoder step
+    suffix = ((3,), (5,))
+    # block 0: 1 query over 2 keys; block 1: 2 queries over 3 keys
+    blocks = ((1, 2), (2, 3))
 
     cases = {
         "gelu": (lambda: ad.gelu(x), [x]),
-        "narrow": (lambda: ad.concat([ad.narrow(x, 0, 1, 2), ad.narrow(x, 0, 0, 1)], axis=0), [x]),
+        "concat": (lambda: ad.concat([x, ad.scale(x, 2.0)], axis=1), [x]),
         "swap": (lambda: ad.swap_axes(ad.reshape(x, (4, 3)), 0, 1), [x]),
         "scale": (lambda: ad.scale(ad.add(x, Tensor(-np.ones(4))), -1.7), [x]),
         "affine": (lambda: ad.affine(x, w, b), [x, w, b]),
         "affine without bias": (lambda: ad.affine(x, w), [x, w]),
         "attention, 1 head": (lambda: ad.attention(q, k, v, 1), [q, k, v]),
         "attention, 4 heads": (lambda: ad.attention(q, k, v, 4), [q, k, v]),
-        "attention, 4 heads, causal": (lambda: ad.attention(q, k, v, 4, mask), [q, k, v]),
+        "attention, 4 heads, suffix-causal": (lambda: ad.attention(q, k, v, 4, suffix, True), [q, k, v]),
+        "attention, 4 heads, blocked": (lambda: ad.attention(q, k, v, 4, blocks), [q, k, v]),
+        "attention, 2 heads, blocked, causal": (lambda: ad.attention(q, k, v, 2, blocks, True), [q, k, v]),
     }
     for name, (build, inputs) in cases.items():
         weights = stream(8, "weights", name).normal(size=build().shape)
@@ -351,15 +366,42 @@ def _attention_reference(q, k, v, n_heads, mask):
 def test_fused_primitives_equal_the_plain_numpy_chain_bit_for_bit(n_heads, masked):
     rng = stream(10, "fused", n_heads, masked)
     q, k, v = rng.normal(size=(3, 8)), rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
-    mask = _causal_mask(3, 2) if masked else None
+    # the 3 queries are the last rows of the 5 keys
+    mask = np.triu(np.full((3, 5), -1e30), k=3) if masked else None
     collect = []
-    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), n_heads, mask, collect)
+    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), n_heads, ((3,), (5,)), masked, collect)
     expected, weights = _attention_reference(q, k, v, n_heads, mask)
     assert np.array_equal(out.data, expected)
     assert len(collect) == 1 and np.array_equal(collect[0], weights)
     x, w, b = rng.normal(size=(3, 8)), rng.normal(size=(8, 6)), rng.normal(size=6)
     assert np.array_equal(ad.affine(Tensor(x), Tensor(w), Tensor(b)).data, np.matmul(x, w) + b)
     assert np.array_equal(ad.affine(Tensor(x), Tensor(w)).data, np.matmul(x, w))
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_packed_attention_blocks_equal_each_block_run_alone(causal):
+    # three sequences of distinct lengths; the first two have fewer queries
+    # than keys, as a decode step or the read rows of a last layer do
+    q_lengths, k_lengths = (2, 1, 4), (3, 5, 4)
+    rng = stream(12, "blocks", causal)
+    q, k, v = (Tensor(rng.normal(size=(sum(n), 8)), requires_grad=True)
+               for n in (q_lengths, k_lengths, k_lengths))
+    weights = rng.normal(size=(sum(q_lengths), 8))
+    with Tape():
+        packed = ad.attention(q, k, v, 4, (q_lengths, k_lengths), causal)
+        backward(weighted_sum(packed, weights))
+    q0 = k0 = 0
+    for n, m in zip(q_lengths, k_lengths):
+        rows, keys = slice(q0, q0 + n), slice(k0, k0 + m)
+        q0, k0 = q0 + n, k0 + m
+        qb, kb, vb = (Tensor(t.data[sl].copy(), requires_grad=True) for t, sl in ((q, rows), (k, keys), (v, keys)))
+        with Tape():
+            alone = ad.attention(qb, kb, vb, 4, ((n,), (m,)), causal)
+            backward(weighted_sum(alone, weights[rows]))
+        assert np.array_equal(packed.data[rows], alone.data)
+        assert np.array_equal(q.grad[rows], qb.grad)
+        assert np.array_equal(k.grad[keys], kb.grad)
+        assert np.array_equal(v.grad[keys], vb.grad)
 
 
 def test_attention_and_affine_each_record_one_node():
@@ -369,7 +411,7 @@ def test_attention_and_affine_each_record_one_node():
     with Tape() as tape:
         y = ad.affine(x, w, b)
         assert len(tape) == 1
-        ad.attention(y, x, y, 4, _causal_mask(3, 0))
+        ad.attention(y, x, y, 4, ((1, 2), (1, 2)), causal=True)
         assert len(tape) == 2
         # nothing that requires a gradient: no node
         ad.attention(Tensor(x.data), w, w, 2)
@@ -387,8 +429,13 @@ def test_fused_primitives_reject_mismatched_shapes():
         ad.attention(a, b, a, 4)
     with pytest.raises(ShapeError, match="attention"):
         ad.attention(a, b, b, 3)
-    with pytest.raises(ShapeError, match="mask"):
-        ad.attention(a, b, b, 4, _causal_mask(3, 0))
+    # lengths that do not sum to the rows or do not pair up, a block without
+    # keys, and more causal queries than keys
+    for q, kv, lengths, causal in [(a, b, ((3,), (3,)), False), (a, b, ((1, 2), (5,)), False),
+                                   (a, b, ((2, 1), (5, 0)), False), (a, b, ((2, 1), (1, 4)), True),
+                                   (b, a, None, True)]:
+        with pytest.raises(ShapeError, match="lengths"):
+            ad.attention(q, kv, kv, 4, lengths, causal)
 
 
 def test_bce_with_logits_matches_manual_formula():

@@ -130,6 +130,24 @@ def test_more_positives_than_keywords_is_a_config_error(tmp_path, capsys):
     assert err.startswith("ConfigError: eval_positives")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--set", "kws_threshold=nan"], "kws_threshold must be finite, got nan"),
+    (["--set", "kws_threshold=1.5"], "kws_threshold must be in [0, 1], got 1.5"),
+    (["--set", "kws_threshold=-0.1"], "kws_threshold must be in [0, 1], got -0.1"),
+    (["--set", "noise_sigma=nan"], "noise_sigma must be finite, got nan"),
+    (["--set", "lr_ft=nan"], "lr_ft must be finite, got nan"),
+    (["--set", "lr_pt=inf"], "lr_pt must be finite, got inf"),
+    (["--set", "prompt_exposure=-inf"], "prompt_exposure must be finite, got -inf"),
+    (["--conditions", ","], "--conditions names no condition: ','"),
+], ids=["threshold-nan", "threshold-above-1", "threshold-below-0", "noise-nan", "lr-nan", "lr-inf",
+        "exposure-inf", "no-conditions"])
+def test_bad_float_settings_and_empty_conditions_are_config_errors(tmp_path, capsys, argv, message):
+    # each is rejected before any input is read, so the data directory can be empty
+    rc = main(["evaluate", "--data", str(tmp_path), "--out", str(tmp_path / "x"), *argv])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"ConfigError: {message}"
+
+
 def test_scale_steps_scales_every_stage_and_floors_at_one():
     cfg = RunConfig()
     assert cfg.scale_steps(1.0) == cfg

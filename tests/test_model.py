@@ -10,7 +10,10 @@ from kwbias.model import (
     ModelConfig,
     ModelError,
     Packed,
+    _decoder_hidden,
+    _readout,
     encode,
+    encode_batch,
     decode_budget,
     decode_next,
     decoder_cache,
@@ -202,6 +205,26 @@ def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
     np.testing.assert_allclose(decode_next(fresh, u, cond, t_ids, q, cache), ref[-1], rtol=0, atol=1e-12)
     with pytest.raises(ModelError, match="already cached"):
         decode_next(fresh, u, cond, t_ids, q, cache)
+
+
+@pytest.mark.parametrize("n_prefix", [0, 3])
+def test_teacher_forcing_reads_only_the_predicting_rows(vocab, n_prefix):
+    # the last layer runs the read rows alone; reading every row and
+    # gathering the predicting ones gives the same logits
+    fresh = init_params(CFG, seed=11)
+    q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
+    rng = stream(16, "u")
+    u = encode_batch(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7)])
+    conds = [[vocab.sot_id], [vocab.sop_id, 10, 11, vocab.sot_id], [vocab.sop_id, 12, vocab.sot_id]]
+    t_ids = [[7, 8, 9], [], [20, 33, 41, 7, 9]]
+    lengths = [n_prefix + len(c) + len(t) for c, t in zip(conds, t_ids)]
+    rows = [r for end, t in zip(np.cumsum(lengths), t_ids) for r in range(end - len(t) - 1, end)]
+    every_row = _decoder_hidden(fresh, u, conds, t_ids, q, None)
+    assert every_row.shape == (sum(lengths), CFG.d_model)
+    expected = _readout(fresh, Tensor(every_row.data[rows])).data
+    got = teacher_forced_logits(fresh, u, conds, t_ids, q).data
+    assert got.shape == (sum(len(t) + 1 for t in t_ids), CFG.vocab_size)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_prefix", [0, 3])

@@ -1,0 +1,53 @@
+"""scripts/paired_bench.py on stand-in checkouts whose benchmark prints fixed results."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "paired_bench.py"
+spec = importlib.util.spec_from_file_location("paired_bench", SCRIPT)
+paired_bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(paired_bench)
+
+BENCHMARK = {"end_to_end": [{"name": "speed", "better": "higher"}, {"name": "wait", "better": "lower"}]}
+
+
+def _checkout(root: Path, speed: str, correct: bool = True, failed: int = 0) -> Path:
+    """A directory whose perfbench/run.py prints one result line; `speed`
+    is a Python expression of the run's seed."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    (root / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        f"print(json.dumps({{'correct': {correct}, 'attempted': 5, 'failed': {failed},\n"
+        f"    'metrics': {{'speed': {{'value': {speed}}}, 'wait': {{'value': 2.0}}}}}}))\n"
+    )
+    return root
+
+
+def test_prints_quartiles_wins_and_the_gain_rule(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", "100.0 + seed % 3")
+    change = _checkout(tmp_path / "change", "110.0 + seed % 3")
+    assert paired_bench.main([str(parent), str(change), "--workload", "eval", "--pairs", "4", "--seed0", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:8]] == [
+        "pair 0 seed 0 parent", "pair 0 seed 0 change", "pair 1 seed 1 change", "pair 1 seed 1 parent",
+        "pair 2 seed 2 parent", "pair 2 seed 2 change", "pair 3 seed 3 change", "pair 3 seed 3 parent"]
+    # parent speeds 100, 101, 102, 100: median 100.5, quartiles 100 and 101.25
+    speed = next(line for line in lines if line.startswith("speed "))
+    assert "parent 100.5 [100, 101.25]" in speed and "change 110.5 [110, 111.25]" in speed
+    assert "wins 4/4" in speed and "median gain +10 exceeds parent IQR 1.25" in speed
+    assert speed.endswith(": gain")
+    wait = next(line for line in lines if line.startswith("wait "))
+    assert "wins 0/4" in wait and wait.endswith(": no gain")
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
+def test_refuses_an_incorrect_or_failing_run(tmp_path, correct, failed):
+    parent = _checkout(tmp_path / "parent", "100.0")
+    change = _checkout(tmp_path / "change", "110.0", correct=correct, failed=failed)
+    with pytest.raises(SystemExit, match="is refused"):
+        paired_bench.main([str(parent), str(change), "--workload", "eval", "--pairs", "2", "--seed0", "7"])

@@ -131,6 +131,11 @@ def test_noiseless_corpus_supports_table_lookup_decoding():
 def test_invalid_specs_are_rejected():
     with pytest.raises(SynthError, match="noise_sigma"):
         SynthSpec(noise_sigma=-0.1)
+    # NaN passes `< 0` and would skip both the noise and the dedupe branch
+    for name in ("noise_sigma", "confusable_offset", "jargon_fraction"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(SynthError, match=f"^{name} must be finite, got {value}$"):
+                SynthSpec(**{name: value})
     with pytest.raises(SynthError, match="max_words"):
         SynthSpec(n_common=3, min_words=3, max_words=4)
     with pytest.raises(SynthError, match="jargon_per_utterance"):

@@ -50,6 +50,9 @@ def test_train_config_validation():
         TrainConfig(mode="ft", steps=1, learning_rate=1e-3, batch_size=1)
     with pytest.raises(TrainingError, match="steps"):
         TrainConfig(mode="pt", steps=0, learning_rate=1e-3)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(TrainingError, match=f"^learning_rate must be finite, got {value}$"):
+            TrainConfig(mode="pt", steps=1, learning_rate=value)
 
 
 def test_initial_asr_loss_is_log_vocab(corpus):
@@ -108,16 +111,17 @@ def test_one_asr_batch_records_the_hand_counted_graph(corpus):
     # cross-attention k/v affines per layer, embedding, + positions; per
     # layer: self-attention as in the encoder (7), cross-attention q affine,
     # attention, output affine and residual add after a layer norm (5),
-    # feed-forward (5); final layer norm, the gather of the predicting rows,
+    # feed-forward (5); in the last layer, the gathers of the predicting
+    # rows of the normed input and of the residual (2); final layer norm,
     # and the tied readout's swap, matmul, scale and bias add
-    decoder = 2 * MODEL.n_dec_layers + 2 + 17 * MODEL.n_dec_layers + 1 + 1 + 4
+    decoder = 2 * MODEL.n_dec_layers + 2 + 17 * MODEL.n_dec_layers + 2 + 1 + 4
     counts = []
     for n in (1, 2, 4):
         batch = [(u.frames, vocab.tokenize(u.text)) for u in splits["train"][:n]]
         with Tape() as tape:
             loss_asr(params, vocab, batch, [assemble_prompt(vocab, ())] * n)
         counts.append(len(tape))
-    assert counts == [encoder + decoder + 1] * 3 and counts[0] == 44  # + cross-entropy
+    assert counts == [encoder + decoder + 1] * 3 and counts[0] == 45  # + cross-entropy
 
 
 def _mixed_batch(splits, vocab):
@@ -307,6 +311,26 @@ def test_adam_moves_only_tensors_with_gradients():
     opt.step()
     assert not np.array_equal(t1.data, np.ones(3))
     assert np.array_equal(t2.data, np.ones(3))
+
+
+def test_three_adam_steps_equal_the_textbook_update_bit_for_bit():
+    rng = stream(20, "adam")
+    start = rng.normal(size=(3, 4))
+    grads = [rng.normal(size=(3, 4)) for _ in range(3)]
+    t = Tensor(start.copy(), requires_grad=True)
+    opt = Adam([("w", t)], lr=0.01)
+    p, m, v = start.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for step, g in enumerate(grads, 1):
+        t.grad = g.copy()
+        opt.step()
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat = m / (1 - b1**step)
+        vhat = v / (1 - b2**step)
+        p = p - 0.01 * mhat / (np.sqrt(vhat) + eps)
+        assert np.array_equal(t.data, p) and np.array_equal(opt.m["w"], m) and np.array_equal(opt.v["w"], v)
+        assert np.array_equal(t.grad, g)  # the step reads the gradient only
 
 
 def test_checkpoint_round_trip_and_hash_validation(tmp_path, corpus):
