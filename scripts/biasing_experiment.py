@@ -8,25 +8,33 @@ directional checks the mechanism is supposed to deliver.  It also prints
 each seed's time, of which its set-up (corpus, vocabulary, evaluation
 context), and the total time.
 
-Seeds run in a pool of one process per seed, at most one per core.  Each
-worker builds the set-up itself, which costs well under a second against
-a seed's training, and rows print in seed order, so the output is that of
-running the seeds one after another except for the timing lines.
+Seeds run in a pool of one process per seed, at most one per core, and
+every process runs BLAS on one thread.  Each worker builds the set-up
+itself, which costs well under a second against a seed's training, and
+rows print in seed order, so the output is that of running the seeds one
+after another except for the timing lines.
 
     PYTHONPATH=src python scripts/biasing_experiment.py --seeds 0 1 --steps-scale 0.05
 """
 
-import argparse
-import multiprocessing
 import os
-import time
-from dataclasses import replace
-from functools import partial
 
-from kwbias.config import RunConfig
-from kwbias.harness import evaluate_conditions, make_eval_context, train_stack
-from kwbias.synth import generate_corpus
-from kwbias.text import build_vocab
+# One thread per process: pin BLAS/OpenMP before numpy is imported.  The
+# spawned seed workers inherit the environment, so they do not
+# oversubscribe the cores that the pool already fills.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import multiprocessing  # noqa: E402
+import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from functools import partial  # noqa: E402
+
+from kwbias.config import ConfigError, RunConfig  # noqa: E402
+from kwbias.harness import evaluate_conditions, make_eval_context, train_stack  # noqa: E402
+from kwbias.synth import generate_corpus  # noqa: E402
+from kwbias.text import build_vocab  # noqa: E402
 
 CONDITIONS = ["baseline", "pt", "pt-oracle", "ft-oracle"]
 
@@ -51,7 +59,10 @@ def main() -> None:
     args = parser.parse_args()
 
     start = time.monotonic()
-    cfg = RunConfig().scale_steps(args.steps_scale)
+    try:
+        cfg = RunConfig().scale_steps(args.steps_scale)
+    except ConfigError as exc:
+        parser.error(str(exc))
     workers = min(len(args.seeds), os.cpu_count() or 1)
     print(f"{'seed':>4}  {'cond':<12} {'WER':>7} {'F1':>7}")
     wins = {"f1_gap": 0, "wer_order": 0, "sandwich": 0}

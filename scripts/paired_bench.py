@@ -16,6 +16,16 @@ parent's by more than the parent's interquartile range.  A gain is
 claimed when the change wins at least nine tenths of the pairs and its
 median gain exceeds that range.  Every run's value is printed as it
 finishes.
+
+It then gives each metric a no-regression verdict against the metric's
+`bound`, read as a share of the parent's median:
+
+- "worse by X > bound": the change's median is worse than the parent's
+  by more than the bound;
+- "unresolved": the parent's interquartile range is wider than the
+  bound, so its own runs spread too widely to tell, and not every run of
+  the change beats every run of the parent;
+- "no worse" otherwise.
 """
 
 import argparse
@@ -61,6 +71,18 @@ def summary(name: str, better: str, parent: list[float], change: list[float]) ->
             f"({better} is better): {verdict}")
 
 
+def regression(better: str, bound: float, parent: list[float], change: list[float]) -> str:
+    sign = 1.0 if better == "higher" else -1.0
+    p1, pm, p3 = quartiles(parent)
+    limit = bound * abs(pm)
+    worse = sign * (pm - quartiles(change)[1])
+    if worse > limit:
+        return f"worse by {worse:.6g} > bound {limit:.6g}"
+    if p3 - p1 > limit and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return f"unresolved: the parent's own runs spread by IQR {p3 - p1:.6g}, wider than the bound {limit:.6g}"
+    return "no worse"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -73,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="paired_bench-") as tmp:
         for i in range(args.pairs):
@@ -82,12 +104,16 @@ def main(argv: list[str] | None = None) -> int:
             for side in order:
                 values = run_once(getattr(args, side), args.workload, seed, Path(tmp) / side)
                 runs[side].append(values)
-                print(f"pair {i} seed {seed} {side}: " + " ".join(f"{n}={values[n]:.6g}" for n, _ in metrics),
+                print(f"pair {i} seed {seed} {side}: " + " ".join(f"{n}={values[n]:.6g}" for n, _, _ in metrics),
                       flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}")
-    for name, better in metrics:
-        print(summary(name, better, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]))
+    series = {name: ([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]) for name, _, _ in metrics}
+    for name, better, _ in metrics:
+        print(summary(name, better, *series[name]))
+    print("\nno regression, each bound a share of the parent's median:")
+    for name, better, bound in metrics:
+        print(f"{name:<22} bound {bound:g}: {regression(better, bound, *series[name])}")
     return 0
 
 

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from kwbias.cli import main as kwbias_main
-from kwbias.config import RunConfig
+from kwbias.config import ConfigError, RunConfig
 
 
 def run(args: list[str]) -> None:
@@ -29,7 +29,10 @@ def main() -> None:
                         help="multiply every stage's default step count")
     args = parser.parse_args()
 
-    cfg = RunConfig().scale_steps(args.steps_scale)
+    try:
+        cfg = RunConfig().scale_steps(args.steps_scale)
+    except ConfigError as exc:
+        parser.error(str(exc))
     root = args.root
     data = root / "data"
     common = ["--seed", str(args.seed)]

@@ -201,6 +201,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_attn_export(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     extra = {"attn_layer": str(args.layer)} if args.layer is not None else {}
     cfg = _config(args, extra)
     out = _out_dir(args)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -110,7 +111,10 @@ class RunConfig:
                            learning_rate=getattr(self, lr_key))
 
     def scale_steps(self, factor: float) -> "RunConfig":
-        """Every stage's step count times `factor`, rounded down but at least 1."""
+        """Every stage's step count times `factor`, rounded down but at least 1.
+        A factor that is not finite and > 0 is an error."""
+        if not 0.0 < factor < math.inf:
+            raise ConfigError(f"step scale must be finite and > 0, got {factor}")
         steps = {key: max(1, int(getattr(self, key) * factor)) for key, _ in STAGE_KEYS.values()}
         return dataclasses.replace(self, **steps)
 

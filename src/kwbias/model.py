@@ -19,8 +19,13 @@ unsplit (rows, d_model) tensors, so head splitting never shows up here.
 Decoding is incremental.  A `DecoderCache` holds each layer's
 cross-attention K/V over the encoder output, projected once per
 utterance, and each layer's self-attention K/V of the rows decoded so
-far, all unsplit.  Greedy decoding runs [prefix, prompt] in one causal
-pass, then one new row per step against the cache.
+far, all unsplit.  `_decoder_extend` is the one place that turns token
+ids into decoder rows: a sequence is [soft prefix, prompt, text], the
+prefix rows going in front when the cache is empty; positions count
+from 0 across all of them and continue from the cached length; and no
+sequence holds more than `max_tgt_len` rows.  Greedy decoding runs
+[prefix, prompt] in one causal pass, then one new row per step against
+the cache.
 
 Training batches are packed, with no padding: `encode_batch` stacks the
 frame rows of every utterance into one encoder pass, and
@@ -196,26 +201,28 @@ def init_prefix(params: ModelParams, n_tokens: int, seed: int) -> Tensor:
     return q
 
 
+@lru_cache(maxsize=256)
 def sinusoid_positions(n: int, d: int) -> np.ndarray:
+    """Sinusoidal encodings of positions 0..n-1, read-only: every caller
+    shares the cached array.  Row i does not depend on n."""
     pos = np.arange(n)[:, None]
     dim = np.arange(d // 2)[None, :]
     angle = pos / np.power(10000.0, 2.0 * dim / d)
     pe = np.zeros((n, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
     return pe
 
 
-@lru_cache(maxsize=256)
-def _positions_tensor(n: int, d: int) -> Tensor:
-    return Tensor(sinusoid_positions(n, d))
-
-
-def _positions(lengths: tuple[int, ...], d: int) -> Tensor:
+def _positions(lengths: tuple[int, ...], d: int, start: int = 0) -> Tensor:
     """Positional rows of sequences of the given lengths, stacked; each
-    sequence counts from position 0."""
-    table = _positions_tensor(max(lengths), d).data
-    return Tensor(np.concatenate([table[:n] for n in lengths]))
+    sequence counts from position `start`."""
+    table = sinusoid_positions(start + max(lengths), d)
+    if len(lengths) == 1:
+        # one sequence, as in every decode step: a view, no copy
+        return Tensor(table[start:])
+    return Tensor(np.concatenate([table[start : start + n] for n in lengths]))
 
 
 class Packed(NamedTuple):
@@ -327,59 +334,44 @@ def decoder_cache(params: ModelParams, u: Tensor | Packed) -> DecoderCache:
     )
 
 
-def _decoder_input(
-    params: ModelParams,
-    cond_ids: Sequence[Sequence[int]],
-    t_ids: Sequence[Sequence[int]],
-    prefix: Tensor | None,
-) -> Tensor:
-    """Embedded [prefix, cond, t] rows of each fresh decode, stacked, as one
-    gather."""
-    if not all(cond_ids):
-        raise ModelError("conditioning must contain at least the transcript-start token")
-    table = params.decoder["embed"]
-    if prefix is None:
-        return ad.embedding(table, [tok for c, t in zip(cond_ids, t_ids) for tok in (*c, *t)])
-    # the prefix rows sit before the table, so token id i is row n + i
-    n = prefix.shape[0]
-    rows = [r for c, t in zip(cond_ids, t_ids) for r in (*range(n), *(n + i for i in (*c, *t)))]
-    return ad.embedding(ad.concat([prefix, table], axis=0), rows)
-
-
-def _check_length(cfg: ModelConfig, total: int) -> None:
-    if total > cfg.max_tgt_len:
-        raise ModelError(f"conditioning length {total} exceeds max_tgt_len {cfg.max_tgt_len}")
-
-
 def _decoder_extend(
     params: ModelParams,
     cache: DecoderCache,
-    emb: Tensor,
-    positions: Tensor,
-    lengths: tuple[int, ...],
+    ids: Sequence[Sequence[int]],
+    prefix: Tensor | None,
     read: tuple[int, ...] | None = None,
     collect: list | None = None,
 ) -> Tensor:
-    """Run the decoder over rows appended after the cached ones.
+    """Run the decoder over the rows of token ids appended after the cached
+    ones; the one place that lays out decoder rows.
 
-    `emb` stacks lengths[b] new rows of each sequence b; sequence b
-    attends causally to its cached and new rows and cross-attends to the
-    cache's encoder sequence b.  Every layer extends its self-attention
-    cache with the new rows' keys and values.  The last layer runs its
-    query, attention, feed-forward and the final norm on the last read[b]
-    rows of each sequence only (every row when `read` is None), and those
-    rows' hidden states, stacked, are returned.
+    Sequence b gets the rows of ids[b], after the soft prefix's rows when
+    the cache is empty and a prefix is given, at positions that continue
+    from `cache.length`, and at most `max_tgt_len` rows in all.  It attends
+    causally to its cached and new rows and cross-attends to the cache's
+    encoder sequence b.  Every layer extends its self-attention cache with
+    the new rows' keys and values.  The last layer runs its query,
+    attention, feed-forward and the final norm on the last read[b] rows of
+    each sequence only (every row when `read` is None), and those rows'
+    hidden states, stacked, are returned.
     """
     cfg = params.config
     p = params.decoder
+    n_prefix = prefix.shape[0] if prefix is not None and not cache.length else 0
+    # the prefix rows sit before the table, so token id i is row n_prefix + i
+    table = ad.concat([prefix, p["embed"]], axis=0) if n_prefix else p["embed"]
+    rows = [r for seq in ids for r in (*range(n_prefix), *(n_prefix + i for i in seq))]
+    lengths = tuple(n_prefix + len(seq) for seq in ids)
     keys = tuple(cache.length + n for n in lengths)
-    h = ad.add(emb, positions)
+    if max(keys) > cfg.max_tgt_len:
+        raise ModelError(f"conditioning length {max(keys)} exceeds max_tgt_len {cfg.max_tgt_len}")
+    h = ad.add(ad.embedding(table, rows), _positions(lengths, cfg.d_model, cache.length))
     for i in range(cfg.n_dec_layers):
         normed = _ln(p, f"l{i}.ln1", h)
         queries = normed
         if i == cfg.n_dec_layers - 1 and read is not None and read != lengths:
-            rows = [r for end, r_b in zip(np.cumsum(lengths), read) for r in range(end - r_b, end)]
-            queries, h, lengths = ad.embedding(normed, rows), ad.embedding(h, rows), read
+            kept = [r for end, r_b in zip(np.cumsum(lengths), read) for r in range(end - r_b, end)]
+            queries, h, lengths = ad.embedding(normed, kept), ad.embedding(h, kept), read
         q = ad.affine(queries, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         k, v = _project_kv(p, f"l{i}.attn", normed)
         if cache.length:
@@ -394,8 +386,13 @@ def _decoder_extend(
         h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads,
                               (lengths, cache.cross_lengths)))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
-    cache.length += emb.shape[0]
+    cache.length += len(rows)
     return _ln(p, "ln_out", h)
+
+
+def _require_start(cond_ids: Sequence[Sequence[int]]) -> None:
+    if not all(cond_ids):
+        raise ModelError("conditioning must contain at least the transcript-start token")
 
 
 def _decoder_hidden(
@@ -416,12 +413,9 @@ def _decoder_hidden(
     if len(cond_ids) != len(u.lengths) or len(t_ids) != len(u.lengths):
         raise ModelError(f"got {len(cond_ids)} conditionings and {len(t_ids)} targets "
                          f"for {len(u.lengths)} encoder outputs")
-    n_prefix = prefix.shape[0] if prefix is not None else 0
-    lengths = tuple(n_prefix + len(c) + len(t) for c, t in zip(cond_ids, t_ids))
-    emb = _decoder_input(params, cond_ids, t_ids, prefix)
-    _check_length(params.config, max(lengths))
-    return _decoder_extend(params, decoder_cache(params, u), emb, _positions(lengths, params.config.d_model),
-                           lengths, read, collect)
+    _require_start(cond_ids)
+    return _decoder_extend(params, decoder_cache(params, u), [[*c, *t] for c, t in zip(cond_ids, t_ids)],
+                           prefix, read, collect)
 
 
 def _readout(params: ModelParams, rows: Tensor) -> Tensor:
@@ -460,21 +454,15 @@ def decode_next(
     rows of this same sequence runs only the rows after them, and is
     extended with their keys and values.
     """
+    _require_start([cond_ids])
     if cache is None:
         cache = decoder_cache(params, u)
-    start = cache.length
-    if start == 0:
-        emb = _decoder_input(params, [cond_ids], [t_prev], prefix)
-    else:
-        n_prefix = prefix.shape[0] if prefix is not None else 0
-        new_ids = [*cond_ids, *t_prev][start - n_prefix :]
-        if not new_ids:
-            raise ModelError("nothing to decode: every row is already cached")
-        emb = ad.embedding(params.decoder["embed"], new_ids)
-    n = emb.shape[0]
-    _check_length(params.config, start + n)
-    positions = Tensor(_positions_tensor(start + n, params.config.d_model).data[start:])
-    last = _decoder_extend(params, cache, emb, positions, (n,), read=(1,))
+    # a cache that holds rows holds the prefix's rows first
+    cached = cache.length - prefix.shape[0] if prefix is not None and cache.length else cache.length
+    new_ids = [*cond_ids, *t_prev][cached:]
+    if not new_ids:
+        raise ModelError("nothing to decode: every row is already cached")
+    last = _decoder_extend(params, cache, [new_ids], prefix, read=(1,))
     return ad.softmax(_readout(params, last), axis=-1).data[0]
 
 

@@ -8,12 +8,17 @@ import builtins
 import hashlib
 import io
 import json
+import math
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import wave
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,8 @@ from kwbias.text import Vocab
 from kwbias.training import MODES, TrainConfig, checkpoint_load, checkpoint_save
 
 from helpers import MALFORMED_CHECKPOINTS, rewrite_checkpoint
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_defaults_from_empty_file(tmp_path):
@@ -155,6 +162,17 @@ def test_scale_steps_scales_every_stage_and_floors_at_one():
     tiny = cfg.scale_steps(0.001)
     assert {mode: tiny.train_config(mode).steps for mode in MODES} == {
         "base-asr": 3, "kws": 1, "ft": 1, "pt": 1}
+    for factor in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError, match=f"step scale must be finite and > 0, got {factor}"):
+            cfg.scale_steps(factor)
+
+
+@pytest.mark.parametrize("script", ["biasing_experiment.py", "run_pipeline.py"])
+def test_scripts_report_a_bad_step_scale_as_one_error_line(script, tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--steps-scale", "nan"], cwd=tmp_path,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{script}: error: step scale must be finite and > 0, got nan"
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +300,16 @@ def test_attn_export_writes_its_summary(cli_world, tmp_path):
     words = data / "words.json"
     assert _input_line(out, "words", words, f"sha256={hashlib.sha256(words.read_bytes()).hexdigest()}")
     assert _input_line(out, "train-data", data / "train.ds", f"digest={dataset_load(data / 'train.ds')[1]}")
+
+
+def test_attn_export_rejects_a_negative_limit(cli_world, capsys, tmp_path):
+    _, data, _, _, pt = cli_world
+    out = tmp_path / "attn"
+    rc = main(["attn-export", "--data", str(data), "--out", str(out), "--pt-ckpt", str(pt / "pt.ckpt"),
+               "--limit", "-1", *TINY_OVERRIDES])
+    assert rc == 2
+    assert capsys.readouterr().err == "ConfigError: --limit must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_attn_export_on_a_truncated_word_bank_is_a_single_line_error(cli_world, capsys, tmp_path):

@@ -208,6 +208,20 @@ def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
 
 
 @pytest.mark.parametrize("n_prefix", [0, 3])
+def test_empty_conditioning_is_an_error(vocab, n_prefix):
+    fresh = init_params(CFG, seed=11)
+    q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
+    u = encode_batch(fresh, [stream(14, "u").normal(size=(n, 8)) for n in (10, 12)])
+    start = "conditioning must contain at least the transcript-start token"
+    with pytest.raises(ModelError, match=start):
+        teacher_forced_logits(fresh, u, [[vocab.sot_id], []], [[7, 8], [9]], q)
+    u = encode(fresh, stream(14, "u").normal(size=(10, 8)))
+    for t_prev in ([], [7, 8]):
+        with pytest.raises(ModelError, match=start):
+            decode_next(fresh, u, [], t_prev, q, decoder_cache(fresh, u))
+
+
+@pytest.mark.parametrize("n_prefix", [0, 3])
 def test_teacher_forcing_reads_only_the_predicting_rows(vocab, n_prefix):
     # the last layer runs the read rows alone; reading every row and
     # gathering the predicting ones gives the same logits

@@ -11,19 +11,20 @@ spec = importlib.util.spec_from_file_location("paired_bench", SCRIPT)
 paired_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(paired_bench)
 
-BENCHMARK = {"end_to_end": [{"name": "speed", "better": "higher"}, {"name": "wait", "better": "lower"}]}
+BENCHMARK = {"end_to_end": [{"name": "speed", "better": "higher", "bound": 0.05},
+                            {"name": "wait", "better": "lower", "bound": 0.1}]}
 
 
-def _checkout(root: Path, speed: str, correct: bool = True, failed: int = 0) -> Path:
+def _checkout(root: Path, speed: str, correct: bool = True, failed: int = 0, wait: str = "2.0") -> Path:
     """A directory whose perfbench/run.py prints one result line; `speed`
-    is a Python expression of the run's seed."""
+    and `wait` are Python expressions of the run's seed."""
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     (root / "perfbench" / "run.py").write_text(
         "import json, sys\n"
         "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
         f"print(json.dumps({{'correct': {correct}, 'attempted': 5, 'failed': {failed},\n"
-        f"    'metrics': {{'speed': {{'value': {speed}}}, 'wait': {{'value': 2.0}}}}}}))\n"
+        f"    'metrics': {{'speed': {{'value': {speed}}}, 'wait': {{'value': {wait}}}}}}}))\n"
     )
     return root
 
@@ -43,6 +44,25 @@ def test_prints_quartiles_wins_and_the_gain_rule(tmp_path, capsys):
     assert speed.endswith(": gain")
     wait = next(line for line in lines if line.startswith("wait "))
     assert "wins 0/4" in wait and wait.endswith(": no gain")
+    assert lines[-3:] == ["no regression, each bound a share of the parent's median:",
+                          "speed                  bound 0.05: no worse", "wait                   bound 0.1: no worse"]
+
+
+# in the last two cases the parent's speeds over seeds 0-3 are 100, 120,
+# 100, 120: median 110, IQR 20, wider than speed's bound of 0.05 * 110 = 5.5
+@pytest.mark.parametrize("parent_speed, change_speed, change_wait, verdicts", [
+    ("100.0", "94.0", "2.0", ["worse by 6 > bound 5", "no worse"]),
+    ("100.0", "100.0", "2.3", ["no worse", "worse by 0.3 > bound 0.2"]),
+    ("100.0 + 20 * (seed % 2)", "108.0", "2.0", [
+        "unresolved: the parent's own runs spread by IQR 20, wider than the bound 5.5", "no worse"]),
+    ("100.0 + 20 * (seed % 2)", "121.0", "2.0", ["no worse", "no worse"]),
+])
+def test_no_regression_verdict_per_metric(tmp_path, capsys, parent_speed, change_speed, change_wait, verdicts):
+    parent = _checkout(tmp_path / "parent", parent_speed)
+    change = _checkout(tmp_path / "change", change_speed, wait=change_wait)
+    assert paired_bench.main([str(parent), str(change), "--workload", "eval", "--pairs", "4", "--seed0", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 1)[1] for line in lines[-2:]] == verdicts
 
 
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
