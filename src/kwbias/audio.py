@@ -64,8 +64,8 @@ def load_wav(source: Path | str | BinaryIO) -> Waveform:
             n_channels = w.getnchannels()
             raw = w.readframes(w.getnframes())
             rate = w.getframerate()
-    except wave.Error as exc:
-        raise AudioFormatError(f"not a readable PCM WAV file: {exc}") from exc
+    except (wave.Error, EOFError) as exc:  # `wave` lets EOFError out of a header cut short
+        raise AudioFormatError(f"not a readable PCM WAV file: {exc or 'unexpected end of file'}") from exc
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_channels > 1:
         pcm = pcm.reshape(-1, n_channels).mean(axis=1)

@@ -296,7 +296,7 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
+    if ids and (min(ids) < 0 or max(ids) >= table.data.shape[0]):
         raise ShapeError(f"embedding id out of range for table of {table.data.shape[0]} rows")
     out = _track(table.data[idx], (table,))
     if not out.requires_grad:

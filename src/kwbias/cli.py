@@ -254,7 +254,7 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
             raise ConfigError(f"--index {args.index} is outside the {len(utts)}-utterance test split")
         frames = utts[args.index].frames
 
-    u = encode(params, frames)
+    u = encode(params, [frames])
     prefix = params.prefix.get("q")
     lines = []
     if args.keywords:
@@ -263,7 +263,7 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
                                     for s in dict.fromkeys(surfaces)))
         if args.kws_ckpt is not None:
             kws_params, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
-            kws_u = u if same_encoder(kws_params, params) else encode(kws_params, frames)
+            kws_u = u if same_encoder(kws_params, params) else encode(kws_params, [frames])
             pred = kws_detect(kws_params, kws_u, [kw.tokens for kw in keywords], threshold=cfg.kws_threshold)
             prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
             detected = [kw.surface for kw, d in zip(keywords, pred.decisions) if d]

@@ -150,8 +150,12 @@ def _reject_unknown(key: str) -> None:
 
 def read_config_file(path: Path | str) -> dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -23,12 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .config import RunConfig
 from .errors import KwbiasError
 from .metrics import KeywordF1, WerBreakdown, compute_wer, keyword_f1
 from .model import (
     ModelParams,
+    Packed,
     decode_budget,
     encode,
     init_params,
@@ -113,13 +113,13 @@ class EncoderPasses:
     set, and otherwise makes its own."""
 
     def __init__(self) -> None:
-        self._passes: list[tuple[Sequence[Utterance], ModelParams, list[Tensor]]] = []
+        self._passes: list[tuple[Sequence[Utterance], ModelParams, list[Packed]]] = []
 
-    def __call__(self, params: ModelParams, test_set: Sequence[Utterance]) -> list[Tensor]:
+    def __call__(self, params: ModelParams, test_set: Sequence[Utterance]) -> list[Packed]:
         for seen_set, seen, outputs in self._passes:
             if seen_set is test_set and same_encoder(seen, params):
                 return outputs
-        outputs = [encode(params, utt.frames) for utt in test_set]
+        outputs = [encode(params, [utt.frames]) for utt in test_set]
         self._passes.append((test_set, params, outputs))
         return outputs
 
@@ -323,7 +323,7 @@ def export_attention(
         prompt = assemble_prompt(vocab, positives)
         spans = prompt_keyword_spans(positives)
         t_ids = vocab.tokenize(utt.text)
-        u = encode(params, utt.frames)
+        u = encode(params, [utt.frames])
         block, row_sums = prompt_attention_block(params, u, prompt, t_ids, prefix, layer)
 
         kw = jargon_kws[0]

@@ -4,12 +4,12 @@ Encoder: stride-2 frame downsampling (a kernel-2 convolution realized as
 reshape + matmul), sinusoidal positions, pre-norm self-attention blocks.
 Decoder: token embeddings plus optional learned soft-prefix rows, causal
 self-attention over [prefix, prompt, text], cross-attention to the
-encoder output, and an output projection.  The keyword head scores the
-whole keyword list in one pass: a (K, total token count) pooling matrix
-averages each keyword's token embeddings into one query row, the K
-queries attend over the encoder output (keys and values projected once
-per call), and a small MLP scores presence.  An empty list runs through
-the same graph and gives shape (0,).
+encoder output, and an output projection.  The keyword head scores a
+batch's keywords in one pass: a (K, total token count) pooling matrix
+averages each keyword's token embeddings into one query row, sequence
+b's queries attend over its own encoder rows only (keys and values
+projected once per call), and a small MLP scores presence.  A sequence
+with no keywords runs through the same graph.
 
 One fused primitive, `autodiff.attention`, serves the encoder, the
 decoder's self- and cross-attention and the keyword head (as a single
@@ -27,16 +27,17 @@ sequence holds more than `max_tgt_len` rows.  Greedy decoding runs
 [prefix, prompt] in one causal pass, then one new row per step against
 the cache.
 
-Training batches are packed, with no padding: `encode_batch` stacks the
-frame rows of every utterance into one encoder pass, and
-`teacher_forced_logits` stacks every example's [prefix, prompt, text]
-rows into one decoder pass over an empty cache.  Attention takes each
-sequence's lengths instead of a mask and runs block by block: encoder
-self-attention stays within each utterance, decoder self-attention is
-causal within each example, and example b's decoder rows cross-attend to
-utterance b's encoder rows only.  Every sequence counts positions from 0.
-A batch of one is the plain single-sequence pass, so `encode`, greedy
-decoding and attention export run the very same layer loops.
+`encode` is the one encoder entry point and `Packed` (rows plus
+per-sequence lengths) the one encoder-output type: utterances are
+stacked, with no padding, into one pass; a single one is a batch of one.
+Training packs the decoder side too: `teacher_forced_logits` stacks
+every example's [prefix, prompt, text] rows into one pass over an empty
+cache, and `kws_logits` scores every example's keywords in one.
+Attention takes each sequence's lengths instead of a mask and runs block
+by block: encoder self-attention stays within each utterance, decoder
+self-attention is causal within each example, and example b's decoder
+rows and keywords attend to utterance b's encoder rows only.  Every
+sequence counts positions from 0.
 
 The decoder computes only the rows its caller reads.  Its last layer
 still projects keys and values for every row, which the cache needs, but
@@ -267,11 +268,11 @@ def _ln(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return ad.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
 
-def encode_batch(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
+def encode(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
     """Encoder outputs of several utterances in one packed pass.
 
     Utterance b gives floor(T_b/2) rows, which attend only to each other
-    and count positions from 0, so each equals its own `encode` up to
+    and count positions from 0, so each equals its own batch of one up to
     rounding."""
     cfg = params.config
     inputs = []
@@ -301,11 +302,6 @@ def encode_batch(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
     return Packed(_ln(p, "ln_out", h), lengths)
 
 
-def encode(params: ModelParams, frames: np.ndarray) -> Tensor:
-    """Encoder output u with shape (floor(T/2), d_model)."""
-    return encode_batch(params, [frames]).rows
-
-
 @dataclass
 class DecoderCache:
     """Per-layer attention keys and values of a decode or a packed batch.
@@ -323,15 +319,10 @@ class DecoderCache:
     length: int = 0
 
 
-def decoder_cache(params: ModelParams, u: Tensor | Packed) -> DecoderCache:
-    """An empty cache holding the cross-attention K/V over encoder output u,
-    one utterance's or a packed batch's."""
-    if not isinstance(u, Packed):
-        u = Packed(u, (u.shape[0],))
-    cfg = params.config
-    return DecoderCache(
-        [_project_kv(params.decoder, f"l{i}.cross", u.rows) for i in range(cfg.n_dec_layers)], u.lengths
-    )
+def decoder_cache(params: ModelParams, u: Packed) -> DecoderCache:
+    """An empty cache holding the cross-attention K/V over encoder output u."""
+    layers = range(params.config.n_dec_layers)
+    return DecoderCache([_project_kv(params.decoder, f"l{i}.cross", u.rows) for i in layers], u.lengths)
 
 
 def _decoder_extend(
@@ -441,7 +432,7 @@ def teacher_forced_logits(
 
 def decode_next(
     params: ModelParams,
-    u: Tensor,
+    u: Packed,
     cond_ids: Sequence[int],
     t_prev: Sequence[int],
     prefix: Tensor | None,
@@ -480,7 +471,7 @@ def decode_budget(params: ModelParams, cond_ids: Sequence[int], prefix: Tensor |
 
 def transcribe_greedy(
     params: ModelParams,
-    u: Tensor,
+    u: Packed,
     cond_ids: Sequence[int],
     prefix: Tensor | None,
     eot_id: int,
@@ -510,9 +501,13 @@ class KwsPrediction:
         return len(self.probabilities)
 
 
-def kws_logits(params: ModelParams, u: Tensor, keyword_tokens: Sequence[Sequence[int]]) -> Tensor:
-    """One presence logit per keyword; shape (len(keywords),)."""
-    lengths = [len(tokens) for tokens in keyword_tokens]
+def kws_logits(params: ModelParams, u: Packed, keyword_tokens: Sequence[Sequence[Sequence[int]]]) -> Tensor:
+    """One presence logit per keyword, shape (total keyword count,); the
+    keywords of keyword_tokens[b] read sequence b of u only."""
+    if len(keyword_tokens) != len(u.lengths):
+        raise ModelError(f"got {len(keyword_tokens)} keyword lists for {len(u.lengths)} encoder outputs")
+    keywords = [tokens for seq in keyword_tokens for tokens in seq]
+    lengths = [len(tokens) for tokens in keywords]
     for n in lengths:
         if not 1 <= n <= MAX_KEYWORD_TOKENS:
             raise ModelError(f"keyword must have 1..{MAX_KEYWORD_TOKENS} tokens, got {n}")
@@ -521,27 +516,27 @@ def kws_logits(params: ModelParams, u: Tensor, keyword_tokens: Sequence[Sequence
     for k, (end, n) in enumerate(zip(np.cumsum(lengths, dtype=int), lengths)):
         pool[k, end - n : end] = 1.0 / n
     p = params.kws
-    emb = ad.embedding(params.decoder["embed"], [t for tokens in keyword_tokens for t in tokens])
+    emb = ad.embedding(params.decoder["embed"], [t for tokens in keywords for t in tokens])
     query = ad.affine(ad.matmul(Tensor(pool), emb), p["wq"], p["bq"])
-    att = ad.attention(query, ad.affine(u, p["wk"]), ad.affine(u, p["wv"]), 1)
+    counts = tuple(len(seq) for seq in keyword_tokens)
+    att = ad.attention(query, ad.affine(u.rows, p["wk"]), ad.affine(u.rows, p["wv"]), 1, (counts, u.lengths))
     hidden = ad.gelu(ad.affine(ad.concat([att, query], axis=1), p["w1"], p["b1"]))
     return ad.reshape(ad.affine(hidden, p["w2"], p["b2"]), (len(lengths),))
 
 
 def kws_detect(
     params: ModelParams,
-    u: Tensor,
+    u: Packed,
     keyword_tokens: Sequence[Sequence[int]],
     threshold: float,
 ) -> KwsPrediction:
-    logits = kws_logits(params, u, keyword_tokens)
-    probs = 1.0 / (1.0 + np.exp(-logits.data))
+    probs = 1.0 / (1.0 + np.exp(-kws_logits(params, u, [keyword_tokens]).data))
     return KwsPrediction(probs, probs >= threshold)
 
 
 def prompt_attention_block(
     params: ModelParams,
-    u: Tensor,
+    u: Packed,
     cond_ids: Sequence[int],
     t_ids: Sequence[int],
     prefix: Tensor | None,
@@ -559,7 +554,7 @@ def prompt_attention_block(
         raise ModelError(f"layer {layer} out of range for {cfg.n_dec_layers} decoder layers")
     layer = layer % cfg.n_dec_layers
     collect: list[np.ndarray] = []
-    _decoder_hidden(params, Packed(u, (u.shape[0],)), [cond_ids], [t_ids], prefix, None, collect)
+    _decoder_hidden(params, u, [cond_ids], [t_ids], prefix, None, collect)
     attn = collect[layer]
     n_prefix = prefix.shape[0] if prefix is not None else 0
     n_cond = len(cond_ids)

@@ -122,8 +122,12 @@ class Vocab:
 
     @classmethod
     def load(cls, path: Path | str) -> "Vocab":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise VocabError(f"{path}: vocabulary file is not UTF-8 text: {exc}") from exc
         units: list[str] = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+        for lineno, line in enumerate(text.splitlines()):
             idx, tab, unit = line.partition("\t")
             if not tab or idx != str(lineno):
                 raise VocabError(f"malformed vocabulary line {lineno}: {line!r}")

@@ -17,15 +17,14 @@ Frozen groups get ``requires_grad = False`` up front, so they accumulate
 no gradient at all; their hashes are verified unchanged after every run.
 A run tokenizes an utterance once, when a batch first draws it.
 
-Teacher-forced batches are packed: `loss_asr` stacks the rows of every
-example into one encoder pass (`model.encode_batch`) and one decoder pass
-(`model.teacher_forced_logits`), with no padding, instead of one pass per
-example.  The frozen encoder of ``ft`` and ``pt`` runs in that same pass
-and, requiring no gradient, records nothing on the tape; ``kws`` encodes
-each drawn utterance with `model.encode`.  No encoder output is kept
-across steps, so a frozen encoder reruns on every draw of an utterance.
-The decoder computes only the rows the loss reads (see `model`), and
-attention keeps each packed example within its own block.
+Batches are packed, with no padding: both losses run every example in
+one encoder pass (`model.encode`), then `loss_asr` in one decoder pass
+(`model.teacher_forced_logits`) and `loss_kws` in one keyword-head pass
+(`model.kws_logits`).  A frozen encoder records nothing on the tape.  No
+encoder output is kept across steps, so a frozen encoder reruns on every
+draw of an utterance.  The decoder computes only the rows the loss reads
+(see `model`), and attention keeps each packed example within its own
+block.
 
 `Adam` updates its moments and the parameters in place, with the
 textbook update's operations in its order, so a step allocates no array.
@@ -51,7 +50,6 @@ from .model import (
     ModelError,
     ModelParams,
     encode,
-    encode_batch,
     init_prefix,
     kws_logits,
     param_group_hash,
@@ -181,7 +179,7 @@ def loss_asr(
         raise TrainingError("empty batch")
     if len(prompts) != len(batch):
         raise TrainingError(f"got {len(prompts)} prompts for {len(batch)} examples")
-    u = encode_batch(params, [frames for frames, _ in batch])
+    u = encode(params, [frames for frames, _ in batch])
     t_ids = [t for _, t in batch]
     logits = teacher_forced_logits(params, u, prompts, t_ids, params.prefix.get("q"))
     return ad.cross_entropy(logits, [tok for t in t_ids for tok in (*t, vocab.eot_id)])
@@ -189,16 +187,18 @@ def loss_asr(
 
 def loss_kws(
     params: ModelParams,
-    batch: Sequence[tuple[Tensor, KeywordSet]],
+    batch: Sequence[tuple[np.ndarray, KeywordSet]],
 ) -> Tensor:
-    """Mean binary cross-entropy over every sampled keyword in the batch."""
+    """Mean binary cross-entropy over every sampled keyword in the batch of
+    (feature frames, keyword set) items, run as one packed pass."""
     if len(batch) < 2:
         raise TrainingError("keyword loss needs a batch of >= 2 examples")
     if not any(len(ks) for _, ks in batch):
         raise TrainingError("no keywords drawn for the batch")
-    logits = [kws_logits(params, u, [kw.tokens for kw in ks]) for u, ks in batch]
+    u = encode(params, [frames for frames, _ in batch])
+    logits = kws_logits(params, u, [[kw.tokens for kw in ks] for _, ks in batch])
     labels = [1.0 if kw.positive else 0.0 for _, ks in batch for kw in ks]
-    return ad.bce_with_logits(ad.concat(logits, axis=0), labels)
+    return ad.bce_with_logits(logits, labels)
 
 
 def train_run(
@@ -254,11 +254,8 @@ def train_run(
         batch_tokens = [tokens(i) for i in idx]
         with Tape():
             if config.mode == "kws":
-                batch = []
-                for j, i in enumerate(idx):
-                    ks = sample_training_keywords(vocab, batch_tokens, j, rng)
-                    batch.append((encode(params, dataset[i].frames), ks))
-                loss = loss_kws(params, batch)
+                keyword_sets = [sample_training_keywords(vocab, batch_tokens, j, rng) for j in range(len(idx))]
+                loss = loss_kws(params, [(dataset[i].frames, ks) for i, ks in zip(idx, keyword_sets)])
             else:
                 prompts = []
                 for j in range(len(idx)):

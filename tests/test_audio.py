@@ -64,10 +64,17 @@ def test_load_wav_rejects_wrong_sample_width(tmp_path):
         load_wav(path)
 
 
-def test_load_wav_rejects_non_wav(tmp_path):
+@pytest.mark.parametrize("blob", [
+    b"not a riff chunk at all",
+    b"",
+    b"RIFF",
+    # a RIFF/WAVE header cut inside its 16-byte `fmt ` chunk
+    b"RIFF\x24\x00\x00\x00WAVEfmt \x10\x00\x00\x00\x01\x00\x01\x00\x80\x3e",
+], ids=["not-riff", "empty", "bare-riff", "cut-in-fmt"])
+def test_load_wav_rejects_non_wav(tmp_path, blob):
     path = tmp_path / "noise.wav"
-    path.write_bytes(b"not a riff chunk at all")
-    with pytest.raises(AudioFormatError):
+    path.write_bytes(blob)
+    with pytest.raises(AudioFormatError, match="^not a readable PCM WAV file: "):
         load_wav(path)
 
 

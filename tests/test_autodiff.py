@@ -282,6 +282,12 @@ def test_embedding_scatter_adds_repeated_ids():
     assert np.array_equal(table.grad, [[0, 0], [2, 2], [1, 1]])
 
 
+@pytest.mark.parametrize("ids", [[0, -1], [2, 3]], ids=["negative", "row-count"])
+def test_embedding_rejects_ids_outside_the_table(ids):
+    with pytest.raises(ShapeError, match="^embedding id out of range for table of 3 rows$"):
+        ad.embedding(Tensor(np.zeros((3, 2))), ids)
+
+
 def test_suffix_broadcast_add_sums_grad_over_leading_axes():
     x = Tensor(np.zeros((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)

@@ -539,7 +539,7 @@ def test_second_run_in_a_process_reads_its_own_flags(cli_world, tmp_path, monkey
     original = cli.encode
 
     def recorded(params, x):
-        frames.append(x)
+        frames.extend(x)
         return original(params, x)
 
     monkeypatch.setattr(cli, "encode", recorded)
@@ -584,6 +584,27 @@ def test_cli_reports_missing_inputs_as_single_line(argv, capsys, tmp_path):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith("FileNotFoundError: ") and "vocab.tsv" in err
+
+
+def test_config_file_that_is_not_utf8_is_a_single_line_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xff\xfeseed = 1\n")
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"ConfigError: {config}: config file is not UTF-8 text: ")
+
+
+def test_vocabulary_that_is_not_utf8_is_a_single_line_error(tmp_path, capsys):
+    wav, vocab = tmp_path / "tone.wav", tmp_path / "vocab.tsv"
+    _write_wav(wav)
+    vocab.write_bytes(b"\xff\xfe0\t<pad>\n")
+    rc = main(["transcribe", "--wav", str(wav), "--vocab", str(vocab), "--ckpt", str(tmp_path / "missing.ckpt"),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"VocabError: {vocab}: vocabulary file is not UTF-8 text: ")
 
 
 def test_cli_unknown_set_key(tmp_path, capsys):

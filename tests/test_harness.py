@@ -157,11 +157,11 @@ def test_the_spotter_reads_its_own_encoder_pass(tiny_world, monkeypatch):
     refs, hyps, keyword_sets = [], [], []
     for i, utt in enumerate(test):
         keywords = ctx.keywords_for(i, utt.text)
-        kws_u = encode(kws, utt.frames)
-        assert np.array_equal(spotted[i][1].data, kws_u.data)
+        kws_u = encode(kws, [utt.frames])
+        assert np.array_equal(spotted[i][1].rows.data, kws_u.rows.data)
         pred = kws_detect(kws, kws_u, [kw.tokens for kw in keywords], threshold=TINY.kws_threshold)
         prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
-        ids = transcribe_greedy(pt, encode(pt, utt.frames), prompt, prefix, vocab.eot_id,
+        ids = transcribe_greedy(pt, encode(pt, [utt.frames]), prompt, prefix, vocab.eot_id,
                                 decode_budget(pt, prompt, prefix))
         refs.append(normalize(utt.text))
         hyps.append(normalize(vocab.detokenize(ids, skip_reserved=True)))

@@ -9,11 +9,9 @@ from kwbias.autodiff import Tensor
 from kwbias.model import (
     ModelConfig,
     ModelError,
-    Packed,
     _decoder_hidden,
     _readout,
     encode,
-    encode_batch,
     decode_budget,
     decode_next,
     decoder_cache,
@@ -86,8 +84,8 @@ def test_init_params_builds_exactly_the_layout(params):
 
 def test_encode_halves_the_frame_count(params):
     rng = stream(0, "enc")
-    assert encode(params, rng.normal(size=(10, 8))).shape == (5, CFG.d_model)
-    assert encode(params, rng.normal(size=(11, 8))).shape == (5, CFG.d_model)
+    assert encode(params, [rng.normal(size=(10, 8))]).rows.shape == (5, CFG.d_model)
+    assert encode(params, [rng.normal(size=(11, 8))]).rows.shape == (5, CFG.d_model)
 
 
 def test_encode_is_position_sensitive(params):
@@ -95,22 +93,22 @@ def test_encode_is_position_sensitive(params):
     frames = rng.normal(size=(10, 8))
     swapped = frames.copy()
     swapped[[0, 3]] = swapped[[3, 0]]
-    assert not np.allclose(encode(params, frames).data, encode(params, swapped).data)
+    assert not np.allclose(encode(params, [frames]).rows.data, encode(params, [swapped]).rows.data)
 
 
 def test_encode_finite_on_zero_input(params):
-    assert np.isfinite(encode(params, np.zeros((12, 8))).data).all()
+    assert np.isfinite(encode(params, [np.zeros((12, 8))]).rows.data).all()
 
 
 def test_encode_rejects_bad_inputs(params):
     with pytest.raises(ModelError, match="max_src_frames"):
-        encode(params, np.zeros((65, 8)))
+        encode(params, [np.zeros((65, 8))])
     with pytest.raises(ModelError, match="features"):
-        encode(params, np.zeros((10, 9)))
+        encode(params, [np.zeros((10, 9))])
 
 
 def test_decode_next_distribution_sums_to_one(params, vocab):
-    u = encode(params, stream(2, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(2, "u").normal(size=(10, 8))])
     probs = decode_next(params, u, [vocab.sop_id, vocab.sot_id], [7, 8], None)
     assert probs.shape == (CFG.vocab_size,)
     assert abs(probs.sum() - 1.0) < 1e-12
@@ -118,7 +116,7 @@ def test_decode_next_distribution_sums_to_one(params, vocab):
 
 
 def test_decode_next_plain_mode_equals_sot_only_conditioning(params, vocab):
-    u = encode(params, stream(3, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(3, "u").normal(size=(10, 8))])
     t_prev = [9, 12]
     plain = decode_next(params, u, [vocab.sot_id], t_prev, None)
     again = decode_next(params, u, [vocab.sot_id], t_prev, None)
@@ -128,7 +126,7 @@ def test_decode_next_plain_mode_equals_sot_only_conditioning(params, vocab):
 def test_decode_next_attends_to_prompt_content(params, vocab):
     # an untrained model already reads the prompt: changing one keyword
     # token must move the distribution
-    u = encode(params, stream(4, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(4, "u").normal(size=(10, 8))])
     p1 = [vocab.sop_id, 10, 11, vocab.sot_id]
     p2 = [vocab.sop_id, 10, 12, vocab.sot_id]
     d1 = decode_next(params, u, p1, [7], None)
@@ -137,13 +135,13 @@ def test_decode_next_attends_to_prompt_content(params, vocab):
 
 
 def test_decode_next_overlength_conditioning_rejected(params, vocab):
-    u = encode(params, stream(5, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(5, "u").normal(size=(10, 8))])
     with pytest.raises(ModelError, match="max_tgt_len"):
         decode_next(params, u, [vocab.sot_id], list(range(10, 10 + CFG.max_tgt_len)), None)
 
 
 def test_transcribe_stops_at_eot_and_respects_max_len(params, vocab):
-    u = encode(params, stream(6, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(6, "u").normal(size=(10, 8))])
     out = transcribe_greedy(params, u, [vocab.sop_id, vocab.sot_id], None, vocab.eot_id, 12)
     assert len(out) <= 12
     assert vocab.eot_id not in out
@@ -152,7 +150,7 @@ def test_transcribe_stops_at_eot_and_respects_max_len(params, vocab):
 def test_transcribe_eot_forced_gives_empty_transcript(params, vocab):
     forced = init_params(CFG, seed=11)
     forced.decoder["out_b"].data[vocab.eot_id] = 50.0
-    u = encode(forced, stream(7, "u").normal(size=(10, 8)))
+    u = encode(forced, [stream(7, "u").normal(size=(10, 8))])
     out = transcribe_greedy(forced, u, [vocab.sop_id, vocab.sot_id], None, vocab.eot_id, 12)
     assert out == []
 
@@ -162,7 +160,7 @@ def test_transcribe_breaks_ties_to_lowest_id(params, vocab):
     # zero embeddings and bias give identical logits: argmax picks id 0
     flat.decoder["embed"] = Tensor(np.zeros_like(flat.decoder["embed"].data))
     flat.decoder["out_b"] = Tensor(np.zeros(CFG.vocab_size))
-    u = encode(flat, stream(8, "u").normal(size=(10, 8)))
+    u = encode(flat, [stream(8, "u").normal(size=(10, 8))])
     out = transcribe_greedy(flat, u, [vocab.sop_id, vocab.sot_id], None, vocab.eot_id, 3)
     assert out == [0, 0, 0]
 
@@ -176,7 +174,7 @@ def _naive_greedy(params, u, cond_ids, prefix, eot_id, max_len):
     """Reference decode: recompute the whole decoder for every token."""
     out: list[int] = []
     for _ in range(max_len):
-        logits = teacher_forced_logits(params, Packed(u, (u.shape[0],)), [cond_ids], [out], prefix).data[-1]
+        logits = teacher_forced_logits(params, u, [cond_ids], [out], prefix).data[-1]
         nxt = int(np.argmax(_softmax_rows(logits)))
         if nxt == eot_id:
             break
@@ -189,11 +187,11 @@ def _naive_greedy(params, u, cond_ids, prefix, eot_id, max_len):
 def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
     fresh = init_params(CFG, seed=11)
     q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
-    u = encode(fresh, stream(14, "u").normal(size=(10, 8)))
+    u = encode(fresh, [stream(14, "u").normal(size=(10, 8))])
     cond = ([vocab.sop_id, 10, 11, vocab.delim_id, 12, vocab.sot_id] if keyworded
             else [vocab.sop_id, vocab.sot_id])
     t_ids = [7, 8, 9, 7, 20, 33, 41]
-    ref = _softmax_rows(teacher_forced_logits(fresh, Packed(u, (u.shape[0],)), [cond], [t_ids], q).data)
+    ref = _softmax_rows(teacher_forced_logits(fresh, u, [cond], [t_ids], q).data)
     cache = decoder_cache(fresh, u)
     for step in range(len(t_ids) + 1):
         probs = decode_next(fresh, u, cond, t_ids[:step], q, cache)
@@ -211,11 +209,11 @@ def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
 def test_empty_conditioning_is_an_error(vocab, n_prefix):
     fresh = init_params(CFG, seed=11)
     q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
-    u = encode_batch(fresh, [stream(14, "u").normal(size=(n, 8)) for n in (10, 12)])
+    u = encode(fresh, [stream(14, "u").normal(size=(n, 8)) for n in (10, 12)])
     start = "conditioning must contain at least the transcript-start token"
     with pytest.raises(ModelError, match=start):
         teacher_forced_logits(fresh, u, [[vocab.sot_id], []], [[7, 8], [9]], q)
-    u = encode(fresh, stream(14, "u").normal(size=(10, 8)))
+    u = encode(fresh, [stream(14, "u").normal(size=(10, 8))])
     for t_prev in ([], [7, 8]):
         with pytest.raises(ModelError, match=start):
             decode_next(fresh, u, [], t_prev, q, decoder_cache(fresh, u))
@@ -228,7 +226,7 @@ def test_teacher_forcing_reads_only_the_predicting_rows(vocab, n_prefix):
     fresh = init_params(CFG, seed=11)
     q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
     rng = stream(16, "u")
-    u = encode_batch(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7)])
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7)])
     conds = [[vocab.sot_id], [vocab.sop_id, 10, 11, vocab.sot_id], [vocab.sop_id, 12, vocab.sot_id]]
     t_ids = [[7, 8, 9], [], [20, 33, 41, 7, 9]]
     lengths = [n_prefix + len(c) + len(t) for c, t in zip(conds, t_ids)]
@@ -245,7 +243,7 @@ def test_teacher_forcing_reads_only_the_predicting_rows(vocab, n_prefix):
 def test_transcribe_greedy_equals_naive_argmax_loop(vocab, n_prefix):
     fresh = init_params(CFG, seed=11)
     q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
-    u = encode(fresh, stream(15, "u").normal(size=(10, 8)))
+    u = encode(fresh, [stream(15, "u").normal(size=(10, 8))])
     prompt = [vocab.sop_id, 10, 11, vocab.sot_id]
     # an untrained model stops early; with end-of-text suppressed every
     # decode runs to max_len, and small token embeddings let the positions
@@ -292,7 +290,7 @@ def test_init_prefix_rows_copy_token_embeddings(params):
 
 def test_prefix_changes_the_distribution(params, vocab):
     fresh = init_params(CFG, seed=11)
-    u = encode(fresh, stream(9, "u").normal(size=(10, 8)))
+    u = encode(fresh, [stream(9, "u").normal(size=(10, 8))])
     without = decode_next(fresh, u, [vocab.sop_id, vocab.sot_id], [7], None)
     q = init_prefix(fresh, 4, seed=5)
     with_q = decode_next(fresh, u, [vocab.sop_id, vocab.sot_id], [7], q)
@@ -300,10 +298,10 @@ def test_prefix_changes_the_distribution(params, vocab):
 
 
 def test_kws_empty_keyword_set(params):
-    u = encode(params, stream(10, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(10, "u").normal(size=(10, 8))])
     pred = kws_detect(params, u, [], threshold=0.5)
     assert len(pred) == 0
-    assert kws_logits(params, u, []).shape == (0,)
+    assert kws_logits(params, u, [[]]).shape == (0,)
 
 
 def _kws_logit_reference(params, u, tokens):
@@ -311,18 +309,18 @@ def _kws_logit_reference(params, u, tokens):
     p = {name: t.data for name, t in params.kws.items()}
     pooled = params.decoder["embed"].data[list(tokens)].mean(axis=0, keepdims=True)
     query = pooled @ p["wq"] + p["bq"]
-    scores = query @ (u.data @ p["wk"]).T / np.sqrt(CFG.d_model)
+    scores = query @ (u.rows.data @ p["wk"]).T / np.sqrt(CFG.d_model)
     att = np.exp(scores - scores.max())
     att /= att.sum()
-    x = np.concatenate([att @ (u.data @ p["wv"]), query], axis=1) @ p["w1"] + p["b1"]
+    x = np.concatenate([att @ (u.rows.data @ p["wv"]), query], axis=1) @ p["w1"] + p["b1"]
     hidden = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
     return float((hidden @ p["w2"] + p["b2"])[0, 0])
 
 
 def test_kws_logits_of_a_batch_match_one_keyword_at_a_time(params):
-    u = encode(params, stream(13, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(13, "u").normal(size=(10, 8))])
     keywords = [[7, 8, 9], [10], [11, 12, 13, 14], [15, 16], [7], [20, 21, 22, 23], [9, 9, 9]]
-    logits = kws_logits(params, u, keywords).data
+    logits = kws_logits(params, u, [keywords]).data
     assert logits.shape == (len(keywords),)
     for got, tokens in zip(logits, keywords):
         expected = _kws_logit_reference(params, u, tokens)
@@ -330,7 +328,7 @@ def test_kws_logits_of_a_batch_match_one_keyword_at_a_time(params):
 
 
 def test_kws_probabilities_in_unit_interval(params):
-    u = encode(params, stream(11, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(11, "u").normal(size=(10, 8))])
     pred = kws_detect(params, u, [[7], [8, 9], [10, 11, 12, 13]], threshold=0.5)
     assert len(pred) == 3
     assert ((pred.probabilities >= 0) & (pred.probabilities <= 1)).all()
@@ -338,15 +336,24 @@ def test_kws_probabilities_in_unit_interval(params):
 
 
 def test_kws_rejects_overlong_keyword(params):
-    u = encode(params, stream(12, "u").normal(size=(10, 8)))
+    u = encode(params, [stream(12, "u").normal(size=(10, 8))])
     with pytest.raises(ModelError, match="1..4"):
         kws_detect(params, u, [[7, 8, 9, 10, 11]], threshold=0.5)
+
+
+def test_kws_logits_need_one_keyword_list_per_sequence(params):
+    u = encode(params, [stream(12, "u").normal(size=(n, 8)) for n in (10, 12)])
+    for keyword_tokens in ([[[7]]], [[[7]], [[8]], [[9]]]):
+        with pytest.raises(ModelError, match=f"got {len(keyword_tokens)} keyword lists for 2 encoder outputs"):
+            kws_logits(params, u, keyword_tokens)
+    with pytest.raises(ModelError, match="got 1 keyword lists for 2 encoder outputs"):
+        kws_detect(params, u, [[7]], threshold=0.5)
 
 
 def test_attention_block_shape_and_row_sums(params, vocab):
     fresh = init_params(CFG, seed=11)
     q = init_prefix(fresh, 3, seed=5)
-    u = encode(fresh, stream(13, "u").normal(size=(10, 8)))
+    u = encode(fresh, [stream(13, "u").normal(size=(10, 8))])
     prompt = [vocab.sop_id, 10, 11, vocab.delim_id, 12, vocab.sot_id]
     t_ids = [7, 8, 9]
     for layer in range(CFG.n_dec_layers):

@@ -9,8 +9,9 @@ import pytest
 from kwbias import autodiff as ad
 from kwbias.autodiff import Tape, Tensor, backward
 from kwbias.container import read_container, write_container
-from kwbias.model import ModelConfig, encode_batch, init_params, init_prefix, param_group_hash, teacher_forced_logits
-from kwbias.prompts import sample_training_keywords, assemble_prompt
+from kwbias.model import (ModelConfig, encode, init_params, init_prefix, kws_logits, param_group_hash,
+                          teacher_forced_logits)
+from kwbias.prompts import Keyword, KeywordSet, sample_training_keywords, assemble_prompt
 from kwbias.rng import stream
 from kwbias.synth import SynthSpec, Utterance, generate_corpus
 from kwbias.text import build_vocab
@@ -156,7 +157,7 @@ def test_packed_batch_equals_batches_of_one(corpus, mode, n_prefix):
     batch, prompts = _mixed_batch(splits, vocab)
 
     def logits(items, conds):
-        u = encode_batch(params, [frames for frames, _ in items])
+        u = encode(params, [frames for frames, _ in items])
         return teacher_forced_logits(params, u, conds, [t for _, t in items], prefix).data
 
     _close(logits(batch, prompts),
@@ -188,7 +189,7 @@ def test_a_frozen_encoder_records_no_node(corpus, mode):
     set_trainable(params, mode)
     batch, prompts = _mixed_batch(splits, vocab)
     t_ids = [t for _, t in batch]
-    u = encode_batch(params, [frames for frames, _ in batch])  # outside any tape
+    u = encode(params, [frames for frames, _ in batch])  # outside any tape
     with Tape() as decoder_only:
         logits = teacher_forced_logits(params, u, prompts, t_ids, params.prefix["q"])
         ad.cross_entropy(logits, [tok for t in t_ids for tok in (*t, vocab.eot_id)])
@@ -199,17 +200,90 @@ def test_a_frozen_encoder_records_no_node(corpus, mode):
     assert len(step) - len(decoder_only) == (encoder if mode == "base-asr" else 0)
 
 
+def _keyword_batch(splits, vocab):
+    """Three utterances with distinct frame counts and 3, 0 and 5 keywords:
+    even ones are spans of the utterance's own tokens, odd ones spans of
+    the next utterance's."""
+    by_frames = {len(u.frames): u for u in splits["train"]}
+    utts = [by_frames[n] for n in sorted(by_frames)[::4][:3]]
+    tokens = [vocab.tokenize(u.text) for u in utts]
+    assert len({len(u.frames) for u in utts}) == 3 and min(map(len, tokens)) >= 3
+    batch = []
+    for b, n in enumerate((3, 0, 5)):
+        sources = [tokens[(b + k % 2) % 3] for k in range(n)]
+        spans = [t[k % (len(t) - 2) :][: 1 + k % 3] for k, t in enumerate(sources)]
+        ks = KeywordSet(tuple(Keyword(f"kw{k}", tuple(t), k % 2 == 0) for k, t in enumerate(spans)))
+        batch.append((utts[b].frames, ks))
+    return batch
+
+
+def test_packed_keyword_batch_equals_batches_of_one(corpus):
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=23)
+    set_trainable(params, "kws")
+    trainable = list(params.kws.items())
+    batch = _keyword_batch(splits, vocab)
+
+    def logits(items):
+        u = encode(params, [frames for frames, _ in items])
+        return kws_logits(params, u, [[kw.tokens for kw in ks] for _, ks in items])
+
+    _close(logits(batch).data, np.concatenate([logits([item]).data for item in batch]), "logits")
+
+    def loss_and_grads(loss_fn):
+        with Tape():
+            loss = loss_fn()
+            backward(loss)
+        grads = {name: t.grad for name, t in trainable}
+        for _, t in trainable:
+            t.grad = None
+        return float(loss.data), grads
+
+    def single(item):
+        return ad.bce_with_logits(logits([item]), [float(kw.positive) for kw in item[1]])
+
+    packed_loss, packed = loss_and_grads(lambda: loss_kws(params, batch))
+    # the batch loss is the mean over every keyword, so a keywordless
+    # utterance weighs nothing
+    kept = [item for item in batch if len(item[1])]
+    singles = [loss_and_grads(lambda item=item: single(item)) for item in kept]
+    weights = np.array([len(ks) for _, ks in kept]) / sum(len(ks) for _, ks in batch)
+    _close(packed_loss, sum(w * loss for w, (loss, _) in zip(weights, singles)), "loss")
+    for name, _ in trainable:
+        _close(packed[name], sum(w * grads[name] for w, (_, grads) in zip(weights, singles)), name)
+
+
+def test_one_kws_batch_records_the_hand_counted_graph(corpus):
+    # one keyword-head graph per batch, whatever its size, and no node of
+    # the frozen encoder: the query, key and value affines, attention, the
+    # concat of context and query, the hidden affine and gelu, the output
+    # affine and reshape (the gather from the frozen embedding table and
+    # the pooling matmul record nothing)
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=2)
+    set_trainable(params, "kws")
+    head = 9
+    counts = []
+    for n in (2, 4):
+        utts = splits["train"][:n]
+        toks = [vocab.tokenize(u.text) for u in utts]
+        rng = stream(3, "kws-graph", n)
+        batch = [(u.frames, sample_training_keywords(vocab, toks, j, rng)) for j, u in enumerate(utts)]
+        with Tape() as tape:
+            loss_kws(params, batch)
+        counts.append(len(tape))
+    assert counts == [head + 1] * 2  # + binary cross-entropy
+
+
 def test_initial_kws_loss_is_chance_level(corpus):
     splits, _, vocab = corpus
-    from kwbias.model import encode
-
     params = init_params(MODEL, seed=2)
     toks = [vocab.tokenize(u.text) for u in splits["train"][:4]]
     rng = stream(3, "kws-loss")
     batch = []
     for j in range(4):
         ks = sample_training_keywords(vocab, toks, j, rng)
-        batch.append((encode(params, splits["train"][j].frames), ks))
+        batch.append((splits["train"][j].frames, ks))
     loss = float(loss_kws(params, batch).data)
     assert abs(loss - np.log(2)) < 0.1
 
@@ -217,8 +291,6 @@ def test_initial_kws_loss_is_chance_level(corpus):
 def test_gradcheck_all_modes_and_frozen_groups_zero(corpus):
     splits, _, vocab = corpus
     params = init_params(MODEL, seed=4)
-    from kwbias.model import encode, init_prefix
-
     init_prefix(params, 4, seed=4)
     toks = [vocab.tokenize(u.text) for u in splits["train"][:2]]
     rng = stream(5, "gc")
@@ -230,8 +302,7 @@ def test_gradcheck_all_modes_and_frozen_groups_zero(corpus):
         return loss_asr(params, vocab, items, prompts)
 
     def kws_loss():
-        us = [encode(params, splits["train"][j].frames) for j in range(2)]
-        return loss_kws(params, [(us[j], keyword_sets[j]) for j in range(2)])
+        return loss_kws(params, [(splits["train"][j].frames, keyword_sets[j]) for j in range(2)])
 
     worst = gradcheck_modes(
         params,
