@@ -15,7 +15,8 @@ neither side), and whether the change's median is better than the
 parent's by more than the parent's interquartile range.  A gain is
 claimed when the change wins at least nine tenths of the pairs and its
 median gain exceeds that range.  Every run's value is printed as it
-finishes.
+finishes.  One line then names the metrics that read the same value on
+both sides in every pair, as outputs a change leaves alone do.
 
 It then gives each metric a no-regression verdict against the metric's
 `bound`, read as a share of the parent's median:
@@ -111,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     series = {name: ([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]]) for name, _, _ in metrics}
     for name, better, _ in metrics:
         print(summary(name, better, *series[name]))
+    same = [name for name, _, _ in metrics if series[name][0] == series[name][1]]
+    print(f"\nsame value on both sides in every pair: {', '.join(same) or 'none'}")
     print("\nno regression, each bound a share of the parent's median:")
     for name, better, bound in metrics:
         print(f"{name:<22} bound {bound:g}: {regression(better, bound, *series[name])}")

@@ -152,6 +152,9 @@ def evaluate_condition(
         raise EvalError("empty test set: WER and F1 are undefined")
     if source == "spotter" and kws_params is None:
         raise EvalError(f"condition {condition!r} needs a keyword-spotter checkpoint")
+    if role == "pt" and "q" not in params.prefix:
+        raise EvalError(f"condition {condition!r} needs a prompt-tuned checkpoint, "
+                        "but this one has no soft prefix")
     passes = EncoderPasses() if passes is None else passes
     encoded = passes(params, test_set)
     spotter_inputs = passes(kws_params, test_set) if source == "spotter" else encoded

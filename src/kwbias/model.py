@@ -92,6 +92,8 @@ class ModelConfig:
         for name, value in self.__dict__.items():
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ModelError(f"{name} must be an int >= 1, got {value!r}")
+        if self.d_model % 2:
+            raise ModelError(f"d_model must be even for sinusoidal positions, got {self.d_model}")
         if self.d_model % self.n_heads:
             raise ModelError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size <= N_RESERVED:

@@ -17,14 +17,16 @@ Frozen groups get ``requires_grad = False`` up front, so they accumulate
 no gradient at all; their hashes are verified unchanged after every run.
 A run tokenizes an utterance once, when a batch first draws it.
 
-Batches are packed, with no padding: both losses run every example in
-one encoder pass (`model.encode`), then `loss_asr` in one decoder pass
-(`model.teacher_forced_logits`) and `loss_kws` in one keyword-head pass
-(`model.kws_logits`).  A frozen encoder records nothing on the tape.  No
-encoder output is kept across steps, so a frozen encoder reruns on every
-draw of an utterance.  The decoder computes only the rows the loss reads
-(see `model`), and attention keeps each packed example within its own
-block.
+Every mode runs the same step.  One rule, `train_run`'s ``keywords``,
+draws each example's keyword set (the empty set for a base-asr example
+shown no prompt); then one packed encoder pass (`model.encode`, no
+padding) gives the step's encoder output, and the mode's loss reads it:
+`loss_asr` in one decoder pass (`model.teacher_forced_logits`), or
+`loss_kws` in one keyword-head pass (`model.kws_logits`).  A frozen
+encoder records nothing on the tape.  No encoder output is kept across
+steps, so a frozen encoder reruns on every draw of an utterance.  The
+decoder computes only the rows the loss reads (see `model`), and
+attention keeps each packed example within its own block.
 
 `Adam` updates its moments and the parameters in place, with the
 textbook update's operations in its order, so a step allocates no array.
@@ -49,6 +51,7 @@ from .model import (
     ModelConfig,
     ModelError,
     ModelParams,
+    Packed,
     encode,
     init_prefix,
     kws_logits,
@@ -165,40 +168,27 @@ def set_trainable(params: ModelParams, mode: str) -> None:
 def loss_asr(
     params: ModelParams,
     vocab: Vocab,
-    batch: Sequence[tuple[np.ndarray, Sequence[int]]],
+    u: Packed,
+    targets: Sequence[Sequence[int]],
     prompts: Sequence[Sequence[int]],
 ) -> Tensor:
     """Mean token cross-entropy over all target positions in the batch.
 
-    Each batch item is (feature frames, target token ids); the whole batch
-    runs as one packed encoder pass and one packed decoder pass.  The loss
-    covers the targets plus the closing end-of-text token, never the
-    prompt or prefix positions.
+    Example b decodes target token ids targets[b] after prompt prompts[b]
+    against sequence b of the encoder output u, all in one packed decoder
+    pass.  The loss covers the targets plus the closing end-of-text token,
+    never the prompt or prefix positions.
     """
-    if not batch:
-        raise TrainingError("empty batch")
-    if len(prompts) != len(batch):
-        raise TrainingError(f"got {len(prompts)} prompts for {len(batch)} examples")
-    u = encode(params, [frames for frames, _ in batch])
-    t_ids = [t for _, t in batch]
-    logits = teacher_forced_logits(params, u, prompts, t_ids, params.prefix.get("q"))
-    return ad.cross_entropy(logits, [tok for t in t_ids for tok in (*t, vocab.eot_id)])
+    logits = teacher_forced_logits(params, u, prompts, targets, params.prefix.get("q"))
+    return ad.cross_entropy(logits, [tok for t in targets for tok in (*t, vocab.eot_id)])
 
 
-def loss_kws(
-    params: ModelParams,
-    batch: Sequence[tuple[np.ndarray, KeywordSet]],
-) -> Tensor:
-    """Mean binary cross-entropy over every sampled keyword in the batch of
-    (feature frames, keyword set) items, run as one packed pass."""
-    if len(batch) < 2:
-        raise TrainingError("keyword loss needs a batch of >= 2 examples")
-    if not any(len(ks) for _, ks in batch):
-        raise TrainingError("no keywords drawn for the batch")
-    u = encode(params, [frames for frames, _ in batch])
-    logits = kws_logits(params, u, [[kw.tokens for kw in ks] for _, ks in batch])
-    labels = [1.0 if kw.positive else 0.0 for _, ks in batch for kw in ks]
-    return ad.bce_with_logits(logits, labels)
+def loss_kws(params: ModelParams, u: Packed, keyword_sets: Sequence[KeywordSet]) -> Tensor:
+    """Mean binary cross-entropy over every keyword in the batch, example b's
+    keyword_sets[b] scored against sequence b of the encoder output u in
+    one keyword-head pass."""
+    logits = kws_logits(params, u, [[kw.tokens for kw in ks] for ks in keyword_sets])
+    return ad.bce_with_logits(logits, [1.0 if kw.positive else 0.0 for ks in keyword_sets for kw in ks])
 
 
 def train_run(
@@ -210,16 +200,19 @@ def train_run(
     """Run one training regime in place; returns the per-step loss series.
 
     Frozen groups are hash-checked before/after: any change is a bug and
-    raises.  A non-finite loss aborts with the step index.
+    raises.  A non-finite loss aborts with the step index.  A ``pt`` run
+    starts a soft prefix of `prefix_len` rows, or continues one of exactly
+    that many.
     """
     if not dataset:
         raise TrainingError("empty dataset")
+    if config.mode == "pt":
+        if "q" not in params.prefix:
+            init_prefix(params, config.prefix_len, config.seed)
+        elif params.prefix["q"].shape[0] != config.prefix_len:
+            raise TrainingError(f"the soft prefix has {params.prefix['q'].shape[0]} rows, "
+                                f"but prefix_len is {config.prefix_len}")
     set_trainable(params, config.mode)
-    if config.mode == "pt" and "q" not in params.prefix:
-        init_prefix(params, config.prefix_len, config.seed)
-        params.prefix["q"].requires_grad = True
-
-    empty_prompt = assemble_prompt(vocab, ())
 
     # An utterance is tokenized and split when a batch first draws it.
     @functools.cache
@@ -249,28 +242,25 @@ def train_run(
     rng = stream(config.seed, "train", config.mode)
     losses: list[float] = []
 
+    def keywords(idx: list[int], j: int) -> KeywordSet:
+        """Example j's keyword set; a base-asr example gets one with
+        probability `prompt_exposure`, and the empty set otherwise."""
+        if config.mode != "base-asr":
+            return sample_training_keywords(vocab, [tokens(i) for i in idx], j, rng)
+        if rng.random() >= config.prompt_exposure:
+            return KeywordSet(())
+        return sample_word_keywords(vocab, [words(i) for i in idx], j, word_weights, rng)
+
     for step in range(config.steps):
         idx = [int(i) for i in rng.integers(0, len(dataset), size=config.batch_size)]
-        batch_tokens = [tokens(i) for i in idx]
+        keyword_sets = [keywords(idx, j) for j in range(len(idx))]
         with Tape():
+            u = encode(params, [dataset[i].frames for i in idx])
             if config.mode == "kws":
-                keyword_sets = [sample_training_keywords(vocab, batch_tokens, j, rng) for j in range(len(idx))]
-                loss = loss_kws(params, [(dataset[i].frames, ks) for i, ks in zip(idx, keyword_sets)])
+                loss = loss_kws(params, u, keyword_sets)
             else:
-                prompts = []
-                for j in range(len(idx)):
-                    if config.mode == "base-asr":
-                        if rng.random() >= config.prompt_exposure:
-                            prompts.append(empty_prompt)
-                        else:
-                            batch_words = [words(i) for i in idx]
-                            ks = sample_word_keywords(vocab, batch_words, j, word_weights, rng)
-                            prompts.append(assemble_prompt(vocab, ks))
-                    else:
-                        ks = sample_training_keywords(vocab, batch_tokens, j, rng)
-                        prompts.append(assemble_prompt(vocab, ks))
-                items = [(dataset[i].frames, tokens(i)) for i in idx]
-                loss = loss_asr(params, vocab, items, prompts)
+                prompts = [assemble_prompt(vocab, ks) for ks in keyword_sets]
+                loss = loss_asr(params, vocab, u, [tokens(i) for i in idx], prompts)
             backward(loss)
         value = float(loss.data)
         if not np.isfinite(value):

@@ -170,6 +170,10 @@ def _float_config_field(config, groups):
     config["d_model"] = float(config["d_model"])
 
 
+def _odd_d_model(config, groups):
+    config["d_model"], config["n_heads"] = 33, 3  # divisible, so only the parity check sees it
+
+
 def _missing_config_key(config, groups):
     del config["max_src_frames"]  # shapes no tensor, so only the key check sees it
 
@@ -191,6 +195,8 @@ MALFORMED_CHECKPOINTS = {
         _narrow_prefix, r"prefix tensor 'q' has shape \[3, 31\], the model layout says \[3, 32\]$"),
     "float-config": (
         _float_config_field, r"bad model config: d_model must be an int >= 1, got 32\.0$"),
+    "odd-d_model": (
+        _odd_d_model, r"bad model config: d_model must be even for sinusoidal positions, got 33$"),
     "missing-config-key": (
         _missing_config_key,
         r"model config keys do not match ModelConfig: missing \['max_src_frames'\], extra \[\]$"),

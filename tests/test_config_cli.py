@@ -575,6 +575,33 @@ def test_evaluate_on_an_empty_test_split_is_a_single_line_error(cli_world, capsy
     assert err == "EvalError: empty test set: WER and F1 are undefined"
 
 
+def test_odd_d_model_is_a_single_line_error(cli_world, capsys, tmp_path):
+    _, data, *_ = cli_world
+    rc = main(["train-asr", "--data", str(data), "--out", str(tmp_path / "x"), *TINY_OVERRIDES,
+               "--set", "d_model=65", "--set", "n_heads=5"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "ModelError: d_model must be even for sinusoidal positions, got 65"
+
+
+def test_prompt_tuning_a_prefix_of_another_length_is_a_single_line_error(cli_world, capsys, tmp_path):
+    _, data, _, _, pt = cli_world
+    rc = main(["prompt-tune", "--data", str(data), "--out", str(tmp_path / "x"),
+               "--kws-ckpt", str(pt / "pt.ckpt"), "--prefix-len", "8", *TINY_OVERRIDES])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "TrainingError: the soft prefix has 12 rows, but prefix_len is 8"
+    assert not (tmp_path / "x" / "pt.ckpt").exists()
+
+
+def test_evaluating_pt_oracle_on_a_base_checkpoint_is_a_single_line_error(cli_world, capsys, tmp_path):
+    _, data, asr, *_ = cli_world
+    rc = main(["evaluate", "--data", str(data), "--out", str(tmp_path / "eval"), "--conditions", "pt-oracle",
+               "--pt-ckpt", str(asr / "base-asr.ckpt"), *TINY_OVERRIDES])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        "EvalError: condition 'pt-oracle' needs a prompt-tuned checkpoint, but this one has no soft prefix")
+    assert not (tmp_path / "eval" / "report.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--data", "/nonexistent"],
     ["transcribe", "--data", "/nonexistent", "--ckpt", "/nonexistent/base.ckpt"],

@@ -192,6 +192,14 @@ def test_kws_conditions_require_spotter(tiny_world):
         evaluate_condition("baseline+prompt", stack["base"], None, splits["test"], ctx)
 
 
+def test_pt_conditions_require_a_soft_prefix(tiny_world):
+    splits, _, _, stack, ctx = tiny_world
+    for condition in ("pt", "pt-oracle"):
+        with pytest.raises(EvalError, match=f"^condition '{condition}' needs a prompt-tuned checkpoint, "
+                                            "but this one has no soft prefix$"):
+            evaluate_condition(condition, stack["base"], stack["kws"], splits["test"], ctx)
+
+
 def test_unknown_condition_rejected(tiny_world):
     splits, _, _, stack, ctx = tiny_world
     with pytest.raises(EvalError, match="unknown condition"):

@@ -47,6 +47,9 @@ def vocab():
 def test_config_validation():
     with pytest.raises(ModelError, match="divisible"):
         ModelConfig(d_model=30, n_heads=4)
+    for d_model, n_heads in ((65, 5), (15, 3)):
+        with pytest.raises(ModelError, match=f"^d_model must be even for sinusoidal positions, got {d_model}$"):
+            ModelConfig(d_model=d_model, n_heads=n_heads)
     with pytest.raises(ModelError, match=">= 1"):
         ModelConfig(n_enc_layers=0)
 

@@ -44,8 +44,26 @@ def test_prints_quartiles_wins_and_the_gain_rule(tmp_path, capsys):
     assert speed.endswith(": gain")
     wait = next(line for line in lines if line.startswith("wait "))
     assert "wins 0/4" in wait and wait.endswith(": no gain")
+    assert "same value on both sides in every pair: wait" in lines
     assert lines[-3:] == ["no regression, each bound a share of the parent's median:",
                           "speed                  bound 0.05: no worse", "wait                   bound 0.1: no worse"]
+
+
+@pytest.mark.parametrize("change_speed, change_wait, same", [
+    ("100.0", "2.0 + seed", "speed, wait"),
+    ("100.0", "2.0 + seed % 3", "speed"),
+    ("100.5", "2.0 + seed", "wait"),
+    ("100.5", "2.5", "none"),
+])
+def test_names_the_metrics_equal_in_every_pair(tmp_path, capsys, change_speed, change_wait, same):
+    # the parent's wait varies from pair to pair; "seed % 3" parts from it
+    # only in the last pair (seed 3)
+    parent = _checkout(tmp_path / "parent", "100.0", wait="2.0 + seed")
+    change = _checkout(tmp_path / "change", change_speed, wait=change_wait)
+    assert paired_bench.main([str(parent), str(change), "--workload", "eval", "--pairs", "4", "--seed0", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("same value")] == [
+        f"same value on both sides in every pair: {same}"]
 
 
 # in the last two cases the parent's speeds over seeds 0-3 are 100, 120,

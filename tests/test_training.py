@@ -1,5 +1,6 @@
 """Losses, freeze contracts, determinism, and checkpointing."""
 
+import dataclasses
 import hashlib
 import struct
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from kwbias import autodiff as ad
-from kwbias.autodiff import Tape, Tensor, backward
+from kwbias.autodiff import AutodiffError, Tape, Tensor, backward
 from kwbias.container import read_container, write_container
-from kwbias.model import (ModelConfig, encode, init_params, init_prefix, kws_logits, param_group_hash,
-                          teacher_forced_logits)
+from kwbias.model import (ModelConfig, ModelError, encode, init_params, init_prefix, kws_logits,
+                          param_group_hash, teacher_forced_logits)
 from kwbias.prompts import Keyword, KeywordSet, sample_training_keywords, assemble_prompt
 from kwbias.rng import stream
 from kwbias.synth import SynthSpec, Utterance, generate_corpus
@@ -33,6 +34,19 @@ from helpers import MALFORMED_CHECKPOINTS, gradcheck_modes, rewrite_checkpoint
 SPEC = SynthSpec(train_size=60, dev_size=8, test_size=8, n_mels=12, seed=21)
 MODEL = ModelConfig(d_model=32, n_heads=4, n_enc_layers=1, n_dec_layers=1, d_ff=64,
                     vocab_size=120, n_mels=12, max_src_frames=128, max_tgt_len=96)
+
+
+def _asr_loss(params, vocab, items, prompts):
+    """`loss_asr` of (frames, target token ids) items, encoded in one pass
+    under whatever tape is recording."""
+    u = encode(params, [frames for frames, _ in items])
+    return loss_asr(params, vocab, u, [t for _, t in items], prompts)
+
+
+def _kws_loss(params, items):
+    """`loss_kws` of (frames, keyword set) items, encoded in one pass under
+    whatever tape is recording."""
+    return loss_kws(params, encode(params, [frames for frames, _ in items]), [ks for _, ks in items])
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +76,7 @@ def test_initial_asr_loss_is_log_vocab(corpus):
                                      n_heads=4, n_enc_layers=1, n_dec_layers=1, d_ff=64), seed=0)
     items = [(u.frames, vocab.tokenize(u.text)) for u in splits["train"][:4]]
     prompts = [assemble_prompt(vocab, ())] * 4
-    loss = float(loss_asr(params, vocab, items, prompts).data)
+    loss = float(_asr_loss(params, vocab, items, prompts).data)
     assert abs(loss - np.log(len(vocab))) < 0.3
 
 
@@ -72,8 +86,8 @@ def test_batch_of_identical_examples_equals_single_example_loss(corpus):
     u = splits["train"][0]
     item = (u.frames, vocab.tokenize(u.text))
     prompt = assemble_prompt(vocab, ())
-    single = float(loss_asr(params, vocab, [item], [prompt]).data)
-    batch = float(loss_asr(params, vocab, [item] * 3, [prompt] * 3).data)
+    single = float(_asr_loss(params, vocab, [item], [prompt]).data)
+    batch = float(_asr_loss(params, vocab, [item] * 3, [prompt] * 3).data)
     assert abs(single - batch) < 1e-12
 
 
@@ -85,18 +99,25 @@ def test_batch_loss_is_the_position_weighted_mean_of_single_losses(corpus):
     by_length = {len(t_ids): (frames, t_ids) for frames, t_ids in items}
     batch = [by_length[n] for n in sorted(by_length)[:3]]
     assert len({len(t_ids) for _, t_ids in batch}) == 3
-    singles = [float(loss_asr(params, vocab, [item], [prompt]).data) for item in batch]
+    singles = [float(_asr_loss(params, vocab, [item], [prompt]).data) for item in batch]
     positions = [len(t_ids) + 1 for _, t_ids in batch]
     expected = float(np.dot(singles, positions) / sum(positions))
-    loss = float(loss_asr(params, vocab, batch, [prompt] * len(batch)).data)
+    loss = float(_asr_loss(params, vocab, batch, [prompt] * len(batch)).data)
     assert abs(loss - expected) < 1e-12
 
 
-def test_empty_batch_is_an_error(corpus):
-    _, _, vocab = corpus
+def test_empty_batch_is_an_error():
     params = init_params(MODEL, seed=1)
-    with pytest.raises(TrainingError, match="empty batch"):
-        loss_asr(params, vocab, [], [])
+    with pytest.raises(ModelError, match="^nothing to encode$"):
+        encode(params, [])
+
+
+def test_a_keyword_batch_without_keywords_is_an_error(corpus):
+    splits, _, _ = corpus
+    params = init_params(MODEL, seed=1)
+    empty = KeywordSet(())
+    with pytest.raises(AutodiffError, match="^empty loss: no labels$"):
+        _kws_loss(params, [(u.frames, empty) for u in splits["train"][:2]])
 
 
 def test_one_asr_batch_records_the_hand_counted_graph(corpus):
@@ -120,7 +141,7 @@ def test_one_asr_batch_records_the_hand_counted_graph(corpus):
     for n in (1, 2, 4):
         batch = [(u.frames, vocab.tokenize(u.text)) for u in splits["train"][:n]]
         with Tape() as tape:
-            loss_asr(params, vocab, batch, [assemble_prompt(vocab, ())] * n)
+            _asr_loss(params, vocab, batch, [assemble_prompt(vocab, ())] * n)
         counts.append(len(tape))
     assert counts == [encoder + decoder + 1] * 3 and counts[0] == 45  # + cross-entropy
 
@@ -165,7 +186,7 @@ def test_packed_batch_equals_batches_of_one(corpus, mode, n_prefix):
 
     def loss_and_grads(items, conds):
         with Tape():
-            loss = loss_asr(params, vocab, items, conds)
+            loss = _asr_loss(params, vocab, items, conds)
             backward(loss)
         grads = {name: t.grad for name, t in trainable}
         for _, t in trainable:
@@ -194,7 +215,7 @@ def test_a_frozen_encoder_records_no_node(corpus, mode):
         logits = teacher_forced_logits(params, u, prompts, t_ids, params.prefix["q"])
         ad.cross_entropy(logits, [tok for t in t_ids for tok in (*t, vocab.eot_id)])
     with Tape() as step:
-        loss_asr(params, vocab, batch, prompts)
+        _asr_loss(params, vocab, batch, prompts)
     encoder = 3 + 12 * MODEL.n_enc_layers + 1
     assert len(decoder_only) > 0
     assert len(step) - len(decoder_only) == (encoder if mode == "base-asr" else 0)
@@ -242,7 +263,7 @@ def test_packed_keyword_batch_equals_batches_of_one(corpus):
     def single(item):
         return ad.bce_with_logits(logits([item]), [float(kw.positive) for kw in item[1]])
 
-    packed_loss, packed = loss_and_grads(lambda: loss_kws(params, batch))
+    packed_loss, packed = loss_and_grads(lambda: _kws_loss(params, batch))
     # the batch loss is the mean over every keyword, so a keywordless
     # utterance weighs nothing
     kept = [item for item in batch if len(item[1])]
@@ -270,7 +291,7 @@ def test_one_kws_batch_records_the_hand_counted_graph(corpus):
         rng = stream(3, "kws-graph", n)
         batch = [(u.frames, sample_training_keywords(vocab, toks, j, rng)) for j, u in enumerate(utts)]
         with Tape() as tape:
-            loss_kws(params, batch)
+            _kws_loss(params, batch)
         counts.append(len(tape))
     assert counts == [head + 1] * 2  # + binary cross-entropy
 
@@ -284,7 +305,7 @@ def test_initial_kws_loss_is_chance_level(corpus):
     for j in range(4):
         ks = sample_training_keywords(vocab, toks, j, rng)
         batch.append((splits["train"][j].frames, ks))
-    loss = float(loss_kws(params, batch).data)
+    loss = float(_kws_loss(params, batch).data)
     assert abs(loss - np.log(2)) < 0.1
 
 
@@ -299,10 +320,10 @@ def test_gradcheck_all_modes_and_frozen_groups_zero(corpus):
     items = [(splits["train"][j].frames, toks[j]) for j in range(2)]
 
     def asr_loss():
-        return loss_asr(params, vocab, items, prompts)
+        return _asr_loss(params, vocab, items, prompts)
 
     def kws_loss():
-        return loss_kws(params, [(splits["train"][j].frames, keyword_sets[j]) for j in range(2)])
+        return _kws_loss(params, [(splits["train"][j].frames, keyword_sets[j]) for j in range(2)])
 
     worst = gradcheck_modes(
         params,
@@ -328,6 +349,43 @@ def test_loss_decreases_over_200_steps_in_every_mode(corpus):
                            train, vocab, params)
         first, last_ema = ema_ends(losses)
         assert last_ema < first, f"{mode}: EMA {last_ema} !< first {first}"
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_prefix_gradients_descend_on_a_fixed_batch(corpus, seed):
+    # prompt tuning alone, on an untrained model: Adam on the prefix rows
+    # must lower the loss of one fixed batch at every step
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed)
+    init_prefix(params, 4, seed)
+    set_trainable(params, "pt")
+    utts = splits["train"][:4]
+    u = encode(params, [x.frames for x in utts])  # frozen: the same rows every step
+    targets = [vocab.tokenize(x.text) for x in utts]
+    prompts = [assemble_prompt(vocab, ())] * len(utts)
+    opt = Adam([("prefix.q", params.prefix["q"])], lr=5e-3)
+    losses = []
+    for _ in range(30):
+        with Tape():
+            loss = loss_asr(params, vocab, u, targets, prompts)
+            backward(loss)
+        opt.step()
+        opt.zero_grad()
+        losses.append(float(loss.data))
+    assert all(b < a for a, b in zip(losses, losses[1:])), losses
+
+
+def test_prompt_tuning_continues_only_a_prefix_of_prefix_len_rows(corpus):
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=7)
+    init_prefix(params, 4, seed=7)
+    before = {g: param_group_hash(grp) for g, grp in params.groups().items()}
+    config = TrainConfig(mode="pt", steps=2, learning_rate=5e-4, batch_size=4, seed=7, prefix_len=8)
+    with pytest.raises(TrainingError, match="^the soft prefix has 4 rows, but prefix_len is 8$"):
+        train_run(config, splits["train"], vocab, params)
+    assert {g: param_group_hash(grp) for g, grp in params.groups().items()} == before
+    train_run(dataclasses.replace(config, prefix_len=4), splits["train"], vocab, params)
+    assert params.prefix["q"].shape == (4, MODEL.d_model)
 
 
 def test_freeze_contract_pt_and_ft(corpus):
