@@ -291,13 +291,17 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
+def embedding(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
     """Gather rows of a 2-D table; gradients scatter-add back."""
     idx = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.data.shape}")
-    if ids and (min(ids) < 0 or max(ids) >= table.data.shape[0]):
-        raise ShapeError(f"embedding id out of range for table of {table.data.shape[0]} rows")
+    if len(idx):
+        # numpy bounds for an index array, Python ones for a list: the
+        # cheaper for each (a decode step gathers a one-id list)
+        lo, hi = (idx.min(), idx.max()) if isinstance(ids, np.ndarray) else (min(ids), max(ids))
+        if lo < 0 or hi >= table.data.shape[0]:
+            raise ShapeError(f"embedding id out of range for table of {table.data.shape[0]} rows")
     out = _track(table.data[idx], (table,))
     if not out.requires_grad:
         return out

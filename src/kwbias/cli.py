@@ -34,7 +34,7 @@ from .harness import (
     write_attention_record,
     write_reports,
 )
-from .model import decode_budget, encode, init_params, kws_detect, same_encoder, transcribe_greedy
+from .model import encode, init_params, kws_detect, same_encoder, transcribe_greedy
 from .prompts import Keyword, KeywordSet, assemble_prompt, kws_to_prompt
 from .synth import dataset_load, dataset_save, generate_corpus, word_bank_load_words, word_bank_save
 from .text import Vocab, build_vocab, normalize
@@ -273,7 +273,8 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     else:
         prompt = assemble_prompt(vocab, ())
 
-    ids = transcribe_greedy(params, u, prompt, prefix, vocab.eot_id, decode_budget(params, prompt, prefix))
+    # a chunk of one, through the path evaluation decodes with
+    (ids,) = transcribe_greedy(params, u, [prompt], prefix, vocab.eot_id, params.config.max_tgt_len)
     lines.append("transcript: " + normalize(vocab.detokenize(ids, skip_reserved=True)))
     text = "\n".join(lines) + "\n"
     (out / "transcript.txt").write_text(text, encoding="utf-8")

@@ -16,16 +16,18 @@ decoder's self- and cross-attention and the keyword head (as a single
 head); every linear layer is one `autodiff.affine`.  Both take and give
 unsplit (rows, d_model) tensors, so head splitting never shows up here.
 
-Decoding is incremental.  A `DecoderCache` holds each layer's
-cross-attention K/V over the encoder output, projected once per
+Decoding is incremental and batch-first.  A `DecoderCache` holds each
+layer's cross-attention K/V over the encoder output, projected once per
 utterance, and each layer's self-attention K/V of the rows decoded so
-far, all unsplit.  `_decoder_extend` is the one place that turns token
-ids into decoder rows: a sequence is [soft prefix, prompt, text], the
-prefix rows going in front when the cache is empty; positions count
-from 0 across all of them and continue from the cached length; and no
-sequence holds more than `max_tgt_len` rows.  Greedy decoding runs
-[prefix, prompt] in one causal pass, then one new row per step against
-the cache.
+far, all unsplit, with one cached length per sequence.  `_decoder_extend`
+is the one place that turns token ids into decoder rows: a sequence is
+[soft prefix, prompt, text], the prefix rows going in front when the
+cache is empty; positions count from 0 across all of them and
+continue from that sequence's cached length; and no sequence holds more
+than `max_tgt_len` rows.  Greedy decoding runs every sequence's [prefix,
+prompt] in one causal pass, then one new row per unfinished sequence per
+step against the cache; a sequence that ends leaves the batch, so every
+step runs only rows still being decoded.
 
 `encode` is the one encoder entry point and `Packed` (rows plus
 per-sequence lengths) the one encoder-output type: utterances are
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -218,14 +221,25 @@ def sinusoid_positions(n: int, d: int) -> np.ndarray:
     return pe
 
 
-def _positions(lengths: tuple[int, ...], d: int, start: int = 0) -> Tensor:
-    """Positional rows of sequences of the given lengths, stacked; each
-    sequence counts from position `start`."""
-    table = sinusoid_positions(start + max(lengths), d)
+def _positions(lengths: tuple[int, ...], d: int, starts: Sequence[int] | None = None) -> Tensor:
+    """Positional rows of sequences of the given lengths, stacked; sequence
+    b counts from position starts[b] (from 0 when `starts` is None)."""
+    if starts is None:
+        starts = (0,) * len(lengths)
+    table = sinusoid_positions(max(map(operator.add, starts, lengths)), d)
     if len(lengths) == 1:
-        # one sequence, as in every decode step: a view, no copy
-        return Tensor(table[start:])
-    return Tensor(np.concatenate([table[start : start + n] for n in lengths]))
+        # one sequence: a view, no copy
+        return Tensor(table[starts[0] :])
+    # row r of sequence b sits at starts[b] + (r - first row of b)
+    offsets = np.repeat(np.subtract(starts, np.cumsum(lengths) - lengths), lengths)
+    return Tensor(table[np.arange(sum(lengths)) + offsets])
+
+
+def _sequence_rows(lengths: Sequence[int], keep: Sequence[int]) -> list[int]:
+    """Row indices, in a packing of sequences of the given lengths, of the
+    sequences numbered in `keep`, in that order."""
+    ends = np.cumsum(lengths).tolist()
+    return [r for b in keep for r in range(ends[b] - lengths[b], ends[b])]
 
 
 class Packed(NamedTuple):
@@ -234,6 +248,11 @@ class Packed(NamedTuple):
 
     rows: Tensor
     lengths: tuple[int, ...]
+
+    def keep(self, sequences: Sequence[int]) -> "Packed":
+        """The numbered sequences alone, in that order."""
+        rows = _sequence_rows(self.lengths, sequences)
+        return Packed(Tensor(self.rows.data[rows]), tuple(self.lengths[b] for b in sequences))
 
 
 def _project_kv(p: dict[str, Tensor], prefix: str, kv: Tensor) -> tuple[Tensor, Tensor]:
@@ -310,21 +329,33 @@ class DecoderCache:
 
     `cross` holds each layer's cross-attention K/V over the encoder output,
     whose sequences have `cross_lengths` rows each; `self_kv` each layer's
-    self-attention K/V over the `length` rows decoded so far.  All are
-    unsplit, (rows, d_model): `ad.attention` splits the heads.  A cache
-    that holds decoded rows holds one sequence.
+    self-attention K/V of the rows decoded so far, sequence b's
+    `lengths[b]` rows after sequence b-1's.  All are unsplit, (rows,
+    d_model): `ad.attention` splits the heads.
     """
 
     cross: list[tuple[Tensor, Tensor]]
     cross_lengths: tuple[int, ...]
-    self_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
-    length: int = 0
+    self_kv: list[tuple[Tensor, Tensor]]
+    lengths: tuple[int, ...]
+
+    def keep(self, sequences: Sequence[int]) -> "DecoderCache":
+        """A cache of the numbered sequences alone, in that order."""
+        cross = _sequence_rows(self.cross_lengths, sequences)
+        own = _sequence_rows(self.lengths, sequences)
+        return DecoderCache(
+            [(Tensor(k.data[cross]), Tensor(v.data[cross])) for k, v in self.cross],
+            tuple(self.cross_lengths[b] for b in sequences),
+            [(Tensor(k.data[own]), Tensor(v.data[own])) for k, v in self.self_kv],
+            tuple(self.lengths[b] for b in sequences),
+        )
 
 
 def decoder_cache(params: ModelParams, u: Packed) -> DecoderCache:
     """An empty cache holding the cross-attention K/V over encoder output u."""
     layers = range(params.config.n_dec_layers)
-    return DecoderCache([_project_kv(params.decoder, f"l{i}.cross", u.rows) for i in layers], u.lengths)
+    cross = [_project_kv(params.decoder, f"l{i}.cross", u.rows) for i in layers]
+    return DecoderCache(cross, u.lengths, [], (0,) * len(u.lengths))
 
 
 def _decoder_extend(
@@ -340,25 +371,34 @@ def _decoder_extend(
 
     Sequence b gets the rows of ids[b], after the soft prefix's rows when
     the cache is empty and a prefix is given, at positions that continue
-    from `cache.length`, and at most `max_tgt_len` rows in all.  It attends
-    causally to its cached and new rows and cross-attends to the cache's
-    encoder sequence b.  Every layer extends its self-attention cache with
-    the new rows' keys and values.  The last layer runs its query,
-    attention, feed-forward and the final norm on the last read[b] rows of
-    each sequence only (every row when `read` is None), and those rows'
-    hidden states, stacked, are returned.
+    from `cache.lengths[b]`, and at most `max_tgt_len` rows in all.  It
+    attends causally to its cached and new rows and cross-attends to the
+    cache's encoder sequence b.  Every layer merges the new rows' keys and
+    values into its self-attention cache, each sequence's after its own
+    cached rows.  The last layer runs its query, attention, feed-forward
+    and the final norm on the last read[b] rows of each sequence only
+    (every row when `read` is None), and those rows' hidden states,
+    stacked, are returned.
     """
     cfg = params.config
     p = params.decoder
-    n_prefix = prefix.shape[0] if prefix is not None and not cache.length else 0
+    # every sequence of a cache holds rows once one extension has run
+    extending = bool(cache.self_kv)
+    n_prefix = prefix.shape[0] if prefix is not None and not extending else 0
     # the prefix rows sit before the table, so token id i is row n_prefix + i
     table = ad.concat([prefix, p["embed"]], axis=0) if n_prefix else p["embed"]
     rows = [r for seq in ids for r in (*range(n_prefix), *(n_prefix + i for i in seq))]
     lengths = tuple(n_prefix + len(seq) for seq in ids)
-    keys = tuple(cache.length + n for n in lengths)
+    keys = tuple(map(operator.add, cache.lengths, lengths))
     if max(keys) > cfg.max_tgt_len:
         raise ModelError(f"conditioning length {max(keys)} exceeds max_tgt_len {cfg.max_tgt_len}")
-    h = ad.add(ad.embedding(table, rows), _positions(lengths, cfg.d_model, cache.length))
+    merge = None
+    if extending and len(keys) > 1:
+        # [past rows, new rows] reordered so that each sequence's new rows
+        # follow its own past rows
+        ends = np.cumsum(cache.lengths)
+        merge = np.insert(np.arange(ends[-1]), np.repeat(ends, lengths), np.arange(ends[-1], ends[-1] + len(rows)))
+    h = ad.add(ad.embedding(table, rows), _positions(lengths, cfg.d_model, cache.lengths))
     for i in range(cfg.n_dec_layers):
         normed = _ln(p, f"l{i}.ln1", h)
         queries = normed
@@ -367,9 +407,11 @@ def _decoder_extend(
             queries, h, lengths = ad.embedding(normed, kept), ad.embedding(h, kept), read
         q = ad.affine(queries, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         k, v = _project_kv(p, f"l{i}.attn", normed)
-        if cache.length:
+        if extending:
             past_k, past_v = cache.self_kv[i]
             k, v = ad.concat([past_k, k], axis=0), ad.concat([past_v, v], axis=0)
+            if merge is not None:
+                k, v = ad.embedding(k, merge), ad.embedding(v, merge)
             cache.self_kv[i] = (k, v)
         else:
             cache.self_kv.append((k, v))
@@ -379,7 +421,7 @@ def _decoder_extend(
         h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads,
                               (lengths, cache.cross_lengths)))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
-    cache.length += len(rows)
+    cache.lengths = keys
     return _ln(p, "ln_out", h)
 
 
@@ -435,28 +477,38 @@ def teacher_forced_logits(
 def decode_next(
     params: ModelParams,
     u: Packed,
-    cond_ids: Sequence[int],
-    t_prev: Sequence[int],
+    cond_ids: Sequence[Sequence[int]],
+    t_prev: Sequence[Sequence[int]],
     prefix: Tensor | None,
     cache: DecoderCache | None = None,
 ) -> np.ndarray:
-    """Distribution over the vocabulary for the next token.
+    """Distributions over the vocabulary for each sequence's next token,
+    (sequences of u, vocab_size): row b conditions on cond_ids[b], the
+    tokens t_prev[b] so far and sequence b of u.
 
     Without a cache every [prefix, cond, t_prev] row runs in one causal
     pass.  A cache from `decoder_cache(params, u)` that holds the leading
-    rows of this same sequence runs only the rows after them, and is
+    rows of these same sequences runs only the rows after them, and is
     extended with their keys and values.
     """
-    _require_start([cond_ids])
+    if len(cond_ids) != len(u.lengths) or len(t_prev) != len(u.lengths):
+        raise ModelError(f"got {len(cond_ids)} conditionings and {len(t_prev)} token lists "
+                         f"for {len(u.lengths)} encoder outputs")
+    _require_start(cond_ids)
     if cache is None:
         cache = decoder_cache(params, u)
-    # a cache that holds rows holds the prefix's rows first
-    cached = cache.length - prefix.shape[0] if prefix is not None and cache.length else cache.length
-    new_ids = [*cond_ids, *t_prev][cached:]
-    if not new_ids:
-        raise ModelError("nothing to decode: every row is already cached")
-    last = _decoder_extend(params, cache, [new_ids], prefix, read=(1,))
-    return ad.softmax(_readout(params, last), axis=-1).data[0]
+    elif cache.cross_lengths != u.lengths:
+        raise ModelError(f"the cache holds encoder outputs of {cache.cross_lengths} rows, not u's {u.lengths}")
+    n_prefix = prefix.shape[0] if prefix is not None else 0
+    new_ids = []
+    for cond, t, cached in zip(cond_ids, t_prev, cache.lengths):
+        # a cache that holds rows of a sequence holds the prefix's rows first
+        ids = [*cond, *t][cached - n_prefix if cached else 0 :]
+        if not ids:
+            raise ModelError("nothing to decode: every row is already cached")
+        new_ids.append(ids)
+    last = _decoder_extend(params, cache, new_ids, prefix, read=(1,) * len(new_ids))
+    return ad.softmax(_readout(params, last), axis=-1).data
 
 
 def decode_budget(params: ModelParams, cond_ids: Sequence[int], prefix: Tensor | None) -> int:
@@ -474,24 +526,43 @@ def decode_budget(params: ModelParams, cond_ids: Sequence[int], prefix: Tensor |
 def transcribe_greedy(
     params: ModelParams,
     u: Packed,
-    cond_ids: Sequence[int],
+    cond_ids: Sequence[Sequence[int]],
     prefix: Tensor | None,
     eot_id: int,
     max_len: int,
-) -> list[int]:
-    """Greedy decode; argmax ties break to the lowest token id.
+) -> list[list[int]]:
+    """Greedy decode of every sequence of u, sequence b conditioned on
+    cond_ids[b]; one token list per sequence.  Argmax ties break to the
+    lowest token id.
 
-    The first step runs [prefix, cond] in one causal pass; every later
-    step runs only the newest token against the cached keys and values.
+    Sequence b stops at end-of-text or after min(max_len, its own
+    `decode_budget`) tokens.  The first step runs every [prefix, cond] in
+    one causal pass; every later step runs only the newest token of each
+    sequence still decoding, against the cached keys and values.  A
+    sequence that stops leaves the batch and the cache, so it adds no rows
+    to later steps.  Each step calls this module's `decode_next`, so a
+    wrapper set on the module sees every step.
     """
+    if len(cond_ids) != len(u.lengths):
+        raise ModelError(f"got {len(cond_ids)} conditionings for {len(u.lengths)} encoder outputs")
+    limits = [min(max_len, decode_budget(params, cond, prefix)) for cond in cond_ids]
+    out: list[list[int]] = [[] for _ in cond_ids]
+    done = [limit <= 0 for limit in limits]
+    live = list(range(len(cond_ids)))
     cache = decoder_cache(params, u)
-    out: list[int] = []
-    for _ in range(max_len):
-        nxt = int(np.argmax(decode_next(params, u, cond_ids, out, prefix, cache)))
-        if nxt == eot_id:
-            break
-        out.append(nxt)
-    return out
+    while True:
+        kept = [j for j, b in enumerate(live) if not done[b]]
+        if not kept:
+            return out
+        if len(kept) < len(live):
+            live = [live[j] for j in kept]
+            u, cache = u.keep(kept), cache.keep(kept)
+        probs = decode_next(params, u, [cond_ids[b] for b in live], [out[b] for b in live], prefix, cache)
+        for b, nxt in zip(live, np.argmax(probs, axis=1).tolist()):
+            done[b] = nxt == eot_id
+            if not done[b]:
+                out[b].append(nxt)
+                done[b] = len(out[b]) >= limits[b]
 
 
 @dataclass(frozen=True)
@@ -552,6 +623,8 @@ def prompt_attention_block(
     rounding, since it comes from one softmax row).
     """
     cfg = params.config
+    if len(u.lengths) != 1:
+        raise ModelError(f"attention export reads one encoder output, got {len(u.lengths)}")
     if not -cfg.n_dec_layers <= layer < cfg.n_dec_layers:
         raise ModelError(f"layer {layer} out of range for {cfg.n_dec_layers} decoder layers")
     layer = layer % cfg.n_dec_layers

@@ -202,10 +202,14 @@ def train_run(
     Frozen groups are hash-checked before/after: any change is a bug and
     raises.  A non-finite loss aborts with the step index.  A ``pt`` run
     starts a soft prefix of `prefix_len` rows, or continues one of exactly
-    that many.
+    that many.  A ``ft`` run refuses a model that carries a soft prefix: it
+    would train the decoder behind it and save a decoder-plus-prefix model.
     """
     if not dataset:
         raise TrainingError("empty dataset")
+    if config.mode == "ft" and "q" in params.prefix:
+        raise TrainingError(f"ft fine-tunes the decoder alone, but this model carries a soft prefix of "
+                            f"{params.prefix['q'].shape[0]} rows; start ft from a checkpoint without one")
     if config.mode == "pt":
         if "q" not in params.prefix:
             init_prefix(params, config.prefix_len, config.seed)

@@ -288,6 +288,15 @@ def test_embedding_rejects_ids_outside_the_table(ids):
         ad.embedding(Tensor(np.zeros((3, 2))), ids)
 
 
+def test_embedding_takes_an_index_array_as_a_list():
+    table = Tensor(np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(ad.embedding(table, np.array([2, 0, 2])).data, ad.embedding(table, [2, 0, 2]).data)
+    assert ad.embedding(table, np.array([], dtype=np.int64)).shape == (0, 2)
+    for ids in ([0, -1], [2, 3]):
+        with pytest.raises(ShapeError, match="^embedding id out of range for table of 3 rows$"):
+            ad.embedding(table, np.array(ids))
+
+
 def test_suffix_broadcast_add_sums_grad_over_leading_axes():
     x = Tensor(np.zeros((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)

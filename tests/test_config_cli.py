@@ -277,6 +277,18 @@ def test_finetune_then_evaluate_the_ft_conditions(cli_world, tmp_path):
     assert [(r[0], r[-1]) for r in rows] == [("ft", str(decoder_size)), ("ft-oracle", str(decoder_size))]
 
 
+def test_finetune_from_a_prompt_tuned_checkpoint_is_a_single_line_error(cli_world, capsys, tmp_path):
+    _, data, _, _, pt = cli_world
+    out = tmp_path / "ft"
+    rc = main(["finetune", "--data", str(data), "--out", str(out),
+               "--kws-ckpt", str(pt / "pt.ckpt"), *TINY_OVERRIDES])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "TrainingError: ft fine-tunes the decoder alone, but this model carries a soft prefix of "
+        f"{RunConfig().prefix_len} rows; start ft from a checkpoint without one\n")
+    assert not (out / "ft.ckpt").exists()
+
+
 def test_ablate_scores_each_prefix_length(cli_world, tmp_path):
     _, data, _, kws, _ = cli_world
     out = tmp_path / "ablate"

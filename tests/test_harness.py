@@ -161,8 +161,8 @@ def test_the_spotter_reads_its_own_encoder_pass(tiny_world, monkeypatch):
         assert np.array_equal(spotted[i][1].rows.data, kws_u.rows.data)
         pred = kws_detect(kws, kws_u, [kw.tokens for kw in keywords], threshold=TINY.kws_threshold)
         prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
-        ids = transcribe_greedy(pt, encode(pt, [utt.frames]), prompt, prefix, vocab.eot_id,
-                                decode_budget(pt, prompt, prefix))
+        (ids,) = transcribe_greedy(pt, encode(pt, [utt.frames]), [prompt], prefix, vocab.eot_id,
+                                   decode_budget(pt, prompt, prefix))
         refs.append(normalize(utt.text))
         hyps.append(normalize(vocab.detokenize(ids, skip_reserved=True)))
         keyword_sets.append(keywords)

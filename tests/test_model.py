@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwbias.autodiff import Tensor
 from kwbias.model import (
@@ -112,7 +114,7 @@ def test_encode_rejects_bad_inputs(params):
 
 def test_decode_next_distribution_sums_to_one(params, vocab):
     u = encode(params, [stream(2, "u").normal(size=(10, 8))])
-    probs = decode_next(params, u, [vocab.sop_id, vocab.sot_id], [7, 8], None)
+    (probs,) = decode_next(params, u, [[vocab.sop_id, vocab.sot_id]], [[7, 8]], None)
     assert probs.shape == (CFG.vocab_size,)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert (probs >= 0).all()
@@ -121,8 +123,8 @@ def test_decode_next_distribution_sums_to_one(params, vocab):
 def test_decode_next_plain_mode_equals_sot_only_conditioning(params, vocab):
     u = encode(params, [stream(3, "u").normal(size=(10, 8))])
     t_prev = [9, 12]
-    plain = decode_next(params, u, [vocab.sot_id], t_prev, None)
-    again = decode_next(params, u, [vocab.sot_id], t_prev, None)
+    plain = decode_next(params, u, [[vocab.sot_id]], [t_prev], None)
+    again = decode_next(params, u, [[vocab.sot_id]], [t_prev], None)
     assert np.array_equal(plain, again)  # deterministic forward
 
 
@@ -132,20 +134,20 @@ def test_decode_next_attends_to_prompt_content(params, vocab):
     u = encode(params, [stream(4, "u").normal(size=(10, 8))])
     p1 = [vocab.sop_id, 10, 11, vocab.sot_id]
     p2 = [vocab.sop_id, 10, 12, vocab.sot_id]
-    d1 = decode_next(params, u, p1, [7], None)
-    d2 = decode_next(params, u, p2, [7], None)
+    d1 = decode_next(params, u, [p1], [[7]], None)
+    d2 = decode_next(params, u, [p2], [[7]], None)
     assert not np.allclose(d1, d2)
 
 
 def test_decode_next_overlength_conditioning_rejected(params, vocab):
     u = encode(params, [stream(5, "u").normal(size=(10, 8))])
     with pytest.raises(ModelError, match="max_tgt_len"):
-        decode_next(params, u, [vocab.sot_id], list(range(10, 10 + CFG.max_tgt_len)), None)
+        decode_next(params, u, [[vocab.sot_id]], [list(range(10, 10 + CFG.max_tgt_len))], None)
 
 
 def test_transcribe_stops_at_eot_and_respects_max_len(params, vocab):
     u = encode(params, [stream(6, "u").normal(size=(10, 8))])
-    out = transcribe_greedy(params, u, [vocab.sop_id, vocab.sot_id], None, vocab.eot_id, 12)
+    (out,) = transcribe_greedy(params, u, [[vocab.sop_id, vocab.sot_id]], None, vocab.eot_id, 12)
     assert len(out) <= 12
     assert vocab.eot_id not in out
 
@@ -154,8 +156,7 @@ def test_transcribe_eot_forced_gives_empty_transcript(params, vocab):
     forced = init_params(CFG, seed=11)
     forced.decoder["out_b"].data[vocab.eot_id] = 50.0
     u = encode(forced, [stream(7, "u").normal(size=(10, 8))])
-    out = transcribe_greedy(forced, u, [vocab.sop_id, vocab.sot_id], None, vocab.eot_id, 12)
-    assert out == []
+    assert transcribe_greedy(forced, u, [[vocab.sop_id, vocab.sot_id]], None, vocab.eot_id, 12) == [[]]
 
 
 def test_transcribe_breaks_ties_to_lowest_id(params, vocab):
@@ -164,8 +165,7 @@ def test_transcribe_breaks_ties_to_lowest_id(params, vocab):
     flat.decoder["embed"] = Tensor(np.zeros_like(flat.decoder["embed"].data))
     flat.decoder["out_b"] = Tensor(np.zeros(CFG.vocab_size))
     u = encode(flat, [stream(8, "u").normal(size=(10, 8))])
-    out = transcribe_greedy(flat, u, [vocab.sop_id, vocab.sot_id], None, vocab.eot_id, 3)
-    assert out == [0, 0, 0]
+    assert transcribe_greedy(flat, u, [[vocab.sop_id, vocab.sot_id]], None, vocab.eot_id, 3) == [[0, 0, 0]]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -197,15 +197,15 @@ def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
     ref = _softmax_rows(teacher_forced_logits(fresh, u, [cond], [t_ids], q).data)
     cache = decoder_cache(fresh, u)
     for step in range(len(t_ids) + 1):
-        probs = decode_next(fresh, u, cond, t_ids[:step], q, cache)
+        (probs,) = decode_next(fresh, u, [cond], [t_ids[:step]], q, cache)
         np.testing.assert_allclose(probs, ref[step], rtol=0, atol=1e-12)
-    assert cache.length == n_prefix + len(cond) + len(t_ids)
+    assert cache.lengths == (n_prefix + len(cond) + len(t_ids),)
     # a cache extends by several rows at once as well
     cache = decoder_cache(fresh, u)
-    decode_next(fresh, u, cond, t_ids[:2], q, cache)
-    np.testing.assert_allclose(decode_next(fresh, u, cond, t_ids, q, cache), ref[-1], rtol=0, atol=1e-12)
+    decode_next(fresh, u, [cond], [t_ids[:2]], q, cache)
+    np.testing.assert_allclose(decode_next(fresh, u, [cond], [t_ids], q, cache)[0], ref[-1], rtol=0, atol=1e-12)
     with pytest.raises(ModelError, match="already cached"):
-        decode_next(fresh, u, cond, t_ids, q, cache)
+        decode_next(fresh, u, [cond], [t_ids], q, cache)
 
 
 @pytest.mark.parametrize("n_prefix", [0, 3])
@@ -219,7 +219,7 @@ def test_empty_conditioning_is_an_error(vocab, n_prefix):
     u = encode(fresh, [stream(14, "u").normal(size=(10, 8))])
     for t_prev in ([], [7, 8]):
         with pytest.raises(ModelError, match=start):
-            decode_next(fresh, u, [], t_prev, q, decoder_cache(fresh, u))
+            decode_next(fresh, u, [[]], [t_prev], q, decoder_cache(fresh, u))
 
 
 @pytest.mark.parametrize("n_prefix", [0, 3])
@@ -251,16 +251,17 @@ def test_transcribe_greedy_equals_naive_argmax_loop(vocab, n_prefix):
     # an untrained model stops early; with end-of-text suppressed every
     # decode runs to max_len, and small token embeddings let the positions
     # steer the argmax, so the tokens vary
-    assert transcribe_greedy(fresh, u, prompt, q, vocab.eot_id, 20) == _naive_greedy(
-        fresh, u, prompt, q, vocab.eot_id, 20)
+    assert transcribe_greedy(fresh, u, [prompt], q, vocab.eot_id, 20) == [_naive_greedy(
+        fresh, u, prompt, q, vocab.eot_id, 20)]
     fresh.decoder["out_b"].data[vocab.eot_id] = -50.0
     fresh.decoder["embed"].data *= 0.1
-    max_len = CFG.max_tgt_len - n_prefix - len(prompt)
-    out = transcribe_greedy(fresh, u, prompt, q, vocab.eot_id, max_len)
-    assert len(out) == max_len and len(set(out)) > 2
-    assert out == _naive_greedy(fresh, u, prompt, q, vocab.eot_id, max_len)
-    with pytest.raises(ModelError, match="max_tgt_len"):
-        transcribe_greedy(fresh, u, prompt, q, vocab.eot_id, max_len + 2)
+    budget = decode_budget(fresh, prompt, q)
+    assert budget == CFG.max_tgt_len - n_prefix - len(prompt) - 1
+    (out,) = transcribe_greedy(fresh, u, [prompt], q, vocab.eot_id, budget)
+    assert len(out) == budget and len(set(out)) > 2
+    assert out == _naive_greedy(fresh, u, prompt, q, vocab.eot_id, budget)
+    # a longer max_len stops at the decode budget all the same
+    assert transcribe_greedy(fresh, u, [prompt], q, vocab.eot_id, budget + 2) == [out]
 
 
 @pytest.mark.parametrize("n_prefix", [0, 3])
@@ -275,6 +276,127 @@ def test_conditioning_without_room_for_end_of_text_is_an_error(vocab, n_prefix):
             decode_budget(fresh, cond, q)
         assert str(info.value) == (f"conditioning of {n_prefix + len(cond)} rows leaves no room for "
                                    "end-of-text within max_tgt_len 8")
+
+
+# ---------------------------------------------------------------------------
+# batch-first decoding: every row of a batch decodes as it would alone
+
+
+def _decode_world(vocab, n_prefix: int, eot_bias: float):
+    """Untrained weights with end-of-text biased by eot_bias; small token
+    embeddings let positions steer the argmax, so decodes vary."""
+    fresh = init_params(CFG, seed=11)
+    q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
+    fresh.decoder["out_b"].data[vocab.eot_id] = eot_bias
+    fresh.decoder["embed"].data *= 0.1
+    return fresh, q
+
+
+def _prompt(vocab, keyword_ids):
+    return [vocab.sop_id, *keyword_ids, vocab.sot_id] if keyword_ids else [vocab.sot_id]
+
+
+_rows = st.lists(
+    st.tuples(st.integers(4, 24), st.lists(st.integers(N_RESERVED, CFG.vocab_size - 1), max_size=40)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=_rows, n_prefix=st.sampled_from([0, 3]), eot_bias=st.sampled_from([-50.0, 0.0, 0.3]),
+       max_len=st.integers(0, CFG.max_tgt_len), seed=st.integers(0, 2**16))
+def test_batched_greedy_equals_each_batch_of_one(vocab, rows, n_prefix, eot_bias, max_len, seed):
+    fresh, q = _decode_world(vocab, n_prefix, eot_bias)
+    # prompts of up to 42 conditioning rows: some rows have a budget of a
+    # few tokens or none, so budgets bind at different steps
+    conds = [_prompt(vocab, ids[: CFG.max_tgt_len - 6 - n_prefix]) for _, ids in rows]
+    rng = stream(seed, "frames")
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n, _ in rows])
+    batched = transcribe_greedy(fresh, u, conds, q, vocab.eot_id, max_len)
+    alone = [transcribe_greedy(fresh, u.keep([b]), [cond], q, vocab.eot_id, max_len)[0]
+             for b, cond in enumerate(conds)]
+    assert batched == alone
+    for out, cond in zip(batched, conds):
+        assert len(out) <= min(max_len, decode_budget(fresh, cond, q)) and vocab.eot_id not in out
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(4, 24), st.lists(st.integers(N_RESERVED, CFG.vocab_size - 1), max_size=8),
+                               st.lists(st.integers(N_RESERVED, CFG.vocab_size - 1), max_size=10),
+                               st.integers(0, 10)), min_size=1, max_size=4),
+       n_prefix=st.sampled_from([0, 3]), seed=st.integers(0, 2**16))
+def test_batched_decode_next_rows_match_batches_of_one(vocab, rows, n_prefix, seed):
+    # numpy's one-row and many-row matmuls differ in the last bits, so rows
+    # match to 1e-12, not bit for bit
+    fresh, q = _decode_world(vocab, n_prefix, 0.0)
+    rng = stream(seed, "frames")
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n, *_ in rows])
+    conds = [_prompt(vocab, ids) for _, ids, _, _ in rows]
+    t_prev = [t for _, _, t, _ in rows]
+    alone = np.stack([decode_next(fresh, u.keep([b]), [c], [t], q)[0]
+                      for b, (c, t) in enumerate(zip(conds, t_prev))])
+    np.testing.assert_allclose(decode_next(fresh, u, conds, t_prev, q), alone, rtol=0, atol=1e-12)
+    # a cache that first took a different number of each sequence's tokens,
+    # then one call that adds one or more rows to each sequence
+    cache = decoder_cache(fresh, u)
+    decode_next(fresh, u, conds, [t[:cut] for t, (*_, cut) in zip(t_prev, rows)], q, cache)
+    grown = [[*t, N_RESERVED + b] for b, t in enumerate(t_prev)]
+    expected = np.stack([decode_next(fresh, u.keep([b]), [c], [t], q)[0]
+                         for b, (c, t) in enumerate(zip(conds, grown))])
+    np.testing.assert_allclose(decode_next(fresh, u, conds, grown, q, cache), expected, rtol=0, atol=1e-12)
+    assert cache.lengths == tuple(n_prefix + len(c) + len(t) for c, t in zip(conds, grown))
+
+
+@pytest.mark.parametrize("n_prefix", [0, 3])
+def test_budgets_bind_at_different_steps_and_a_row_ends_at_step_one(vocab, n_prefix):
+    fresh, q = _decode_world(vocab, n_prefix, -50.0)
+    rng = stream(21, "frames")
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7, 12)])
+    room = CFG.max_tgt_len - 1 - n_prefix
+    # decode budgets of 1, 5, 20 and 46 - n_prefix tokens; end-of-text never wins
+    conds = [_prompt(vocab, [10 + i % 7 for i in range(room - budget - 2)]) for budget in (1, 5, 20)]
+    conds.append([vocab.sot_id])
+    budgets = [decode_budget(fresh, c, q) for c in conds]
+    assert budgets == [1, 5, 20, room - 1]
+    batched = transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 30)
+    assert [len(out) for out in batched] == [1, 5, 20, 30]
+    alone = [transcribe_greedy(fresh, u.keep([b]), [c], q, vocab.eot_id, 30)[0] for b, c in enumerate(conds)]
+    assert batched == alone
+    assert transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 0) == [[], [], [], []]
+
+
+def test_a_finished_row_leaves_the_other_rows_unchanged(vocab):
+    fresh, q = _decode_world(vocab, 3, 0.0)
+    eot = vocab.eot_id
+    rng = stream(22, "frames")
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7)])
+    conds = [[vocab.sot_id], [vocab.sop_id, 10, 11, vocab.sot_id], [vocab.sop_id, 12, vocab.sot_id]]
+    # bias end-of-text so that it wins the first step of exactly one row
+    first = np.log(decode_next(fresh, u, conds, [[], [], []], q))
+    margins = np.delete(first, eot, axis=1).max(axis=1) - first[:, eot]
+    ends, *rest = np.argsort(margins).tolist()
+    assert margins[rest[0]] - margins[ends] > 1e-3
+    fresh.decoder["out_b"].data[eot] += (margins[ends] + margins[rest[0]]) / 2
+    batched = transcribe_greedy(fresh, u, conds, q, eot, 12)
+    assert batched[ends] == [] and all(batched[b] for b in rest)
+    # it leaves the batch: the others decode as the batch without it
+    assert [batched[b] for b in rest] == transcribe_greedy(fresh, u.keep(rest), [conds[b] for b in rest], q, eot, 12)
+    # and on the cache level, dropping a sequence leaves the others' next distributions
+    cache = decoder_cache(fresh, u)
+    decode_next(fresh, u, conds, [[], [], []], q, cache)
+    full = decode_next(fresh, u, conds, [[7], [8], [9]], q, cache.keep([0, 1, 2]))
+    kept = decode_next(fresh, u.keep(rest), [conds[b] for b in rest], [[7 + b] for b in rest], q, cache.keep(rest))
+    np.testing.assert_allclose(kept, full[rest], rtol=0, atol=1e-12)
+
+
+def test_decode_needs_one_conditioning_per_sequence(params, vocab):
+    u = encode(params, [stream(12, "u").normal(size=(n, 8)) for n in (10, 12)])
+    with pytest.raises(ModelError, match="^got 1 conditionings and 1 token lists for 2 encoder outputs$"):
+        decode_next(params, u, [[vocab.sot_id]], [[]], None)
+    with pytest.raises(ModelError, match="^got 3 conditionings for 2 encoder outputs$"):
+        transcribe_greedy(params, u, [[vocab.sot_id]] * 3, None, vocab.eot_id, 5)
+    with pytest.raises(ModelError, match=r"^the cache holds encoder outputs of \(5,\) rows, not u's \(5, 6\)$"):
+        decode_next(params, u, [[vocab.sot_id]] * 2, [[], []], None, decoder_cache(params, u.keep([0])))
 
 
 def test_init_prefix_rows_copy_token_embeddings(params):
@@ -294,9 +416,9 @@ def test_init_prefix_rows_copy_token_embeddings(params):
 def test_prefix_changes_the_distribution(params, vocab):
     fresh = init_params(CFG, seed=11)
     u = encode(fresh, [stream(9, "u").normal(size=(10, 8))])
-    without = decode_next(fresh, u, [vocab.sop_id, vocab.sot_id], [7], None)
+    without = decode_next(fresh, u, [[vocab.sop_id, vocab.sot_id]], [[7]], None)
     q = init_prefix(fresh, 4, seed=5)
-    with_q = decode_next(fresh, u, [vocab.sop_id, vocab.sot_id], [7], q)
+    with_q = decode_next(fresh, u, [[vocab.sop_id, vocab.sot_id]], [[7]], q)
     assert not np.allclose(without, with_q)
 
 
@@ -365,6 +487,14 @@ def test_attention_block_shape_and_row_sums(params, vocab):
         assert np.allclose(row_sums, 1.0, atol=1e-9)
     with pytest.raises(ModelError, match="layer"):
         prompt_attention_block(fresh, u, prompt, t_ids, q, CFG.n_dec_layers)
+
+
+def test_attention_block_reads_one_encoder_output(vocab):
+    fresh = init_params(CFG, seed=11)
+    u = encode(fresh, [stream(13, "u").normal(size=(n, 8)) for n in (10, 12)])
+    with pytest.raises(ModelError) as info:
+        prompt_attention_block(fresh, u, [vocab.sot_id], [7, 8], None, 0)
+    assert str(info.value) == "attention export reads one encoder output, got 2"
 
 
 def test_clone_is_deep(params):

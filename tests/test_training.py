@@ -401,13 +401,28 @@ def test_freeze_contract_pt_and_ft(corpus):
     assert param_group_hash(params.kws) == hashes["kws"]
     assert params.prefix["q"].shape == (5, MODEL.d_model)
 
+    # ft starts from a model without a soft prefix (see the refusal test)
+    params.prefix = {}
     before_ft = {g: param_group_hash(grp) for g, grp in params.groups().items()}
     train_run(TrainConfig(mode="ft", steps=30, learning_rate=1e-4, batch_size=4, seed=7),
               train, vocab, params)
     assert param_group_hash(params.decoder) != before_ft["decoder"]
     assert param_group_hash(params.encoder) == before_ft["encoder"]
     assert param_group_hash(params.kws) == before_ft["kws"]
-    assert param_group_hash(params.prefix) == before_ft["prefix"]
+    assert params.prefix == {}
+
+
+def test_ft_refuses_a_model_that_carries_a_soft_prefix(corpus):
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=7)
+    init_prefix(params, 3, seed=7)
+    before = {g: param_group_hash(grp) for g, grp in params.groups().items()}
+    with pytest.raises(TrainingError) as info:
+        train_run(TrainConfig(mode="ft", steps=2, learning_rate=1e-4, batch_size=4, seed=7),
+                  splits["train"], vocab, params)
+    assert str(info.value) == ("ft fine-tunes the decoder alone, but this model carries a soft prefix of 3 rows; "
+                               "start ft from a checkpoint without one")
+    assert {g: param_group_hash(grp) for g, grp in params.groups().items()} == before
 
 
 def test_training_is_bitwise_deterministic(corpus):
