@@ -3,15 +3,18 @@
 
 Everything below shells through the package CLI so the run directory
 layout matches what the commands document; use --steps-scale to shrink
-the stage step counts for a quick smoke run.
+the stage step counts for a quick smoke run.  The training stages run as
+`kwbias.cli.TRAIN_COMMANDS` lists them, each in a directory named by its
+stage role: e.g. `runs/pipeline/base`, which was `runs/pipeline/asr`.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from kwbias.cli import main as kwbias_main
+from kwbias.cli import TRAIN_COMMANDS, main as kwbias_main
 from kwbias.config import ConfigError, RunConfig
+from kwbias.training import stage_for
 
 
 def run(args: list[str]) -> None:
@@ -38,25 +41,19 @@ def main() -> None:
     common = ["--seed", str(args.seed)]
 
     run(["gen-data", "--out", str(data), *common])
-    run(["train-asr", "--data", str(data), "--out", str(root / "asr"),
-         "--steps", str(cfg.steps_asr), *common])
-    run(["train-kws", "--data", str(data), "--out", str(root / "kws"),
-         "--asr-ckpt", str(root / "asr" / "base-asr.ckpt"),
-         "--steps", str(cfg.steps_kws), *common])
-    run(["finetune", "--data", str(data), "--out", str(root / "ft"),
-         "--kws-ckpt", str(root / "kws" / "kws.ckpt"),
-         "--steps", str(cfg.steps_ft), *common])
-    run(["prompt-tune", "--data", str(data), "--out", str(root / "pt"),
-         "--kws-ckpt", str(root / "kws" / "kws.ckpt"),
-         "--steps", str(cfg.steps_pt), *common])
+    ckpts: dict[str, Path] = {}  # checkpoint of each trained stage, by role
+    for command, mode, source_flag, _ in TRAIN_COMMANDS:
+        stage = stage_for(mode)
+        source = [] if source_flag is None else [source_flag, str(ckpts[stage.source])]
+        run([command, "--data", str(data), "--out", str(root / stage.role), *source,
+             "--steps", str(cfg.train_config(mode).steps), *common])
+        ckpts[stage.role] = root / stage.role / f"{mode}.ckpt"
     run(["evaluate", "--data", str(data), "--out", str(root / "eval"),
          "--conditions", "baseline,baseline+prompt,ft,pt,ft-oracle,pt-oracle",
-         "--base-ckpt", str(root / "asr" / "base-asr.ckpt"),
-         "--ft-ckpt", str(root / "ft" / "ft.ckpt"),
-         "--pt-ckpt", str(root / "pt" / "pt.ckpt"),
-         "--kws-ckpt", str(root / "kws" / "kws.ckpt"), *common])
+         "--base-ckpt", str(ckpts["base"]), "--ft-ckpt", str(ckpts["ft"]),
+         "--pt-ckpt", str(ckpts["pt"]), "--kws-ckpt", str(ckpts["kws"]), *common])
     run(["attn-export", "--data", str(data), "--out", str(root / "attn"),
-         "--pt-ckpt", str(root / "pt" / "pt.ckpt"), "--limit", "12", *common])
+         "--pt-ckpt", str(ckpts["pt"]), "--limit", "12", *common])
     print(f"\nartifacts under {root}/")
 
 

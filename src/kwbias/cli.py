@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands cover the whole pipeline: `gen-data`, the four training
-stages (`train-asr`, `train-kws`, `finetune`, `prompt-tune`),
-`evaluate`, `ablate`, `attn-export`, and a single-utterance `transcribe`
-demo.  Every subcommand resolves its configuration (file < flags), runs,
-and writes `config.resolved` into the output directory, which is enough
-to rerun it bit-identically.  Its provenance lines record each input
+stages (`train-asr`, `train-kws`, `finetune`, `prompt-tune`, declared
+once in `TRAIN_COMMANDS` over `training.STAGES`), `evaluate`, `ablate`,
+`attn-export`, and a single-utterance `transcribe` demo.  Every
+subcommand resolves its configuration (file < flags), runs, and writes
+`config.resolved` into the output directory, which is enough to rerun
+it bit-identically.  Its provenance lines record each input
 dataset and checkpoint with the container digest its loader verified,
 so no input is read or hashed a second time; a WAV or word-list input,
 which has no container, is recorded with the sha256 of its bytes.
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .audio import SAMPLE_RATE_HZ, load_wav, log_mel, resample
-from .config import STAGE_KEYS, ConfigError, RunConfig, parse_config, write_resolved
+from .config import ConfigError, RunConfig, parse_config, write_resolved
 from .errors import KwbiasError
 from .harness import (
     CONDITIONS,
@@ -38,7 +39,7 @@ from .model import encode, init_params, kws_detect, same_encoder, transcribe_gre
 from .prompts import Keyword, KeywordSet, assemble_prompt, kws_to_prompt
 from .synth import dataset_load, dataset_save, generate_corpus, word_bank_load_words, word_bank_save
 from .text import Vocab, build_vocab, normalize
-from .training import checkpoint_load, checkpoint_save, train_run
+from .training import checkpoint_load, checkpoint_save, stage_for, train_run
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -93,12 +94,6 @@ def _load_data(data_dir: Path | str, splits: tuple[str, ...]):
     return vocab, sets, sources
 
 
-def _write_metrics(out: Path, losses: list[float]) -> None:
-    (out / "metrics.log").write_text(
-        "".join(f"{i}\t{v!r}\n" for i, v in enumerate(losses)), encoding="utf-8"
-    )
-
-
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _config(args)
     out = _out_dir(args)
@@ -115,49 +110,41 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_stage(args: argparse.Namespace, mode: str, source_ckpt: str | None) -> int:
-    steps_key, lr_key = STAGE_KEYS[mode]
+# (subcommand, training mode, flag naming the source stage's checkpoint, help)
+TRAIN_COMMANDS = (
+    ("train-asr", "base-asr", None, "train the base recognizer (encoder+decoder)"),
+    ("train-kws", "kws", "--asr-ckpt", "train the keyword spotting head on a frozen base"),
+    ("finetune", "ft", "--kws-ckpt", "fine-tune the decoder on keyword-prompted data"),
+    ("prompt-tune", "pt", "--kws-ckpt", "train the soft prompt prefix, everything else frozen"),
+)
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    """Train `args.mode` from the `args.source_flag` checkpoint, or from a fresh model."""
+    stage = stage_for(args.mode)
     extra: dict[str, str] = {}
     if args.steps is not None:
-        extra[steps_key] = str(args.steps)
+        extra[stage.steps_key] = str(args.steps)
     if args.learning_rate is not None:
-        extra[lr_key] = str(args.learning_rate)
+        extra[stage.lr_key] = str(args.learning_rate)
     if getattr(args, "prefix_len", None) is not None:
         extra["prefix_len"] = str(args.prefix_len)
     cfg = _config(args, extra)
+    tc = cfg.train_config(stage.mode)
     out = _out_dir(args)
-    vocab, sets, sources = _load_data(args.data, ("train",))
-
-    inputs = sources
-    if source_ckpt is None:
+    vocab, sets, inputs = _load_data(args.data, ("train",))
+    if stage.source is None:
         params = init_params(cfg.model_config(len(vocab)), cfg.seed)
     else:
-        params, inputs[source_ckpt] = _load_checkpoint(getattr(args, source_ckpt.replace("-", "_")), vocab)
+        params, inputs[args.source_flag.removeprefix("--")] = _load_checkpoint(args.source_ckpt, vocab)
 
-    tc = cfg.train_config(mode)
     losses = train_run(tc, sets["train"], vocab, params)
-    ckpt_out = out / f"{mode}.ckpt"
+    ckpt_out = out / f"{stage.mode}.ckpt"
     checkpoint_save(ckpt_out, params, vocab.content_hash, cfg.seed)
-    _write_metrics(out, losses)
-    write_resolved(out, cfg, _provenance(mode, inputs))
-    print(f"{mode}: {tc.steps} steps, final loss {losses[-1]:.4f}, checkpoint {ckpt_out}")
+    (out / "metrics.log").write_text("".join(f"{i}\t{v!r}\n" for i, v in enumerate(losses)), encoding="utf-8")
+    write_resolved(out, cfg, _provenance(stage.mode, inputs))
+    print(f"{stage.mode}: {tc.steps} steps, final loss {losses[-1]:.4f}, checkpoint {ckpt_out}")
     return 0
-
-
-def cmd_train_asr(args: argparse.Namespace) -> int:
-    return _train_stage(args, "base-asr", None)
-
-
-def cmd_train_kws(args: argparse.Namespace) -> int:
-    return _train_stage(args, "kws", "asr-ckpt")
-
-
-def cmd_finetune(args: argparse.Namespace) -> int:
-    return _train_stage(args, "ft", "kws-ckpt")
-
-
-def cmd_prompt_tune(args: argparse.Namespace) -> int:
-    return _train_stage(args, "pt", "kws-ckpt")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -291,12 +278,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory for this run")
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="directory produced by gen-data")
-    p.add_argument("--steps", type=int, default=None, help="override this stage's step count")
-    p.add_argument("--learning-rate", type=float, default=None, help="override this stage's learning rate")
-
-
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -309,29 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("train-asr", help="train the base recognizer (encoder+decoder)")
-    _add_common(p)
-    _add_train_flags(p)
-    p.set_defaults(fn=cmd_train_asr)
-
-    p = sub.add_parser("train-kws", help="train the keyword spotting head on a frozen base")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--asr-ckpt", required=True, help="base recognizer checkpoint")
-    p.set_defaults(fn=cmd_train_kws)
-
-    p = sub.add_parser("finetune", help="fine-tune the decoder on keyword-prompted data")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--kws-ckpt", required=True, help="checkpoint with trained keyword head")
-    p.set_defaults(fn=cmd_finetune)
-
-    p = sub.add_parser("prompt-tune", help="train the soft prompt prefix, everything else frozen")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--kws-ckpt", required=True, help="checkpoint with trained keyword head")
-    p.add_argument("--prefix-len", type=int, default=None, help="number of soft prompt tokens")
-    p.set_defaults(fn=cmd_prompt_tune)
+    for command, mode, source_flag, help_text in TRAIN_COMMANDS:
+        stage = stage_for(mode)
+        p = sub.add_parser(command, help=help_text)
+        _add_common(p)
+        p.add_argument("--data", required=True, help="directory produced by gen-data")
+        p.add_argument("--steps", type=int, default=None, help="override this stage's step count")
+        p.add_argument("--learning-rate", type=float, default=None, help="override this stage's learning rate")
+        if source_flag is not None:
+            p.add_argument(source_flag, dest="source_ckpt", metavar="CKPT", required=True,
+                           help=f"checkpoint of the {stage.source} stage")
+        if "prefix" in stage.trainable:
+            p.add_argument("--prefix-len", type=int, default=None, help="number of soft prompt tokens")
+        p.set_defaults(fn=cmd_train, mode=mode, source_flag=source_flag)
 
     p = sub.add_parser("evaluate", help="score prompting conditions on the test split")
     _add_common(p)

@@ -17,20 +17,11 @@ from typing import Mapping
 from .errors import KwbiasError, require_finite
 from .model import ModelConfig
 from .synth import SynthSpec
-from .training import TrainConfig
+from .training import STAGES, TrainConfig, stage_for
 
 
 class ConfigError(KwbiasError):
     pass
-
-
-# The (steps key, learning-rate key) each training mode reads.
-STAGE_KEYS = {
-    "base-asr": ("steps_asr", "lr_asr"),
-    "kws": ("steps_kws", "lr_kws"),
-    "ft": ("steps_ft", "lr_ft"),
-    "pt": ("steps_pt", "lr_pt"),
-}
 
 
 @dataclass(frozen=True)
@@ -106,16 +97,16 @@ class RunConfig:
         return self._build(ModelConfig, vocab_size=vocab_size)
 
     def train_config(self, mode: str) -> TrainConfig:
-        steps_key, lr_key = STAGE_KEYS[mode]
-        return self._build(TrainConfig, mode=mode, steps=getattr(self, steps_key),
-                           learning_rate=getattr(self, lr_key))
+        stage = stage_for(mode)
+        return self._build(TrainConfig, mode=mode, steps=getattr(self, stage.steps_key),
+                           learning_rate=getattr(self, stage.lr_key))
 
     def scale_steps(self, factor: float) -> "RunConfig":
         """Every stage's step count times `factor`, rounded down but at least 1.
         A factor that is not finite and > 0 is an error."""
         if not 0.0 < factor < math.inf:
             raise ConfigError(f"step scale must be finite and > 0, got {factor}")
-        steps = {key: max(1, int(getattr(self, key) * factor)) for key, _ in STAGE_KEYS.values()}
+        steps = {s.steps_key: max(1, int(getattr(self, s.steps_key) * factor)) for s in STAGES}
         return dataclasses.replace(self, **steps)
 
     def ablation_lengths(self) -> list[int]:

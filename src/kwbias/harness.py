@@ -46,7 +46,7 @@ from .prompts import KeywordSet, assemble_prompt, kws_to_prompt, prompt_keyword_
 from .rng import stream
 from .synth import Utterance
 from .text import TfidfTable, Vocab, find_subsequence, normalize, tfidf_scores
-from .training import train_run
+from .training import STAGES, train_run
 
 
 class EvalError(KwbiasError):
@@ -143,11 +143,10 @@ def _stack(outputs: Sequence[Packed]) -> Packed:
 
 def _trainable_count(role: str, params: ModelParams) -> int:
     """Parameters the model of checkpoint `role` trained beyond the base."""
-    if role == "ft":
-        return param_count(params.decoder)
-    if role == "pt":
-        return param_count(params.prefix)
-    return 0
+    stage = next(s for s in STAGES if s.role == role)
+    if stage.source is None:
+        return 0
+    return sum(param_count(params.groups()[g]) for g in stage.trainable)
 
 
 def evaluate_condition(
@@ -385,21 +384,18 @@ def write_attention_record(path: Path | str, record: AttentionRecord) -> None:
 # ---------------------------------------------------------------------------
 # full training stack
 
-# (stage, training mode, stage whose parameters it starts from)
-_STAGES = (("base", "base-asr", None), ("kws", "kws", "base"), ("ft", "ft", "kws"), ("pt", "pt", "kws"))
-
 
 def train_stack(cfg: RunConfig, train_set: Sequence[Utterance], vocab: Vocab) -> dict[str, ModelParams]:
-    """Train base -> kws -> {ft, pt} and return each stage's parameters.
+    """Train `STAGES`, base -> kws -> {ft, pt}, and return each one's parameters by role.
 
     Every stage but the first starts from a copy of its source stage.
     """
     out: dict[str, ModelParams] = {}
-    for stage, mode, source in _STAGES:
-        if source is None:
+    for stage in STAGES:
+        if stage.source is None:
             params = init_params(cfg.model_config(len(vocab)), cfg.seed)
         else:
-            params = out[source].clone()
-        train_run(cfg.train_config(mode), train_set, vocab, params)
-        out[stage] = params
+            params = out[stage.source].clone()
+        train_run(cfg.train_config(stage.mode), train_set, vocab, params)
+        out[stage.role] = params
     return out

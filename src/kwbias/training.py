@@ -1,6 +1,7 @@
 """Training regimes, the optimizer, and checkpoint serialization.
 
-Four modes share one loop:
+Four modes share one loop, each the mode of one stage of `STAGES`, the one
+place a stage is declared (`config`, `harness` and `cli` read it there):
 
 * ``base-asr``  trains encoder+decoder on teacher-forced transcripts.  A
   configurable fraction of examples sees a prompt of whole-word keywords
@@ -73,15 +74,32 @@ class CheckpointError(KwbiasError):
     pass
 
 
-MODES = ("base-asr", "kws", "ft", "pt")
+@dataclass(frozen=True)
+class Stage:
+    """One training stage: `mode` trains the groups `trainable` of a copy of
+    stage `source`'s model (a fresh model if None) for the run-config keys
+    `steps_key` and `lr_key`; `role` keys its model in `train_stack` and evaluation."""
 
-# Trainable parameter groups per mode; the complement is frozen.
-TRAINABLE_GROUPS = {
-    "base-asr": frozenset({"encoder", "decoder"}),
-    "kws": frozenset({"kws"}),
-    "ft": frozenset({"decoder"}),
-    "pt": frozenset({"prefix"}),
-}
+    mode: str
+    role: str
+    source: str | None
+    trainable: frozenset[str]
+    steps_key: str
+    lr_key: str
+
+
+STAGES = (
+    Stage("base-asr", "base", None, frozenset({"encoder", "decoder"}), "steps_asr", "lr_asr"),
+    Stage("kws", "kws", "base", frozenset({"kws"}), "steps_kws", "lr_kws"),
+    Stage("ft", "ft", "kws", frozenset({"decoder"}), "steps_ft", "lr_ft"),
+    Stage("pt", "pt", "kws", frozenset({"prefix"}), "steps_pt", "lr_pt"),
+)
+MODES = tuple(s.mode for s in STAGES)
+
+
+def stage_for(mode: str) -> Stage:
+    return STAGES[MODES.index(mode)]
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -101,8 +119,10 @@ class TrainConfig:
             raise TrainingError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.steps < 1:
             raise TrainingError(f"steps must be >= 1, got {self.steps}")
-        if self.mode in ("kws", "ft", "pt") and self.batch_size < 2:
-            raise TrainingError(f"mode {self.mode} needs batch_size >= 2 for negative keywords")
+        # keyword draws take negatives from the batch; base-asr draws only at prompt exposure
+        if self.batch_size < 2 and (self.mode != "base-asr" or self.prompt_exposure > 0):
+            exposed = f" at prompt_exposure {self.prompt_exposure}" if self.mode == "base-asr" else ""
+            raise TrainingError(f"mode {self.mode}{exposed} needs batch_size >= 2 for negative keywords")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
         if not 0.0 <= self.prompt_exposure <= 1.0:
@@ -158,7 +178,7 @@ class Adam:
 
 
 def set_trainable(params: ModelParams, mode: str) -> None:
-    trainable = TRAINABLE_GROUPS[mode]
+    trainable = stage_for(mode).trainable
     for gname, group in params.groups().items():
         flag = gname in trainable
         for t in group.values():
@@ -237,7 +257,7 @@ def train_run(
     frozen_before = {
         g: param_group_hash(group)
         for g, group in params.groups().items()
-        if g not in TRAINABLE_GROUPS[config.mode]
+        if g not in stage_for(config.mode).trainable
     }
 
     trainable = [(f"{g}.{name}", t) for g, group in params.groups().items()

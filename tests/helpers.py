@@ -13,7 +13,7 @@ from kwbias.autodiff import Tape, Tensor, backward
 from kwbias.container import read_container, write_container
 from kwbias.rng import stream
 from kwbias.text import RESERVED, Vocab, VocabError, _merge_pair, normalize
-from kwbias.training import TRAINABLE_GROUPS, CheckpointError, set_trainable
+from kwbias.training import CheckpointError, set_trainable, stage_for
 
 
 def finite_difference(fn, tensor, index, h: float = 1e-5) -> float:
@@ -104,7 +104,7 @@ def gradcheck_modes(params, loss_builders, n_coords=20, h=1e-5):
 
         worst = 0.0
         coord_rng = stream(2024, "gradcheck", mode)
-        for gname in sorted(TRAINABLE_GROUPS[mode]):
+        for gname in sorted(stage_for(mode).trainable):
             group = params.groups()[gname]
             if not group:
                 continue
@@ -118,7 +118,7 @@ def gradcheck_modes(params, loss_builders, n_coords=20, h=1e-5):
                 fd = finite_difference(loss_value, t, index, h=h)
                 worst = max(worst, relative_error(analytic, fd))
         for gname, group in params.groups().items():
-            if gname in TRAINABLE_GROUPS[mode]:
+            if gname in stage_for(mode).trainable:
                 continue
             for name, t in group.items():
                 assert t.grad is None or not t.grad.any(), (

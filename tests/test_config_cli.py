@@ -6,6 +6,7 @@ byte determinism rather than model quality.
 
 import builtins
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -25,11 +26,11 @@ import pytest
 
 from kwbias import cli
 from kwbias.cli import main
-from kwbias.config import STAGE_KEYS, ConfigError, RunConfig, parse_config, resolved_text, write_resolved
+from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, write_resolved
 from kwbias.model import ModelConfig
 from kwbias.synth import SynthSpec, dataset_load, dataset_save
 from kwbias.text import Vocab
-from kwbias.training import MODES, TrainConfig, checkpoint_load, checkpoint_save
+from kwbias.training import MODES, STAGES, TrainConfig, checkpoint_load, checkpoint_save, stage_for
 
 from helpers import MALFORMED_CHECKPOINTS, rewrite_checkpoint
 
@@ -118,10 +119,12 @@ def test_default_run_builds_each_component_with_its_own_defaults():
     cfg = RunConfig()
     assert cfg.synth_spec() == SynthSpec()
     assert cfg.model_config(99) == ModelConfig(vocab_size=99)
-    for mode, (steps_key, lr_key) in STAGE_KEYS.items():
-        steps, lr = getattr(cfg, steps_key), getattr(cfg, lr_key)
+    run_fields = {f.name for f in fields(RunConfig)}
+    for stage in STAGES:
+        assert {stage.steps_key, stage.lr_key} <= run_fields, stage
+        steps, lr = getattr(cfg, stage.steps_key), getattr(cfg, stage.lr_key)
         # a run seeds its training from the run seed, not TrainConfig's own default
-        assert cfg.train_config(mode) == TrainConfig(mode, steps, lr, seed=cfg.seed)
+        assert cfg.train_config(stage.mode) == TrainConfig(stage.mode, steps, lr, seed=cfg.seed)
 
 
 def test_more_positives_than_keywords_is_a_config_error(tmp_path, capsys):
@@ -173,6 +176,31 @@ def test_scripts_report_a_bad_step_scale_as_one_error_line(script, tmp_path):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1] == f"{script}: error: step scale must be finite and > 0, got nan"
+
+
+def test_pipeline_chains_each_stage_to_the_checkpoint_its_source_stage_writes(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("run_pipeline", ROOT / "scripts" / "run_pipeline.py")
+    pipeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pipeline)
+    calls = []
+    monkeypatch.setattr(pipeline, "kwbias_main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--root", str(tmp_path), "--steps-scale", "0.001"])
+    pipeline.main()
+    parsed = {argv[0]: cli.build_parser().parse_args(argv) for argv in calls}
+    assert len(parsed) == len(calls)
+    scaled = RunConfig().scale_steps(0.001)
+    written = {}  # the checkpoint each stage's command writes, by role
+    for command, mode, source_flag, _ in cli.TRAIN_COMMANDS:
+        args, stage = parsed[command], stage_for(mode)
+        assert args.steps == scaled.train_config(mode).steps
+        if source_flag is not None:
+            assert Path(args.source_ckpt) == written[stage.source]
+        written[stage.role] = Path(args.out) / f"{mode}.ckpt"
+    assert written["base"] == tmp_path / "base" / "base-asr.ckpt"
+    evaluate = parsed["evaluate"]
+    assert [evaluate.base_ckpt, evaluate.ft_ckpt, evaluate.pt_ckpt, evaluate.kws_ckpt] == [
+        str(written[role]) for role in ("base", "ft", "pt", "kws")]
+    assert parsed["attn-export"].pt_ckpt == str(written["pt"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +297,13 @@ def test_finetune_then_evaluate_the_ft_conditions(cli_world, tmp_path):
     before, _ = checkpoint_load(kws / "kws.ckpt", vocab.content_hash)
     assert any(not np.array_equal(t.data, before.decoder[n].data) for n, t in tuned.decoder.items())
     out = tmp_path / "eval"
-    assert main(["evaluate", "--data", str(data), "--out", str(out), "--conditions", "ft,ft-oracle",
-                 "--ft-ckpt", str(ft / "ft.ckpt"), "--kws-ckpt", str(kws / "kws.ckpt"),
-                 *TINY_OVERRIDES]) == 0
+    assert main(["evaluate", "--data", str(data), "--out", str(out), "--conditions", "baseline,ft,ft-oracle",
+                 "--base-ckpt", str(asr / "base-asr.ckpt"), "--ft-ckpt", str(ft / "ft.ckpt"),
+                 "--kws-ckpt", str(kws / "kws.ckpt"), *TINY_OVERRIDES]) == 0
     rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
     decoder_size = sum(t.data.size for t in tuned.decoder.values())
-    assert [(r[0], r[-1]) for r in rows] == [("ft", str(decoder_size)), ("ft-oracle", str(decoder_size))]
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("baseline", "0"), ("ft", str(decoder_size)), ("ft-oracle", str(decoder_size))]
 
 
 def test_finetune_from_a_prompt_tuned_checkpoint_is_a_single_line_error(cli_world, capsys, tmp_path):
@@ -644,6 +673,16 @@ def test_vocabulary_that_is_not_utf8_is_a_single_line_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith(f"VocabError: {vocab}: vocabulary file is not UTF-8 text: ")
+
+
+def test_a_batch_of_one_with_prompt_exposure_fails_before_any_input_is_read(tmp_path, capsys):
+    # the data directory is empty: the config is rejected before train.ds is opened
+    out = tmp_path / "asr"
+    rc = main(["train-asr", "--data", str(tmp_path), "--out", str(out), "--set", "batch_size=1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"TrainingError: mode base-asr at prompt_exposure {RunConfig.prompt_exposure} "
+                                       "needs batch_size >= 2 for negative keywords\n")
+    assert not out.exists()
 
 
 def test_cli_unknown_set_key(tmp_path, capsys):

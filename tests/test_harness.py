@@ -35,6 +35,7 @@ from kwbias.prompts import kws_to_prompt, select_eval_keywords
 from kwbias.rng import stream
 from kwbias.synth import generate_corpus
 from kwbias.text import build_vocab, normalize
+from kwbias.training import STAGES
 
 TINY = RunConfig(
     train_size=50, dev_size=8, test_size=8,
@@ -198,6 +199,10 @@ def test_pt_conditions_require_a_soft_prefix(tiny_world):
         with pytest.raises(EvalError, match=f"^condition '{condition}' needs a prompt-tuned checkpoint, "
                                             "but this one has no soft prefix$"):
             evaluate_condition(condition, stack["base"], stack["kws"], splits["test"], ctx)
+
+
+def test_every_condition_reads_the_model_of_a_training_stage():
+    assert {role for role, _ in harness._CONDITIONS.values()} <= {stage.role for stage in STAGES}
 
 
 def test_unknown_condition_rejected(tiny_world):

@@ -61,8 +61,14 @@ def test_train_config_validation():
         TrainConfig(mode="warp", steps=1, learning_rate=1e-3)
     with pytest.raises(TrainingError, match="learning_rate"):
         TrainConfig(mode="pt", steps=1, learning_rate=0.0)
-    with pytest.raises(TrainingError, match="batch_size >= 2"):
-        TrainConfig(mode="ft", steps=1, learning_rate=1e-3, batch_size=1)
+    for mode in ("kws", "ft", "pt"):
+        with pytest.raises(TrainingError, match=f"^mode {mode} needs batch_size >= 2 for negative keywords$"):
+            TrainConfig(mode=mode, steps=1, learning_rate=1e-3, batch_size=1, prompt_exposure=0.0)
+    # base-asr draws keywords across the batch only for its prompt-exposed examples
+    with pytest.raises(TrainingError, match="^mode base-asr at prompt_exposure 0.1 needs batch_size >= 2 "
+                                            "for negative keywords$"):
+        TrainConfig(mode="base-asr", steps=1, learning_rate=1e-3, batch_size=1, prompt_exposure=0.1)
+    assert TrainConfig(mode="base-asr", steps=1, learning_rate=1e-3, batch_size=1, prompt_exposure=0.0).batch_size == 1
     with pytest.raises(TrainingError, match="steps"):
         TrainConfig(mode="pt", steps=0, learning_rate=1e-3)
     for value in (float("nan"), float("inf")):
@@ -436,6 +442,14 @@ def test_training_is_bitwise_deterministic(corpus):
         return {g: param_group_hash(grp) for g, grp in params.groups().items()}
 
     assert run() == run()
+
+
+def test_base_asr_without_prompt_exposure_trains_at_batch_size_one(corpus):
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=8)
+    losses = train_run(TrainConfig(mode="base-asr", steps=3, learning_rate=1e-3, batch_size=1, seed=8,
+                                   prompt_exposure=0.0), splits["train"], vocab, params)
+    assert len(losses) == 3 and all(np.isfinite(losses))
 
 
 def test_non_finite_loss_aborts_with_step_index(corpus):
