@@ -218,6 +218,8 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
 
 
 def cmd_transcribe(args: argparse.Namespace) -> int:
+    if args.kws_ckpt is not None and not args.keywords:
+        raise ConfigError("transcribe --kws-ckpt needs --keywords for the spotter to filter")
     cfg = _config(args)
     out = _out_dir(args)
     data_dir = Path(args.data) if args.data else None
@@ -244,21 +246,18 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     u = encode(params, [frames])
     prefix = params.prefix.get("q")
     lines = []
-    if args.keywords:
-        surfaces = [normalize(k) for k in args.keywords.split(",") if normalize(k)]
-        keywords = KeywordSet(tuple(Keyword(surface=s, tokens=tuple(vocab.word_tokens(s)), positive=True)
-                                    for s in dict.fromkeys(surfaces)))
-        if args.kws_ckpt is not None:
-            kws_params, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
-            kws_u = u if same_encoder(kws_params, params) else encode(kws_params, [frames])
-            pred = kws_detect(kws_params, kws_u, [kw.tokens for kw in keywords], threshold=cfg.kws_threshold)
-            prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
-            detected = [kw.surface for kw, d in zip(keywords, pred.decisions) if d]
-            lines.append("detected: " + (", ".join(detected) if detected else "(none)"))
-        else:
-            prompt = assemble_prompt(vocab, keywords)
+    surfaces = [normalize(k) for k in (args.keywords or "").split(",") if normalize(k)]
+    keywords = KeywordSet(tuple(Keyword(surface=s, tokens=tuple(vocab.word_tokens(s)), positive=True)
+                                for s in dict.fromkeys(surfaces)))
+    if args.kws_ckpt is not None:
+        kws_params, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
+        kws_u = u if same_encoder(kws_params, params) else encode(kws_params, [frames])
+        (pred,) = kws_detect(kws_params, kws_u, [[kw.tokens for kw in keywords]], threshold=cfg.kws_threshold)
+        prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
+        detected = [kw.surface for kw, d in zip(keywords, pred.decisions) if d]
+        lines.append("detected: " + (", ".join(detected) if detected else "(none)"))
     else:
-        prompt = assemble_prompt(vocab, ())
+        prompt = assemble_prompt(vocab, keywords)
 
     # a chunk of one, through the path evaluation decodes with
     (ids,) = transcribe_greedy(params, u, [prompt], prefix, vocab.eot_id, params.config.max_tgt_len)

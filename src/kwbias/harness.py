@@ -6,15 +6,16 @@ index) alone, so every condition scores against identical keywords and a
 rerun with the same seed reproduces the report byte for byte.  A context
 draws each set once and keeps it.
 
-Each model reads its own encoder's output: the decoding model, and for
+An evaluation pass works through the test set in chunks of `DECODE_CHUNK`
+utterances, from encoder to decoder.  Each model reads its own encoder's
+output, one packed `encode` call per chunk: the decoding model, and for
 spotter conditions the keyword spotter too.  One `EncoderPasses` table per
 evaluation call holds those outputs, and models that `same_encoder` finds
-equal read one shared pass over the test set.
-
-An evaluation pass builds every utterance's prompt first, then decodes the
-test set in chunks of `DECODE_CHUNK` utterances, one `transcribe_greedy`
-call per chunk; each row decodes as it would alone, up to the last bits of
-its distributions, and stops at its own `model.decode_budget`.
+equal read one shared pass over the test set.  Per chunk, a spotter
+condition makes one `kws_detect` call over every utterance's keywords, the
+chunk's prompts follow, and one `transcribe_greedy` call decodes it; each
+row decodes as it would alone, up to the last bits of its distributions,
+and stops at its own `model.decode_budget`.
 
 Every training run here takes its settings from `RunConfig.train_config`.
 """
@@ -27,13 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .config import RunConfig
 from .errors import KwbiasError
 from .metrics import KeywordF1, WerBreakdown, compute_wer, keyword_f1
 from .model import (
     ModelParams,
     Packed,
+    decoder_layer,
     encode,
     init_params,
     kws_detect,
@@ -111,10 +112,18 @@ def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) 
     return EvalContext(cfg, vocab, tfidf_scores(train_texts))
 
 
+# Test utterances evaluated together, from encoder to decoder.  A decode
+# step's cost is mostly per-call numpy overhead, which a chunk's rows share,
+# while the memory a chunk holds grows with its rows: on the benchmark's
+# `eval` workload 32 rows were no clearly faster than 16 but raised peak
+# RSS by about 17 MB, 16 rows by under 1 MB.
+DECODE_CHUNK = 16
+
+
 class EncoderPasses:
-    """Encoder outputs by test set and encoder: a model reads the pass of the
-    first model before it that `same_encoder` finds equal on the same test
-    set, and otherwise makes its own."""
+    """Encoder outputs by test set and encoder, one `Packed` per chunk: a
+    model reads the passes of the first model before it that `same_encoder`
+    finds equal on the same test set, and otherwise makes its own."""
 
     def __init__(self) -> None:
         self._passes: list[tuple[Sequence[Utterance], ModelParams, list[Packed]]] = []
@@ -123,22 +132,10 @@ class EncoderPasses:
         for seen_set, seen, outputs in self._passes:
             if seen_set is test_set and same_encoder(seen, params):
                 return outputs
-        outputs = [encode(params, [utt.frames]) for utt in test_set]
+        outputs = [encode(params, [utt.frames for utt in test_set[start : start + DECODE_CHUNK]])
+                   for start in range(0, len(test_set), DECODE_CHUNK)]
         self._passes.append((test_set, params, outputs))
         return outputs
-
-
-# Test utterances decoded together.  A step's cost is mostly per-call numpy
-# overhead, which a chunk's rows share, while the memory a chunk holds grows
-# with its rows: on the benchmark's `eval` workload 32 rows were no clearly
-# faster than 16 but raised peak RSS by about 17 MB, 16 rows by under 1 MB.
-DECODE_CHUNK = 16
-
-
-def _stack(outputs: Sequence[Packed]) -> Packed:
-    """Encoder outputs of single utterances as one packed batch; rows are
-    copied, so each keeps its bits."""
-    return Packed(Tensor(np.concatenate([u.rows.data for u in outputs])), tuple(n for u in outputs for n in u.lengths))
 
 
 def _trainable_count(role: str, params: ModelParams) -> int:
@@ -176,23 +173,18 @@ def evaluate_condition(
     spotter_inputs = passes(kws_params, test_set) if source == "spotter" else encoded
     vocab = ctx.vocab
     prefix = params.prefix.get("q")
-    prompts: list[list[int]] = []
-    keyword_sets: list[KeywordSet] = []
-    for index, (utt, kws_u) in enumerate(zip(test_set, spotter_inputs)):
-        keywords = ctx.keywords_for(index, utt.text)
-        if source == "spotter":
-            pred = kws_detect(kws_params, kws_u, [kw.tokens for kw in keywords], threshold=ctx.cfg.kws_threshold)
-            prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
-        else:
-            prompt = assemble_prompt(vocab, keywords.positives() if source == "oracle" else ())
-        prompts.append(prompt)
-        keyword_sets.append(keywords)
+    keyword_sets = [ctx.keywords_for(index, utt.text) for index, utt in enumerate(test_set)]
     hyp_ids: list[list[int]] = []
-    for start in range(0, len(test_set), DECODE_CHUNK):
-        chunk = slice(start, start + DECODE_CHUNK)
+    for start, u, kws_u in zip(range(0, len(test_set), DECODE_CHUNK), encoded, spotter_inputs):
+        chunk = keyword_sets[start : start + DECODE_CHUNK]
+        if source == "spotter":
+            tokens = [[kw.tokens for kw in keywords] for keywords in chunk]
+            preds = kws_detect(kws_params, kws_u, tokens, threshold=ctx.cfg.kws_threshold)
+            prompts = [kws_to_prompt(vocab, list(p.decisions), keywords) for p, keywords in zip(preds, chunk)]
+        else:
+            prompts = [assemble_prompt(vocab, ks.positives() if source == "oracle" else ()) for ks in chunk]
         # every row stops at its own decode budget, which is below max_tgt_len
-        hyp_ids += transcribe_greedy(params, _stack(encoded[chunk]), prompts[chunk], prefix, vocab.eot_id,
-                                     params.config.max_tgt_len)
+        hyp_ids += transcribe_greedy(params, u, prompts, prefix, vocab.eot_id, params.config.max_tgt_len)
     wer_total = WerBreakdown(0, 0, 0, 0)
     refs: list[str] = []
     hyps: list[str] = []
@@ -335,6 +327,7 @@ def export_attention(
     record notes whether the keyword's prompt rows reach their maximum in
     a column where that keyword's tokens are being emitted.
     """
+    layer = decoder_layer(params.config, layer)
     vocab = ctx.vocab
     prefix = params.prefix.get("q")
     jargon = set(jargon_words)

@@ -600,11 +600,20 @@ def kws_logits(params: ModelParams, u: Packed, keyword_tokens: Sequence[Sequence
 def kws_detect(
     params: ModelParams,
     u: Packed,
-    keyword_tokens: Sequence[Sequence[int]],
+    keyword_tokens: Sequence[Sequence[Sequence[int]]],
     threshold: float,
-) -> KwsPrediction:
-    probs = 1.0 / (1.0 + np.exp(-kws_logits(params, u, [keyword_tokens]).data))
-    return KwsPrediction(probs, probs >= threshold)
+) -> list[KwsPrediction]:
+    """One prediction per sequence of u, for the keywords of keyword_tokens[b]."""
+    probs = 1.0 / (1.0 + np.exp(-kws_logits(params, u, keyword_tokens).data))
+    ends = np.cumsum([len(seq) for seq in keyword_tokens])
+    return [KwsPrediction(p, p >= threshold) for p in np.split(probs, ends[:-1])]
+
+
+def decoder_layer(config: ModelConfig, layer: int) -> int:
+    """Index of decoder layer `layer`, negative counting from the last; ModelError if there is none."""
+    if not -config.n_dec_layers <= layer < config.n_dec_layers:
+        raise ModelError(f"layer {layer} out of range for {config.n_dec_layers} decoder layers")
+    return layer % config.n_dec_layers
 
 
 def prompt_attention_block(
@@ -622,12 +631,9 @@ def prompt_attention_block(
     position's attention total over all attended positions (1 up to
     rounding, since it comes from one softmax row).
     """
-    cfg = params.config
     if len(u.lengths) != 1:
         raise ModelError(f"attention export reads one encoder output, got {len(u.lengths)}")
-    if not -cfg.n_dec_layers <= layer < cfg.n_dec_layers:
-        raise ModelError(f"layer {layer} out of range for {cfg.n_dec_layers} decoder layers")
-    layer = layer % cfg.n_dec_layers
+    layer = decoder_layer(params.config, layer)
     collect: list[np.ndarray] = []
     _decoder_hidden(params, u, [cond_ids], [t_ids], prefix, None, collect)
     attn = collect[layer]

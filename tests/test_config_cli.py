@@ -27,9 +27,11 @@ import pytest
 from kwbias import cli
 from kwbias.cli import main
 from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, write_resolved
+from kwbias.harness import evaluate_conditions, make_eval_context
+from kwbias.metrics import WerBreakdown, compute_wer, keyword_f1
 from kwbias.model import ModelConfig
 from kwbias.synth import SynthSpec, dataset_load, dataset_save
-from kwbias.text import Vocab
+from kwbias.text import Vocab, normalize
 from kwbias.training import MODES, STAGES, TrainConfig, checkpoint_load, checkpoint_save, stage_for
 
 from helpers import MALFORMED_CHECKPOINTS, rewrite_checkpoint
@@ -353,6 +355,15 @@ def test_attn_export_rejects_a_negative_limit(cli_world, capsys, tmp_path):
     assert not out.exists()
 
 
+def test_attn_export_rejects_a_layer_the_checkpoint_lacks_even_when_exporting_nothing(cli_world, capsys, tmp_path):
+    _, data, _, _, pt = cli_world
+    rc = main(["attn-export", "--data", str(data), "--out", str(tmp_path / "attn"), "--pt-ckpt", str(pt / "pt.ckpt"),
+               "--layer", "7", "--limit", "0", *TINY_OVERRIDES])
+    assert rc == 2
+    assert capsys.readouterr().err == "ModelError: layer 7 out of range for 1 decoder layers\n"
+    assert not (tmp_path / "attn" / "attn_summary.txt").exists()
+
+
 def test_attn_export_on_a_truncated_word_bank_is_a_single_line_error(cli_world, capsys, tmp_path):
     _, data, _, _, pt = cli_world
     cut = tmp_path / "data"
@@ -471,6 +482,47 @@ def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):
     assert lines[0].startswith("detected: ") and lines[1].startswith("transcript: ")
     detected = lines[0].removeprefix("detected: ")
     assert detected == "(none)" or set(detected.split(", ")) <= {present, absent}
+
+
+def test_transcribe_with_a_spotter_but_no_keywords_fails_before_any_input_is_read(capsys, tmp_path):
+    out = tmp_path / "tr"
+    rc = main(["transcribe", "--data", str(tmp_path / "missing"), "--index", "0",
+               "--ckpt", str(tmp_path / "missing.ckpt"), "--kws-ckpt", str(tmp_path / "missing-kws.ckpt"),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "ConfigError: transcribe --kws-ckpt needs --keywords for the spotter to filter\n"
+    assert not out.exists()
+
+
+def test_transcribe_serves_the_transcripts_that_the_harness_scores(cli_world, tmp_path):
+    """On every test utterance, `transcribe` under `baseline` (no keywords) and
+    `pt` (the spotter over the utterance's evaluation keywords) gives the
+    harness's WER and keyword-F1 counts for that condition."""
+    _, data, asr, kws, pt = cli_world
+    cfg = parse_config(None, dict(item.split("=") for item in TINY_OVERRIDES[1::2]))
+    vocab = Vocab.load(data / "vocab.tsv")
+    test = dataset_load(data / "test.ds")[0]
+    ctx = make_eval_context(cfg, vocab, [u.text for u in dataset_load(data / "train.ds")[0]])
+    ckpts = {"base": asr / "base-asr.ckpt", "pt": pt / "pt.ckpt"}
+    checkpoints = {role: checkpoint_load(path, vocab.content_hash)[0] for role, path in ckpts.items()}
+    spotter = checkpoint_load(kws / "kws.ckpt", vocab.content_hash)[0]
+    keyword_sets = [ctx.keywords_for(i, u.text) for i, u in enumerate(test)]
+    reports = evaluate_conditions(["baseline", "pt"], checkpoints, spotter, test, ctx)
+    for report, role in zip(reports, ckpts):
+        refs, hyps, wer = [], [], WerBreakdown(0, 0, 0, 0)
+        for i, utt in enumerate(test):
+            out = tmp_path / f"{role}-{i}"
+            argv = ["transcribe", "--data", str(data), "--index", str(i), "--ckpt", str(ckpts[role]),
+                    "--out", str(out), *TINY_OVERRIDES]
+            if role == "pt":
+                argv += ["--kws-ckpt", str(kws / "kws.ckpt"),
+                         "--keywords", ",".join(kw.surface for kw in keyword_sets[i])]
+            assert main(argv) == 0
+            hyps.append((out / "transcript.txt").read_text().splitlines()[-1].removeprefix("transcript: "))
+            refs.append(normalize(utt.text))
+            wer = wer + compute_wer(refs[-1], hyps[-1])
+        assert wer == report.wer, report.condition
+        assert keyword_f1(refs, hyps, keyword_sets) == report.f1, report.condition
 
 
 def test_transcribe_encodes_once_when_the_spotter_shares_the_encoder(cli_world, tmp_path, monkeypatch):

@@ -116,14 +116,28 @@ def test_replacing_the_seed_draws_afresh(tiny_world, monkeypatch):
     assert len(draws) == 2
 
 
-def test_conditions_share_one_encoder_pass_per_utterance(tiny_world, monkeypatch):
+def _chunks(test_set):
+    return -(-len(test_set) // harness.DECODE_CHUNK)
+
+
+def test_conditions_share_one_encoder_pass_per_chunk(tiny_world, monkeypatch):
     splits, _, _, stack, ctx = tiny_world
     test = splits["test"]
     separate = [evaluate_conditions([c], stack, stack["kws"], test, ctx)[0] for c in CONDITIONS]
     encodes = _counting(monkeypatch, "encode")
+    spotted = _counting(monkeypatch, "kws_detect")
     together = evaluate_conditions(list(CONDITIONS), stack, stack["kws"], test, ctx)
-    assert len(encodes) == len(test)
+    assert len(encodes) == _chunks(test) == 1
+    assert len(spotted) == 3 * _chunks(test)  # baseline+prompt, ft and pt read the spotter
     assert together == separate
+
+    # chunks of 3, 3 and 2 utterances score as the single chunk of 8 does
+    monkeypatch.setattr(harness, "DECODE_CHUNK", 3)
+    encodes.clear()
+    spotted.clear()
+    assert evaluate_conditions(list(CONDITIONS), stack, stack["kws"], test, ctx) == separate
+    assert [len(args[1]) for args in encodes] == [3, 3, 2]
+    assert [len(args[1].lengths) for args in spotted] == [3, 3, 2] * 3
 
 
 def test_a_perturbed_encoder_gets_its_own_encoder_pass(tiny_world, monkeypatch):
@@ -134,8 +148,8 @@ def test_a_perturbed_encoder_gets_its_own_encoder_pass(tiny_world, monkeypatch):
     perturbed = {**stack, "ft": ft}
     encodes = _counting(monkeypatch, "encode")
     reports = evaluate_conditions(list(CONDITIONS), perturbed, stack["kws"], test, ctx)
-    assert len(encodes) == 2 * len(test)
-    assert sum(args[0] is ft for args in encodes) == len(test)
+    assert len(encodes) == 2 * _chunks(test)
+    assert sum(args[0] is ft for args in encodes) == _chunks(test)
     by_name = {r.condition: r for r in reports}
     for c in ("ft", "ft-oracle"):
         assert by_name[c] == evaluate_condition(c, ft, stack["kws"], test, ctx)
@@ -149,8 +163,10 @@ def test_the_spotter_reads_its_own_encoder_pass(tiny_world, monkeypatch):
     encodes = _counting(monkeypatch, "encode")
     spotted = _counting(monkeypatch, "kws_detect")
     report = evaluate_condition("pt", stack["pt"], kws, test, ctx)
-    assert len(encodes) == 2 * len(test)
-    assert sum(args[0] is kws for args in encodes) == len(test)
+    assert len(encodes) == 2 * _chunks(test)
+    assert sum(args[0] is kws for args in encodes) == _chunks(test)
+    assert len(spotted) == _chunks(test)
+    (spotter_inputs,) = [args[1] for args in spotted]
 
     pt = stack["pt"]
     prefix = pt.prefix["q"]
@@ -159,8 +175,8 @@ def test_the_spotter_reads_its_own_encoder_pass(tiny_world, monkeypatch):
     for i, utt in enumerate(test):
         keywords = ctx.keywords_for(i, utt.text)
         kws_u = encode(kws, [utt.frames])
-        assert np.array_equal(spotted[i][1].rows.data, kws_u.rows.data)
-        pred = kws_detect(kws, kws_u, [kw.tokens for kw in keywords], threshold=TINY.kws_threshold)
+        assert np.array_equal(spotter_inputs.keep([i]).rows.data, kws_u.rows.data)
+        (pred,) = kws_detect(kws, kws_u, [[kw.tokens for kw in keywords]], threshold=TINY.kws_threshold)
         prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
         (ids,) = transcribe_greedy(pt, encode(pt, [utt.frames]), [prompt], prefix, vocab.eot_id,
                                    decode_budget(pt, prompt, prefix))

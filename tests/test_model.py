@@ -424,7 +424,7 @@ def test_prefix_changes_the_distribution(params, vocab):
 
 def test_kws_empty_keyword_set(params):
     u = encode(params, [stream(10, "u").normal(size=(10, 8))])
-    pred = kws_detect(params, u, [], threshold=0.5)
+    (pred,) = kws_detect(params, u, [[]], threshold=0.5)
     assert len(pred) == 0
     assert kws_logits(params, u, [[]]).shape == (0,)
 
@@ -454,16 +454,27 @@ def test_kws_logits_of_a_batch_match_one_keyword_at_a_time(params):
 
 def test_kws_probabilities_in_unit_interval(params):
     u = encode(params, [stream(11, "u").normal(size=(10, 8))])
-    pred = kws_detect(params, u, [[7], [8, 9], [10, 11, 12, 13]], threshold=0.5)
+    (pred,) = kws_detect(params, u, [[[7], [8, 9], [10, 11, 12, 13]]], threshold=0.5)
     assert len(pred) == 3
     assert ((pred.probabilities >= 0) & (pred.probabilities <= 1)).all()
     assert pred.decisions.dtype == bool
 
 
+def test_kws_detect_gives_each_sequence_of_a_batch_its_own_prediction(params):
+    frames = [stream(14, "u", n).normal(size=(n, 8)) for n in (10, 12, 8)]
+    keyword_tokens = [[[7], [8, 9]], [], [[10, 11, 12, 13], [7], [15, 16]]]
+    preds = kws_detect(params, encode(params, frames), keyword_tokens, threshold=0.5)
+    assert [len(p) for p in preds] == [2, 0, 3]
+    for f, tokens, pred in zip(frames, keyword_tokens, preds):
+        (alone,) = kws_detect(params, encode(params, [f]), [tokens], threshold=0.5)
+        assert np.allclose(pred.probabilities, alone.probabilities, rtol=1e-12, atol=0)
+        assert np.array_equal(pred.decisions, alone.decisions)
+
+
 def test_kws_rejects_overlong_keyword(params):
     u = encode(params, [stream(12, "u").normal(size=(10, 8))])
     with pytest.raises(ModelError, match="1..4"):
-        kws_detect(params, u, [[7, 8, 9, 10, 11]], threshold=0.5)
+        kws_detect(params, u, [[[7, 8, 9, 10, 11]]], threshold=0.5)
 
 
 def test_kws_logits_need_one_keyword_list_per_sequence(params):
@@ -472,7 +483,7 @@ def test_kws_logits_need_one_keyword_list_per_sequence(params):
         with pytest.raises(ModelError, match=f"got {len(keyword_tokens)} keyword lists for 2 encoder outputs"):
             kws_logits(params, u, keyword_tokens)
     with pytest.raises(ModelError, match="got 1 keyword lists for 2 encoder outputs"):
-        kws_detect(params, u, [[7]], threshold=0.5)
+        kws_detect(params, u, [[[7]]], threshold=0.5)
 
 
 def test_attention_block_shape_and_row_sums(params, vocab):
