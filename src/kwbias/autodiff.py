@@ -21,6 +21,12 @@ that chain bit for bit.  `attention` takes per-sequence lengths instead
 of a dense mask: packed sequences attend within their own block, and
 forward and adjoint loop over the blocks, so no array spans two of them.
 
+The forward formulas of `affine`, `gelu`, `softmax`, `layer_norm` and of
+the attention core live in plain-array functions (`affine_forward`,
+`gelu_forward`, ...) that the primitives call and return what the
+adjoints read, so code that needs no tape, such as a cached decode step,
+computes the same formula without building a `Tensor` per op.
+
 An adjoint that builds a new gradient array for one input hands it over
 to be kept as that input's gradient; an array handed to several inputs
 is copied on first accumulation.
@@ -59,7 +65,8 @@ class _State(threading.local):
 _STATE = _State()
 
 
-def _active() -> "Tape | None":
+def active_tape() -> "Tape | None":
+    """The tape recording on this thread, or None."""
     return _STATE.tape
 
 
@@ -71,7 +78,7 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        if _active() is not None:
+        if active_tape() is not None:
             raise AutodiffError("a tape is already active on this thread")
         _STATE.tape = self
         return self
@@ -139,7 +146,7 @@ def backward(loss: Tensor) -> None:
     """Populate `grad` for every tracked tensor reachable from a scalar loss."""
     if loss.data.shape != ():
         raise AutodiffError(f"backward requires a scalar, got shape {loss.data.shape}")
-    tape = _active()
+    tape = active_tape()
     if tape is None or not loss.requires_grad:
         raise AutodiffError("loss was not recorded on an active tape")
     if tape.consumed:
@@ -208,6 +215,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x @ w + b on plain arrays: `affine`'s forward formula."""
+    y = x @ w
+    return y if b is None else y + b
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w + b for 2-D x and w and a bias over w's columns, as one node."""
     xd, wd = x.data, w.data
@@ -215,8 +228,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"affine shape mismatch: {xd.shape} x {wd.shape}")
     if b is not None and b.data.shape != wd.shape[1:]:
         raise ShapeError(f"affine bias shape {b.data.shape} does not match {wd.shape[1]} columns")
-    y = xd @ wd
-    out = _track(y if b is None else y + b.data, (x, w) if b is None else (x, w, b))
+    out = _track(affine_forward(xd, wd, None if b is None else b.data), (x, w) if b is None else (x, w, b))
     if not out.requires_grad:
         return out
 
@@ -319,11 +331,18 @@ def embedding(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu(a: Tensor) -> Tensor:
-    x = a.data
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tanh-approximated GELU of x, with the x * x and tanh terms its
+    adjoint reads: (gelu(x), x * x, tanh term)."""
     x2 = x * x
     t = np.tanh(_GELU_C * (x + 0.044715 * (x * x2)))
-    out = _track(0.5 * x * (1.0 + t), (a,))
+    return 0.5 * x * (1.0 + t), x2, t
+
+
+def gelu(a: Tensor) -> Tensor:
+    x = a.data
+    y, x2, t = gelu_forward(x)
+    out = _track(y, (a,))
     if not out.requires_grad:
         return out
 
@@ -336,12 +355,16 @@ def gelu(a: Tensor) -> Tensor:
     return out
 
 
+def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-stabilized softmax of x along one axis."""
+    # the ufunc reduce gives ndarray.max's values without its Python-level wrapper
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along one axis."""
-    # the ufunc reduce gives ndarray.max's values without its Python-level wrapper
-    z = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_forward(a.data, axis)
     out = _track(y, (a,))
     if not out.requires_grad:
         return out
@@ -354,11 +377,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+# additive attention mask entry of a hidden key: its weight's exp underflows to 0
+HIDDEN_KEY = -1e30
+
+
 @functools.lru_cache(maxsize=None)
 def _upper_triangle(n: int) -> np.ndarray:
     """Read-only (n, n) additive mask that hides from each row every later
     column."""
-    mask = np.triu(np.full((n, n), -1e30), k=1)
+    mask = np.triu(np.full((n, n), HIDDEN_KEY), k=1)
     mask.flags.writeable = False
     return mask
 
@@ -368,6 +395,20 @@ def _causal_mask(nq: int, nk: int) -> np.ndarray:
     sits at key row nk - nq + r and sees no later key.  A view of one
     triangle shared by every size up to the next power of two."""
     return _upper_triangle(1 << (nk - 1).bit_length())[nk - nq : nk, :nk]
+
+
+def attention_forward(
+    qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, scale: float, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax attention over the last two axes of head-split arrays:
+    weights softmax(qh @ khᵀ * scale + mask) over the keys, and their
+    weighted sum of vh.  Returns (output, weights); `mask` is additive
+    and broadcasts against the scores."""
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    att = softmax_forward(scores)
+    return att @ vh, att
 
 
 def _check_blocks(lengths: tuple[Sequence[int], Sequence[int]], nq: int, nk: int, causal: bool) -> None:
@@ -430,14 +471,10 @@ def attention(
         qh = q.data[rows].reshape(n, n_heads, hd).swapaxes(0, 1)
         kh = k.data[keys].reshape(m, n_heads, hd).swapaxes(0, 1)
         vh = v.data[keys].reshape(m, n_heads, hd).swapaxes(0, 1)
-        scores = (qh @ kh.swapaxes(-1, -2)) * c
-        if causal and n > 1:
-            scores = scores + _causal_mask(n, m)
-        e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-        att = e / e.sum(axis=-1, keepdims=True)
+        ctx, att = attention_forward(qh, kh, vh, c, _causal_mask(n, m) if causal and n > 1 else None)
         if collect is not None:
             collect.append(att.mean(axis=0))
-        outs.append((att @ vh).swapaxes(0, 1).reshape(n, d))
+        outs.append(ctx.swapaxes(0, 1).reshape(n, d))
         blocks.append((rows, keys, qh, kh, vh, att))
     out = _track(outs[0] if len(outs) == 1 else np.concatenate(outs), (q, k, v))
     if not out.requires_grad:
@@ -468,6 +505,20 @@ def attention(
 LAYER_NORM_EPS = 1e-5
 
 
+def layer_norm_forward(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of x's last axis on plain arrays, with the normalized rows
+    and inverse deviations its adjoint reads: (output, yhat, inv)."""
+    d = x.shape[-1]
+    # the reductions np.mean / np.var perform, without their wrappers and
+    # with the centred rows computed once
+    xc = x - np.add.reduce(x, -1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + LAYER_NORM_EPS)
+    yhat = xc * inv
+    return yhat * gain + bias, yhat, inv
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.data.shape[-1]
@@ -475,12 +526,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match last axis {d}"
         )
-    # the reductions np.mean / np.var perform, without their wrappers and
-    # with the centred rows computed once
-    xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + LAYER_NORM_EPS)
-    yhat = xc * inv
-    out = _track(yhat * gain.data + bias.data, (x, gain, bias))
+    y, yhat, inv = layer_norm_forward(x.data, gain.data, bias.data)
+    out = _track(y, (x, gain, bias))
     if not out.requires_grad:
         return out
     lead = tuple(range(x.data.ndim - 1))

@@ -112,11 +112,12 @@ def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) 
     return EvalContext(cfg, vocab, tfidf_scores(train_texts))
 
 
-# Test utterances evaluated together, from encoder to decoder.  A decode
-# step's cost is mostly per-call numpy overhead, which a chunk's rows share,
-# while the memory a chunk holds grows with its rows: on the benchmark's
-# `eval` workload 32 rows were no clearly faster than 16 but raised peak
-# RSS by about 17 MB, 16 rows by under 1 MB.
+# Test utterances evaluated together, from encoder to decoder.  A cached
+# decode step's cost is mostly per-call numpy overhead, which a chunk's rows
+# share, while the memory of a chunk's first, packed decoder pass grows with
+# its rows.  On the benchmark's `eval` workload (5 paired runs, 2 cores,
+# BLAS on one thread) 32 rows read 583 utterances/s against 520 for 16
+# (+12 %), but raised peak RSS from 139.7 to 153.8 MB, past its 5 % bound.
 DECODE_CHUNK = 16
 
 

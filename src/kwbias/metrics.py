@@ -120,12 +120,16 @@ def keyword_f1(
             f"{len(hypotheses)} hypotheses, {len(keyword_sets)} keyword sets"
         )
     total = KeywordF1(0, 0, 0)
+    # keyword surface -> its normalized words; surfaces repeat across utterances
+    phrases: dict[str, list[str]] = {}
     for ref, hyp, keywords in zip(references, hypotheses, keyword_sets):
         ref_words = normalize(ref).split()
         hyp_words = normalize(hyp).split()
         tp = fp = fn = 0
         for kw in keywords:
-            phrase = normalize(kw.surface).split()
+            phrase = phrases.get(kw.surface)
+            if phrase is None:
+                phrase = phrases[kw.surface] = normalize(kw.surface).split()
             in_hyp = find_subsequence(hyp_words, phrase) >= 0
             if kw.positive:
                 if in_hyp:

@@ -11,23 +11,31 @@ b's queries attend over its own encoder rows only (keys and values
 projected once per call), and a small MLP scores presence.  A sequence
 with no keywords runs through the same graph.
 
-One fused primitive, `autodiff.attention`, serves the encoder, the
-decoder's self- and cross-attention and the keyword head (as a single
-head); every linear layer is one `autodiff.affine`.  Both take and give
-unsplit (rows, d_model) tensors, so head splitting never shows up here.
+In every taped pass one fused primitive, `autodiff.attention`, serves
+the encoder, the decoder's self- and cross-attention and the keyword
+head (as a single head); every linear layer is one `autodiff.affine`.
+Both take and give unsplit (rows, d_model) tensors, so head splitting
+shows up here only in the cached decode step (`_attend_slots`).
 
 Decoding is incremental and batch-first.  A `DecoderCache` holds each
 layer's cross-attention K/V over the encoder output, projected once per
 utterance, and each layer's self-attention K/V of the rows decoded so
-far, all unsplit, with one cached length per sequence.  `_decoder_extend`
-is the one place that turns token ids into decoder rows: a sequence is
-[soft prefix, prompt, text], the prefix rows going in front when the
-cache is empty; positions count from 0 across all of them and
-continue from that sequence's cached length; and no sequence holds more
-than `max_tgt_len` rows.  Greedy decoding runs every sequence's [prefix,
+far, all unsplit, with one cached length per sequence.  A sequence is
+[soft prefix, prompt, text]; positions count from 0 across all of them,
+and no sequence holds more than `max_tgt_len` rows.  The first pass over
+an empty cache, `_decoder_extend`, is packed and taped like teacher
+forcing; a decode lays its keys and values out in the cache's padded
+arrays, per layer one (sequences, capacity, d_model) array for each of
+self-attention K and V and one (sequences, longest encoder sequence,
+d_model) for each of cross-attention K and V, with an additive key mask.
+Every later step, `_decoder_step`, runs on plain arrays through the
+forward formulas `autodiff` shares with its primitives: it writes the
+new rows' keys and values in place at each sequence's cached length and
+runs one batched masked attention per layer for self-attention and one
+for cross-attention.  Greedy decoding runs every sequence's [prefix,
 prompt] in one causal pass, then one new row per unfinished sequence per
-step against the cache; a sequence that ends leaves the batch, so every
-step runs only rows still being decoded.
+step; a sequence that ends is retired in place, the last live sequence
+moving into its slot, so every step runs only rows still being decoded.
 
 `encode` is the one encoder entry point and `Packed` (rows plus
 per-sequence lengths) the one encoder-output type: utterances are
@@ -35,8 +43,8 @@ stacked, with no padding, into one pass; a single one is a batch of one.
 Training packs the decoder side too: `teacher_forced_logits` stacks
 every example's [prefix, prompt, text] rows into one pass over an empty
 cache, and `kws_logits` scores every example's keywords in one.
-Attention takes each sequence's lengths instead of a mask and runs block
-by block: encoder self-attention stays within each utterance, decoder
+A packed pass's attention takes each sequence's lengths instead of a
+mask and runs block by block: encoder self-attention stays within each utterance, decoder
 self-attention is causal within each example, and example b's decoder
 rows and keywords attend to utterance b's encoder rows only.  Every
 sequence counts positions from 0.
@@ -59,7 +67,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -221,18 +228,20 @@ def sinusoid_positions(n: int, d: int) -> np.ndarray:
     return pe
 
 
-def _positions(lengths: tuple[int, ...], d: int, starts: Sequence[int] | None = None) -> Tensor:
-    """Positional rows of sequences of the given lengths, stacked; sequence
-    b counts from position starts[b] (from 0 when `starts` is None)."""
-    if starts is None:
-        starts = (0,) * len(lengths)
-    table = sinusoid_positions(max(map(operator.add, starts, lengths)), d)
+def _positions(lengths: tuple[int, ...], d: int) -> Tensor:
+    """Positional rows of sequences of the given lengths, stacked; each
+    sequence counts from position 0."""
+    table = sinusoid_positions(max(lengths), d)
     if len(lengths) == 1:
-        # one sequence: a view, no copy
-        return Tensor(table[starts[0] :])
-    # row r of sequence b sits at starts[b] + (r - first row of b)
-    offsets = np.repeat(np.subtract(starts, np.cumsum(lengths) - lengths), lengths)
-    return Tensor(table[np.arange(sum(lengths)) + offsets])
+        # one sequence: the shared table, no copy
+        return Tensor(table)
+    return Tensor(table[_rows_within(lengths)])
+
+
+def _rows_within(lengths: Sequence[int]) -> np.ndarray:
+    """Each row's index within its own sequence, in a packing of sequences
+    of the given lengths."""
+    return np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def _sequence_rows(lengths: Sequence[int], keep: Sequence[int]) -> list[int]:
@@ -325,37 +334,131 @@ def encode(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
 
 @dataclass
 class DecoderCache:
-    """Per-layer attention keys and values of a decode or a packed batch.
+    """Per-layer attention keys and values of a decode.
 
-    `cross` holds each layer's cross-attention K/V over the encoder output,
-    whose sequences have `cross_lengths` rows each; `self_kv` each layer's
-    self-attention K/V of the rows decoded so far, sequence b's
-    `lengths[b]` rows after sequence b-1's.  All are unsplit, (rows,
-    d_model): `ad.attention` splits the heads.
+    A new cache holds `cross`, each layer's cross-attention K/V over the
+    encoder output as packed (rows, d_model) tensors, sequence b's
+    `cross_lengths[b]` rows after sequence b-1's, which the first pass over
+    it (`_decoder_extend`) reads on the tape.  `decode_next` then lays that
+    pass's keys and values out in the padded arrays that every later step
+    reads and writes in place, and drops `cross`:
+
+    - `self_kv`: each layer's self-attention K/V, (slots, capacity,
+      d_model) each, sequence b's `lengths[b]` rows at the start of slot b;
+    - `cross_kv`: each layer's cross-attention K/V, (slots, longest encoder
+      sequence, d_model) each, with `cross_mask` (slots, 1, 1, longest)
+      hiding each slot's padding (None when there is none).
+
+    The cache's sequences are its first len(lengths) slots; `retire` drops
+    one in place.  The first `clean` rows of each of them hold finite
+    values, its own rows and then zeros or rows of a retired sequence,
+    which a step's attention reads and masks; later rows are left
+    uninitialized until the longest sequence reaches them, so a decode
+    touches no memory it does not read.  All K/V are unsplit: the
+    attention splits the heads.
     """
 
     cross: list[tuple[Tensor, Tensor]]
     cross_lengths: tuple[int, ...]
-    self_kv: list[tuple[Tensor, Tensor]]
     lengths: tuple[int, ...]
+    clean: int = 0
+    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    cross_mask: np.ndarray | None = None
+
+    @property
+    def capacity(self) -> int:
+        """Rows per slot of `self_kv`; 0 before the first pass."""
+        return self.self_kv[0][0].shape[1] if self.self_kv else 0
 
     def keep(self, sequences: Sequence[int]) -> "DecoderCache":
         """A cache of the numbered sequences alone, in that order."""
-        cross = _sequence_rows(self.cross_lengths, sequences)
-        own = _sequence_rows(self.lengths, sequences)
+        packed = _sequence_rows(self.cross_lengths, sequences)
+        slots = list(sequences)
         return DecoderCache(
-            [(Tensor(k.data[cross]), Tensor(v.data[cross])) for k, v in self.cross],
+            [(Tensor(k.data[packed]), Tensor(v.data[packed])) for k, v in self.cross],
             tuple(self.cross_lengths[b] for b in sequences),
-            [(Tensor(k.data[own]), Tensor(v.data[own])) for k, v in self.self_kv],
             tuple(self.lengths[b] for b in sequences),
+            self.clean,
+            [(k[slots], v[slots]) for k, v in self.self_kv],
+            [(k[slots], v[slots]) for k, v in self.cross_kv],
+            None if self.cross_mask is None else self.cross_mask[slots],
         )
+
+    def retire(self, b: int) -> None:
+        """Drop sequence b in place: the last sequence moves into its slot."""
+        last = len(self.lengths) - 1
+        if b < last:
+            n = self.lengths[last]
+            for k, v in self.self_kv:
+                k[b, :n], v[b, :n] = k[last, :n], v[last, :n]
+            for k, v in self.cross_kv:
+                k[b], v[b] = k[last], v[last]
+            if self.cross_mask is not None:
+                self.cross_mask[b] = self.cross_mask[last]
+        lengths, cross_lengths = list(self.lengths), list(self.cross_lengths)
+        lengths[b], cross_lengths[b] = lengths[last], cross_lengths[last]
+        self.lengths, self.cross_lengths = tuple(lengths[:last]), tuple(cross_lengths[:last])
+
+    def _fill(self, kv: list[tuple[np.ndarray, np.ndarray]], lengths: tuple[int, ...], limit: int) -> None:
+        """Lay out a first pass's packed self-attention K/V, of sequences
+        of the given lengths, and the cross-attention K/V in padded arrays,
+        with room for twice the longest sequence's rows, up to `limit`."""
+        self.clean = max(lengths)
+        padded = _padded([a for pair in kv for a in pair], lengths, min(2 * self.clean, limit))
+        self.self_kv = list(zip(padded[::2], padded[1::2]))
+        longest = max(self.cross_lengths)
+        padded = _padded([t.data for pair in self.cross for t in pair], self.cross_lengths, longest)
+        self.cross_kv = list(zip(padded[::2], padded[1::2]))
+        if min(self.cross_lengths) < longest:
+            hidden = np.arange(longest) >= np.array(self.cross_lengths)[:, None]
+            self.cross_mask = np.where(hidden, ad.HIDDEN_KEY, 0.0)[:, None, None, :]
+        self.cross, self.lengths = [], lengths
+
+    def _reserve(self, rows: int, limit: int) -> None:
+        """Make the first `rows` rows of every sequence's slot clean.  A
+        capacity that grows doubles, up to `limit`, so a decode copies its
+        rows a logarithmic number of times."""
+        n = len(self.lengths)
+        if rows > self.capacity:
+            grown = min(max(rows, 2 * self.capacity), limit)
+            arrays = []
+            for a in (a for pair in self.self_kv for a in pair):
+                arrays.append(np.empty((a.shape[0], grown, a.shape[2])))
+                arrays[-1][:n, : self.clean] = a[:n, : self.clean]
+            self.self_kv = list(zip(arrays[::2], arrays[1::2]))
+        if rows > self.clean:
+            for pair in self.self_kv:
+                for a in pair:
+                    a[:n, self.clean : rows] = 0.0
+            self.clean = rows
+
+
+def _padded(packed: list[np.ndarray], lengths: tuple[int, ...], rows: int) -> list[np.ndarray]:
+    """Each (sum(lengths), d) array of packed sequences laid out as
+    (sequences, rows, d): sequence b's rows at the start of slot b, zeros
+    after them up to the longest sequence's end, and uninitialized rows
+    after that."""
+    n, longest = len(lengths), max(lengths)
+    # packed row -> (slot, row within it): a plain slice for one sequence
+    place = (0, slice(0, longest)) if n == 1 else (np.repeat(np.arange(n), lengths), _rows_within(lengths))
+    # one allocation per array: numpy asks the kernel for huge pages for an
+    # array of 4 MiB or more, whose untouched rows would then count in the
+    # resident set
+    out = []
+    for a in packed:
+        out.append(np.empty((n, rows, a.shape[1])))
+        if n > 1:
+            out[-1][:, :longest] = 0.0
+        out[-1][place] = a
+    return out
 
 
 def decoder_cache(params: ModelParams, u: Packed) -> DecoderCache:
     """An empty cache holding the cross-attention K/V over encoder output u."""
     layers = range(params.config.n_dec_layers)
     cross = [_project_kv(params.decoder, f"l{i}.cross", u.rows) for i in layers]
-    return DecoderCache(cross, u.lengths, [], (0,) * len(u.lengths))
+    return DecoderCache(cross, u.lengths, (0,) * len(u.lengths))
 
 
 def _decoder_extend(
@@ -365,40 +468,31 @@ def _decoder_extend(
     prefix: Tensor | None,
     read: tuple[int, ...] | None = None,
     collect: list | None = None,
-) -> Tensor:
-    """Run the decoder over the rows of token ids appended after the cached
-    ones; the one place that lays out decoder rows.
+) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
+    """Run the decoder over the rows of token ids in one packed pass on the
+    tape, cross-attending to an empty cache's encoder K/V; the one place
+    that lays out a sequence's first decoder rows.
 
-    Sequence b gets the rows of ids[b], after the soft prefix's rows when
-    the cache is empty and a prefix is given, at positions that continue
-    from `cache.lengths[b]`, and at most `max_tgt_len` rows in all.  It
-    attends causally to its cached and new rows and cross-attends to the
-    cache's encoder sequence b.  Every layer merges the new rows' keys and
-    values into its self-attention cache, each sequence's after its own
-    cached rows.  The last layer runs its query, attention, feed-forward
-    and the final norm on the last read[b] rows of each sequence only
-    (every row when `read` is None), and those rows' hidden states,
-    stacked, are returned.
+    Sequence b gets the soft prefix's rows, if a prefix is given, then the
+    rows of ids[b], at positions counting from 0, and at most
+    `max_tgt_len` rows in all.  It attends causally to its own rows and
+    cross-attends to the cache's encoder sequence b.  The last layer runs
+    its query, attention, feed-forward and the final norm on the last
+    read[b] rows of each sequence only (every row when `read` is None).
+    Returns those rows' hidden states, stacked, and every layer's packed
+    self-attention keys and values, which a decode lays out in the cache.
     """
     cfg = params.config
     p = params.decoder
-    # every sequence of a cache holds rows once one extension has run
-    extending = bool(cache.self_kv)
-    n_prefix = prefix.shape[0] if prefix is not None and not extending else 0
+    n_prefix = prefix.shape[0] if prefix is not None else 0
     # the prefix rows sit before the table, so token id i is row n_prefix + i
     table = ad.concat([prefix, p["embed"]], axis=0) if n_prefix else p["embed"]
     rows = [r for seq in ids for r in (*range(n_prefix), *(n_prefix + i for i in seq))]
-    lengths = tuple(n_prefix + len(seq) for seq in ids)
-    keys = tuple(map(operator.add, cache.lengths, lengths))
+    keys = lengths = tuple(n_prefix + len(seq) for seq in ids)
     if max(keys) > cfg.max_tgt_len:
         raise ModelError(f"conditioning length {max(keys)} exceeds max_tgt_len {cfg.max_tgt_len}")
-    merge = None
-    if extending and len(keys) > 1:
-        # [past rows, new rows] reordered so that each sequence's new rows
-        # follow its own past rows
-        ends = np.cumsum(cache.lengths)
-        merge = np.insert(np.arange(ends[-1]), np.repeat(ends, lengths), np.arange(ends[-1], ends[-1] + len(rows)))
-    h = ad.add(ad.embedding(table, rows), _positions(lengths, cfg.d_model, cache.lengths))
+    h = ad.add(ad.embedding(table, rows), _positions(lengths, cfg.d_model))
+    kv = []
     for i in range(cfg.n_dec_layers):
         normed = _ln(p, f"l{i}.ln1", h)
         queries = normed
@@ -407,22 +501,104 @@ def _decoder_extend(
             queries, h, lengths = ad.embedding(normed, kept), ad.embedding(h, kept), read
         q = ad.affine(queries, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         k, v = _project_kv(p, f"l{i}.attn", normed)
-        if extending:
-            past_k, past_v = cache.self_kv[i]
-            k, v = ad.concat([past_k, k], axis=0), ad.concat([past_v, v], axis=0)
-            if merge is not None:
-                k, v = ad.embedding(k, merge), ad.embedding(v, merge)
-            cache.self_kv[i] = (k, v)
-        else:
-            cache.self_kv.append((k, v))
+        kv.append((k.data, v.data))
         h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, (lengths, keys), causal=True,
                               collect=collect))
         cross_q = ad.affine(_ln(p, f"l{i}.ln2", h), p[f"l{i}.cross.wq"], p[f"l{i}.cross.bq"])
         h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads,
                               (lengths, cache.cross_lengths)))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
-    cache.lengths = keys
-    return _ln(p, "ln_out", h)
+    return _ln(p, "ln_out", h), kv
+
+
+def _attend_slots(
+    x: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask: np.ndarray | None,
+    place: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Multi-head attention of query rows x, (rows, d), over the keys and
+    values of their slots, (slots, keys, d), on plain arrays.  Row j is
+    query place[1][j] of slot place[0][j], or slot j's one query when
+    `place` is None; `mask` is additive over (slots, 1, queries, keys).
+    Returns the rows' (rows, d) context."""
+    slots, nk, d = k.shape
+    if place is None:
+        q = x[:, None]
+    else:
+        q = np.zeros((slots, int(place[1].max()) + 1, d))
+        q[place] = x
+    nq, hd = q.shape[1], d // n_heads
+    split = lambda a, n: a.reshape(slots, n, n_heads, hd).transpose(0, 2, 1, 3)
+    ctx, _ = ad.attention_forward(split(q, nq), split(k, nk), split(v, nk), float(1.0 / np.sqrt(hd)), mask)
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(slots, nq, d)
+    return ctx[:, 0] if place is None else ctx[place]
+
+
+def _decoder_step(params: ModelParams, cache: DecoderCache, ids: Sequence[Sequence[int]]) -> np.ndarray:
+    """Run the decoder over rows of token ids appended after a cache's
+    rows, on plain arrays; the hidden states of each sequence's last new
+    row, (sequences, d_model).
+
+    Sequence b's new rows take positions from `cache.lengths[b]` on, and
+    each layer writes their keys and values into slot b of the cache's
+    padded arrays in place.  Self-attention is one batched attention over
+    the first max(lengths) rows of every slot, with a mask that hides from
+    each row the keys after its own; cross-attention is one over the
+    padded encoder rows.  The last layer runs its query, attention,
+    feed-forward and the final norm on each sequence's last row only.
+    """
+    cfg = params.config
+    w = {name: t.data for name, t in params.decoder.items()}
+    slots = len(ids)
+    counts = [len(seq) for seq in ids]
+    old = np.array(cache.lengths)
+    new = old + counts
+    longest = int(new.max())
+    if longest > cfg.max_tgt_len:
+        raise ModelError(f"conditioning length {longest} exceeds max_tgt_len {cfg.max_tgt_len}")
+    cache._reserve(longest, cfg.max_tgt_len)
+    width = max(counts)
+    if width == 1:
+        # one new row per sequence: the rows are the slots, in order
+        tokens, place, write = [seq[0] for seq in ids], None, (np.arange(slots), old)
+    else:
+        tokens = [t for seq in ids for t in seq]
+        slot = np.repeat(np.arange(slots), counts)
+        place = (slot, _rows_within(counts))
+        write = (slot, old[slot] + place[1])
+    h = w["embed"][tokens] + sinusoid_positions(longest, cfg.d_model)[write[1]]
+
+    def self_mask(query_pos: np.ndarray) -> np.ndarray | None:
+        # query row r of slot b sits at query_pos[b, r] and sees the keys up to it
+        if (query_pos == longest - 1).all():
+            return None
+        return np.where(np.arange(longest) > query_pos[..., None], ad.HIDDEN_KEY, 0.0)[:, None]
+
+    mask = self_mask(old[:, None] + np.arange(width))
+    cross_mask = None if cache.cross_mask is None else cache.cross_mask[:slots]
+    for i in range(cfg.n_dec_layers):
+        a, c = f"l{i}.attn", f"l{i}.cross"
+        normed = ad.layer_norm_forward(h, w[f"l{i}.ln1.g"], w[f"l{i}.ln1.b"])[0]
+        queries = normed
+        if i == cfg.n_dec_layers - 1 and place is not None:
+            last = np.cumsum(counts) - 1
+            queries, h, place = normed[last], h[last], None
+            mask = self_mask(new[:, None] - 1)
+        q = ad.affine_forward(queries, w[f"{a}.wq"], w[f"{a}.bq"])
+        k_all, v_all = cache.self_kv[i]
+        k_all[write] = ad.affine_forward(normed, w[f"{a}.wk"])
+        v_all[write] = ad.affine_forward(normed, w[f"{a}.wv"], w[f"{a}.bv"])
+        ctx = _attend_slots(q, k_all[:slots, :longest], v_all[:slots, :longest], cfg.n_heads, mask, place)
+        h = h + ad.affine_forward(ctx, w[f"{a}.wo"], w[f"{a}.bo"])
+        cross_q = ad.affine_forward(ad.layer_norm_forward(h, w[f"l{i}.ln2.g"], w[f"l{i}.ln2.b"])[0],
+                                    w[f"{c}.wq"], w[f"{c}.bq"])
+        k_enc, v_enc = cache.cross_kv[i]
+        ctx = _attend_slots(cross_q, k_enc[:slots], v_enc[:slots], cfg.n_heads, cross_mask, place)
+        h = h + ad.affine_forward(ctx, w[f"{c}.wo"], w[f"{c}.bo"])
+        normed = ad.layer_norm_forward(h, w[f"l{i}.ln3.g"], w[f"l{i}.ln3.b"])[0]
+        hidden = ad.gelu_forward(ad.affine_forward(normed, w[f"l{i}.ff.w1"], w[f"l{i}.ff.b1"]))[0]
+        h = h + ad.affine_forward(hidden, w[f"l{i}.ff.w2"], w[f"l{i}.ff.b2"])
+    cache.lengths = tuple(new.tolist())
+    return ad.layer_norm_forward(h, w["ln_out.g"], w["ln_out.b"])[0]
 
 
 def _require_start(cond_ids: Sequence[Sequence[int]]) -> None:
@@ -450,7 +626,7 @@ def _decoder_hidden(
                          f"for {len(u.lengths)} encoder outputs")
     _require_start(cond_ids)
     return _decoder_extend(params, decoder_cache(params, u), [[*c, *t] for c, t in zip(cond_ids, t_ids)],
-                           prefix, read, collect)
+                           prefix, read, collect)[0]
 
 
 def _readout(params: ModelParams, rows: Tensor) -> Tensor:
@@ -483,31 +659,47 @@ def decode_next(
     cache: DecoderCache | None = None,
 ) -> np.ndarray:
     """Distributions over the vocabulary for each sequence's next token,
-    (sequences of u, vocab_size): row b conditions on cond_ids[b], the
-    tokens t_prev[b] so far and sequence b of u.
+    (sequences, vocab_size): row b conditions on cond_ids[b], the tokens
+    t_prev[b] so far and sequence b's encoder output.
 
-    Without a cache every [prefix, cond, t_prev] row runs in one causal
-    pass.  A cache from `decoder_cache(params, u)` that holds the leading
-    rows of these same sequences runs only the rows after them, and is
-    extended with their keys and values.
+    Without a cache every [prefix, cond, t_prev] row of every sequence of
+    u runs in one causal pass.  An empty cache from
+    `decoder_cache(params, u)` does the same and keeps the keys and values
+    of those rows.  A cache that holds rows decodes its own sequences, in
+    its slots' order, and runs only the rows after the cached ones, on
+    plain arrays, writing their keys and values into it in place; it
+    carries its encoder keys and values, so u is not read.  Such a step
+    records nothing on a tape, so it is an error while a tape is active
+    and a decoder parameter or the prefix requires gradients.
     """
-    if len(cond_ids) != len(u.lengths) or len(t_prev) != len(u.lengths):
-        raise ModelError(f"got {len(cond_ids)} conditionings and {len(t_prev)} token lists "
-                         f"for {len(u.lengths)} encoder outputs")
-    _require_start(cond_ids)
     if cache is None:
         cache = decoder_cache(params, u)
-    elif cache.cross_lengths != u.lengths:
+    elif not cache.self_kv and cache.cross_lengths != u.lengths:
         raise ModelError(f"the cache holds encoder outputs of {cache.cross_lengths} rows, not u's {u.lengths}")
+    n = len(cache.lengths)
+    if len(cond_ids) != n or len(t_prev) != n:
+        raise ModelError(f"got {len(cond_ids)} conditionings and {len(t_prev)} token lists "
+                         f"for {n} encoder outputs")
+    _require_start(cond_ids)
     n_prefix = prefix.shape[0] if prefix is not None else 0
+    if not cache.self_kv:
+        ids = [[*c, *t] for c, t in zip(cond_ids, t_prev)]
+        last, kv = _decoder_extend(params, cache, ids, prefix, read=(1,) * n)
+        cache._fill(kv, tuple(n_prefix + len(seq) for seq in ids), params.config.max_tgt_len)
+        return ad.softmax(_readout(params, last), axis=-1).data
+    if ad.active_tape() is not None and any(
+            t.requires_grad for t in (*params.decoder.values(), *([prefix] if prefix is not None else ()))):
+        raise ModelError("a cached decode step is not recorded on the tape: decode without a cache "
+                         "or outside the tape")
     new_ids = []
     for cond, t, cached in zip(cond_ids, t_prev, cache.lengths):
-        # a cache that holds rows of a sequence holds the prefix's rows first
-        ids = [*cond, *t][cached - n_prefix if cached else 0 :]
+        # the cache holds the prefix's rows first, then cond and t in turn
+        start = cached - n_prefix - len(cond)
+        ids = t[start:] if start >= 0 else [*cond[start:], *t]
         if not ids:
             raise ModelError("nothing to decode: every row is already cached")
         new_ids.append(ids)
-    last = _decoder_extend(params, cache, new_ids, prefix, read=(1,) * len(new_ids))
+    last = Tensor(_decoder_step(params, cache, new_ids))
     return ad.softmax(_readout(params, last), axis=-1).data
 
 
@@ -536,33 +728,41 @@ def transcribe_greedy(
     lowest token id.
 
     Sequence b stops at end-of-text or after min(max_len, its own
-    `decode_budget`) tokens.  The first step runs every [prefix, cond] in
-    one causal pass; every later step runs only the newest token of each
-    sequence still decoding, against the cached keys and values.  A
-    sequence that stops leaves the batch and the cache, so it adds no rows
-    to later steps.  Each step calls this module's `decode_next`, so a
-    wrapper set on the module sees every step.
+    `decode_budget`) tokens; one with no room for a token never enters the
+    cache.  The first step runs every [prefix, cond] in one causal pass;
+    every later step runs only the newest token of each sequence still
+    decoding, against the cached keys and values.  A sequence that stops
+    is retired in place (`DecoderCache.retire`): the last live sequence
+    moves into its slot, so every step runs only rows still being decoded,
+    on the cache's first slots, and no step copies the cache.  Each step
+    calls this module's `decode_next`, so a wrapper set on the module sees
+    every step; after the first, `decode_next` reads the cache's slots,
+    not u.
     """
     if len(cond_ids) != len(u.lengths):
         raise ModelError(f"got {len(cond_ids)} conditionings for {len(u.lengths)} encoder outputs")
     limits = [min(max_len, decode_budget(params, cond, prefix)) for cond in cond_ids]
     out: list[list[int]] = [[] for _ in cond_ids]
-    done = [limit <= 0 for limit in limits]
-    live = list(range(len(cond_ids)))
+    # live[j]: the sequence in cache slot j
+    live = [b for b, limit in enumerate(limits) if limit > 0]
+    if not live:
+        return out
+    if len(live) < len(cond_ids):
+        u = u.keep(live)
     cache = decoder_cache(params, u)
-    while True:
-        kept = [j for j, b in enumerate(live) if not done[b]]
-        if not kept:
-            return out
-        if len(kept) < len(live):
-            live = [live[j] for j in kept]
-            u, cache = u.keep(kept), cache.keep(kept)
+    while live:
         probs = decode_next(params, u, [cond_ids[b] for b in live], [out[b] for b in live], prefix, cache)
-        for b, nxt in zip(live, np.argmax(probs, axis=1).tolist()):
-            done[b] = nxt == eot_id
-            if not done[b]:
+        # from the last slot down, so the sequence moved into a slot has been seen
+        for j, nxt in reversed(list(enumerate(np.argmax(probs, axis=1).tolist()))):
+            b = live[j]
+            if nxt != eot_id:
                 out[b].append(nxt)
-                done[b] = len(out[b]) >= limits[b]
+                if len(out[b]) < limits[b]:
+                    continue
+            cache.retire(j)
+            live[j] = live[-1]
+            live.pop()
+    return out
 
 
 @dataclass(frozen=True)

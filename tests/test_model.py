@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwbias.autodiff import Tensor
+from kwbias import autodiff as ad
+from kwbias import model
+from kwbias.autodiff import Tape, Tensor
 from kwbias.model import (
     ModelConfig,
     ModelError,
@@ -387,6 +389,85 @@ def test_a_finished_row_leaves_the_other_rows_unchanged(vocab):
     full = decode_next(fresh, u, conds, [[7], [8], [9]], q, cache.keep([0, 1, 2]))
     kept = decode_next(fresh, u.keep(rest), [conds[b] for b in rest], [[7 + b] for b in rest], q, cache.keep(rest))
     np.testing.assert_allclose(kept, full[rest], rtol=0, atol=1e-12)
+
+
+def test_cached_steps_write_keys_and_values_in_place(vocab, monkeypatch):
+    # each cached step appends its rows to the cache's padded arrays: the
+    # arrays stay the same objects until capacity grows, the rows cached
+    # before a step are left as they were, and no step concatenates or
+    # gathers cached rows
+    fresh, q = _decode_world(vocab, 3, -50.0)
+    rng = stream(23, "frames")
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7)])
+    conds = [[vocab.sot_id], [vocab.sop_id, 10, 11, vocab.sot_id], [vocab.sop_id, 12, vocab.sot_id]]
+    calls = {"concat": 0, "embedding": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(ad, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(ad, name, counted)
+    steps = []  # per cached step: capacity, arrays, and whether its cached rows were kept
+    real = model.decode_next
+
+    def spy(params, u, cond_ids, t_prev, prefix, cache):
+        if not cache.self_kv:
+            return real(params, u, cond_ids, t_prev, prefix, cache)
+        cached = [(i, j, b, kv[j][b, :n].copy())
+                  for i, kv in enumerate(cache.self_kv) for j in (0, 1) for b, n in enumerate(cache.lengths)]
+        before = dict(calls)
+        probs = real(params, u, cond_ids, t_prev, prefix, cache)
+        kept = all(np.array_equal(cache.self_kv[i][j][b, : len(old)], old) for i, j, b, old in cached)
+        steps.append((cache.capacity, [a for kv in cache.self_kv for a in kv], kept, calls == before))
+        return probs
+
+    monkeypatch.setattr(model, "decode_next", spy)
+    out = transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 30)
+    assert [len(t) for t in out] == [30, 30, 30]
+    capacities = [capacity for capacity, *_ in steps]
+    assert len(set(capacities)) > 1, "the decode should outgrow the first pass's capacity"
+    for (cap_a, arrays_a, *_), (cap_b, arrays_b, *_) in zip(steps, steps[1:]):
+        assert all(a is b for a, b in zip(arrays_a, arrays_b)) == (cap_a == cap_b)
+    assert all(kept and no_copy for *_, kept, no_copy in steps)
+
+
+@pytest.mark.parametrize("eot_bias", [-50.0, 0.3])
+def test_uninitialized_cache_rows_are_never_read(vocab, monkeypatch, eot_bias):
+    # the cache leaves rows past the longest sequence uninitialized; filled
+    # with NaN instead, they change no token
+    fresh, q = _decode_world(vocab, 3, eot_bias)
+    rng = stream(24, "frames")
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7, 12)])
+    conds = [[vocab.sot_id], [vocab.sop_id, 10, 11, vocab.sot_id], [vocab.sop_id, 12, vocab.sot_id], [vocab.sot_id]]
+    expected = transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 30)
+    real_empty = np.empty
+
+    def nan_empty(shape, *args, **kwargs):
+        out = real_empty(shape, *args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    assert transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 30) == expected
+
+
+def test_a_cached_step_under_a_tape_is_an_error(vocab):
+    fresh = init_params(CFG, seed=11)
+    u = encode(fresh, [stream(12, "u").normal(size=(10, 8))])
+    cond = [vocab.sop_id, 10, vocab.sot_id]
+    cache = decoder_cache(fresh, u)
+    decode_next(fresh, u, [cond], [[]], None, cache)
+    with Tape():
+        # frozen parameters: nothing for the tape to record
+        decode_next(fresh, u, [cond], [[7]], None, cache)
+        fresh.decoder["l0.attn.wq"].requires_grad = True
+        with pytest.raises(ModelError) as info:
+            decode_next(fresh, u, [cond], [[7, 8]], None, cache)
+        # a pass over an empty cache runs on the tape
+        decode_next(fresh, u, [cond], [[7, 8]], None)
+    assert str(info.value) == ("a cached decode step is not recorded on the tape: decode without a cache "
+                               "or outside the tape")
+    assert cache.lengths == (len(cond) + 1,)
+    decode_next(fresh, u, [cond], [[7, 8]], None, cache)
 
 
 def test_decode_needs_one_conditioning_per_sequence(params, vocab):
