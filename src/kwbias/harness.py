@@ -115,9 +115,9 @@ def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) 
 # Test utterances evaluated together, from encoder to decoder.  A cached
 # decode step's cost is mostly per-call numpy overhead, which a chunk's rows
 # share, while the memory of a chunk's first, packed decoder pass grows with
-# its rows.  On the benchmark's `eval` workload (5 paired runs, 2 cores,
-# BLAS on one thread) 32 rows read 583 utterances/s against 520 for 16
-# (+12 %), but raised peak RSS from 139.7 to 153.8 MB, past its 5 % bound.
+# its rows.  On the benchmark's `eval` workload (6 paired runs, 2 cores,
+# BLAS on one thread) 32 rows read 476 utterances/s against 565 for 16
+# and raised peak RSS from 137.4 to 157.9 MB, past its 5 % bound.
 DECODE_CHUNK = 16
 
 
