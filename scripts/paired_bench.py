@@ -11,8 +11,11 @@ false or whose `failed` is above 0 stops the script with exit status 1.
 For each end-to-end metric of CHANGE_DIR/BENCHMARK.json it prints the
 median [Q1, Q3] of each side (inclusive quartiles, as numpy's default
 percentile gives them), how many pairs the change wins (ties count for
-neither side), and whether the change's median is better than the
-parent's by more than the parent's interquartile range.  A gain is
+neither side), the median [Q1, Q3] of the per-pair change/parent ratio
+(n/a when a parent run reads 0), and whether the change's median is
+better than the parent's by more than the parent's interquartile range.
+The ratio shows a steady per-pair change that machine drift between
+pairs hides from the unpaired range; it decides no verdict.  A gain is
 claimed when the change wins at least nine tenths of the pairs and its
 median gain exceeds that range.  Every run's value is printed as it
 finishes.  One line then names the metrics that read the same value on
@@ -67,9 +70,13 @@ def summary(name: str, better: str, parent: list[float], change: list[float]) ->
     gain = sign * (cm - pm)
     verdict = "gain" if wins >= 0.9 * len(parent) and gain > p3 - p1 else "no gain"
     beyond = "exceeds" if gain > p3 - p1 else "within"
+    ratio = "n/a"
+    if 0 not in parent:
+        r1, rm, r3 = quartiles([c / p for p, c in zip(parent, change)])
+        ratio = f"{rm:.4f} [{r1:.4f}, {r3:.4f}]"
     return (f"{name:<22} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
-            f"wins {wins}/{len(parent)}  median gain {gain:+.6g} {beyond} parent IQR {p3 - p1:.6g}  "
-            f"({better} is better): {verdict}")
+            f"wins {wins}/{len(parent)}  change/parent {ratio}  "
+            f"median gain {gain:+.6g} {beyond} parent IQR {p3 - p1:.6g}  ({better} is better): {verdict}")
 
 
 def regression(better: str, bound: float, parent: list[float], change: list[float]) -> str:

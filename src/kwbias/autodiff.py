@@ -24,8 +24,10 @@ forward and adjoint loop over the blocks, so no array spans two of them.
 The forward formulas of `affine`, `gelu`, `softmax`, `layer_norm` and of
 the attention core live in plain-array functions (`affine_forward`,
 `gelu_forward`, ...) that the primitives call and return what the
-adjoints read, so code that needs no tape, such as a cached decode step,
-computes the same formula without building a `Tensor` per op.
+adjoints read, so code that needs no tape, such as the decode step,
+computes the same formula without building a `Tensor` per op.  They
+work in place where they can, in an order that gives the textbook
+expressions' values bit for bit.
 
 An adjoint that builds a new gradient array for one input hands it over
 to be kept as that input's gradient; an array handed to several inputs
@@ -216,9 +218,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """x @ w + b on plain arrays: `affine`'s forward formula."""
+    """x @ w + b on plain arrays: `affine`'s forward formula, the bias added
+    in place."""
     y = x @ w
-    return y if b is None else y + b
+    if b is not None:
+        y += b
+    return y
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -334,9 +339,18 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tanh-approximated GELU of x, with the x * x and tanh terms its
     adjoint reads: (gelu(x), x * x, tanh term)."""
+    # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x2))) in three arrays:
+    # products and sums commute, and halving last is exact
     x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x2)))
-    return 0.5 * x * (1.0 + t), x2, t
+    t = x * x2
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    return y, x2, t
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -511,12 +525,15 @@ def layer_norm_forward(
     """Layer norm of x's last axis on plain arrays, with the normalized rows
     and inverse deviations its adjoint reads: (output, yhat, inv)."""
     d = x.shape[-1]
-    # the reductions np.mean / np.var perform, without their wrappers and
-    # with the centred rows computed once
-    xc = x - np.add.reduce(x, -1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + LAYER_NORM_EPS)
-    yhat = xc * inv
-    return yhat * gain + bias, yhat, inv
+    # the reductions np.mean / np.var perform, without their wrappers; the
+    # centred rows become yhat in place, and their squares the output
+    yhat = x - np.add.reduce(x, -1, keepdims=True) / d
+    out = yhat * yhat
+    inv = 1.0 / np.sqrt(np.add.reduce(out, -1, keepdims=True) / d + LAYER_NORM_EPS)
+    yhat *= inv
+    np.multiply(yhat, gain, out=out)
+    out += bias
+    return out, yhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -112,12 +112,12 @@ def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) 
     return EvalContext(cfg, vocab, tfidf_scores(train_texts))
 
 
-# Test utterances evaluated together, from encoder to decoder.  A cached
-# decode step's cost is mostly per-call numpy overhead, which a chunk's rows
-# share, while the memory of a chunk's first, packed decoder pass grows with
-# its rows.  On the benchmark's `eval` workload (6 paired runs, 2 cores,
-# BLAS on one thread) 32 rows read 476 utterances/s against 565 for 16
-# and raised peak RSS from 137.4 to 157.9 MB, past its 5 % bound.
+# Test utterances evaluated together, from encoder to decoder.  A decode
+# step's cost is mostly per-call numpy overhead, which a chunk's rows share,
+# while peak memory grows with a chunk's rows.  On the benchmark's `eval`
+# workload (6 paired runs, 2 cores, BLAS on one thread) 32 rows read 711
+# utterances/s against 657 for 16 (4 wins of 6) and raised peak RSS from
+# 137.4 to 153.7 MB, past its 5 % bound.
 DECODE_CHUNK = 16
 
 

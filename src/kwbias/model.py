@@ -15,45 +15,46 @@ In every taped pass one fused primitive, `autodiff.attention`, serves
 the encoder, the decoder's self- and cross-attention and the keyword
 head (as a single head); every linear layer is one `autodiff.affine`.
 Both take and give unsplit (rows, d_model) tensors, so head splitting
-shows up here only in the cached decode step (`_attend_slots`).
+shows up here only in the decode step (`_attend_slots`, `_attend_each`).
 
-Decoding is incremental and batch-first.  A `DecoderCache` holds each
-layer's cross-attention K/V over the encoder output, projected once per
+Decoding is incremental and batch-first, and runs one inference forward,
+`_decoder_step`, on plain arrays through the forward formulas `autodiff`
+shares with its primitives.  A `DecoderCache` holds each layer's
+cross-attention K/V over the encoder output, projected once per
 utterance, and each layer's self-attention K/V of the rows decoded so
-far, all unsplit, with one cached length per sequence.  A sequence is
-[soft prefix, prompt, text]; positions count from 0 across all of them,
-and no sequence holds more than `max_tgt_len` rows.  The first pass over
-an empty cache, `_decoder_extend`, is packed and taped like teacher
-forcing; a decode lays its keys and values out in the cache's padded
-arrays, per layer one (sequences, capacity, d_model) array for each of
-self-attention K and V and one (sequences, longest encoder sequence,
-d_model) for each of cross-attention K and V, with an additive key mask.
-Every later step, `_decoder_step`, runs on plain arrays through the
-forward formulas `autodiff` shares with its primitives: it writes the
-new rows' keys and values in place at each sequence's cached length and
-runs one batched masked attention per layer for self-attention and one
-for cross-attention.  Greedy decoding runs every sequence's [prefix,
-prompt] in one causal pass, then one new row per unfinished sequence per
-step; a sequence that ends is retired in place, the last live sequence
-moving into its slot, so every step runs only rows still being decoded.
+far, in padded arrays: per layer one (sequences, longest encoder
+sequence, d_model) array for each of cross-attention K and V, with an
+additive key mask, and one (sequences, capacity, d_model) for each of
+self-attention K and V, with one cached length per sequence.  A sequence
+is [soft prefix, prompt, text]; positions count from 0 across all of
+them, and no sequence holds more than `max_tgt_len` rows.  Every call
+writes its new rows' keys and values in place at each sequence's cached
+length.  The first call, over an empty cache, runs every sequence's
+[prefix, prompt] and attends slot by slot, each sequence causally over
+its own rows, with the per-block operations of `autodiff.attention`;
+every later call runs one new row per unfinished sequence, with one
+batched masked attention per layer for self-attention and one for
+cross-attention.  A sequence that ends is retired in place, the last
+live sequence moving into its slot, so every step runs only rows still
+being decoded.
 
 `encode` is the one encoder entry point and `Packed` (rows plus
 per-sequence lengths) the one encoder-output type: utterances are
 stacked, with no padding, into one pass; a single one is a batch of one.
 Training packs the decoder side too: `teacher_forced_logits` stacks
-every example's [prefix, prompt, text] rows into one pass over an empty
-cache, and `kws_logits` scores every example's keywords in one.
-A packed pass's attention takes each sequence's lengths instead of a
-mask and runs block by block: encoder self-attention stays within each utterance, decoder
-self-attention is causal within each example, and example b's decoder
-rows and keywords attend to utterance b's encoder rows only.  Every
-sequence counts positions from 0.
+every example's [prefix, prompt, text] rows into one taped pass,
+`_decoder_extend`, and `kws_logits` scores every example's keywords in
+one.  A packed pass's attention takes each sequence's lengths instead of
+a mask and runs block by block: encoder self-attention stays within each
+utterance, decoder self-attention is causal within each example, and
+example b's decoder rows and keywords attend to utterance b's encoder
+rows only.  Every sequence counts positions from 0.
 
 The decoder computes only the rows its caller reads.  Its last layer
-still projects keys and values for every row, which the cache needs, but
-runs the query, self- and cross-attention, feed-forward and final norm
-on the trailing rows each sequence reads: the len(t)+1 rows that predict
-a target in teacher forcing, the newest row in a decode step, and every
+still projects keys and values for every row, which the kept rows attend
+to, but runs the query, self- and cross-attention, feed-forward and final
+norm on the trailing rows each sequence reads: the len(t)+1 rows that predict
+a target in teacher forcing, the newest row in a decode call, and every
 row in attention export.
 
 Parameters live in four plain name->Tensor dicts (encoder / decoder /
@@ -244,13 +245,6 @@ def _rows_within(lengths: Sequence[int]) -> np.ndarray:
     return np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def _sequence_rows(lengths: Sequence[int], keep: Sequence[int]) -> list[int]:
-    """Row indices, in a packing of sequences of the given lengths, of the
-    sequences numbered in `keep`, in that order."""
-    ends = np.cumsum(lengths).tolist()
-    return [r for b in keep for r in range(ends[b] - lengths[b], ends[b])]
-
-
 class Packed(NamedTuple):
     """Rows of several sequences stacked into one 2-D tensor, sequence b
     holding `lengths[b]` rows."""
@@ -260,7 +254,8 @@ class Packed(NamedTuple):
 
     def keep(self, sequences: Sequence[int]) -> "Packed":
         """The numbered sequences alone, in that order."""
-        rows = _sequence_rows(self.lengths, sequences)
+        ends = np.cumsum(self.lengths).tolist()
+        rows = [r for b in sequences for r in range(ends[b] - self.lengths[b], ends[b])]
         return Packed(Tensor(self.rows.data[rows]), tuple(self.lengths[b] for b in sequences))
 
 
@@ -334,20 +329,17 @@ def encode(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
 
 @dataclass
 class DecoderCache:
-    """Per-layer attention keys and values of a decode.
+    """Per-layer attention keys and values of a decode, in padded arrays
+    that every decode call reads and writes in place:
 
-    A new cache holds `cross`, each layer's cross-attention K/V over the
-    encoder output as packed (rows, d_model) tensors, sequence b's
-    `cross_lengths[b]` rows after sequence b-1's, which the first pass over
-    it (`_decoder_extend`) reads on the tape.  `decode_next` then lays that
-    pass's keys and values out in the padded arrays that every later step
-    reads and writes in place, and drops `cross`:
-
+    - `cross_kv`: each layer's cross-attention K/V over the encoder output,
+      (slots, longest encoder sequence, d_model) each, sequence b's
+      `cross_lengths[b]` rows at the start of slot b, with `cross_mask`
+      (slots, 1, 1, longest) hiding each slot's padding (None when there
+      is none);
     - `self_kv`: each layer's self-attention K/V, (slots, capacity,
       d_model) each, sequence b's `lengths[b]` rows at the start of slot b;
-    - `cross_kv`: each layer's cross-attention K/V, (slots, longest encoder
-      sequence, d_model) each, with `cross_mask` (slots, 1, 1, longest)
-      hiding each slot's padding (None when there is none).
+      empty until the first call.
 
     The cache's sequences are its first len(lengths) slots; `retire` drops
     one in place.  The first `clean` rows of each of them hold finite
@@ -358,32 +350,17 @@ class DecoderCache:
     attention splits the heads.
     """
 
-    cross: list[tuple[Tensor, Tensor]]
+    cross_kv: list[tuple[np.ndarray, np.ndarray]]
     cross_lengths: tuple[int, ...]
+    cross_mask: np.ndarray | None
     lengths: tuple[int, ...]
     clean: int = 0
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    cross_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    cross_mask: np.ndarray | None = None
 
     @property
     def capacity(self) -> int:
-        """Rows per slot of `self_kv`; 0 before the first pass."""
+        """Rows per slot of `self_kv`; 0 before the first call."""
         return self.self_kv[0][0].shape[1] if self.self_kv else 0
-
-    def keep(self, sequences: Sequence[int]) -> "DecoderCache":
-        """A cache of the numbered sequences alone, in that order."""
-        packed = _sequence_rows(self.cross_lengths, sequences)
-        slots = list(sequences)
-        return DecoderCache(
-            [(Tensor(k.data[packed]), Tensor(v.data[packed])) for k, v in self.cross],
-            tuple(self.cross_lengths[b] for b in sequences),
-            tuple(self.lengths[b] for b in sequences),
-            self.clean,
-            [(k[slots], v[slots]) for k, v in self.self_kv],
-            [(k[slots], v[slots]) for k, v in self.cross_kv],
-            None if self.cross_mask is None else self.cross_mask[slots],
-        )
 
     def retire(self, b: int) -> None:
         """Drop sequence b in place: the last sequence moves into its slot."""
@@ -400,33 +377,20 @@ class DecoderCache:
         lengths[b], cross_lengths[b] = lengths[last], cross_lengths[last]
         self.lengths, self.cross_lengths = tuple(lengths[:last]), tuple(cross_lengths[:last])
 
-    def _fill(self, kv: list[tuple[np.ndarray, np.ndarray]], lengths: tuple[int, ...], limit: int) -> None:
-        """Lay out a first pass's packed self-attention K/V, of sequences
-        of the given lengths, and the cross-attention K/V in padded arrays,
-        with room for twice the longest sequence's rows, up to `limit`."""
-        self.clean = max(lengths)
-        padded = _padded([a for pair in kv for a in pair], lengths, min(2 * self.clean, limit))
-        self.self_kv = list(zip(padded[::2], padded[1::2]))
-        longest = max(self.cross_lengths)
-        padded = _padded([t.data for pair in self.cross for t in pair], self.cross_lengths, longest)
-        self.cross_kv = list(zip(padded[::2], padded[1::2]))
-        if min(self.cross_lengths) < longest:
-            hidden = np.arange(longest) >= np.array(self.cross_lengths)[:, None]
-            self.cross_mask = np.where(hidden, ad.HIDDEN_KEY, 0.0)[:, None, None, :]
-        self.cross, self.lengths = [], lengths
-
     def _reserve(self, rows: int, limit: int) -> None:
         """Make the first `rows` rows of every sequence's slot clean.  A
-        capacity that grows doubles, up to `limit`, so a decode copies its
-        rows a logarithmic number of times."""
+        capacity that grows takes twice the rows needed, up to `limit`, so
+        a decode copies its rows a logarithmic number of times."""
         n = len(self.lengths)
         if rows > self.capacity:
-            grown = min(max(rows, 2 * self.capacity), limit)
-            arrays = []
-            for a in (a for pair in self.self_kv for a in pair):
-                arrays.append(np.empty((a.shape[0], grown, a.shape[2])))
-                arrays[-1][:n, : self.clean] = a[:n, : self.clean]
-            self.self_kv = list(zip(arrays[::2], arrays[1::2]))
+            # one allocation per array: numpy asks the kernel for huge pages
+            # for an array of 4 MiB or more, whose untouched rows would then
+            # count in the resident set
+            old, grown = self.self_kv, min(2 * rows, limit)
+            self.self_kv = [tuple(np.empty((n, grown, a.shape[2])) for a in pair) for pair in self.cross_kv]
+            for pair, old_pair in zip(self.self_kv, old):
+                for a, a_old in zip(pair, old_pair):
+                    a[:, : self.clean] = a_old[:n, : self.clean]
         if rows > self.clean:
             for pair in self.self_kv:
                 for a in pair:
@@ -434,56 +398,54 @@ class DecoderCache:
             self.clean = rows
 
 
-def _padded(packed: list[np.ndarray], lengths: tuple[int, ...], rows: int) -> list[np.ndarray]:
-    """Each (sum(lengths), d) array of packed sequences laid out as
-    (sequences, rows, d): sequence b's rows at the start of slot b, zeros
-    after them up to the longest sequence's end, and uninitialized rows
-    after that."""
-    n, longest = len(lengths), max(lengths)
-    # packed row -> (slot, row within it): a plain slice for one sequence
-    place = (0, slice(0, longest)) if n == 1 else (np.repeat(np.arange(n), lengths), _rows_within(lengths))
-    # one allocation per array: numpy asks the kernel for huge pages for an
-    # array of 4 MiB or more, whose untouched rows would then count in the
-    # resident set
-    out = []
-    for a in packed:
-        out.append(np.empty((n, rows, a.shape[1])))
-        if n > 1:
-            out[-1][:, :longest] = 0.0
-        out[-1][place] = a
-    return out
-
-
 def decoder_cache(params: ModelParams, u: Packed) -> DecoderCache:
-    """An empty cache holding the cross-attention K/V over encoder output u."""
-    layers = range(params.config.n_dec_layers)
-    cross = [_project_kv(params.decoder, f"l{i}.cross", u.rows) for i in layers]
-    return DecoderCache(cross, u.lengths, (0,) * len(u.lengths))
+    """An empty cache holding the cross-attention K/V over encoder output
+    u: sequence b's rows at the start of slot b, zeros after them."""
+    w, x = params.decoder, u.rows.data
+    n, longest = len(u.lengths), max(u.lengths)
+    # packed row -> (slot, row within it)
+    place = (np.repeat(np.arange(n), u.lengths), _rows_within(u.lengths))
+    cross_kv = []
+    for i in range(params.config.n_dec_layers):
+        pair = []
+        for a in (ad.affine_forward(x, w[f"l{i}.cross.wk"].data),
+                  ad.affine_forward(x, w[f"l{i}.cross.wv"].data, w[f"l{i}.cross.bv"].data)):
+            if n == 1:
+                pair.append(a[None])
+            else:
+                pair.append(np.zeros((n, longest, a.shape[1])))
+                pair[-1][place] = a
+        cross_kv.append(tuple(pair))
+    mask = None
+    if min(u.lengths) < longest:
+        mask = np.where(np.arange(longest) >= np.array(u.lengths)[:, None], ad.HIDDEN_KEY, 0.0)[:, None, None, :]
+    return DecoderCache(cross_kv, u.lengths, mask, (0,) * n)
 
 
 def _decoder_extend(
     params: ModelParams,
-    cache: DecoderCache,
+    u: Packed,
     ids: Sequence[Sequence[int]],
     prefix: Tensor | None,
     read: tuple[int, ...] | None = None,
     collect: list | None = None,
-) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
+) -> Tensor:
     """Run the decoder over the rows of token ids in one packed pass on the
-    tape, cross-attending to an empty cache's encoder K/V; the one place
-    that lays out a sequence's first decoder rows.
+    tape, cross-attending to the encoder outputs u: the pass of teacher
+    forcing and attention export.
 
     Sequence b gets the soft prefix's rows, if a prefix is given, then the
     rows of ids[b], at positions counting from 0, and at most
     `max_tgt_len` rows in all.  It attends causally to its own rows and
-    cross-attends to the cache's encoder sequence b.  The last layer runs
-    its query, attention, feed-forward and the final norm on the last
-    read[b] rows of each sequence only (every row when `read` is None).
-    Returns those rows' hidden states, stacked, and every layer's packed
-    self-attention keys and values, which a decode lays out in the cache.
+    cross-attends to sequence b of u.  The last layer runs its query,
+    attention, feed-forward and the final norm on the last read[b] rows of
+    each sequence only (every row when `read` is None).  Returns those
+    rows' hidden states, stacked.
     """
     cfg = params.config
     p = params.decoder
+    # every layer's cross K/V first: the order in which u's gradient accumulates
+    cross = [_project_kv(p, f"l{i}.cross", u.rows) for i in range(cfg.n_dec_layers)]
     n_prefix = prefix.shape[0] if prefix is not None else 0
     # the prefix rows sit before the table, so token id i is row n_prefix + i
     table = ad.concat([prefix, p["embed"]], axis=0) if n_prefix else p["embed"]
@@ -492,7 +454,6 @@ def _decoder_extend(
     if max(keys) > cfg.max_tgt_len:
         raise ModelError(f"conditioning length {max(keys)} exceeds max_tgt_len {cfg.max_tgt_len}")
     h = ad.add(ad.embedding(table, rows), _positions(lengths, cfg.d_model))
-    kv = []
     for i in range(cfg.n_dec_layers):
         normed = _ln(p, f"l{i}.ln1", h)
         queries = normed
@@ -501,103 +462,124 @@ def _decoder_extend(
             queries, h, lengths = ad.embedding(normed, kept), ad.embedding(h, kept), read
         q = ad.affine(queries, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
         k, v = _project_kv(p, f"l{i}.attn", normed)
-        kv.append((k.data, v.data))
         h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, (lengths, keys), causal=True,
                               collect=collect))
         cross_q = ad.affine(_ln(p, f"l{i}.ln2", h), p[f"l{i}.cross.wq"], p[f"l{i}.cross.bq"])
-        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cache.cross[i], cfg.n_heads,
-                              (lengths, cache.cross_lengths)))
+        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cross[i], cfg.n_heads, (lengths, u.lengths)))
         h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
-    return _ln(p, "ln_out", h), kv
+    return _ln(p, "ln_out", h)
 
 
-def _attend_slots(
-    x: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask: np.ndarray | None,
-    place: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Multi-head attention of query rows x, (rows, d), over the keys and
-    values of their slots, (slots, keys, d), on plain arrays.  Row j is
-    query place[1][j] of slot place[0][j], or slot j's one query when
-    `place` is None; `mask` is additive over (slots, 1, queries, keys).
-    Returns the rows' (rows, d) context."""
+def _attend_slots(x: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask: np.ndarray | None) -> np.ndarray:
+    """Multi-head attention of each slot's one query row, x (slots, d),
+    over the keys and values of its slot, (slots, keys, d), in one batched
+    call; `mask` is additive over (slots, 1, 1, keys).  Returns the
+    (slots, d) context."""
     slots, nk, d = k.shape
-    if place is None:
-        q = x[:, None]
-    else:
-        q = np.zeros((slots, int(place[1].max()) + 1, d))
-        q[place] = x
-    nq, hd = q.shape[1], d // n_heads
+    hd = d // n_heads
     split = lambda a, n: a.reshape(slots, n, n_heads, hd).transpose(0, 2, 1, 3)
-    ctx, _ = ad.attention_forward(split(q, nq), split(k, nk), split(v, nk), float(1.0 / np.sqrt(hd)), mask)
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(slots, nq, d)
-    return ctx[:, 0] if place is None else ctx[place]
+    ctx, _ = ad.attention_forward(split(x, 1), split(k, nk), split(v, nk), float(1.0 / np.sqrt(hd)), mask)
+    # one query per slot: (slots, heads, 1, hd) is already in row order
+    return ctx.reshape(slots, d)
 
 
-def _decoder_step(params: ModelParams, cache: DecoderCache, ids: Sequence[Sequence[int]]) -> np.ndarray:
+def _attend_each(
+    x: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, counts: Sequence[int], keys: Sequence[int],
+    causal: bool,
+) -> np.ndarray:
+    """Multi-head attention of packed query rows x, counts[b] of them for
+    slot b, over the first keys[b] keys and values of slot b of k and v,
+    slot by slot: the per-block operations of `autodiff.attention`.  With
+    `causal`, slot b's queries are the last rows of its keys.  Returns the
+    rows' (rows, d) context."""
+    d = x.shape[1]
+    hd = d // n_heads
+    split = lambda a, n: a.reshape(n, n_heads, hd).swapaxes(0, 1)
+    ctx, start = [], 0
+    for b, (n, m) in enumerate(zip(counts, keys)):
+        mask = ad._causal_mask(n, m) if causal and n > 1 else None
+        out, _ = ad.attention_forward(split(x[start : start + n], n), split(k[b, :m], m), split(v[b, :m], m),
+                                      float(1.0 / np.sqrt(hd)), mask)
+        ctx.append(out.swapaxes(0, 1).reshape(n, d))
+        start += n
+    return ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
+
+
+def _decoder_step(
+    params: ModelParams, cache: DecoderCache, ids: Sequence[Sequence[int]], prefix: np.ndarray | None = None,
+) -> np.ndarray:
     """Run the decoder over rows of token ids appended after a cache's
     rows, on plain arrays; the hidden states of each sequence's last new
-    row, (sequences, d_model).
+    row, (sequences, d_model).  The one inference forward: a call on an
+    empty cache is the first pass over every [prefix, cond, t] row, given
+    `prefix`, whose rows then come first in every sequence.
 
     Sequence b's new rows take positions from `cache.lengths[b]` on, and
     each layer writes their keys and values into slot b of the cache's
-    padded arrays in place.  Self-attention is one batched attention over
-    the first max(lengths) rows of every slot, with a mask that hides from
-    each row the keys after its own; cross-attention is one over the
-    padded encoder rows.  The last layer runs its query, attention,
+    padded arrays in place.  A call of one new row per sequence runs one
+    batched attention over the first max(lengths) rows of every slot, with
+    a mask that hides from each row the keys after its own, and one over
+    the padded encoder rows; a call of several rows attends slot by slot,
+    over each slot's own rows.  The last layer runs its query, attention,
     feed-forward and the final norm on each sequence's last row only.
     """
     cfg = params.config
     w = {name: t.data for name, t in params.decoder.items()}
+    table = w["embed"]
+    if prefix is not None:
+        # the prefix rows sit before the table, so token id i is row n_prefix + i
+        table = np.concatenate([prefix, table])
+        ids = [[*range(len(prefix)), *(len(prefix) + i for i in seq)] for seq in ids]
     slots = len(ids)
     counts = [len(seq) for seq in ids]
     old = np.array(cache.lengths)
-    new = old + counts
-    longest = int(new.max())
+    new = (old + counts).tolist()
+    longest = max(new)
     if longest > cfg.max_tgt_len:
         raise ModelError(f"conditioning length {longest} exceeds max_tgt_len {cfg.max_tgt_len}")
     cache._reserve(longest, cfg.max_tgt_len)
-    width = max(counts)
-    if width == 1:
-        # one new row per sequence: the rows are the slots, in order
-        tokens, place, write = [seq[0] for seq in ids], None, (np.arange(slots), old)
+    one_row = max(counts) == 1
+    if one_row:
+        # the rows are the slots, in order
+        tokens, write = [seq[0] for seq in ids], (np.arange(slots), old)
+        # the row of slot b sits at old[b] and sees the keys up to it
+        mask = (None if (old == longest - 1).all()
+                else np.where(np.arange(longest) > old[:, None], ad.HIDDEN_KEY, 0.0)[:, None, None])
+        cross_mask = None if cache.cross_mask is None else cache.cross_mask[:slots]
     else:
         tokens = [t for seq in ids for t in seq]
         slot = np.repeat(np.arange(slots), counts)
-        place = (slot, _rows_within(counts))
-        write = (slot, old[slot] + place[1])
-    h = w["embed"][tokens] + sinusoid_positions(longest, cfg.d_model)[write[1]]
-
-    def self_mask(query_pos: np.ndarray) -> np.ndarray | None:
-        # query row r of slot b sits at query_pos[b, r] and sees the keys up to it
-        if (query_pos == longest - 1).all():
-            return None
-        return np.where(np.arange(longest) > query_pos[..., None], ad.HIDDEN_KEY, 0.0)[:, None]
-
-    mask = self_mask(old[:, None] + np.arange(width))
-    cross_mask = None if cache.cross_mask is None else cache.cross_mask[:slots]
+        write = (slot, old[slot] + _rows_within(counts))
+    h = table[tokens]
+    h += sinusoid_positions(longest, cfg.d_model)[write[1]]
     for i in range(cfg.n_dec_layers):
         a, c = f"l{i}.attn", f"l{i}.cross"
         normed = ad.layer_norm_forward(h, w[f"l{i}.ln1.g"], w[f"l{i}.ln1.b"])[0]
-        queries = normed
-        if i == cfg.n_dec_layers - 1 and place is not None:
+        queries, rows = normed, counts
+        if i == cfg.n_dec_layers - 1 and not one_row:
             last = np.cumsum(counts) - 1
-            queries, h, place = normed[last], h[last], None
-            mask = self_mask(new[:, None] - 1)
+            queries, h, rows = normed[last], h[last], [1] * slots
         q = ad.affine_forward(queries, w[f"{a}.wq"], w[f"{a}.bq"])
         k_all, v_all = cache.self_kv[i]
         k_all[write] = ad.affine_forward(normed, w[f"{a}.wk"])
         v_all[write] = ad.affine_forward(normed, w[f"{a}.wv"], w[f"{a}.bv"])
-        ctx = _attend_slots(q, k_all[:slots, :longest], v_all[:slots, :longest], cfg.n_heads, mask, place)
-        h = h + ad.affine_forward(ctx, w[f"{a}.wo"], w[f"{a}.bo"])
+        k_enc, v_enc = cache.cross_kv[i]
+        if one_row:
+            ctx = _attend_slots(q, k_all[:slots, :longest], v_all[:slots, :longest], cfg.n_heads, mask)
+        else:
+            ctx = _attend_each(q, k_all, v_all, cfg.n_heads, rows, new, causal=True)
+        h += ad.affine_forward(ctx, w[f"{a}.wo"], w[f"{a}.bo"])
         cross_q = ad.affine_forward(ad.layer_norm_forward(h, w[f"l{i}.ln2.g"], w[f"l{i}.ln2.b"])[0],
                                     w[f"{c}.wq"], w[f"{c}.bq"])
-        k_enc, v_enc = cache.cross_kv[i]
-        ctx = _attend_slots(cross_q, k_enc[:slots], v_enc[:slots], cfg.n_heads, cross_mask, place)
-        h = h + ad.affine_forward(ctx, w[f"{c}.wo"], w[f"{c}.bo"])
+        if one_row:
+            ctx = _attend_slots(cross_q, k_enc[:slots], v_enc[:slots], cfg.n_heads, cross_mask)
+        else:
+            ctx = _attend_each(cross_q, k_enc, v_enc, cfg.n_heads, rows, cache.cross_lengths, causal=False)
+        h += ad.affine_forward(ctx, w[f"{c}.wo"], w[f"{c}.bo"])
         normed = ad.layer_norm_forward(h, w[f"l{i}.ln3.g"], w[f"l{i}.ln3.b"])[0]
         hidden = ad.gelu_forward(ad.affine_forward(normed, w[f"l{i}.ff.w1"], w[f"l{i}.ff.b1"]))[0]
-        h = h + ad.affine_forward(hidden, w[f"l{i}.ff.w2"], w[f"l{i}.ff.b2"])
-    cache.lengths = tuple(new.tolist())
+        h += ad.affine_forward(hidden, w[f"l{i}.ff.w2"], w[f"l{i}.ff.b2"])
+    cache.lengths = tuple(new)
     return ad.layer_norm_forward(h, w["ln_out.g"], w["ln_out.b"])[0]
 
 
@@ -625,8 +607,7 @@ def _decoder_hidden(
         raise ModelError(f"got {len(cond_ids)} conditionings and {len(t_ids)} targets "
                          f"for {len(u.lengths)} encoder outputs")
     _require_start(cond_ids)
-    return _decoder_extend(params, decoder_cache(params, u), [[*c, *t] for c, t in zip(cond_ids, t_ids)],
-                           prefix, read, collect)[0]
+    return _decoder_extend(params, u, [[*c, *t] for c, t in zip(cond_ids, t_ids)], prefix, read, collect)
 
 
 def _readout(params: ModelParams, rows: Tensor) -> Tensor:
@@ -662,16 +643,19 @@ def decode_next(
     (sequences, vocab_size): row b conditions on cond_ids[b], the tokens
     t_prev[b] so far and sequence b's encoder output.
 
-    Without a cache every [prefix, cond, t_prev] row of every sequence of
-    u runs in one causal pass.  An empty cache from
-    `decoder_cache(params, u)` does the same and keeps the keys and values
-    of those rows.  A cache that holds rows decodes its own sequences, in
-    its slots' order, and runs only the rows after the cached ones, on
-    plain arrays, writing their keys and values into it in place; it
-    carries its encoder keys and values, so u is not read.  Such a step
-    records nothing on a tape, so it is an error while a tape is active
-    and a decoder parameter or the prefix requires gradients.
+    Every call runs `_decoder_step` on plain arrays and records nothing on
+    a tape, so it is an error while a tape is active and a decoder
+    parameter or the prefix requires gradients.  Without a cache, or with
+    an empty one from `decoder_cache(params, u)`, the call runs every
+    [prefix, cond, t_prev] row of every sequence of u.  A cache that holds
+    rows decodes its own sequences, in its slots' order, and runs only the
+    rows after the cached ones; it carries its encoder keys and values, so
+    u is not read.  The call writes the keys and values of the rows it
+    runs into the cache in place.
     """
+    if ad.active_tape() is not None and any(
+            t.requires_grad for t in (*params.decoder.values(), *([prefix] if prefix is not None else ()))):
+        raise ModelError("a cached decode step is not recorded on the tape: decode outside the tape")
     if cache is None:
         cache = decoder_cache(params, u)
     elif not cache.self_kv and cache.cross_lengths != u.lengths:
@@ -682,24 +666,17 @@ def decode_next(
                          f"for {n} encoder outputs")
     _require_start(cond_ids)
     n_prefix = prefix.shape[0] if prefix is not None else 0
-    if not cache.self_kv:
-        ids = [[*c, *t] for c, t in zip(cond_ids, t_prev)]
-        last, kv = _decoder_extend(params, cache, ids, prefix, read=(1,) * n)
-        cache._fill(kv, tuple(n_prefix + len(seq) for seq in ids), params.config.max_tgt_len)
-        return ad.softmax(_readout(params, last), axis=-1).data
-    if ad.active_tape() is not None and any(
-            t.requires_grad for t in (*params.decoder.values(), *([prefix] if prefix is not None else ()))):
-        raise ModelError("a cached decode step is not recorded on the tape: decode without a cache "
-                         "or outside the tape")
     new_ids = []
     for cond, t, cached in zip(cond_ids, t_prev, cache.lengths):
-        # the cache holds the prefix's rows first, then cond and t in turn
+        # the cache holds the prefix's rows first, then cond and t in turn;
+        # a first call runs the prefix's rows too, which _decoder_step adds
         start = cached - n_prefix - len(cond)
         ids = t[start:] if start >= 0 else [*cond[start:], *t]
         if not ids:
             raise ModelError("nothing to decode: every row is already cached")
         new_ids.append(ids)
-    last = Tensor(_decoder_step(params, cache, new_ids))
+    prefix_rows = prefix.data if prefix is not None and not cache.self_kv else None
+    last = Tensor(_decoder_step(params, cache, new_ids, prefix_rows))
     return ad.softmax(_readout(params, last), axis=-1).data
 
 

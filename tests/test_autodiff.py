@@ -117,6 +117,25 @@ def test_layer_norm_equals_the_mean_var_formula_bit_for_bit(shape):
     assert np.array_equal(out.data, reference)
 
 
+@pytest.mark.parametrize("shape", [(1, 64), (16, 64), (1130, 256)])
+def test_forward_formulas_equal_their_textbook_expressions_bit_for_bit(shape):
+    # the forwards work in place, in an order that changes no rounding; the
+    # largest shape is a prefill's feed-forward input
+    rng = stream(12, "textbook", *shape)
+    x = rng.normal(0.0, 3.0, size=shape)
+    w, b = rng.normal(size=(shape[1], 32)), rng.normal(size=32)
+    assert np.array_equal(ad.affine_forward(x, w, b), x @ w + b)
+    assert np.array_equal(ad.affine_forward(x, w), x @ w)
+    c = np.sqrt(2.0 / np.pi)
+    tanh = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    y, x2, t = ad.gelu_forward(x)
+    assert np.array_equal(y, 0.5 * x * (1.0 + tanh)) and np.array_equal(x2, x * x) and np.array_equal(t, tanh)
+    g, b = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+    yhat = (x - np.mean(x, axis=-1, keepdims=True)) * (1.0 / np.sqrt(np.var(x, axis=-1, keepdims=True) + 1e-5))
+    out, got_yhat, _ = ad.layer_norm_forward(x, g, b)
+    assert np.array_equal(out, yhat * g + b) and np.array_equal(got_yhat, yhat)
+
+
 def test_layer_norm_gradients_match_finite_differences():
     rng = stream(2, "ln")
     x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)

@@ -208,6 +208,18 @@ def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
     np.testing.assert_allclose(decode_next(fresh, u, [cond], [t_ids], q, cache)[0], ref[-1], rtol=0, atol=1e-12)
     with pytest.raises(ModelError, match="already cached"):
         decode_next(fresh, u, [cond], [t_ids], q, cache)
+    # a first call over sequences of different lengths reads each
+    # sequence's last teacher-forced row
+    rng = stream(17, "u")
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7, 12)])
+    conds = [cond, [vocab.sot_id], [vocab.sop_id, 13, 14, 15, vocab.delim_id, 16, vocab.sot_id],
+             [vocab.sop_id, 17, vocab.sot_id]]
+    t_prev = [t_ids[:3], [], t_ids, t_ids[:1]]
+    ref = _softmax_rows(teacher_forced_logits(fresh, u, conds, t_prev, q).data)
+    ends = np.cumsum([len(t) + 1 for t in t_prev]) - 1
+    cache = decoder_cache(fresh, u)
+    np.testing.assert_allclose(decode_next(fresh, u, conds, t_prev, q, cache), ref[ends], rtol=0, atol=1e-12)
+    assert cache.lengths == tuple(n_prefix + len(c) + len(t) for c, t in zip(conds, t_prev))
 
 
 @pytest.mark.parametrize("n_prefix", [0, 3])
@@ -383,51 +395,56 @@ def test_a_finished_row_leaves_the_other_rows_unchanged(vocab):
     assert batched[ends] == [] and all(batched[b] for b in rest)
     # it leaves the batch: the others decode as the batch without it
     assert [batched[b] for b in rest] == transcribe_greedy(fresh, u.keep(rest), [conds[b] for b in rest], q, eot, 12)
-    # and on the cache level, dropping a sequence leaves the others' next distributions
-    cache = decoder_cache(fresh, u)
+    # and on the cache level, retiring a sequence leaves the others' next distributions
+    full_cache, cache = decoder_cache(fresh, u), decoder_cache(fresh, u)
+    decode_next(fresh, u, conds, [[], [], []], q, full_cache)
+    full = decode_next(fresh, u, conds, [[7], [8], [9]], q, full_cache)
     decode_next(fresh, u, conds, [[], [], []], q, cache)
-    full = decode_next(fresh, u, conds, [[7], [8], [9]], q, cache.keep([0, 1, 2]))
-    kept = decode_next(fresh, u.keep(rest), [conds[b] for b in rest], [[7 + b] for b in rest], q, cache.keep(rest))
-    np.testing.assert_allclose(kept, full[rest], rtol=0, atol=1e-12)
+    cache.retire(ends)
+    live = [0, 1, 2]
+    live[ends] = live[-1]
+    live.pop()
+    kept = decode_next(fresh, u.keep(live), [conds[b] for b in live], [[7 + b] for b in live], q, cache)
+    np.testing.assert_allclose(kept, full[live], rtol=0, atol=1e-12)
 
 
 def test_cached_steps_write_keys_and_values_in_place(vocab, monkeypatch):
-    # each cached step appends its rows to the cache's padded arrays: the
-    # arrays stay the same objects until capacity grows, the rows cached
-    # before a step are left as they were, and no step concatenates or
-    # gathers cached rows
+    # every decode call, the first one included, writes its rows into the
+    # cache's padded arrays: the arrays stay the same objects until
+    # capacity grows, the rows cached before a call are left as they were,
+    # and no call runs a taped primitive
     fresh, q = _decode_world(vocab, 3, -50.0)
     rng = stream(23, "frames")
     u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7)])
     conds = [[vocab.sot_id], [vocab.sop_id, 10, 11, vocab.sot_id], [vocab.sop_id, 12, vocab.sot_id]]
-    calls = {"concat": 0, "embedding": 0}
+    calls = {"attention": 0, "affine": 0, "embedding": 0, "concat": 0}
     for name in calls:
         def counted(*args, _real=getattr(ad, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(ad, name, counted)
-    steps = []  # per cached step: capacity, arrays, and whether its cached rows were kept
+    steps = []  # per call: first call or not, capacity, arrays, cached rows kept, no taped primitive
     real = model.decode_next
 
     def spy(params, u, cond_ids, t_prev, prefix, cache):
-        if not cache.self_kv:
-            return real(params, u, cond_ids, t_prev, prefix, cache)
+        first = not cache.self_kv
         cached = [(i, j, b, kv[j][b, :n].copy())
                   for i, kv in enumerate(cache.self_kv) for j in (0, 1) for b, n in enumerate(cache.lengths)]
         before = dict(calls)
         probs = real(params, u, cond_ids, t_prev, prefix, cache)
         kept = all(np.array_equal(cache.self_kv[i][j][b, : len(old)], old) for i, j, b, old in cached)
-        steps.append((cache.capacity, [a for kv in cache.self_kv for a in kv], kept, calls == before))
+        steps.append((first, cache.capacity, [a for kv in cache.self_kv for a in kv], kept, calls == before))
         return probs
 
     monkeypatch.setattr(model, "decode_next", spy)
     out = transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 30)
     assert [len(t) for t in out] == [30, 30, 30]
-    capacities = [capacity for capacity, *_ in steps]
-    assert len(set(capacities)) > 1, "the decode should outgrow the first pass's capacity"
-    for (cap_a, arrays_a, *_), (cap_b, arrays_b, *_) in zip(steps, steps[1:]):
+    assert [first for first, *_ in steps] == [True] + [False] * (len(steps) - 1)
+    capacities = [capacity for _, capacity, *_ in steps]
+    assert len(set(capacities)) > 1, "the decode should outgrow the first call's capacity"
+    for (_, cap_a, arrays_a, *_), (_, cap_b, arrays_b, *_) in zip(steps, steps[1:]):
         assert all(a is b for a, b in zip(arrays_a, arrays_b)) == (cap_a == cap_b)
-    assert all(kept and no_copy for *_, kept, no_copy in steps)
+    assert all(kept and untaped for *_, kept, untaped in steps)
 
 
 @pytest.mark.parametrize("eot_bias", [-50.0, 0.3])
@@ -456,16 +473,23 @@ def test_a_cached_step_under_a_tape_is_an_error(vocab):
     cond = [vocab.sop_id, 10, vocab.sot_id]
     cache = decoder_cache(fresh, u)
     decode_next(fresh, u, [cond], [[]], None, cache)
+    trainable = Tensor(np.zeros((2, CFG.d_model)), requires_grad=True)
+    errors = []
     with Tape():
         # frozen parameters: nothing for the tape to record
         decode_next(fresh, u, [cond], [[7]], None, cache)
+        # every decode call runs off the tape: a cached step, a first call
+        # over an empty cache or none, and a trainable prefix alone
         fresh.decoder["l0.attn.wq"].requires_grad = True
+        for prefix, c in ((None, cache), (None, decoder_cache(fresh, u)), (None, None)):
+            with pytest.raises(ModelError) as info:
+                decode_next(fresh, u, [cond], [[7, 8]], prefix, c)
+            errors.append(str(info.value))
+        fresh.decoder["l0.attn.wq"].requires_grad = False
         with pytest.raises(ModelError) as info:
-            decode_next(fresh, u, [cond], [[7, 8]], None, cache)
-        # a pass over an empty cache runs on the tape
-        decode_next(fresh, u, [cond], [[7, 8]], None)
-    assert str(info.value) == ("a cached decode step is not recorded on the tape: decode without a cache "
-                               "or outside the tape")
+            decode_next(fresh, u, [cond], [[7, 8]], trainable, None)
+        errors.append(str(info.value))
+    assert errors == ["a cached decode step is not recorded on the tape: decode outside the tape"] * 4
     assert cache.lengths == (len(cond) + 1,)
     decode_next(fresh, u, [cond], [[7, 8]], None, cache)
 

@@ -49,6 +49,21 @@ def test_prints_quartiles_wins_and_the_gain_rule(tmp_path, capsys):
                           "speed                  bound 0.05: no worse", "wait                   bound 0.1: no worse"]
 
 
+def test_prints_the_per_pair_ratio_that_drift_hides_from_the_unpaired_range(tmp_path, capsys):
+    # the machine speeds up from pair to pair: the change is 5 % ahead in
+    # every pair, but its median gain is within the parent's spread; a
+    # parent that reads 0 has no ratio
+    parent = _checkout(tmp_path / "parent", "100.0 * 2 ** seed", wait="0.0")
+    change = _checkout(tmp_path / "change", "105.0 * 2 ** seed", wait="seed")
+    assert paired_bench.main([str(parent), str(change), "--workload", "eval", "--pairs", "4", "--seed0", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    speed = next(line for line in lines if line.startswith("speed "))
+    assert "wins 4/4  change/parent 1.0500 [1.0500, 1.0500]  median gain +15 within parent IQR 325" in speed
+    assert speed.endswith(": no gain")
+    wait = next(line for line in lines if line.startswith("wait "))
+    assert "change/parent n/a " in wait
+
+
 @pytest.mark.parametrize("change_speed, change_wait, same", [
     ("100.0", "2.0 + seed", "speed, wait"),
     ("100.0", "2.0 + seed % 3", "speed"),
