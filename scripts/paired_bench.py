@@ -19,7 +19,10 @@ pairs hides from the unpaired range; it decides no verdict.  A gain is
 claimed when the change wins at least nine tenths of the pairs and its
 median gain exceeds that range.  Every run's value is printed as it
 finishes.  One line then names the metrics that read the same value on
-both sides in every pair, as outputs a change leaves alone do.
+both sides in every pair, as outputs a change leaves alone do, and one
+says whether the output fingerprints (set-up, stack, eval, transcribe)
+that each run writes to its report agree between the sides of every
+pair.
 
 It then gives each metric a no-regression verdict against the metric's
 `bound`, read as a share of the parent's median:
@@ -41,10 +44,13 @@ import tempfile
 from pathlib import Path
 
 SECONDS = "10"
+FINGERPRINTS = ("setup", "stack", "eval", "transcribe")
 
 
-def run_once(checkout: Path, workload: str, seed: int, out: Path) -> dict[str, float]:
-    """Metric values of one untraced benchmark run from `checkout`."""
+def run_once(checkout: Path, workload: str, seed: int, out: Path) -> tuple[dict[str, float], dict[str, str]]:
+    """Metric values and output fingerprints of one untraced benchmark run
+    from `checkout`; the fingerprints come from the report it writes to
+    `out`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", SECONDS, "--trace", "0", "--out", str(out)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -54,7 +60,8 @@ def run_once(checkout: Path, workload: str, seed: int, out: Path) -> dict[str, f
     if not result["correct"] or result["failed"] > 0:
         raise SystemExit(f"paired_bench: {checkout} seed {seed} is refused: correct={result['correct']}, "
                          f"failed={result['failed']} of {result['attempted']}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    report = json.loads((out / f"{workload}-seed{seed}-trace0.json").read_text(encoding="utf-8"))
+    return {name: m["value"] for name, m in result["metrics"].items()}, report["fingerprints"]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -105,13 +112,15 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    prints: dict[str, list[dict[str, str]]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="paired_bench-") as tmp:
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                values = run_once(getattr(args, side), args.workload, seed, Path(tmp) / side)
+                values, fingerprints = run_once(getattr(args, side), args.workload, seed, Path(tmp) / side)
                 runs[side].append(values)
+                prints[side].append(fingerprints)
                 print(f"pair {i} seed {seed} {side}: " + " ".join(f"{n}={values[n]:.6g}" for n, _, _ in metrics),
                       flush=True)
 
@@ -121,6 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         print(summary(name, better, *series[name]))
     same = [name for name, _, _ in metrics if series[name][0] == series[name][1]]
     print(f"\nsame value on both sides in every pair: {', '.join(same) or 'none'}")
+    differ = [k for k in FINGERPRINTS if any(p[k] != c[k] for p, c in zip(prints["parent"], prints["change"]))]
+    print(f"fingerprints {', '.join(FINGERPRINTS)}: "
+          + (f"differ in {', '.join(differ)}" if differ else "the same on both sides in every pair"))
     print("\nno regression, each bound a share of the parent's median:")
     for name, better, bound in metrics:
         print(f"{name:<22} bound {bound:g}: {regression(better, bound, *series[name])}")

@@ -66,6 +66,8 @@ def load_wav(source: Path | str | BinaryIO) -> Waveform:
             rate = w.getframerate()
     except (wave.Error, EOFError) as exc:  # `wave` lets EOFError out of a header cut short
         raise AudioFormatError(f"not a readable PCM WAV file: {exc or 'unexpected end of file'}") from exc
+    if len(raw) % (2 * n_channels):
+        raise AudioFormatError(f"WAV data of {len(raw)} bytes ends inside a {2 * n_channels}-byte frame")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_channels > 1:
         pcm = pcm.reshape(-1, n_channels).mean(axis=1)

@@ -18,16 +18,17 @@ with its bias, and `attention` is the whole multi-head softmax attention
 one hand-written adjoint.  Both run the numpy sequence of the chain of
 elementary ops they replace, so their outputs and gradients are those of
 that chain bit for bit.  `attention` takes per-sequence lengths instead
-of a dense mask: packed sequences attend within their own block, and
-forward and adjoint loop over the blocks, so no array spans two of them.
+of a dense mask: packed sequences attend within their own block, so no
+array spans two of them.
 
-The forward formulas of `affine`, `gelu`, `softmax`, `layer_norm` and of
-the attention core live in plain-array functions (`affine_forward`,
-`gelu_forward`, ...) that the primitives call and return what the
-adjoints read, so code that needs no tape, such as the decode step,
-computes the same formula without building a `Tensor` per op.  They
-work in place where they can, in an order that gives the textbook
-expressions' values bit for bit.
+Forward formulas live in plain-array functions that the primitives call
+and that return what the adjoints read (`affine_forward`, `gelu_forward`,
+`layer_norm_forward`, and `attention_blocks_forward`, attention block by
+block), so code that needs no tape, such as the decode step, computes the
+same formula without a `Tensor` per op.  Softmax, needed only there and
+inside attention, is `softmax_forward` alone.  They work in place where
+they can, in an order that gives the textbook expressions' values bit
+for bit.
 
 An adjoint that builds a new gradient array for one input hands it over
 to be kept as that input's gradient; an array handed to several inputs
@@ -43,9 +44,10 @@ it must record.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -376,21 +378,6 @@ def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along one axis."""
-    y = softmax_forward(a.data, axis)
-    out = _track(y, (a,))
-    if not out.requires_grad:
-        return out
-
-    def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)), own=True)
-
-    _record(out, adjoint)
-    return out
-
-
 # additive attention mask entry of a hidden key: its weight's exp underflows to 0
 HIDDEN_KEY = -1e30
 
@@ -442,6 +429,35 @@ def _check_blocks(lengths: tuple[Sequence[int], Sequence[int]], nq: int, nk: int
         )
 
 
+def attention_blocks_forward(
+    q: np.ndarray, blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], n_heads: int, causal: bool = False,
+    collect: list | None = None,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Multi-head attention of packed query rows q (rows, d) on plain
+    arrays, block by block: for each (n, k, v) of `blocks`, the next n rows
+    of q attend over that block's keys and values, (m, d) each; with
+    `causal`, as the last n rows of those keys.  `collect`, if given, gets
+    each block's head-averaged weights (n, m) appended in order.
+
+    Yields each block's (n, d) context with the head-split arrays and
+    weights `attention`'s adjoint reads: (context, qh, kh, vh, att).  A
+    caller that keeps only the contexts holds one block's arrays at a time."""
+    d = q.shape[1]
+    hd = d // n_heads
+    c = float(1.0 / np.sqrt(hd))
+    q0 = 0
+    for n, k, v in blocks:
+        m = k.shape[0]
+        qh = q[q0 : q0 + n].reshape(n, n_heads, hd).swapaxes(0, 1)
+        kh = k.reshape(m, n_heads, hd).swapaxes(0, 1)
+        vh = v.reshape(m, n_heads, hd).swapaxes(0, 1)
+        q0 += n
+        ctx, att = attention_forward(qh, kh, vh, c, _causal_mask(n, m) if causal and n > 1 else None)
+        if collect is not None:
+            collect.append(att.mean(axis=0))
+        yield ctx.swapaxes(0, 1).reshape(n, d), qh, kh, vh, att
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -461,9 +477,10 @@ def attention(
     q_lengths[b] query rows of block b attend to the k_lengths[b] key rows
     of block b only.  None is one block of every row.  With `causal`,
     block b's queries are the last rows of its keys, and each sees no key
-    after its own row.  Forward and adjoint loop over the blocks, so no
-    array spans two of them.  `collect`, if given, gets each block's
-    head-averaged weights (q_lengths[b], k_lengths[b]) appended in order.
+    after its own row.  The forward is `attention_blocks_forward`, and the
+    adjoint loops over the same blocks, so no array spans two of them.
+    `collect`, if given, gets each block's head-averaged weights
+    (q_lengths[b], k_lengths[b]) appended in order.
     """
     nq, d = q.data.shape
     nk = k.data.shape[0]
@@ -474,30 +491,25 @@ def attention(
     if lengths is None:
         lengths = ((nq,), (nk,))
     _check_blocks(lengths, nq, nk, causal)
-    hd = d // n_heads
-    c = float(1.0 / np.sqrt(hd))
-    blocks = []  # (query rows, key rows, qh, kh, vh, att) of each block
-    outs = []
-    q0 = k0 = 0
-    for n, m in zip(*lengths):
-        rows, keys = slice(q0, q0 + n), slice(k0, k0 + m)
-        q0, k0 = q0 + n, k0 + m
-        qh = q.data[rows].reshape(n, n_heads, hd).swapaxes(0, 1)
-        kh = k.data[keys].reshape(m, n_heads, hd).swapaxes(0, 1)
-        vh = v.data[keys].reshape(m, n_heads, hd).swapaxes(0, 1)
-        ctx, att = attention_forward(qh, kh, vh, c, _causal_mask(n, m) if causal and n > 1 else None)
-        if collect is not None:
-            collect.append(att.mean(axis=0))
-        outs.append(ctx.swapaxes(0, 1).reshape(n, d))
-        blocks.append((rows, keys, qh, kh, vh, att))
+    per_block = ((n, k.data[end - m : end], v.data[end - m : end])
+                 for n, m, end in zip(*lengths, itertools.accumulate(lengths[1])))
+    outs, blocks = [], []  # each block's context, and its (qh, kh, vh, att)
+    for ctx, *block in attention_blocks_forward(q.data, per_block, n_heads, causal, collect):
+        outs.append(ctx)
+        blocks.append(block)
     out = _track(outs[0] if len(outs) == 1 else np.concatenate(outs), (q, k, v))
     if not out.requires_grad:
         return out
+    hd = d // n_heads
+    c = float(1.0 / np.sqrt(hd))
 
     def adjoint(g: np.ndarray) -> None:
         gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
-        for rows, keys, qh, kh, vh, att in blocks:
+        q0 = k0 = 0
+        for qh, kh, vh, att in blocks:
             n, m = qh.shape[1], kh.shape[1]
+            rows, keys = slice(q0, q0 + n), slice(k0, k0 + m)
+            q0, k0 = q0 + n, k0 + m
             gh = g[rows].reshape(n, n_heads, hd).swapaxes(0, 1)
             ga = gh @ vh.swapaxes(-1, -2)
             if gv is not None:

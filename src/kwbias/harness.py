@@ -115,9 +115,10 @@ def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) 
 # Test utterances evaluated together, from encoder to decoder.  A decode
 # step's cost is mostly per-call numpy overhead, which a chunk's rows share,
 # while peak memory grows with a chunk's rows.  On the benchmark's `eval`
-# workload (6 paired runs, 2 cores, BLAS on one thread) 32 rows read 711
-# utterances/s against 657 for 16 (4 wins of 6) and raised peak RSS from
-# 137.4 to 153.7 MB, past its 5 % bound.
+# workload 32 rows read 711 utterances/s against 657 for 16 and peak RSS
+# 145-154 MB against 137.5, past its 5 % bound: a chunk's first decode call
+# holds four (rows, d_ff) feed-forward arrays (13.6 MB at 32 rows, 6.9 at
+# 16) and a self-attention cache of twice the slots (8 MB against 4).
 DECODE_CHUNK = 16
 
 

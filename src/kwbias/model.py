@@ -14,48 +14,38 @@ with no keywords runs through the same graph.
 In every taped pass one fused primitive, `autodiff.attention`, serves
 the encoder, the decoder's self- and cross-attention and the keyword
 head (as a single head); every linear layer is one `autodiff.affine`.
-Both take and give unsplit (rows, d_model) tensors, so head splitting
-shows up here only in the decode step (`_attend_slots`, `_attend_each`).
-
-Decoding is incremental and batch-first, and runs one inference forward,
-`_decoder_step`, on plain arrays through the forward formulas `autodiff`
-shares with its primitives.  A `DecoderCache` holds each layer's
-cross-attention K/V over the encoder output, projected once per
-utterance, and each layer's self-attention K/V of the rows decoded so
-far, in padded arrays: per layer one (sequences, longest encoder
-sequence, d_model) array for each of cross-attention K and V, with an
-additive key mask, and one (sequences, capacity, d_model) for each of
-self-attention K and V, with one cached length per sequence.  A sequence
-is [soft prefix, prompt, text]; positions count from 0 across all of
-them, and no sequence holds more than `max_tgt_len` rows.  Every call
-writes its new rows' keys and values in place at each sequence's cached
-length.  The first call, over an empty cache, runs every sequence's
-[prefix, prompt] and attends slot by slot, each sequence causally over
-its own rows, with the per-block operations of `autodiff.attention`;
-every later call runs one new row per unfinished sequence, with one
-batched masked attention per layer for self-attention and one for
-cross-attention.  A sequence that ends is retired in place, the last
-live sequence moving into its slot, so every step runs only rows still
-being decoded.
-
 `encode` is the one encoder entry point and `Packed` (rows plus
 per-sequence lengths) the one encoder-output type: utterances are
 stacked, with no padding, into one pass; a single one is a batch of one.
-Training packs the decoder side too: `teacher_forced_logits` stacks
-every example's [prefix, prompt, text] rows into one taped pass,
-`_decoder_extend`, and `kws_logits` scores every example's keywords in
-one.  A packed pass's attention takes each sequence's lengths instead of
-a mask and runs block by block: encoder self-attention stays within each
-utterance, decoder self-attention is causal within each example, and
-example b's decoder rows and keywords attend to utterance b's encoder
-rows only.  Every sequence counts positions from 0.
+A packed pass's attention takes each sequence's lengths instead of a
+mask and runs block by block, so utterance b's rows, and example b's
+keywords or decoder rows, attend within utterance b only.
 
-The decoder computes only the rows its caller reads.  Its last layer
-still projects keys and values for every row, which the kept rows attend
-to, but runs the query, self- and cross-attention, feed-forward and final
-norm on the trailing rows each sequence reads: the len(t)+1 rows that predict
-a target in teacher forcing, the newest row in a decode call, and every
-row in attention export.
+The decoder has two passes: `_decoder_extend` on the tape, over every
+example's [soft prefix, prompt, text] rows stacked, for teacher forcing
+and attention export, and `_decoder_step` on plain arrays, through the
+forward formulas `autodiff` shares with its primitives, for every greedy
+decode call.  Both lay out their rows with `_decoder_rows` (table rows,
+positions counting from 0 across prefix, prompt and text, at most
+`max_tgt_len` rows a sequence), and both attend several rows of a
+sequence, causally over its own rows and across to its own encoder rows,
+with `autodiff.attention_blocks_forward`.  Each computes only the rows
+its caller reads: the last layer still projects keys and values for
+every row, but runs the query, attention, feed-forward and final norm on
+the trailing rows each sequence reads (the len(t)+1 rows that predict a
+target in teacher forcing, the newest row in a decode call, every row in
+attention export).
+
+Decoding is incremental and batch-first.  A `DecoderCache` holds each
+layer's cross-attention K/V over the encoder output, projected once per
+utterance, and the self-attention K/V of the rows decoded so far, in
+padded arrays written in place at each sequence's cached length.  The
+first call, over an empty cache, runs every sequence's [prefix, prompt];
+every later call runs one new row per unfinished sequence, with one
+batched masked attention (`_attend_slots`) per layer for each of self-
+and cross-attention.  A sequence that ends is retired in place, the last
+live sequence moving into its slot, so every step runs only rows still
+being decoded.
 
 Parameters live in four plain name->Tensor dicts (encoder / decoder /
 kws / prefix) so training regimes can freeze each group independently.
@@ -229,20 +219,35 @@ def sinusoid_positions(n: int, d: int) -> np.ndarray:
     return pe
 
 
-def _positions(lengths: tuple[int, ...], d: int) -> Tensor:
-    """Positional rows of sequences of the given lengths, stacked; each
-    sequence counts from position 0."""
-    table = sinusoid_positions(max(lengths), d)
-    if len(lengths) == 1:
-        # one sequence: the shared table, no copy
-        return Tensor(table)
-    return Tensor(table[_rows_within(lengths)])
-
-
 def _rows_within(lengths: Sequence[int]) -> np.ndarray:
     """Each row's index within its own sequence, in a packing of sequences
     of the given lengths."""
     return np.arange(sum(lengths)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _decoder_rows(
+    cfg: ModelConfig, ids: Sequence[Sequence[int]], starts: Sequence[int], n_prefix: int,
+) -> tuple[list[int], np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Lay out a decoder call's new rows: sequence b's are the rows of
+    token ids[b] after its first starts[b] rows, and a sequence that starts
+    at row 0 gets the soft prefix's n_prefix rows first.  Returns each new
+    row's index in the [prefix; embedding] table (token id i is row
+    n_prefix + i), its row within its sequence, its sinusoidal position
+    row, and each sequence's row count after the call, at most
+    `max_tgt_len`."""
+    table_rows, rows, lengths = [], [], []
+    for seq, start in zip(ids, starts):
+        if not start:
+            table_rows += range(n_prefix)
+        table_rows += (n_prefix + i for i in seq) if n_prefix else seq
+        # rows and table_rows grow together, so the difference is this sequence's new rows
+        lengths.append(start + len(table_rows) - len(rows))
+        rows += range(start, lengths[-1])
+    longest = max(lengths)
+    if longest > cfg.max_tgt_len:
+        raise ModelError(f"conditioning length {longest} exceeds max_tgt_len {cfg.max_tgt_len}")
+    rows = np.array(rows)
+    return table_rows, rows, sinusoid_positions(longest, cfg.d_model)[rows], tuple(lengths)
 
 
 class Packed(NamedTuple):
@@ -317,7 +322,8 @@ def encode(params: ModelParams, frames: Sequence[np.ndarray]) -> Packed:
     p = params.encoder
     x = Tensor(np.concatenate(inputs))
     h = ad.gelu(ad.affine(x, p["in_w"], p["in_b"]))
-    h = ad.add(h, _positions(lengths, cfg.d_model))
+    # each utterance counts positions from 0
+    h = ad.add(h, Tensor(sinusoid_positions(max(lengths), cfg.d_model)[_rows_within(lengths)]))
     for i in range(cfg.n_enc_layers):
         normed = _ln(p, f"l{i}.ln1", h)
         q = ad.affine(normed, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
@@ -431,29 +437,22 @@ def _decoder_extend(
     collect: list | None = None,
 ) -> Tensor:
     """Run the decoder over the rows of token ids in one packed pass on the
-    tape, cross-attending to the encoder outputs u: the pass of teacher
-    forcing and attention export.
-
-    Sequence b gets the soft prefix's rows, if a prefix is given, then the
-    rows of ids[b], at positions counting from 0, and at most
-    `max_tgt_len` rows in all.  It attends causally to its own rows and
-    cross-attends to sequence b of u.  The last layer runs its query,
-    attention, feed-forward and the final norm on the last read[b] rows of
-    each sequence only (every row when `read` is None).  Returns those
-    rows' hidden states, stacked.
+    tape: the pass of teacher forcing and attention export.  Sequence b
+    is laid out by `_decoder_rows` from row 0, the soft prefix's rows
+    first, attends causally to its own rows and cross-attends to sequence
+    b of u.  The last layer runs its query, attention, feed-forward and
+    the final norm on the last read[b] rows of each sequence only (every
+    row when `read` is None).  Returns those rows' hidden states, stacked.
     """
     cfg = params.config
     p = params.decoder
     # every layer's cross K/V first: the order in which u's gradient accumulates
     cross = [_project_kv(p, f"l{i}.cross", u.rows) for i in range(cfg.n_dec_layers)]
     n_prefix = prefix.shape[0] if prefix is not None else 0
-    # the prefix rows sit before the table, so token id i is row n_prefix + i
     table = ad.concat([prefix, p["embed"]], axis=0) if n_prefix else p["embed"]
-    rows = [r for seq in ids for r in (*range(n_prefix), *(n_prefix + i for i in seq))]
-    keys = lengths = tuple(n_prefix + len(seq) for seq in ids)
-    if max(keys) > cfg.max_tgt_len:
-        raise ModelError(f"conditioning length {max(keys)} exceeds max_tgt_len {cfg.max_tgt_len}")
-    h = ad.add(ad.embedding(table, rows), _positions(lengths, cfg.d_model))
+    table_rows, _, positions, lengths = _decoder_rows(cfg, ids, (0,) * len(ids), n_prefix)
+    keys = lengths
+    h = ad.add(ad.embedding(table, table_rows), Tensor(positions))
     for i in range(cfg.n_dec_layers):
         normed = _ln(p, f"l{i}.ln1", h)
         queries = normed
@@ -483,82 +482,54 @@ def _attend_slots(x: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mas
     return ctx.reshape(slots, d)
 
 
-def _attend_each(
-    x: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, counts: Sequence[int], keys: Sequence[int],
-    causal: bool,
-) -> np.ndarray:
-    """Multi-head attention of packed query rows x, counts[b] of them for
-    slot b, over the first keys[b] keys and values of slot b of k and v,
-    slot by slot: the per-block operations of `autodiff.attention`.  With
-    `causal`, slot b's queries are the last rows of its keys.  Returns the
-    rows' (rows, d) context."""
-    d = x.shape[1]
-    hd = d // n_heads
-    split = lambda a, n: a.reshape(n, n_heads, hd).swapaxes(0, 1)
-    ctx, start = [], 0
-    for b, (n, m) in enumerate(zip(counts, keys)):
-        mask = ad._causal_mask(n, m) if causal and n > 1 else None
-        out, _ = ad.attention_forward(split(x[start : start + n], n), split(k[b, :m], m), split(v[b, :m], m),
-                                      float(1.0 / np.sqrt(hd)), mask)
-        ctx.append(out.swapaxes(0, 1).reshape(n, d))
-        start += n
-    return ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
-
-
 def _decoder_step(
     params: ModelParams, cache: DecoderCache, ids: Sequence[Sequence[int]], prefix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the decoder over rows of token ids appended after a cache's
     rows, on plain arrays; the hidden states of each sequence's last new
     row, (sequences, d_model).  The one inference forward: a call on an
-    empty cache is the first pass over every [prefix, cond, t] row, given
-    `prefix`, whose rows then come first in every sequence.
+    empty cache is the first pass over every [prefix, cond, t] row, the
+    rows of `prefix`, if given, first (`_decoder_rows`).
 
-    Sequence b's new rows take positions from `cache.lengths[b]` on, and
-    each layer writes their keys and values into slot b of the cache's
-    padded arrays in place.  A call of one new row per sequence runs one
-    batched attention over the first max(lengths) rows of every slot, with
-    a mask that hides from each row the keys after its own, and one over
-    the padded encoder rows; a call of several rows attends slot by slot,
-    over each slot's own rows.  The last layer runs its query, attention,
-    feed-forward and the final norm on each sequence's last row only.
+    Each layer writes the new rows' keys and values into slot b of the
+    cache's padded arrays in place, from row `cache.lengths[b]` on.  A
+    call of one new row per sequence runs one batched masked attention
+    over the first max(lengths) rows of every slot and one over the
+    padded encoder rows; a call of several rows attends slot by slot.  The
+    last layer runs its query, attention, feed-forward and the final norm
+    on each sequence's last row only.
     """
     cfg = params.config
     w = {name: t.data for name, t in params.decoder.items()}
-    table = w["embed"]
-    if prefix is not None:
-        # the prefix rows sit before the table, so token id i is row n_prefix + i
-        table = np.concatenate([prefix, table])
-        ids = [[*range(len(prefix)), *(len(prefix) + i for i in seq)] for seq in ids]
-    slots = len(ids)
-    counts = [len(seq) for seq in ids]
-    old = np.array(cache.lengths)
-    new = (old + counts).tolist()
-    longest = max(new)
-    if longest > cfg.max_tgt_len:
-        raise ModelError(f"conditioning length {longest} exceeds max_tgt_len {cfg.max_tgt_len}")
+    table = w["embed"] if prefix is None else np.concatenate([prefix, w["embed"]])
+    slots, old = len(ids), cache.lengths
+    tokens, rows, positions, new = _decoder_rows(cfg, ids, old, 0 if prefix is None else len(prefix))
+    longest, counts = max(new), [n - start for n, start in zip(new, old)]
     cache._reserve(longest, cfg.max_tgt_len)
     one_row = max(counts) == 1
     if one_row:
-        # the rows are the slots, in order
-        tokens, write = [seq[0] for seq in ids], (np.arange(slots), old)
-        # the row of slot b sits at old[b] and sees the keys up to it
-        mask = (None if (old == longest - 1).all()
-                else np.where(np.arange(longest) > old[:, None], ad.HIDDEN_KEY, 0.0)[:, None, None])
+        # the rows are the slots, in order: slot b's row sits at rows[b] and sees the keys up to it
+        write = (np.arange(slots), rows)
+        mask = (None if (rows == longest - 1).all()
+                else np.where(np.arange(longest) > rows[:, None], ad.HIDDEN_KEY, 0.0)[:, None, None])
         cross_mask = None if cache.cross_mask is None else cache.cross_mask[:slots]
     else:
-        tokens = [t for seq in ids for t in seq]
-        slot = np.repeat(np.arange(slots), counts)
-        write = (slot, old[slot] + _rows_within(counts))
+        write = (np.repeat(np.arange(slots), counts), rows)
+
+    def attend_each(x: np.ndarray, k: np.ndarray, v: np.ndarray, keys: Sequence[int], causal: bool) -> np.ndarray:
+        # slot b's counts[b] query rows (one in the last layer) over its first keys[b] rows of k and v
+        blocks = ((n, k[b, :m], v[b, :m]) for b, (n, m) in enumerate(zip(counts, keys)))
+        return np.concatenate([out[0] for out in ad.attention_blocks_forward(x, blocks, cfg.n_heads, causal)])
+
     h = table[tokens]
-    h += sinusoid_positions(longest, cfg.d_model)[write[1]]
+    h += positions
     for i in range(cfg.n_dec_layers):
         a, c = f"l{i}.attn", f"l{i}.cross"
         normed = ad.layer_norm_forward(h, w[f"l{i}.ln1.g"], w[f"l{i}.ln1.b"])[0]
-        queries, rows = normed, counts
+        queries = normed
         if i == cfg.n_dec_layers - 1 and not one_row:
             last = np.cumsum(counts) - 1
-            queries, h, rows = normed[last], h[last], [1] * slots
+            queries, h, counts = normed[last], h[last], [1] * slots
         q = ad.affine_forward(queries, w[f"{a}.wq"], w[f"{a}.bq"])
         k_all, v_all = cache.self_kv[i]
         k_all[write] = ad.affine_forward(normed, w[f"{a}.wk"])
@@ -567,19 +538,19 @@ def _decoder_step(
         if one_row:
             ctx = _attend_slots(q, k_all[:slots, :longest], v_all[:slots, :longest], cfg.n_heads, mask)
         else:
-            ctx = _attend_each(q, k_all, v_all, cfg.n_heads, rows, new, causal=True)
+            ctx = attend_each(q, k_all, v_all, new, causal=True)
         h += ad.affine_forward(ctx, w[f"{a}.wo"], w[f"{a}.bo"])
         cross_q = ad.affine_forward(ad.layer_norm_forward(h, w[f"l{i}.ln2.g"], w[f"l{i}.ln2.b"])[0],
                                     w[f"{c}.wq"], w[f"{c}.bq"])
         if one_row:
             ctx = _attend_slots(cross_q, k_enc[:slots], v_enc[:slots], cfg.n_heads, cross_mask)
         else:
-            ctx = _attend_each(cross_q, k_enc, v_enc, cfg.n_heads, rows, cache.cross_lengths, causal=False)
+            ctx = attend_each(cross_q, k_enc, v_enc, cache.cross_lengths, causal=False)
         h += ad.affine_forward(ctx, w[f"{c}.wo"], w[f"{c}.bo"])
         normed = ad.layer_norm_forward(h, w[f"l{i}.ln3.g"], w[f"l{i}.ln3.b"])[0]
         hidden = ad.gelu_forward(ad.affine_forward(normed, w[f"l{i}.ff.w1"], w[f"l{i}.ff.b1"]))[0]
         h += ad.affine_forward(hidden, w[f"l{i}.ff.w2"], w[f"l{i}.ff.b2"])
-    cache.lengths = tuple(new)
+    cache.lengths = new
     return ad.layer_norm_forward(h, w["ln_out.g"], w["ln_out.b"])[0]
 
 
@@ -669,7 +640,7 @@ def decode_next(
     new_ids = []
     for cond, t, cached in zip(cond_ids, t_prev, cache.lengths):
         # the cache holds the prefix's rows first, then cond and t in turn;
-        # a first call runs the prefix's rows too, which _decoder_step adds
+        # a first call runs the prefix's rows too, which _decoder_rows adds
         start = cached - n_prefix - len(cond)
         ids = t[start:] if start >= 0 else [*cond[start:], *t]
         if not ids:
@@ -677,7 +648,7 @@ def decode_next(
         new_ids.append(ids)
     prefix_rows = prefix.data if prefix is not None and not cache.self_kv else None
     last = Tensor(_decoder_step(params, cache, new_ids, prefix_rows))
-    return ad.softmax(_readout(params, last), axis=-1).data
+    return ad.softmax_forward(_readout(params, last).data)
 
 
 def decode_budget(params: ModelParams, cond_ids: Sequence[int], prefix: Tensor | None) -> int:

@@ -78,6 +78,15 @@ def test_load_wav_rejects_non_wav(tmp_path, blob):
         load_wav(path)
 
 
+@pytest.mark.parametrize("channels, cut, size", [(1, 1, 3199), (2, 2, 3198)])
+def test_load_wav_rejects_data_that_ends_inside_a_frame(tmp_path, channels, cut, size):
+    path = tmp_path / "cut.wav"
+    _write_wav(path, np.zeros(1600), channels=channels)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(AudioFormatError, match=f"^WAV data of {size} bytes ends inside a {2 * channels}-byte frame$"):
+        load_wav(path)
+
+
 def test_resample_identity_is_bit_identical():
     wav = Waveform(np.sin(np.arange(1000) * 0.01), 16000)
     out = resample(wav, 16000)

@@ -614,6 +614,19 @@ def test_transcribe_wav_records_its_sha256(cli_world, tmp_path):
     assert f"# input.wav = {wav} sha256={hashlib.sha256(wav.read_bytes()).hexdigest()}\n" in resolved
 
 
+def test_transcribe_wav_cut_inside_a_frame_is_a_single_line_error(cli_world, tmp_path, capsys):
+    _, data, asr, *_ = cli_world
+    wav = tmp_path / "cut.wav"
+    _write_wav(wav)
+    wav.write_bytes(wav.read_bytes()[:-1])
+    rc = main(["transcribe", "--wav", str(wav), "--vocab", str(data / "vocab.tsv"),
+               "--ckpt", str(asr / "base-asr.ckpt"), "--out", str(tmp_path / "x"), *TINY_OVERRIDES])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err == "AudioFormatError: WAV data of 15999 bytes ends inside a 2-byte frame"
+
+
 def test_transcribe_wav_without_a_vocabulary_is_a_config_error(capsys, tmp_path):
     wav = tmp_path / "tone.wav"
     _write_wav(wav)

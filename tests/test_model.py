@@ -223,6 +223,22 @@ def test_cached_steps_match_teacher_forced_rows(vocab, n_prefix, keyworded):
 
 
 @pytest.mark.parametrize("n_prefix", [0, 3])
+def test_a_first_decode_call_equals_the_taped_pass_bit_for_bit(vocab, n_prefix):
+    # the taped pass and the inference pass lay out and attend the rows of
+    # [prefix, prompt] the same way, so a first call over prompts of
+    # different lengths gives each sequence's teacher-forced last row
+    # exactly, not only to rounding
+    fresh = init_params(CFG, seed=11)
+    q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None
+    rng = stream(18, "u")
+    u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7, 12)])
+    conds = [[vocab.sot_id], [vocab.sop_id, 10, 11, vocab.delim_id, 12, vocab.sot_id],
+             [vocab.sop_id, 13, vocab.sot_id], [vocab.sop_id, 14, 15, vocab.delim_id, vocab.sot_id]]
+    expected = ad.softmax_forward(teacher_forced_logits(fresh, u, conds, [[]] * 4, q).data)
+    assert np.array_equal(decode_next(fresh, u, conds, [[]] * 4, q), expected)
+
+
+@pytest.mark.parametrize("n_prefix", [0, 3])
 def test_empty_conditioning_is_an_error(vocab, n_prefix):
     fresh = init_params(CFG, seed=11)
     q = init_prefix(fresh, n_prefix, seed=5) if n_prefix else None

@@ -15,14 +15,21 @@ BENCHMARK = {"end_to_end": [{"name": "speed", "better": "higher", "bound": 0.05}
                             {"name": "wait", "better": "lower", "bound": 0.1}]}
 
 
-def _checkout(root: Path, speed: str, correct: bool = True, failed: int = 0, wait: str = "2.0") -> Path:
-    """A directory whose perfbench/run.py prints one result line; `speed`
-    and `wait` are Python expressions of the run's seed."""
+def _checkout(root: Path, speed: str, correct: bool = True, failed: int = 0, wait: str = "2.0",
+              fingerprints: str = "{}") -> Path:
+    """A directory whose perfbench/run.py writes a report of fingerprints
+    and prints one result line; `speed`, `wait` and `fingerprints` (a dict
+    over the defaults) are Python expressions of the run's seed."""
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     (root / "perfbench" / "run.py").write_text(
         "import json, sys\n"
-        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "from pathlib import Path\n"
+        "arg = lambda flag: sys.argv[sys.argv.index(flag) + 1]\n"
+        "seed, out = int(arg('--seed')), Path(arg('--out'))\n"
+        "out.mkdir(parents=True, exist_ok=True)\n"
+        f"prints = {{'setup': 'a', 'stack': 'b', 'eval': 'c', 'transcribe': 'd', **({fingerprints})}}\n"
+        "(out / f\"{arg('--workload')}-seed{seed}-trace0.json\").write_text(json.dumps({'fingerprints': prints}))\n"
         f"print(json.dumps({{'correct': {correct}, 'attempted': 5, 'failed': {failed},\n"
         f"    'metrics': {{'speed': {{'value': {speed}}}, 'wait': {{'value': {wait}}}}}}}))\n"
     )
@@ -45,6 +52,7 @@ def test_prints_quartiles_wins_and_the_gain_rule(tmp_path, capsys):
     wait = next(line for line in lines if line.startswith("wait "))
     assert "wins 0/4" in wait and wait.endswith(": no gain")
     assert "same value on both sides in every pair: wait" in lines
+    assert "fingerprints setup, stack, eval, transcribe: the same on both sides in every pair" in lines
     assert lines[-3:] == ["no regression, each bound a share of the parent's median:",
                           "speed                  bound 0.05: no worse", "wait                   bound 0.1: no worse"]
 
@@ -79,6 +87,19 @@ def test_names_the_metrics_equal_in_every_pair(tmp_path, capsys, change_speed, c
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("same value")] == [
         f"same value on both sides in every pair: {same}"]
+
+
+@pytest.mark.parametrize("change_prints, verdict", [
+    ("{'eval': 'x'} if seed == 3 else {}", "differ in eval"),
+    ("{'setup': 'x', 'transcribe': str(seed)}", "differ in setup, transcribe"),
+])
+def test_says_which_fingerprints_differ_in_some_pair(tmp_path, capsys, change_prints, verdict):
+    parent = _checkout(tmp_path / "parent", "100.0")
+    change = _checkout(tmp_path / "change", "100.0", fingerprints=change_prints)
+    assert paired_bench.main([str(parent), str(change), "--workload", "eval", "--pairs", "4", "--seed0", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("fingerprints ")] == [
+        f"fingerprints setup, stack, eval, transcribe: {verdict}"]
 
 
 # in the last two cases the parent's speeds over seeds 0-3 are 100, 120,
