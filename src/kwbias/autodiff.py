@@ -338,13 +338,13 @@ def embedding(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tanh-approximated GELU of x, with the x * x and tanh terms its
-    adjoint reads: (gelu(x), x * x, tanh term)."""
-    # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x2))) in three arrays:
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximated GELU of x, with the tanh term its adjoint reads:
+    (gelu(x), tanh term)."""
+    # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) in two arrays:
     # products and sums commute, and halving last is exact
-    x2 = x * x
-    t = x * x2
+    t = x * x
+    t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
@@ -352,19 +352,19 @@ def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = t + 1.0
     y *= x
     y *= 0.5
-    return y, x2, t
+    return y, t
 
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    y, x2, t = gelu_forward(x)
+    y, t = gelu_forward(x)
     out = _track(y, (a,))
     if not out.requires_grad:
         return out
 
     def adjoint(g: np.ndarray) -> None:
         if a.requires_grad:
-            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 0.134145 * x2)
+            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 0.134145 * (x * x))
             _accum(a, g * d, own=True)
 
     _record(out, adjoint)

@@ -152,6 +152,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     conditions = [c.strip() for c in args.conditions.split(",") if c.strip()]
     if not conditions:
         raise ConfigError(f"--conditions names no condition: {args.conditions!r}")
+    repeated = [c for c in dict.fromkeys(conditions) if conditions.count(c) > 1]
+    if repeated:
+        raise ConfigError(f"--conditions names {', '.join(repeated)} more than once: {args.conditions!r}")
     out = _out_dir(args)
     vocab, sets, sources = _load_data(args.data, ("train", "test"))
 
@@ -218,7 +221,8 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
 
 
 def cmd_transcribe(args: argparse.Namespace) -> int:
-    if args.kws_ckpt is not None and not args.keywords:
+    surfaces = [normalize(k) for k in (args.keywords or "").split(",") if normalize(k)]
+    if args.kws_ckpt is not None and not surfaces:
         raise ConfigError("transcribe --kws-ckpt needs --keywords for the spotter to filter")
     cfg = _config(args)
     out = _out_dir(args)
@@ -246,7 +250,6 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     u = encode(params, [frames])
     prefix = params.prefix.get("q")
     lines = []
-    surfaces = [normalize(k) for k in (args.keywords or "").split(",") if normalize(k)]
     keywords = KeywordSet(tuple(Keyword(surface=s, tokens=tuple(vocab.word_tokens(s)), positive=True)
                                 for s in dict.fromkeys(surfaces)))
     if args.kws_ckpt is not None:

@@ -21,25 +21,26 @@ A packed pass's attention takes each sequence's lengths instead of a
 mask and runs block by block, so utterance b's rows, and example b's
 keywords or decoder rows, attend within utterance b only.
 
-The decoder has two passes: `_decoder_extend` on the tape, over every
-example's [soft prefix, prompt, text] rows stacked, for teacher forcing
-and attention export, and `_decoder_step` on plain arrays, through the
-forward formulas `autodiff` shares with its primitives, for every greedy
-decode call.  Both lay out their rows with `_decoder_rows` (table rows,
-positions counting from 0 across prefix, prompt and text, at most
-`max_tgt_len` rows a sequence), and both attend several rows of a
-sequence, causally over its own rows and across to its own encoder rows,
-with `autodiff.attention_blocks_forward`.  Each computes only the rows
-its caller reads: the last layer still projects keys and values for
-every row, but runs the query, attention, feed-forward and final norm on
-the trailing rows each sequence reads (the len(t)+1 rows that predict a
-target in teacher forcing, the newest row in a decode call, every row in
-attention export).
+The decoder has two passes: `_decoder_hidden`, the one taped function,
+over every example's [soft prefix, prompt, text] rows stacked, for
+teacher forcing and attention export, and `_decoder_step` on plain
+arrays, through the forward formulas `autodiff` shares with its
+primitives, for every greedy decode call.  Both lay out their rows with
+`_decoder_rows` (table rows, positions counting from 0 across prefix,
+prompt and text, at most `max_tgt_len` rows a sequence), and both attend
+several rows of a sequence, causally over its own rows and across to its
+own encoder rows, with `autodiff.attention_blocks_forward`.  Each
+computes only the rows its caller reads: the last layer still projects
+keys and values for every row, but runs the query, attention,
+feed-forward and final norm on the trailing rows each sequence reads
+(the len(t)+1 rows that predict a target in teacher forcing, the newest
+row in a decode call, every row in attention export).
 
 Decoding is incremental and batch-first.  A `DecoderCache` holds each
 layer's cross-attention K/V over the encoder output, projected once per
 utterance, and the self-attention K/V of the rows decoded so far, in
-padded arrays written in place at each sequence's cached length.  The
+arrays of `max_tgt_len` rows a sequence, allocated and zero-filled once
+per decode and written in place at each sequence's cached length.  The
 first call, over an empty cache, runs every sequence's [prefix, prompt];
 every later call runs one new row per unfinished sequence, with one
 batched masked attention (`_attend_slots`) per layer for each of self-
@@ -343,30 +344,21 @@ class DecoderCache:
       `cross_lengths[b]` rows at the start of slot b, with `cross_mask`
       (slots, 1, 1, longest) hiding each slot's padding (None when there
       is none);
-    - `self_kv`: each layer's self-attention K/V, (slots, capacity,
-      d_model) each, sequence b's `lengths[b]` rows at the start of slot b;
-      empty until the first call.
+    - `self_kv`: each layer's self-attention K/V, (slots, `max_tgt_len`,
+      d_model) each, allocated once and zero-filled, sequence b's
+      `lengths[b]` rows at the start of slot b.
 
     The cache's sequences are its first len(lengths) slots; `retire` drops
-    one in place.  The first `clean` rows of each of them hold finite
-    values, its own rows and then zeros or rows of a retired sequence,
-    which a step's attention reads and masks; later rows are left
-    uninitialized until the longest sequence reaches them, so a decode
-    touches no memory it does not read.  All K/V are unsplit: the
-    attention splits the heads.
+    one in place.  Every row past a sequence's own holds zeros or rows of
+    a retired sequence, finite values that a step's attention reads and
+    masks.  All K/V are unsplit: the attention splits the heads.
     """
 
     cross_kv: list[tuple[np.ndarray, np.ndarray]]
     cross_lengths: tuple[int, ...]
     cross_mask: np.ndarray | None
     lengths: tuple[int, ...]
-    clean: int = 0
-    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-    @property
-    def capacity(self) -> int:
-        """Rows per slot of `self_kv`; 0 before the first call."""
-        return self.self_kv[0][0].shape[1] if self.self_kv else 0
+    self_kv: list[tuple[np.ndarray, np.ndarray]]
 
     def retire(self, b: int) -> None:
         """Drop sequence b in place: the last sequence moves into its slot."""
@@ -383,36 +375,17 @@ class DecoderCache:
         lengths[b], cross_lengths[b] = lengths[last], cross_lengths[last]
         self.lengths, self.cross_lengths = tuple(lengths[:last]), tuple(cross_lengths[:last])
 
-    def _reserve(self, rows: int, limit: int) -> None:
-        """Make the first `rows` rows of every sequence's slot clean.  A
-        capacity that grows takes twice the rows needed, up to `limit`, so
-        a decode copies its rows a logarithmic number of times."""
-        n = len(self.lengths)
-        if rows > self.capacity:
-            # one allocation per array: numpy asks the kernel for huge pages
-            # for an array of 4 MiB or more, whose untouched rows would then
-            # count in the resident set
-            old, grown = self.self_kv, min(2 * rows, limit)
-            self.self_kv = [tuple(np.empty((n, grown, a.shape[2])) for a in pair) for pair in self.cross_kv]
-            for pair, old_pair in zip(self.self_kv, old):
-                for a, a_old in zip(pair, old_pair):
-                    a[:, : self.clean] = a_old[:n, : self.clean]
-        if rows > self.clean:
-            for pair in self.self_kv:
-                for a in pair:
-                    a[:n, self.clean : rows] = 0.0
-            self.clean = rows
-
 
 def decoder_cache(params: ModelParams, u: Packed) -> DecoderCache:
     """An empty cache holding the cross-attention K/V over encoder output
-    u: sequence b's rows at the start of slot b, zeros after them."""
-    w, x = params.decoder, u.rows.data
+    u, sequence b's rows at the start of slot b and zeros after them, and
+    zero-filled self-attention K/V for `max_tgt_len` rows a slot."""
+    cfg, w, x = params.config, params.decoder, u.rows.data
     n, longest = len(u.lengths), max(u.lengths)
     # packed row -> (slot, row within it)
     place = (np.repeat(np.arange(n), u.lengths), _rows_within(u.lengths))
     cross_kv = []
-    for i in range(params.config.n_dec_layers):
+    for i in range(cfg.n_dec_layers):
         pair = []
         for a in (ad.affine_forward(x, w[f"l{i}.cross.wk"].data),
                   ad.affine_forward(x, w[f"l{i}.cross.wv"].data, w[f"l{i}.cross.bv"].data)):
@@ -425,48 +398,11 @@ def decoder_cache(params: ModelParams, u: Packed) -> DecoderCache:
     mask = None
     if min(u.lengths) < longest:
         mask = np.where(np.arange(longest) >= np.array(u.lengths)[:, None], ad.HIDDEN_KEY, 0.0)[:, None, None, :]
-    return DecoderCache(cross_kv, u.lengths, mask, (0,) * n)
-
-
-def _decoder_extend(
-    params: ModelParams,
-    u: Packed,
-    ids: Sequence[Sequence[int]],
-    prefix: Tensor | None,
-    read: tuple[int, ...] | None = None,
-    collect: list | None = None,
-) -> Tensor:
-    """Run the decoder over the rows of token ids in one packed pass on the
-    tape: the pass of teacher forcing and attention export.  Sequence b
-    is laid out by `_decoder_rows` from row 0, the soft prefix's rows
-    first, attends causally to its own rows and cross-attends to sequence
-    b of u.  The last layer runs its query, attention, feed-forward and
-    the final norm on the last read[b] rows of each sequence only (every
-    row when `read` is None).  Returns those rows' hidden states, stacked.
-    """
-    cfg = params.config
-    p = params.decoder
-    # every layer's cross K/V first: the order in which u's gradient accumulates
-    cross = [_project_kv(p, f"l{i}.cross", u.rows) for i in range(cfg.n_dec_layers)]
-    n_prefix = prefix.shape[0] if prefix is not None else 0
-    table = ad.concat([prefix, p["embed"]], axis=0) if n_prefix else p["embed"]
-    table_rows, _, positions, lengths = _decoder_rows(cfg, ids, (0,) * len(ids), n_prefix)
-    keys = lengths
-    h = ad.add(ad.embedding(table, table_rows), Tensor(positions))
-    for i in range(cfg.n_dec_layers):
-        normed = _ln(p, f"l{i}.ln1", h)
-        queries = normed
-        if i == cfg.n_dec_layers - 1 and read is not None and read != lengths:
-            kept = [r for end, r_b in zip(np.cumsum(lengths), read) for r in range(end - r_b, end)]
-            queries, h, lengths = ad.embedding(normed, kept), ad.embedding(h, kept), read
-        q = ad.affine(queries, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
-        k, v = _project_kv(p, f"l{i}.attn", normed)
-        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, (lengths, keys), causal=True,
-                              collect=collect))
-        cross_q = ad.affine(_ln(p, f"l{i}.ln2", h), p[f"l{i}.cross.wq"], p[f"l{i}.cross.bq"])
-        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cross[i], cfg.n_heads, (lengths, u.lengths)))
-        h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
-    return _ln(p, "ln_out", h)
+    # 1 MiB an array at 16 slots, under the 4 MiB from which numpy asks the
+    # kernel for huge pages, whose untouched rows would count as resident
+    shape = (n, cfg.max_tgt_len, cfg.d_model)
+    self_kv = [(np.zeros(shape), np.zeros(shape)) for _ in range(cfg.n_dec_layers)]
+    return DecoderCache(cross_kv, u.lengths, mask, (0,) * n, self_kv)
 
 
 def _attend_slots(x: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask: np.ndarray | None) -> np.ndarray:
@@ -492,7 +428,8 @@ def _decoder_step(
     rows of `prefix`, if given, first (`_decoder_rows`).
 
     Each layer writes the new rows' keys and values into slot b of the
-    cache's padded arrays in place, from row `cache.lengths[b]` on.  A
+    cache's fixed-capacity arrays in place, from row `cache.lengths[b]`
+    on.  A
     call of one new row per sequence runs one batched masked attention
     over the first max(lengths) rows of every slot and one over the
     padded encoder rows; a call of several rows attends slot by slot.  The
@@ -505,7 +442,6 @@ def _decoder_step(
     slots, old = len(ids), cache.lengths
     tokens, rows, positions, new = _decoder_rows(cfg, ids, old, 0 if prefix is None else len(prefix))
     longest, counts = max(new), [n - start for n, start in zip(new, old)]
-    cache._reserve(longest, cfg.max_tgt_len)
     one_row = max(counts) == 1
     if one_row:
         # the rows are the slots, in order: slot b's row sits at rows[b] and sees the keys up to it
@@ -568,17 +504,45 @@ def _decoder_hidden(
     read: tuple[int, ...] | None,
     collect: list | None = None,
 ) -> Tensor:
-    """Hidden states of every example's [prefix, cond, t] rows in one pass,
-    the last read[b] rows of example b (all when `read` is None), stacked.
+    """The decoder's one taped pass, for teacher forcing and attention
+    export: hidden states of every example's [prefix, cond, t] rows in one
+    packed pass, the last read[b] rows of example b (all when `read` is
+    None), stacked.
 
-    Example b reads sequence b of u.  Its rows attend causally among
-    themselves and, soft prefix rows included, count positions from 0,
-    like a decode of b alone."""
+    Example b is laid out by `_decoder_rows` from row 0, the soft prefix's
+    rows first, so its rows count positions from 0 like a decode of b
+    alone; they attend causally among themselves and cross-attend to
+    sequence b of u.  The last layer projects keys and values for every
+    row but runs its query, attention, feed-forward and the final norm on
+    the rows read only."""
     if len(cond_ids) != len(u.lengths) or len(t_ids) != len(u.lengths):
         raise ModelError(f"got {len(cond_ids)} conditionings and {len(t_ids)} targets "
                          f"for {len(u.lengths)} encoder outputs")
     _require_start(cond_ids)
-    return _decoder_extend(params, u, [[*c, *t] for c, t in zip(cond_ids, t_ids)], prefix, read, collect)
+    cfg = params.config
+    p = params.decoder
+    # every layer's cross K/V first: the order in which u's gradient accumulates
+    cross = [_project_kv(p, f"l{i}.cross", u.rows) for i in range(cfg.n_dec_layers)]
+    n_prefix = prefix.shape[0] if prefix is not None else 0
+    table = ad.concat([prefix, p["embed"]], axis=0) if n_prefix else p["embed"]
+    ids = [[*c, *t] for c, t in zip(cond_ids, t_ids)]
+    table_rows, _, positions, lengths = _decoder_rows(cfg, ids, (0,) * len(ids), n_prefix)
+    keys = lengths
+    h = ad.add(ad.embedding(table, table_rows), Tensor(positions))
+    for i in range(cfg.n_dec_layers):
+        normed = _ln(p, f"l{i}.ln1", h)
+        queries = normed
+        if i == cfg.n_dec_layers - 1 and read is not None and read != lengths:
+            kept = [r for end, r_b in zip(np.cumsum(lengths), read) for r in range(end - r_b, end)]
+            queries, h, lengths = ad.embedding(normed, kept), ad.embedding(h, kept), read
+        q = ad.affine(queries, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
+        k, v = _project_kv(p, f"l{i}.attn", normed)
+        h = ad.add(h, _attend(p, f"l{i}.attn", q, k, v, cfg.n_heads, (lengths, keys), causal=True,
+                              collect=collect))
+        cross_q = ad.affine(_ln(p, f"l{i}.ln2", h), p[f"l{i}.cross.wq"], p[f"l{i}.cross.bq"])
+        h = ad.add(h, _attend(p, f"l{i}.cross", cross_q, *cross[i], cfg.n_heads, (lengths, u.lengths)))
+        h = ad.add(h, _feed_forward(p, f"l{i}.ff", _ln(p, f"l{i}.ln3", h)))
+    return _ln(p, "ln_out", h)
 
 
 def _readout(params: ModelParams, rows: Tensor) -> Tensor:
@@ -617,19 +581,20 @@ def decode_next(
     Every call runs `_decoder_step` on plain arrays and records nothing on
     a tape, so it is an error while a tape is active and a decoder
     parameter or the prefix requires gradients.  Without a cache, or with
-    an empty one from `decoder_cache(params, u)`, the call runs every
-    [prefix, cond, t_prev] row of every sequence of u.  A cache that holds
-    rows decodes its own sequences, in its slots' order, and runs only the
-    rows after the cached ones; it carries its encoder keys and values, so
-    u is not read.  The call writes the keys and values of the rows it
-    runs into the cache in place.
+    an empty one from `decoder_cache(params, u)` (every cached length 0),
+    the call runs every [prefix, cond, t_prev] row of every sequence of u.
+    A cache that holds rows decodes its own sequences, in its slots'
+    order, and runs only the rows after the cached ones; it carries its
+    encoder keys and values, so u is not read.  The call writes the keys
+    and values of the rows it runs into the cache's arrays in place; they
+    hold `max_tgt_len` rows a sequence, the most `_decoder_rows` allows.
     """
     if ad.active_tape() is not None and any(
             t.requires_grad for t in (*params.decoder.values(), *([prefix] if prefix is not None else ()))):
         raise ModelError("a cached decode step is not recorded on the tape: decode outside the tape")
     if cache is None:
         cache = decoder_cache(params, u)
-    elif not cache.self_kv and cache.cross_lengths != u.lengths:
+    elif not any(cache.lengths) and cache.cross_lengths != u.lengths:
         raise ModelError(f"the cache holds encoder outputs of {cache.cross_lengths} rows, not u's {u.lengths}")
     n = len(cache.lengths)
     if len(cond_ids) != n or len(t_prev) != n:
@@ -646,7 +611,7 @@ def decode_next(
         if not ids:
             raise ModelError("nothing to decode: every row is already cached")
         new_ids.append(ids)
-    prefix_rows = prefix.data if prefix is not None and not cache.self_kv else None
+    prefix_rows = prefix.data if prefix is not None and not any(cache.lengths) else None
     last = Tensor(_decoder_step(params, cache, new_ids, prefix_rows))
     return ad.softmax_forward(_readout(params, last).data)
 

@@ -4,6 +4,7 @@ CLI tests run on a miniature corpus; they verify wiring, provenance, and
 byte determinism rather than model quality.
 """
 
+import argparse
 import builtins
 import hashlib
 import importlib.util
@@ -151,13 +152,23 @@ def test_more_positives_than_keywords_is_a_config_error(tmp_path, capsys):
     (["--set", "lr_pt=inf"], "lr_pt must be finite, got inf"),
     (["--set", "prompt_exposure=-inf"], "prompt_exposure must be finite, got -inf"),
     (["--conditions", ","], "--conditions names no condition: ','"),
+    (["--conditions", "baseline, pt,baseline"], "--conditions names baseline more than once: 'baseline, pt,baseline'"),
 ], ids=["threshold-nan", "threshold-above-1", "threshold-below-0", "noise-nan", "lr-nan", "lr-inf",
-        "exposure-inf", "no-conditions"])
+        "exposure-inf", "no-conditions", "repeated-condition"])
 def test_bad_float_settings_and_empty_conditions_are_config_errors(tmp_path, capsys, argv, message):
     # each is rejected before any input is read, so the data directory can be empty
     rc = main(["evaluate", "--data", str(tmp_path), "--out", str(tmp_path / "x"), *argv])
     assert rc == 2
     assert capsys.readouterr().err.strip() == f"ConfigError: {message}"
+
+
+def test_ci_runs_the_help_of_every_subcommand():
+    # the workflow's `--help` loop names the parser's subcommands, so an added
+    # or removed command shows here, not only when the installed CLI runs
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (loop,) = re.findall(r'for cmd in ([^;]+); do\s+kwbias "\$cmd" --help', workflow)
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(loop.split()) == sorted(sub.choices)
 
 
 def test_scale_steps_scales_every_stage_and_floors_at_one():
@@ -485,13 +496,15 @@ def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):
 
 
 def test_transcribe_with_a_spotter_but_no_keywords_fails_before_any_input_is_read(capsys, tmp_path):
+    # no --keywords at all, or a list whose every entry normalizes to nothing
     out = tmp_path / "tr"
-    rc = main(["transcribe", "--data", str(tmp_path / "missing"), "--index", "0",
-               "--ckpt", str(tmp_path / "missing.ckpt"), "--kws-ckpt", str(tmp_path / "missing-kws.ckpt"),
-               "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err == "ConfigError: transcribe --kws-ckpt needs --keywords for the spotter to filter\n"
-    assert not out.exists()
+    for keywords in ([], ["--keywords", ","], ["--keywords", " ,!, "]):
+        rc = main(["transcribe", "--data", str(tmp_path / "missing"), "--index", "0",
+                   "--ckpt", str(tmp_path / "missing.ckpt"), "--kws-ckpt", str(tmp_path / "missing-kws.ckpt"),
+                   "--out", str(out), *keywords])
+        assert rc == 2
+        assert capsys.readouterr().err == "ConfigError: transcribe --kws-ckpt needs --keywords for the spotter to filter\n"
+        assert not out.exists()
 
 
 def test_transcribe_serves_the_transcripts_that_the_harness_scores(cli_world, tmp_path):

@@ -426,8 +426,8 @@ def test_a_finished_row_leaves_the_other_rows_unchanged(vocab):
 
 def test_cached_steps_write_keys_and_values_in_place(vocab, monkeypatch):
     # every decode call, the first one included, writes its rows into the
-    # cache's padded arrays: the arrays stay the same objects until
-    # capacity grows, the rows cached before a call are left as they were,
+    # arrays `decoder_cache` allocates: they stay the same objects through
+    # the last step, the rows cached before a call are left as they were,
     # and no call runs a taped primitive
     fresh, q = _decode_world(vocab, 3, -50.0)
     rng = stream(23, "frames")
@@ -439,48 +439,70 @@ def test_cached_steps_write_keys_and_values_in_place(vocab, monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(ad, name, counted)
-    steps = []  # per call: first call or not, capacity, arrays, cached rows kept, no taped primitive
+    allocated = []
+    real_cache = model.decoder_cache
+
+    def cache_spy(params, u):
+        cache = real_cache(params, u)
+        allocated.extend(a for kv in cache.self_kv for a in kv)
+        return cache
+
+    steps = []  # per call: first call or not, arrays, cached rows kept, no taped primitive
     real = model.decode_next
 
     def spy(params, u, cond_ids, t_prev, prefix, cache):
-        first = not cache.self_kv
+        first = not any(cache.lengths)
         cached = [(i, j, b, kv[j][b, :n].copy())
                   for i, kv in enumerate(cache.self_kv) for j in (0, 1) for b, n in enumerate(cache.lengths)]
         before = dict(calls)
         probs = real(params, u, cond_ids, t_prev, prefix, cache)
         kept = all(np.array_equal(cache.self_kv[i][j][b, : len(old)], old) for i, j, b, old in cached)
-        steps.append((first, cache.capacity, [a for kv in cache.self_kv for a in kv], kept, calls == before))
+        steps.append((first, [a for kv in cache.self_kv for a in kv], kept, calls == before))
         return probs
 
+    monkeypatch.setattr(model, "decoder_cache", cache_spy)
     monkeypatch.setattr(model, "decode_next", spy)
     out = transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 30)
     assert [len(t) for t in out] == [30, 30, 30]
     assert [first for first, *_ in steps] == [True] + [False] * (len(steps) - 1)
-    capacities = [capacity for _, capacity, *_ in steps]
-    assert len(set(capacities)) > 1, "the decode should outgrow the first call's capacity"
-    for (_, cap_a, arrays_a, *_), (_, cap_b, arrays_b, *_) in zip(steps, steps[1:]):
-        assert all(a is b for a, b in zip(arrays_a, arrays_b)) == (cap_a == cap_b)
+    assert len(allocated) == 2 * CFG.n_dec_layers
+    assert all(a.shape == (3, CFG.max_tgt_len, CFG.d_model) for a in allocated)
+    for _, arrays, *_ in steps:
+        assert len(arrays) == len(allocated) and all(a is b for a, b in zip(arrays, allocated))
     assert all(kept and untaped for *_, kept, untaped in steps)
 
 
-@pytest.mark.parametrize("eot_bias", [-50.0, 0.3])
-def test_uninitialized_cache_rows_are_never_read(vocab, monkeypatch, eot_bias):
-    # the cache leaves rows past the longest sequence uninitialized; filled
-    # with NaN instead, they change no token
+# no sequence ends; one ends at step 19; two end at once and one at step 9; all end at once
+@pytest.mark.parametrize("eot_bias", [-50.0, 0.005, 0.025, 0.3])
+def test_cache_rows_past_the_longest_sequence_are_never_read(vocab, monkeypatch, eot_bias):
+    # a call reads no cache row past the longest sequence it writes: filled
+    # with NaN for the call, every slot's rows from max(lengths) + 1 on
+    # change no token.  Rows the call leaves unwritten get their values
+    # back, since a later step reads and masks the rows of a slot up to
+    # the longest sequence.
     fresh, q = _decode_world(vocab, 3, eot_bias)
     rng = stream(24, "frames")
     u = encode(fresh, [rng.normal(size=(n, 8)) for n in (10, 14, 7, 12)])
     conds = [[vocab.sot_id], [vocab.sop_id, 10, 11, vocab.sot_id], [vocab.sop_id, 12, vocab.sot_id], [vocab.sot_id]]
     expected = transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 30)
-    real_empty = np.empty
+    real = model.decode_next
+    filled = []
 
-    def nan_empty(shape, *args, **kwargs):
-        out = real_empty(shape, *args, **kwargs)
-        out.fill(np.nan)
-        return out
+    def spy(params, u, cond_ids, t_prev, prefix, cache):
+        start = max(cache.lengths) + 1
+        tails = [a[:, start:] for kv in cache.self_kv for a in kv]
+        saved = [tail.copy() for tail in tails]
+        for tail in tails:
+            tail.fill(np.nan)
+        filled.append(start)
+        probs = real(params, u, cond_ids, t_prev, prefix, cache)
+        for tail, old in zip(tails, saved):
+            np.copyto(tail, old, where=np.isnan(tail))
+        return probs
 
-    monkeypatch.setattr(np, "empty", nan_empty)
+    monkeypatch.setattr(model, "decode_next", spy)
     assert transcribe_greedy(fresh, u, conds, q, vocab.eot_id, 30) == expected
+    assert filled[0] == 1
 
 
 def test_a_cached_step_under_a_tape_is_an_error(vocab):
