@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end demo: data, all four training stages, evaluation, attention.
+"""End-to-end demo: data, all four training stages, evaluation, attention, one transcription.
 
 Everything below shells through the package CLI so the run directory
 layout matches what the commands document; use --steps-scale to shrink
@@ -54,6 +54,11 @@ def main() -> None:
          "--pt-ckpt", str(ckpts["pt"]), "--kws-ckpt", str(ckpts["kws"]), *common])
     run(["attn-export", "--data", str(data), "--out", str(root / "attn"),
          "--pt-ckpt", str(ckpts["pt"]), "--limit", "12", *common])
+    # one request of the serving path: it reads only utterance 0 of test.ds, and
+    # only the spotter tensors that differ from the prompt-tuned model's
+    words = (data / "test.txt").read_text(encoding="utf-8").splitlines()[0].split()
+    run(["transcribe", "--data", str(data), "--index", "0", "--out", str(root / "transcribe"),
+         "--ckpt", str(ckpts["pt"]), "--kws-ckpt", str(ckpts["kws"]), "--keywords", ",".join(words), *common])
     print(f"\nartifacts under {root}/")
 
 

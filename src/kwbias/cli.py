@@ -37,7 +37,14 @@ from .harness import (
 )
 from .model import encode, init_params, kws_detect, same_encoder, transcribe_greedy
 from .prompts import Keyword, KeywordSet, assemble_prompt, kws_to_prompt
-from .synth import dataset_load, dataset_save, generate_corpus, word_bank_load_words, word_bank_save
+from .synth import (
+    DatasetIndexError,
+    dataset_load,
+    dataset_save,
+    generate_corpus,
+    word_bank_load_words,
+    word_bank_save,
+)
 from .text import Vocab, build_vocab, normalize
 from .training import checkpoint_load, checkpoint_save, stage_for, train_run
 
@@ -76,10 +83,10 @@ def _provenance(command: str, inputs: dict[str, Source]) -> dict[str, str]:
     return record
 
 
-def _load_checkpoint(path: Path | str, vocab: Vocab):
-    """(params, source) of a checkpoint written for `vocab`."""
-    params, meta = checkpoint_load(path, vocab.content_hash)
-    return params, (Path(path), f"digest={meta['digest']}")
+def _load_checkpoint(path: Path | str, vocab: Vocab, reuse=None):
+    """(params, meta, source) of a checkpoint written for `vocab`; `reuse` as `checkpoint_load` takes it."""
+    params, meta = checkpoint_load(path, vocab.content_hash, reuse)
+    return params, meta, (Path(path), f"digest={meta['digest']}")
 
 
 def _load_data(data_dir: Path | str, splits: tuple[str, ...]):
@@ -136,7 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if stage.source is None:
         params = init_params(cfg.model_config(len(vocab)), cfg.seed)
     else:
-        params, inputs[args.source_flag.removeprefix("--")] = _load_checkpoint(args.source_ckpt, vocab)
+        params, _, inputs[args.source_flag.removeprefix("--")] = _load_checkpoint(args.source_ckpt, vocab)
 
     losses = train_run(tc, sets["train"], vocab, params)
     ckpt_out = out / f"{stage.mode}.ckpt"
@@ -162,10 +169,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     checkpoints = {}
     for role, flag in (("base", args.base_ckpt), ("ft", args.ft_ckpt), ("pt", args.pt_ckpt)):
         if flag is not None:
-            checkpoints[role], inputs[f"{role}-ckpt"] = _load_checkpoint(flag, vocab)
+            checkpoints[role], _, inputs[f"{role}-ckpt"] = _load_checkpoint(flag, vocab)
     kws_params = None
     if args.kws_ckpt is not None:
-        kws_params, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
+        kws_params, _, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
 
     ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
     reports = evaluate_conditions(conditions, checkpoints, kws_params, sets["test"], ctx)
@@ -180,7 +187,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _config(args, extra)
     out = _out_dir(args)
     vocab, sets, sources = _load_data(args.data, ("train", "test"))
-    stack, kws_source = _load_checkpoint(args.kws_ckpt, vocab)
+    stack, _, kws_source = _load_checkpoint(args.kws_ckpt, vocab)
     ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
     rows = ablate_prefix_lengths(stack, cfg.ablation_lengths(), sets["train"], sets["test"], ctx)
     (out / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
@@ -197,7 +204,7 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
     cfg = _config(args, extra)
     out = _out_dir(args)
     vocab, sets, sources = _load_data(args.data, ("train", "test"))
-    params, pt_source = _load_checkpoint(args.pt_ckpt, vocab)
+    params, _, pt_source = _load_checkpoint(args.pt_ckpt, vocab)
     words_path = Path(args.data) / "words.json"
     words, words_sha256 = word_bank_load_words(words_path)
     ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
@@ -221,6 +228,12 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
 
 
 def cmd_transcribe(args: argparse.Namespace) -> int:
+    """Transcribe one WAV or `--index` utterance of the test split, reading
+    only that utterance.  A `--kws-ckpt` spotter is loaded against `--ckpt`:
+    every tensor the two files record with equal digests (after `kws`
+    training from a shared base, the encoder and decoder) is read once and
+    shared by both models, which is sound because transcribe trains
+    neither; the spotter re-encodes only if its encoder differs."""
     surfaces = [normalize(k) for k in (args.keywords or "").split(",") if normalize(k)]
     if args.kws_ckpt is not None and not surfaces:
         raise ConfigError("transcribe --kws-ckpt needs --keywords for the spotter to filter")
@@ -232,7 +245,7 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     if not args.vocab and data_dir is None:
         raise ConfigError("transcribe --wav needs --vocab or --data to find the vocabulary")
     vocab = Vocab.load(Path(args.vocab) if args.vocab else data_dir / "vocab.tsv")
-    params, ckpt_source = _load_checkpoint(args.ckpt, vocab)
+    params, meta, ckpt_source = _load_checkpoint(args.ckpt, vocab)
     inputs = {"ckpt": ckpt_source}
 
     if args.wav is not None:
@@ -241,11 +254,12 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
         wave = resample(load_wav(io.BytesIO(blob)), SAMPLE_RATE_HZ)
         frames = log_mel(wave, params.config.n_mels).frames
     else:
-        utts, digest = dataset_load(data_dir / "test.ds")
+        try:
+            utt, digest = dataset_load(data_dir / "test.ds", args.index)
+        except DatasetIndexError as exc:
+            raise ConfigError(f"--index {args.index} is outside the {exc.size}-utterance test split") from None
         inputs["test-data"] = (data_dir / "test.ds", f"digest={digest}")
-        if not 0 <= args.index < len(utts):
-            raise ConfigError(f"--index {args.index} is outside the {len(utts)}-utterance test split")
-        frames = utts[args.index].frames
+        frames = utt.frames
 
     u = encode(params, [frames])
     prefix = params.prefix.get("q")
@@ -253,7 +267,7 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
     keywords = KeywordSet(tuple(Keyword(surface=s, tokens=tuple(vocab.word_tokens(s)), positive=True)
                                 for s in dict.fromkeys(surfaces)))
     if args.kws_ckpt is not None:
-        kws_params, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
+        kws_params, _, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab, reuse=(params, meta))
         kws_u = u if same_encoder(kws_params, params) else encode(kws_params, [frames])
         (pred,) = kws_detect(kws_params, kws_u, [[kw.tokens for kw in keywords]], threshold=cfg.kws_threshold)
         prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)

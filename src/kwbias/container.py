@@ -4,24 +4,27 @@ A file is an 8-byte magic, the header length as a little-endian u64, a
 JSON object header (sorted keys, no whitespace), then the payload: every
 array as little-endian float64 in C order, one after the other.
 
-Besides the caller's own fields, the header holds two that this module
+Besides the caller's own fields, the header holds three that this module
 writes and checks:
 
 * ``shapes``: one shape (a list of non-negative ints) per array, in
   payload order;
+* ``digests``: one sha256 hex per array, over that array's payload bytes;
 * ``digest``: the sha256 hex of the header's other fields as canonical
-  JSON, followed by the payload.
+  JSON.  Through ``digests`` it covers the whole content, so it identifies
+  the file for provenance records.
 
-Reading opens the file once and reads every byte of it once. It checks
-the framing, the type of every header field the caller names, the
-shapes, and the header and payload lengths against the file size before
-it allocates anything; it then reads the payload straight into one
-aligned float64 buffer and checks the digest over it. A damaged or
-truncated file fails as the caller's `KwbiasError` subclass with one
-line that starts with the path, never as a `struct`, `numpy`, `KeyError`,
-`TypeError` or `MemoryError` traceback. The arrays returned are
-writable views of that one buffer, and the verified digest identifies
-the file's content for provenance records.
+Reading checks the framing and the type of every header field the caller
+names, then the header digest, before it trusts anything the header says:
+that ``digests`` has one entry per shape, the shapes, and the header and
+payload lengths against the file size, all before it allocates anything.
+It then reads either every array, straight into one aligned float64
+buffer, or only a selection of arrays, each into its own buffer from its
+own offset; a selection may depend on the verified header.  Every array
+it returns has been checked against its digest, and no other payload byte
+is read.  A damaged or truncated file fails as the caller's `KwbiasError`
+subclass with one line that starts with the path, never as a `struct`,
+`numpy`, `KeyError`, `TypeError` or `MemoryError` traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,13 +50,11 @@ def _canonical(header: dict) -> bytes:
 
 
 def write_container(path: Path | str, magic: bytes, header: dict, arrays: Iterable[np.ndarray]) -> None:
-    """Write `arrays` as float64 after `header` plus the `shapes` and `digest` fields."""
+    """Write `arrays` as float64 after `header` plus the `shapes`, `digests` and `digest` fields."""
     arrays = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
-    header = {**header, "shapes": [list(a.shape) for a in arrays]}
-    digest = hashlib.sha256(_canonical(header))
-    for a in arrays:
-        digest.update(a)
-    header_bytes = _canonical({**header, "digest": digest.hexdigest()})
+    header = {**header, "shapes": [list(a.shape) for a in arrays],
+              "digests": [hashlib.sha256(a).hexdigest() for a in arrays]}
+    header_bytes = _canonical({**header, "digest": hashlib.sha256(_canonical(header)).hexdigest()})
     with Path(path).open("wb") as f:
         f.write(magic)
         f.write(_LEN.pack(len(header_bytes)))
@@ -68,13 +69,17 @@ def read_container(
     kind: str,
     error: type[KwbiasError],
     fields: dict[str, type],
-) -> tuple[dict, list[np.ndarray]]:
+    select: Callable[[dict], Iterable[int]] | None = None,
+) -> tuple[dict, list[np.ndarray | None]]:
     """(header, arrays) of a container whose header has `fields` with their types.
 
-    The file is read once, its payload straight into one aligned float64
-    buffer; the arrays are writable, C-contiguous views of that buffer, so
-    a loaded checkpoint is trained in place. `header["digest"]` has been
-    checked against the content.
+    `select(header)`, called with the verified header before any payload
+    byte is read, may raise `error` and returns the indices of the arrays
+    to read; the others come back as None.  Without `select`, or when it
+    selects every array, the payload is read straight into one aligned
+    float64 buffer and the arrays are writable, C-contiguous views of it,
+    so a loaded checkpoint is trained in place.  Every array returned has
+    been checked against its entry in `header["digests"]`.
     """
     path = Path(path)
     with path.open("rb", buffering=0) as f:
@@ -94,12 +99,17 @@ def read_container(
             raise error(f"{path}: corrupt {kind} header: {exc}") from exc
         if not isinstance(header, dict):
             raise error(f"{path}: corrupt {kind} header: expected a JSON object, got {type(header).__name__}")
-        for name, expected in {**fields, "shapes": list, "digest": str}.items():
+        for name, expected in {**fields, "shapes": list, "digests": list, "digest": str}.items():
             value = header.get(name)
             # bool is an int subclass; no header field is a flag
             if not isinstance(value, expected) or isinstance(value, bool):
                 raise error(f"{path}: corrupt {kind} header: field {name!r} must be {expected.__name__}")
-        shapes = header["shapes"]
+        digest = hashlib.sha256(_canonical({k: v for k, v in header.items() if k != "digest"}))
+        if digest.hexdigest() != header["digest"]:
+            raise error(f"{path}: {kind} header digest mismatch: file is corrupt")
+        shapes, digests = header["shapes"], header["digests"]
+        if len(digests) != len(shapes):
+            raise error(f"{path}: corrupt {kind} header: {len(digests)} digests for {len(shapes)} shapes")
         # JSON gives exact lists and ints, so a type set checks every entry in one C-level pass
         dims = list(itertools.chain.from_iterable(shapes)) if set(map(type, shapes)) <= {list} else None
         if dims is None or not set(map(type, dims)) <= {int} or min(dims, default=0) < 0:
@@ -109,16 +119,23 @@ def read_container(
         expected_len = 8 * sum(counts)
         if payload_len != expected_len:
             raise error(f"{path}: truncated {kind}: {payload_len} payload bytes, expected {expected_len}")
-        buf = np.empty(expected_len // 8, dtype="<f8")
-        got = f.readinto(buf)
-        if got != expected_len or f.read(1):
-            raise error(f"{path}: {kind} changed size while being read")
-    digest = hashlib.sha256(_canonical({k: v for k, v in header.items() if k != "digest"}))
-    digest.update(buf)
-    if digest.hexdigest() != header["digest"]:
-        raise error(f"{path}: {kind} digest mismatch: file is corrupt")
-    arrays, pos = [], 0
-    for shape, n in zip(shapes, counts):
-        arrays.append(buf[pos : pos + n].reshape(shape))
-        pos += n
+        offsets = list(itertools.accumulate(counts, initial=0))  # in float64 elements
+        chosen = range(len(shapes)) if select is None else set(select(header))
+        arrays: list[np.ndarray | None] = [None] * len(shapes)
+        if len(chosen) == len(shapes):
+            buf = np.empty(expected_len // 8, dtype="<f8")
+            got = f.readinto(buf)
+            if got != expected_len or f.read(1):
+                raise error(f"{path}: {kind} changed size while being read")
+            for i, shape in enumerate(shapes):
+                arrays[i] = buf[offsets[i] : offsets[i + 1]].reshape(shape)
+        else:
+            for i in sorted(chosen):
+                arrays[i] = np.empty(shapes[i], dtype="<f8")
+                f.seek(off + header_len + 8 * offsets[i])
+                if f.readinto(arrays[i]) != 8 * counts[i]:
+                    raise error(f"{path}: {kind} changed size while being read")
+    for i, a in enumerate(arrays):
+        if a is not None and hashlib.sha256(a).hexdigest() != digests[i]:
+            raise error(f"{path}: {kind} digest mismatch in array {i}: file is corrupt")
     return header, arrays

@@ -116,9 +116,10 @@ def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) 
 # step's cost is mostly per-call numpy overhead, which a chunk's rows share,
 # while peak memory grows with a chunk's rows.  On the benchmark's `eval`
 # workload 32 rows read 711 utterances/s against 657 for 16 and peak RSS
-# 145-154 MB against 137.5, past its 5 % bound: a chunk's first decode call
-# holds four (rows, d_ff) feed-forward arrays (13.6 MB at 32 rows, 6.9 at
-# 16) and a self-attention cache of twice the slots (8 MB against 4).
+# 145-154 MB against 137.5, past its 5 % bound.  A chunk's first decode call
+# holds three (rows, d_ff) feed-forward arrays (10.2 MiB at 32 rows, 5.2 at
+# 16: 1,734 and 886 rows at the default d_ff of 256) and a self-attention
+# cache of twice the slots (8 MiB against 4).
 DECODE_CHUNK = 16
 
 
@@ -148,6 +149,26 @@ def _trainable_count(role: str, params: ModelParams) -> int:
     return sum(param_count(params.groups()[g]) for g in stage.trainable)
 
 
+def _checked_condition(
+    condition: str,
+    params: ModelParams,
+    kws_params: ModelParams | None,
+    test_set: Sequence[Utterance],
+) -> tuple[str, str]:
+    """(checkpoint role, prompt source) of `condition`, once `params`,
+    `kws_params` and `test_set` are found to be what it needs; EvalError
+    otherwise."""
+    role, source = _condition(condition)
+    if not test_set:
+        raise EvalError("empty test set: WER and F1 are undefined")
+    if source == "spotter" and kws_params is None:
+        raise EvalError(f"condition {condition!r} needs a keyword-spotter checkpoint")
+    if role == "pt" and "q" not in params.prefix:
+        raise EvalError(f"condition {condition!r} needs a prompt-tuned checkpoint, "
+                        "but this one has no soft prefix")
+    return role, source
+
+
 def evaluate_condition(
     condition: str,
     params: ModelParams,
@@ -162,14 +183,7 @@ def evaluate_condition(
     The model and, for spotter conditions, `kws_params` read their encoder
     outputs from `passes`, a table of their own when none is given.
     """
-    role, source = _condition(condition)
-    if not test_set:
-        raise EvalError("empty test set: WER and F1 are undefined")
-    if source == "spotter" and kws_params is None:
-        raise EvalError(f"condition {condition!r} needs a keyword-spotter checkpoint")
-    if role == "pt" and "q" not in params.prefix:
-        raise EvalError(f"condition {condition!r} needs a prompt-tuned checkpoint, "
-                        "but this one has no soft prefix")
+    role, source = _checked_condition(condition, params, kws_params, test_set)
     passes = EncoderPasses() if passes is None else passes
     encoded = passes(params, test_set)
     spotter_inputs = passes(kws_params, test_set) if source == "spotter" else encoded
@@ -207,15 +221,18 @@ def evaluate_conditions(
     test_set: Sequence[Utterance],
     ctx: EvalContext,
 ) -> list[ConditionReport]:
-    """One report per condition, all reading one table of encoder passes."""
-    passes = EncoderPasses()
-    reports = []
+    """One report per condition, all reading one table of encoder passes.
+    Every condition's name and inputs are checked before any is scored."""
+    models = []
     for condition in conditions:
         role, _ = _condition(condition)
         if role not in checkpoints:
             raise EvalError(f"condition {condition!r} needs the {role!r} checkpoint")
-        reports.append(evaluate_condition(condition, checkpoints[role], kws_params, test_set, ctx, passes=passes))
-    return reports
+        _checked_condition(condition, checkpoints[role], kws_params, test_set)
+        models.append(checkpoints[role])
+    passes = EncoderPasses()
+    return [evaluate_condition(condition, params, kws_params, test_set, ctx, passes=passes)
+            for condition, params in zip(conditions, models)]
 
 
 # ---------------------------------------------------------------------------

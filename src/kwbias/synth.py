@@ -247,17 +247,39 @@ def dataset_save(path: Path | str, utterances: list[Utterance], spec: SynthSpec)
 _DATASET_FIELDS = {"n_mels": int, "spec_hash": str, "contains_jargon": list}
 
 
-def dataset_load(path: Path | str) -> tuple[list[Utterance], str]:
-    """(utterances, digest): the digest is the one the reader verified, and
-    the transcripts are checked against the `transcripts_sha256` it covers."""
+class DatasetIndexError(SynthError):
+    """An utterance index outside a dataset of `size` utterances."""
+
+    def __init__(self, path: Path, index: int, size: int) -> None:
+        super().__init__(f"{path}: utterance {index} is outside the {size}-utterance dataset")
+        self.size = size
+
+
+def dataset_load(path: Path | str, index: int | None = None) -> tuple[list[Utterance] | Utterance, str]:
+    """(utterances, digest), or with `index` (that utterance, digest).
+
+    The digest is the header's, which the reader verified; it identifies
+    the whole dataset, transcripts included, since the header records the
+    `transcripts_sha256` the sidecar is checked against.  With `index`
+    only that utterance's frames are read and checked against their
+    digest, and an index outside the dataset is a `DatasetIndexError`
+    before any frame is read.  Either way every header shape must be
+    (T, n_mels)."""
     path = Path(path)
-    header, frames = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS)
-    n_mels = header["n_mels"]
-    flags = header["contains_jargon"]
-    if n_mels < 1 or any(f.ndim != 2 or f.shape[1] != n_mels for f in frames):
-        raise SynthError(f"{path}: corrupt dataset header: every utterance must be (T, n_mels), n_mels >= 1")
-    if len(flags) != len(frames):
-        raise SynthError(f"{path}: manifest count mismatch")
+
+    def select(header: dict) -> range:
+        n_mels, shapes = header["n_mels"], header["shapes"]
+        if n_mels < 1 or any(len(s) != 2 or s[1] != n_mels for s in shapes):
+            raise SynthError(f"{path}: corrupt dataset header: every utterance must be (T, n_mels), n_mels >= 1")
+        if len(header["contains_jargon"]) != len(shapes):
+            raise SynthError(f"{path}: manifest count mismatch")
+        if index is None:
+            return range(len(shapes))
+        if not 0 <= index < len(shapes):
+            raise DatasetIndexError(path, index, len(shapes))
+        return range(index, index + 1)
+
+    header, frames = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS, select)
     sidecar = path.with_suffix(".txt")
     transcripts = sidecar.read_bytes()
     recorded = header.get("transcripts_sha256")
@@ -269,8 +291,8 @@ def dataset_load(path: Path | str) -> tuple[list[Utterance], str]:
     if len(texts) != len(frames):
         raise SynthError(f"{sidecar}: transcript count {len(texts)} != manifest {len(frames)}")
     utterances = [Utterance(frames=f, text=text, contains_jargon=bool(flag))
-                  for f, flag, text in zip(frames, flags, texts)]
-    return utterances, header["digest"]
+                  for f, flag, text in zip(frames, header["contains_jargon"], texts) if f is not None]
+    return (utterances if index is None else utterances[0]), header["digest"]
 
 
 def word_bank_save(path: Path | str, bank: WordBank) -> None:

@@ -358,15 +358,9 @@ def _checked_manifest(path: Path, header: dict, config: ModelConfig) -> list[tup
     return manifest
 
 
-def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) -> tuple[ModelParams, dict]:
-    """(params, meta): meta holds the header's `vocab_hash`, the rng `seed`
-    and the `digest` the reader verified.
-
-    A file whose config keys are not exactly `ModelConfig`'s fields, or
-    whose tensors are not exactly those `param_layout` declares for its
-    config (plus an optional prefix), fails here as one line."""
-    path = Path(path)
-    header, arrays = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS)
+def _checked_header(path: Path, header: dict, expected_vocab_hash: str | None) -> tuple[int, ModelConfig, list]:
+    """(seed, config, manifest) of a checkpoint header, once its seed, vocabulary
+    hash, config and manifest are found sound."""
     seed = header["rng"].get("seed")
     if not isinstance(seed, int):
         raise CheckpointError(f"{path}: corrupt checkpoint header: rng seed must be int")
@@ -385,8 +379,48 @@ def checkpoint_load(path: Path | str, expected_vocab_hash: str | None = None) ->
         config = ModelConfig(**header["config"])
     except ModelError as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header: bad model config: {exc}") from exc
-    tensors = iter(arrays)
-    groups = {gname: {name: Tensor(next(tensors)) for name in names}
-              for gname, names in _checked_manifest(path, header, config)}
-    meta = {"vocab_hash": header["vocab_hash"], "seed": seed, "digest": header["digest"]}
+    return seed, config, _checked_manifest(path, header, config)
+
+
+def checkpoint_load(
+    path: Path | str,
+    expected_vocab_hash: str | None = None,
+    reuse: tuple[ModelParams, dict] | None = None,
+) -> tuple[ModelParams, dict]:
+    """(params, meta): meta holds the header's `vocab_hash`, the rng `seed`,
+    the `digest` the reader verified and the verified per-array `digests`,
+    {group: {name: sha256 hex}}.
+
+    `reuse` is an already loaded (params, meta).  A tensor whose group,
+    name, shape and recorded digest equal one of it is not read: the
+    returned params hold that very `Tensor`, so the two models share it,
+    and training either one changes both.  Every other tensor is read and
+    checked against its digest.
+
+    A file whose config keys are not exactly `ModelConfig`'s fields, or
+    whose tensors are not exactly those `param_layout` declares for its
+    config (plus an optional prefix), fails here as one line, before any
+    tensor is read."""
+    path = Path(path)
+    checked = None  # (seed, config, manifest), once `select` has checked the header
+    held, held_digests = (reuse[0].groups(), reuse[1]["digests"]) if reuse is not None else ({}, {})
+
+    def select(header: dict) -> list[int]:
+        nonlocal checked
+        checked = _checked_header(path, header, expected_vocab_hash)
+        slots = [(g, name) for g, names in checked[2] for name in names]
+        return [i for i, ((g, name), shape, digest) in enumerate(zip(slots, header["shapes"], header["digests"]))
+                if held_digests.get(g, {}).get(name) != digest or list(held[g][name].shape) != shape]
+
+    header, arrays = read_container(path, _CKPT_MAGIC, "checkpoint", CheckpointError, _CKPT_FIELDS, select)
+    seed, config, manifest = checked
+    tensors, digests = iter(arrays), iter(header["digests"])
+    groups: dict[str, dict[str, Tensor]] = {}
+    recorded: dict[str, dict[str, str]] = {}
+    for gname, names in manifest:
+        groups[gname], recorded[gname] = {}, {}
+        for name in names:
+            a, recorded[gname][name] = next(tensors), next(digests)
+            groups[gname][name] = held[gname][name] if a is None else Tensor(a)
+    meta = {"vocab_hash": header["vocab_hash"], "seed": seed, "digest": header["digest"], "digests": recorded}
     return ModelParams(config=config, **groups), meta

@@ -198,6 +198,8 @@ def test_pipeline_chains_each_stage_to_the_checkpoint_its_source_stage_writes(tm
     calls = []
     monkeypatch.setattr(pipeline, "kwbias_main", lambda argv: calls.append(argv) or 0)
     monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--root", str(tmp_path), "--steps-scale", "0.001"])
+    (tmp_path / "data").mkdir()  # the transcripts gen-data would write; the keywords come from line 1
+    (tmp_path / "data" / "test.txt").write_text("alpha beta gamma\ndelta\n", encoding="utf-8")
     pipeline.main()
     parsed = {argv[0]: cli.build_parser().parse_args(argv) for argv in calls}
     assert len(parsed) == len(calls)
@@ -214,6 +216,12 @@ def test_pipeline_chains_each_stage_to_the_checkpoint_its_source_stage_writes(tm
     assert [evaluate.base_ckpt, evaluate.ft_ckpt, evaluate.pt_ckpt, evaluate.kws_ckpt] == [
         str(written[role]) for role in ("base", "ft", "pt", "kws")]
     assert parsed["attn-export"].pt_ckpt == str(written["pt"])
+    # the last call reads one record of test.ds and the spotter against the decoding checkpoint
+    transcribe = parsed["transcribe"]
+    assert calls[-1][0] == "transcribe"
+    assert (Path(transcribe.data), transcribe.index) == (tmp_path / "data", 0)
+    assert [transcribe.ckpt, transcribe.kws_ckpt] == [str(written["pt"]), str(written["kws"])]
+    assert transcribe.keywords == "alpha,beta,gamma"
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +572,25 @@ def test_transcribe_encodes_once_when_the_spotter_shares_the_encoder(cli_world, 
     assert encodes == [1, 2]
 
 
+def _container_header(path: Path) -> tuple[int, dict]:
+    """(length, parsed JSON) of a container file's header."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    return length, json.loads(blob[16 : 16 + length])
+
+
+def _checkpoint_arrays(header: dict) -> dict[tuple[str, str], tuple[int, str]]:
+    """(group, name) -> (payload bytes, digest) of every tensor a checkpoint header records."""
+    slots = [(g, name) for g in ("encoder", "decoder", "kws", "prefix") for name in header["groups"][g]]
+    return {slot: (8 * math.prod(shape), digest)
+            for slot, shape, digest in zip(slots, header["shapes"], header["digests"], strict=True)}
+
+
 def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path, monkeypatch):
     """Provenance comes from the digests the loaders verified: no input file
-    is opened twice, and sha256 sees no more bytes than the inputs hold."""
+    is opened twice, and sha256 sees only the decoding checkpoint, the
+    header and differing tensors of the spotter's, the header and record 0
+    of test.ds, and the two text files."""
     _, data, asr, kws, _ = cli_world
     word = (data / "test.txt").read_text().split()[0]
     opened = Counter()
@@ -601,7 +625,16 @@ def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path
     monkeypatch.undo()
     inputs = [asr / "base-asr.ckpt", kws / "kws.ckpt", data / "test.ds", data / "test.txt", data / "vocab.tsv"]
     assert opened == Counter({str(path): 1 for path in inputs})
-    assert hashed[0] <= sum(path.stat().st_size for path in inputs)
+    kws_header_len, kws_header = _container_header(kws / "kws.ckpt")
+    decoder_arrays = _checkpoint_arrays(_container_header(asr / "base-asr.ckpt")[1])
+    spotter_only = sum(n for slot, (n, digest) in _checkpoint_arrays(kws_header).items()
+                       if decoder_arrays.get(slot, (None, None))[1] != digest)
+    assert spotter_only > 0  # the trained keyword head
+    ds_header_len, ds_header = _container_header(data / "test.ds")
+    bound = ((asr / "base-asr.ckpt").stat().st_size + kws_header_len + spotter_only
+             + ds_header_len + 8 * math.prod(ds_header["shapes"][0])
+             + (data / "test.txt").stat().st_size + (data / "vocab.tsv").stat().st_size)
+    assert hashed[0] <= bound
 
 
 def _write_wav(path, seconds=0.5, rate=16000):

@@ -2,9 +2,11 @@
 
 The payload is read into one float64 buffer; the arrays are views of it.
 A header may declare any shape, so lengths are checked against the file
-size before anything is allocated.
+size before anything is allocated, once the header digest says the header
+is the one written.
 """
 
+import hashlib
 import json
 import struct
 
@@ -55,10 +57,28 @@ def test_a_trailing_byte_is_a_truncated_error(tmp_path):
 
 
 def test_a_huge_declared_shape_fails_as_truncated_not_memory_error(tmp_path):
-    header = json.dumps({"n_mels": 4, "spec_hash": "0" * 64, "contains_jargon": [0],
-                         "shapes": [[2**40]], "digest": "0" * 64}).encode()
+    fields = {"n_mels": 4, "spec_hash": "0" * 64, "contains_jargon": [0],
+              "shapes": [[2**40]], "digests": ["0" * 64]}
+    # a valid header digest, so the reader trusts the declared shape and the size check fires
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    header = json.dumps({**fields, "digest": digest}).encode()
     path = tmp_path / "huge.ds"
     path.write_bytes(b"KWBDS001" + struct.pack("<Q", len(header)) + header + bytes(16))
     (tmp_path / "huge.txt").write_text("one\n", encoding="utf-8")
     with pytest.raises(SynthError, match=rf"huge\.ds: truncated dataset: 16 payload bytes, expected {8 * 2**40}$"):
         dataset_load(path)
+
+
+def test_a_signed_header_with_a_digest_per_shape_missing_is_corrupt(tmp_path):
+    """The header digest is sound, so only the count check can catch it."""
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC, {"name": "x"}, [np.ones(2), np.zeros(3)])
+    blob = path.read_bytes()
+    end = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    fields = {k: v for k, v in json.loads(blob[16:end]).items() if k != "digest"}
+    fields["digests"] = fields["digests"][:1]
+    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+    header = json.dumps({**fields, "digest": hashlib.sha256(canonical).hexdigest()}).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + blob[end:])
+    with pytest.raises(ReadError, match=r"c\.bin: corrupt test header: 1 digests for 2 shapes$"):
+        _read(path)

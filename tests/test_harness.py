@@ -236,6 +236,24 @@ def test_missing_checkpoint_for_condition(tiny_world):
         evaluate_conditions(["pt"], partial, stack["kws"], splits["test"], ctx)
 
 
+def test_every_condition_is_checked_before_any_is_scored(tiny_world, monkeypatch):
+    splits, _, _, stack, ctx = tiny_world
+    scored = []
+    monkeypatch.setattr(harness, "evaluate_condition", lambda condition, *args, **kwargs: scored.append(condition))
+    cases = [
+        (["baseline", "pt"], {"base": stack["base"]}, stack["kws"], "^condition 'pt' needs the 'pt' checkpoint$"),
+        (["baseline", "pt"], stack, None, "^condition 'pt' needs a keyword-spotter checkpoint$"),
+        (["baseline", "pt-oracle"], {**stack, "pt": stack["base"]}, None, "'pt-oracle' needs a prompt-tuned"),
+        (["baseline", "zero-shot"], stack, stack["kws"], "unknown condition 'zero-shot'"),
+    ]
+    for conditions, checkpoints, kws_params, message in cases:
+        with pytest.raises(EvalError, match=message):
+            evaluate_conditions(conditions, checkpoints, kws_params, splits["test"], ctx)
+    assert scored == []
+    evaluate_conditions(["baseline", "pt"], stack, stack["kws"], splits["test"], ctx)
+    assert scored == ["baseline", "pt"]
+
+
 def test_reports_are_deterministic_and_well_formed(tiny_world, tmp_path):
     splits, _, _, stack, ctx = tiny_world
     reports = evaluate_conditions(

@@ -585,7 +585,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     checkpoint_save(path, params, "v" * 64, seed=16)
     # the file format is fixed: any change to a written byte shows here
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "e12d697ed1bc0ed49c8b96c29c5925ea61cb4bd307894454e3e695bb9fac0f4a"
+        "9c2b84bfc60d6bc04a19b73be1c614c079dc53d06c959e95ac2422b97bb9cdd6"
     )
     loaded, _ = checkpoint_load(path, "v" * 64)
     assert loaded.prefix["q"].shape == (3, MODEL.d_model)
