@@ -14,6 +14,7 @@ from pathlib import Path
 
 from kwbias.cli import TRAIN_COMMANDS, main as kwbias_main
 from kwbias.config import ConfigError, RunConfig
+from kwbias.synth import dataset_load
 from kwbias.training import stage_for
 
 
@@ -56,7 +57,7 @@ def main() -> None:
          "--pt-ckpt", str(ckpts["pt"]), "--limit", "12", *common])
     # one request of the serving path: it reads only utterance 0 of test.ds, and
     # only the spotter tensors that differ from the prompt-tuned model's
-    words = (data / "test.txt").read_text(encoding="utf-8").splitlines()[0].split()
+    words = dataset_load(data / "test.ds", 0)[0].text.split()
     run(["transcribe", "--data", str(data), "--index", "0", "--out", str(root / "transcribe"),
          "--ckpt", str(ckpts["pt"]), "--kws-ckpt", str(ckpts["kws"]), "--keywords", ",".join(words), *common])
     print(f"\nartifacts under {root}/")

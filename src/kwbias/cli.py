@@ -8,7 +8,8 @@ subcommand resolves its configuration (file < flags), runs, and writes
 `config.resolved` into the output directory, which is enough to rerun
 it bit-identically.  Its provenance lines record each input
 dataset and checkpoint with the container digest its loader verified,
-so no input is read or hashed a second time; a WAV or word-list input,
+so no input is read or hashed a second time; a dataset's digest covers
+its transcripts, which its header holds.  A WAV or word-list input,
 which has no container, is recorded with the sha256 of its bytes.
 """
 

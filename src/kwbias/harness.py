@@ -166,6 +166,9 @@ def _checked_condition(
     if role == "pt" and "q" not in params.prefix:
         raise EvalError(f"condition {condition!r} needs a prompt-tuned checkpoint, "
                         "but this one has no soft prefix")
+    if role != "pt" and "q" in params.prefix:
+        raise EvalError(f"condition {condition!r} decodes the {role!r} model, which has no soft prefix, "
+                        f"but this checkpoint carries one of {params.prefix['q'].shape[0]} rows")
     return role, source
 
 

@@ -389,11 +389,8 @@ def decoder_cache(params: ModelParams, u: Packed) -> DecoderCache:
         pair = []
         for a in (ad.affine_forward(x, w[f"l{i}.cross.wk"].data),
                   ad.affine_forward(x, w[f"l{i}.cross.wv"].data, w[f"l{i}.cross.bv"].data)):
-            if n == 1:
-                pair.append(a[None])
-            else:
-                pair.append(np.zeros((n, longest, a.shape[1])))
-                pair[-1][place] = a
+            pair.append(np.zeros((n, longest, a.shape[1])))
+            pair[-1][place] = a
         cross_kv.append(tuple(pair))
     mask = None
     if min(u.lengths) < longest:
@@ -429,12 +426,11 @@ def _decoder_step(
 
     Each layer writes the new rows' keys and values into slot b of the
     cache's fixed-capacity arrays in place, from row `cache.lengths[b]`
-    on.  A
-    call of one new row per sequence runs one batched masked attention
-    over the first max(lengths) rows of every slot and one over the
-    padded encoder rows; a call of several rows attends slot by slot.  The
-    last layer runs its query, attention, feed-forward and the final norm
-    on each sequence's last row only.
+    on.  A call of one new row per sequence runs one batched masked
+    attention over the first max(lengths) rows of every slot and one over
+    the padded encoder rows; a call of several rows attends slot by slot.
+    The last layer runs its query, attention, feed-forward and the final
+    norm on each sequence's last row only.
     """
     cfg = params.config
     w = {name: t.data for name, t in params.decoder.items()}
@@ -443,14 +439,12 @@ def _decoder_step(
     tokens, rows, positions, new = _decoder_rows(cfg, ids, old, 0 if prefix is None else len(prefix))
     longest, counts = max(new), [n - start for n, start in zip(new, old)]
     one_row = max(counts) == 1
+    write = (np.repeat(np.arange(slots), counts), rows)
     if one_row:
         # the rows are the slots, in order: slot b's row sits at rows[b] and sees the keys up to it
-        write = (np.arange(slots), rows)
         mask = (None if (rows == longest - 1).all()
                 else np.where(np.arange(longest) > rows[:, None], ad.HIDDEN_KEY, 0.0)[:, None, None])
         cross_mask = None if cache.cross_mask is None else cache.cross_mask[:slots]
-    else:
-        write = (np.repeat(np.arange(slots), counts), rows)
 
     def attend_each(x: np.ndarray, k: np.ndarray, v: np.ndarray, keys: Sequence[int], causal: bool) -> np.ndarray:
         # slot b's counts[b] query rows (one in the last layer) over its first keys[b] rows of k and v

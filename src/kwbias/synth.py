@@ -6,6 +6,10 @@ jargon word is acoustically confusable with one common word (its
 prototypes sit a small offset away from the common word's), so a decoder
 can only resolve it reliably from context, which is exactly the failure
 mode keyword prompting is meant to fix.
+
+A split is saved as one container file: the frames are its arrays, and
+the header holds each utterance's transcript and jargon flag, so the
+header digest verifies the transcripts along with everything else.
 """
 
 from __future__ import annotations
@@ -228,23 +232,19 @@ def generate_corpus(spec: SynthSpec) -> tuple[dict[str, list[Utterance]], WordBa
 
 
 def dataset_save(path: Path | str, utterances: list[Utterance], spec: SynthSpec) -> None:
-    """Frames in a container with header fields `n_mels`, `spec_hash`, one
-    `contains_jargon` flag per utterance and `transcripts_sha256`;
-    transcripts in a `.txt` sidecar whose bytes that hash covers, so the
-    container's digest identifies the transcripts too."""
-    path = Path(path)
-    transcripts = "".join(u.text + "\n" for u in utterances).encode("utf-8")
+    """Frames in a container with header fields `n_mels`, `spec_hash`, and
+    per utterance, in payload order, a `contains_jargon` flag and its
+    `transcripts` entry, so the container's digest covers the transcripts."""
     header = {
         "n_mels": spec.n_mels,
         "spec_hash": spec_hash(spec),
         "contains_jargon": [int(u.contains_jargon) for u in utterances],
-        "transcripts_sha256": hashlib.sha256(transcripts).hexdigest(),
+        "transcripts": [u.text for u in utterances],
     }
     write_container(path, _MAGIC, header, [u.frames for u in utterances])
-    path.with_suffix(".txt").write_bytes(transcripts)
 
 
-_DATASET_FIELDS = {"n_mels": int, "spec_hash": str, "contains_jargon": list}
+_DATASET_FIELDS = {"n_mels": int, "spec_hash": str, "contains_jargon": list, "transcripts": list}
 
 
 class DatasetIndexError(SynthError):
@@ -258,21 +258,23 @@ class DatasetIndexError(SynthError):
 def dataset_load(path: Path | str, index: int | None = None) -> tuple[list[Utterance] | Utterance, str]:
     """(utterances, digest), or with `index` (that utterance, digest).
 
-    The digest is the header's, which the reader verified; it identifies
-    the whole dataset, transcripts included, since the header records the
-    `transcripts_sha256` the sidecar is checked against.  With `index`
-    only that utterance's frames are read and checked against their
-    digest, and an index outside the dataset is a `DatasetIndexError`
-    before any frame is read.  Either way every header shape must be
-    (T, n_mels)."""
+    Texts and flags come from the header, which the reader verified; its
+    digest identifies the whole dataset, transcripts included.  Before any
+    frame is read, every header shape must be (T, n_mels), `transcripts`
+    and `contains_jargon` must hold one entry per shape, every transcript
+    must be a string, and an `index` outside the dataset is a
+    `DatasetIndexError`.  With `index` only that utterance's frames are
+    read and checked against their digest."""
     path = Path(path)
 
     def select(header: dict) -> range:
-        n_mels, shapes = header["n_mels"], header["shapes"]
+        n_mels, shapes, texts = header["n_mels"], header["shapes"], header["transcripts"]
         if n_mels < 1 or any(len(s) != 2 or s[1] != n_mels for s in shapes):
             raise SynthError(f"{path}: corrupt dataset header: every utterance must be (T, n_mels), n_mels >= 1")
-        if len(header["contains_jargon"]) != len(shapes):
+        if not len(texts) == len(header["contains_jargon"]) == len(shapes):
             raise SynthError(f"{path}: manifest count mismatch")
+        if not set(map(type, texts)) <= {str}:
+            raise SynthError(f"{path}: corrupt dataset header: every transcript must be a string")
         if index is None:
             return range(len(shapes))
         if not 0 <= index < len(shapes):
@@ -280,18 +282,9 @@ def dataset_load(path: Path | str, index: int | None = None) -> tuple[list[Utter
         return range(index, index + 1)
 
     header, frames = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS, select)
-    sidecar = path.with_suffix(".txt")
-    transcripts = sidecar.read_bytes()
-    recorded = header.get("transcripts_sha256")
-    if recorded is None:
-        raise SynthError(f"{path}: no transcripts_sha256 in the dataset header: regenerate the data with gen-data")
-    if hashlib.sha256(transcripts).hexdigest() != recorded:
-        raise SynthError(f"{sidecar}: transcripts do not match the transcripts_sha256 recorded in {path.name}")
-    texts = transcripts.decode("utf-8").splitlines()
-    if len(texts) != len(frames):
-        raise SynthError(f"{sidecar}: transcript count {len(texts)} != manifest {len(frames)}")
     utterances = [Utterance(frames=f, text=text, contains_jargon=bool(flag))
-                  for f, flag, text in zip(frames, header["contains_jargon"], texts) if f is not None]
+                  for f, flag, text in zip(frames, header["contains_jargon"], header["transcripts"])
+                  if f is not None]
     return (utterances if index is None else utterances[0]), header["digest"]
 
 

@@ -31,7 +31,7 @@ from kwbias.config import ConfigError, RunConfig, parse_config, resolved_text, w
 from kwbias.harness import evaluate_conditions, make_eval_context
 from kwbias.metrics import WerBreakdown, compute_wer, keyword_f1
 from kwbias.model import ModelConfig
-from kwbias.synth import SynthSpec, dataset_load, dataset_save
+from kwbias.synth import SynthSpec, Utterance, dataset_load, dataset_save
 from kwbias.text import Vocab, normalize
 from kwbias.training import MODES, STAGES, TrainConfig, checkpoint_load, checkpoint_save, stage_for
 
@@ -198,8 +198,10 @@ def test_pipeline_chains_each_stage_to_the_checkpoint_its_source_stage_writes(tm
     calls = []
     monkeypatch.setattr(pipeline, "kwbias_main", lambda argv: calls.append(argv) or 0)
     monkeypatch.setattr(sys, "argv", ["run_pipeline.py", "--root", str(tmp_path), "--steps-scale", "0.001"])
-    (tmp_path / "data").mkdir()  # the transcripts gen-data would write; the keywords come from line 1
-    (tmp_path / "data" / "test.txt").write_text("alpha beta gamma\ndelta\n", encoding="utf-8")
+    # the test split gen-data would write; the keywords come from utterance 0
+    (tmp_path / "data").mkdir()
+    dataset_save(tmp_path / "data" / "test.ds", [Utterance(np.zeros((1, SynthSpec().n_mels)), text, False)
+                                                 for text in ("alpha beta gamma", "delta")], SynthSpec())
     pipeline.main()
     parsed = {argv[0]: cli.build_parser().parse_args(argv) for argv in calls}
     assert len(parsed) == len(calls)
@@ -257,10 +259,10 @@ def cli_world(tmp_path_factory):
 
 def test_gen_data_outputs(cli_world):
     _, data, *_ = cli_world
-    for name in ("train.ds", "train.txt", "dev.ds", "test.ds", "vocab.tsv",
-                 "words.json", "config.resolved"):
+    for name in ("train.ds", "dev.ds", "test.ds", "vocab.tsv", "words.json", "config.resolved"):
         assert (data / name).exists(), name
-    assert len((data / "train.txt").read_text().splitlines()) == 40
+    assert list(data.glob("*.txt")) == []  # the transcripts live in each split's header
+    assert len(dataset_load(data / "train.ds")[0]) == 40
 
 
 def test_training_stages_write_checkpoint_metrics_provenance(cli_world):
@@ -401,15 +403,17 @@ def test_an_edited_reference_transcript_fails_the_request(cli_world, capsys, tmp
     _, data, asr, *_ = cli_world
     edited = tmp_path / "data"
     shutil.copytree(data, edited)
-    texts = (edited / "test.txt").read_text(encoding="utf-8").splitlines()
-    texts[0] += " " + texts[0].split()[0]
-    (edited / "test.txt").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    blob = (edited / "test.ds").read_bytes()
+    length, header = _container_header(edited / "test.ds")
+    header["transcripts"][0] += " " + header["transcripts"][0].split()[0]  # the recorded digest stays
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    (edited / "test.ds").write_bytes(blob[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes
+                                     + blob[16 + length :])
     rc = main(["transcribe", "--data", str(edited), "--index", "0", "--ckpt", str(asr / "base-asr.ckpt"),
                "--out", str(tmp_path / "tr"), *TINY_OVERRIDES])
     assert rc == 2
     err = capsys.readouterr().err.strip()
-    assert err == (f"SynthError: {edited / 'test.txt'}: transcripts do not match the transcripts_sha256 "
-                   f"recorded in test.ds")
+    assert err == f"SynthError: {edited / 'test.ds'}: dataset header digest mismatch: file is corrupt"
 
 
 @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
@@ -473,7 +477,7 @@ def test_transcribe_rejects_index_outside_test_split(cli_world, capsys, tmp_path
 
 def test_transcribe_with_too_long_a_keyword_prompt_is_a_single_line_error(cli_world, capsys, tmp_path):
     _, data, asr, *_ = cli_world
-    words = sorted(set((data / "train.txt").read_text().split()))
+    words = sorted({w for u in dataset_load(data / "train.ds")[0] for w in u.text.split()})
     keywords = ",".join(a + b for a in words for b in words[:4])  # far beyond max_tgt_len
     rc = main(["transcribe", "--data", str(data), "--index", "0", "--ckpt", str(asr / "base-asr.ckpt"),
                "--keywords", keywords, "--out", str(tmp_path / "tr"), *TINY_OVERRIDES])
@@ -486,7 +490,7 @@ def test_transcribe_with_too_long_a_keyword_prompt_is_a_single_line_error(cli_wo
 
 def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):
     root, data, asr, kws, _ = cli_world
-    train_words = sorted(set((data / "train.txt").read_text().split()))
+    train_words = sorted({w for u in dataset_load(data / "train.ds")[0] for w in u.text.split()})
     spoken = dataset_load(data / "test.ds")[0][0].text.split()
     present = next(w for w in spoken if w in train_words)
     absent = next(w for w in train_words if w not in spoken)
@@ -590,9 +594,9 @@ def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path
     """Provenance comes from the digests the loaders verified: no input file
     is opened twice, and sha256 sees only the decoding checkpoint, the
     header and differing tensors of the spotter's, the header and record 0
-    of test.ds, and the two text files."""
+    of test.ds, and the vocabulary."""
     _, data, asr, kws, _ = cli_world
-    word = (data / "test.txt").read_text().split()[0]
+    word = dataset_load(data / "test.ds", 0)[0].text.split()[0]
     opened = Counter()
     real_open = builtins.open
 
@@ -623,7 +627,7 @@ def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path
                  "--ckpt", str(asr / "base-asr.ckpt"), "--kws-ckpt", str(kws / "kws.ckpt"),
                  "--keywords", word, "--out", str(tmp_path / "tr"), *TINY_OVERRIDES]) == 0
     monkeypatch.undo()
-    inputs = [asr / "base-asr.ckpt", kws / "kws.ckpt", data / "test.ds", data / "test.txt", data / "vocab.tsv"]
+    inputs = [asr / "base-asr.ckpt", kws / "kws.ckpt", data / "test.ds", data / "vocab.tsv"]
     assert opened == Counter({str(path): 1 for path in inputs})
     kws_header_len, kws_header = _container_header(kws / "kws.ckpt")
     decoder_arrays = _checkpoint_arrays(_container_header(asr / "base-asr.ckpt")[1])
@@ -633,7 +637,7 @@ def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path
     ds_header_len, ds_header = _container_header(data / "test.ds")
     bound = ((asr / "base-asr.ckpt").stat().st_size + kws_header_len + spotter_only
              + ds_header_len + 8 * math.prod(ds_header["shapes"][0])
-             + (data / "test.txt").stat().st_size + (data / "vocab.tsv").stat().st_size)
+             + (data / "vocab.tsv").stat().st_size)
     assert hashed[0] <= bound
 
 
@@ -751,6 +755,18 @@ def test_evaluating_pt_oracle_on_a_base_checkpoint_is_a_single_line_error(cli_wo
     assert rc == 2
     assert capsys.readouterr().err.strip() == (
         "EvalError: condition 'pt-oracle' needs a prompt-tuned checkpoint, but this one has no soft prefix")
+    assert not (tmp_path / "eval" / "report.csv").exists()
+
+
+def test_evaluating_baseline_on_a_prompt_tuned_checkpoint_is_a_single_line_error(cli_world, capsys, tmp_path):
+    """Scored, pt's decoding would be reported as baseline, with 0 trained parameters."""
+    _, data, _, _, pt = cli_world
+    rc = main(["evaluate", "--data", str(data), "--out", str(tmp_path / "eval"), "--conditions", "baseline",
+               "--base-ckpt", str(pt / "pt.ckpt"), *TINY_OVERRIDES])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        "EvalError: condition 'baseline' decodes the 'base' model, which has no soft prefix, "
+        "but this checkpoint carries one of 12 rows")
     assert not (tmp_path / "eval" / "report.csv").exists()
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwbias.container import write_container
 from kwbias.errors import KwbiasError
 from kwbias.model import ModelConfig, init_params, init_prefix
 from kwbias.synth import SynthError, SynthSpec, dataset_load, dataset_save, generate_corpus, spec_hash
@@ -36,8 +37,6 @@ def saved(tmp_path_factory):
     params = init_params(MODEL, seed=3)
     init_prefix(params, 2, seed=3)
     checkpoint_save(root / "good.ckpt", params, "0" * 64, seed=3)
-    # a damaged dataset is read with the good transcript sidecar beside it
-    (root / "bad.txt").write_bytes((root / "good.txt").read_bytes())
     files = {
         "dataset": ((root / "good.ds").read_bytes(), root / "bad.ds", dataset_load),
         "checkpoint": ((root / "good.ckpt").read_bytes(), root / "bad.ckpt", checkpoint_load),
@@ -111,11 +110,22 @@ def _framed(magic: bytes, header: dict, payload: bytes) -> bytes:
 
 
 def test_files_in_the_earlier_header_layout_fail_naming_the_missing_field(tmp_path):
-    """Headers of the layout before `shapes` and `digest`: a manifest and counts."""
+    """Headers of the layout before `shapes` and `digest`, a manifest and
+    counts, and datasets of the layout with `digests` whose transcripts sat
+    in a sidecar file."""
     splits, _ = generate_corpus(SPEC)
     utts = splits["test"]
+    transcripts = "".join(u.text + "\n" for u in utts).encode("utf-8")
+    write_container(tmp_path / "sidecar.ds", b"KWBDS001", {
+        "n_mels": SPEC.n_mels,
+        "spec_hash": spec_hash(SPEC),
+        "contains_jargon": [int(u.contains_jargon) for u in utts],
+        "transcripts_sha256": hashlib.sha256(transcripts).hexdigest(),
+    }, [u.frames for u in utts])
+    with pytest.raises(SynthError, match=r"sidecar\.ds: corrupt dataset header: field 'transcripts' must be list$"):
+        dataset_load(tmp_path / "sidecar.ds")
+
     payload = b"".join(u.frames.astype("<f8").tobytes() for u in utts)
-    (tmp_path / "old.txt").write_text("".join(u.text + "\n" for u in utts), encoding="utf-8")
     (tmp_path / "old.ds").write_bytes(_framed(b"KWBDS001", {
         "n_utterances": len(utts),
         "n_mels": SPEC.n_mels,
@@ -123,7 +133,8 @@ def test_files_in_the_earlier_header_layout_fail_naming_the_missing_field(tmp_pa
         "frame_counts": [u.frames.shape[0] for u in utts],
         "contains_jargon": [int(u.contains_jargon) for u in utts],
     }, payload))
-    with pytest.raises(SynthError, match=r"old\.ds: corrupt dataset header: field 'shapes' must be list$"):
+    # the dataset's own fields are checked before the container's, and this one has no transcripts either
+    with pytest.raises(SynthError, match=r"old\.ds: corrupt dataset header: field 'transcripts' must be list$"):
         dataset_load(tmp_path / "old.ds")
 
     params = init_params(MODEL, seed=3)

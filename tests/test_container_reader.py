@@ -57,14 +57,13 @@ def test_a_trailing_byte_is_a_truncated_error(tmp_path):
 
 
 def test_a_huge_declared_shape_fails_as_truncated_not_memory_error(tmp_path):
-    fields = {"n_mels": 4, "spec_hash": "0" * 64, "contains_jargon": [0],
+    fields = {"n_mels": 4, "spec_hash": "0" * 64, "contains_jargon": [0], "transcripts": ["one"],
               "shapes": [[2**40]], "digests": ["0" * 64]}
     # a valid header digest, so the reader trusts the declared shape and the size check fires
     digest = hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     header = json.dumps({**fields, "digest": digest}).encode()
     path = tmp_path / "huge.ds"
     path.write_bytes(b"KWBDS001" + struct.pack("<Q", len(header)) + header + bytes(16))
-    (tmp_path / "huge.txt").write_text("one\n", encoding="utf-8")
     with pytest.raises(SynthError, match=rf"huge\.ds: truncated dataset: 16 payload bytes, expected {8 * 2**40}$"):
         dataset_load(path)
 

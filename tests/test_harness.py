@@ -244,6 +244,10 @@ def test_every_condition_is_checked_before_any_is_scored(tiny_world, monkeypatch
         (["baseline", "pt"], {"base": stack["base"]}, stack["kws"], "^condition 'pt' needs the 'pt' checkpoint$"),
         (["baseline", "pt"], stack, None, "^condition 'pt' needs a keyword-spotter checkpoint$"),
         (["baseline", "pt-oracle"], {**stack, "pt": stack["base"]}, None, "'pt-oracle' needs a prompt-tuned"),
+        # a prefixed model scored as ft would report pt's decoding under ft's name
+        (["baseline", "ft"], {**stack, "ft": stack["pt"]}, stack["kws"],
+         f"^condition 'ft' decodes the 'ft' model, which has no soft prefix, "
+         f"but this checkpoint carries one of {TINY.prefix_len} rows$"),
         (["baseline", "zero-shot"], stack, stack["kws"], "unknown condition 'zero-shot'"),
     ]
     for conditions, checkpoints, kws_params, message in cases:

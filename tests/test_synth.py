@@ -194,36 +194,27 @@ def _rewrite_dataset(path, edit) -> None:
 
 
 def test_transcript_count_mismatch_is_detected(tmp_path):
-    """The header records a one-line sidecar for ten utterances, digest and all."""
+    """The header holds one transcript fewer than it has utterances, digest and all."""
     splits, _ = generate_corpus(SMALL)
     path = tmp_path / "dev.ds"
     dataset_save(path, splits["dev"], SMALL)
-    one_line = b"only one line\n"
-    _rewrite_dataset(path, lambda h: h.update(transcripts_sha256=hashlib.sha256(one_line).hexdigest()))
-    path.with_suffix(".txt").write_bytes(one_line)
-    with pytest.raises(SynthError, match="transcript count"):
-        dataset_load(path)
+    _rewrite_dataset(path, lambda h: h["transcripts"].pop())
+    for index in (None, 0):
+        with pytest.raises(SynthError, match=r"dev\.ds: manifest count mismatch$"):
+            dataset_load(path, index)
 
 
-def test_edited_transcript_fails_against_the_recorded_sha256(tmp_path):
+def test_non_string_transcript_is_a_one_line_synth_error(tmp_path):
+    """Utterance 3's transcript is a number, digest and all; a load of
+    utterance 0, whose own transcript is sound, fails too."""
     splits, _ = generate_corpus(SMALL)
     path = tmp_path / "dev.ds"
     dataset_save(path, splits["dev"], SMALL)
-    sidecar = path.with_suffix(".txt")
-    texts = sidecar.read_text(encoding="utf-8").splitlines()
-    texts[0] += " " + texts[0].split()[0]  # same line count, one reference changed
-    sidecar.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
-    with pytest.raises(SynthError, match=r"dev\.txt: transcripts do not match the transcripts_sha256 recorded in dev\.ds$"):
-        dataset_load(path)
-
-
-def test_dataset_without_a_transcripts_sha256_must_be_regenerated(tmp_path):
-    splits, _ = generate_corpus(SMALL)
-    path = tmp_path / "dev.ds"
-    dataset_save(path, splits["dev"], SMALL)
-    _rewrite_dataset(path, lambda h: h.pop("transcripts_sha256"))
-    with pytest.raises(SynthError, match=r"dev\.ds: no transcripts_sha256 .*regenerate"):
-        dataset_load(path)
+    _rewrite_dataset(path, lambda h: h["transcripts"].__setitem__(3, 7))
+    for index in (None, 0):
+        with pytest.raises(SynthError) as info:
+            dataset_load(path, index)
+        assert str(info.value) == f"{path}: corrupt dataset header: every transcript must be a string"
 
 
 def test_word_bank_round_trip(tmp_path):
