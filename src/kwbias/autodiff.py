@@ -30,9 +30,10 @@ inside attention, is `softmax_forward` alone.  They work in place where
 they can, in an order that gives the textbook expressions' values bit
 for bit.
 
-An adjoint that builds a new gradient array for one input hands it over
-to be kept as that input's gradient; an array handed to several inputs
-is copied on first accumulation.
+Every adjoint hands each input a gradient of that input's shape.  One
+that builds a new gradient array for one input hands it over to be kept
+as that input's gradient; an array handed to several inputs is copied on
+first accumulation.
 
 Tensors hold no reference to their tape, so a graph lives as long as its
 tape: reference counting frees it once the `with Tape()` block is left.
@@ -130,18 +131,14 @@ def _record(out: Tensor, adjoint: Callable[[np.ndarray], None]) -> None:
 
 
 def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
-    """Add g to t's gradient.  With `own`, g is a new array its adjoint made
-    for t alone, so t may keep it; otherwise the adjoint may hand g, or a
-    view of it, to several inputs, and the first accumulation copies it."""
+    """Add g, which has t's shape, to t's gradient.  With `own`, g is a new
+    array its adjoint made for t alone, so t may keep it; otherwise the
+    adjoint may hand g, or a view of it, to several inputs, and the first
+    accumulation copies it."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        if own and g.shape == t.data.shape:
-            t.grad = g
-        else:
-            t.grad = np.array(g, dtype=np.float64)
-            if t.grad.shape != t.data.shape:
-                t.grad = np.broadcast_to(t.grad, t.data.shape).copy()
+        t.grad = g if own else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -315,12 +312,8 @@ def embedding(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.data.shape}")
-    if len(idx):
-        # numpy bounds for an index array, Python ones for a list: the
-        # cheaper for each (a decode step gathers a one-id list)
-        lo, hi = (idx.min(), idx.max()) if isinstance(ids, np.ndarray) else (min(ids), max(ids))
-        if lo < 0 or hi >= table.data.shape[0]:
-            raise ShapeError(f"embedding id out of range for table of {table.data.shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
+        raise ShapeError(f"embedding id out of range for table of {table.data.shape[0]} rows")
     out = _track(table.data[idx], (table,))
     if not out.requires_grad:
         return out

@@ -18,13 +18,14 @@ Reading checks the framing and the type of every header field the caller
 names, then the header digest, before it trusts anything the header says:
 that ``digests`` has one entry per shape, the shapes, and the header and
 payload lengths against the file size, all before it allocates anything.
-It then reads either every array, straight into one aligned float64
-buffer, or only a selection of arrays, each into its own buffer from its
-own offset; a selection may depend on the verified header.  Every array
-it returns has been checked against its digest, and no other payload byte
-is read.  A damaged or truncated file fails as the caller's `KwbiasError`
-subclass with one line that starts with the path, never as a `struct`,
-`numpy`, `KeyError`, `TypeError` or `MemoryError` traceback.
+It then reads the selected arrays, every one by default, each from its
+own offset into its own writable, C-contiguous float64 buffer, and checks
+each against its digest; a selection may depend on the verified header,
+and no other payload byte is read.  One size check after the reads fails
+a file that changed size while being read.  A damaged or truncated file
+fails as the caller's `KwbiasError` subclass with one line that starts
+with the path, never as a `struct`, `numpy`, `KeyError`, `TypeError` or
+`MemoryError` traceback.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ def read_container(
 
     `select(header)`, called with the verified header before any payload
     byte is read, may raise `error` and returns the indices of the arrays
-    to read; the others come back as None.  Without `select`, or when it
-    selects every array, the payload is read straight into one aligned
-    float64 buffer and the arrays are writable, C-contiguous views of it,
-    so a loaded checkpoint is trained in place.  Every array returned has
-    been checked against its entry in `header["digests"]`.
+    to read (default: every array); the others come back as None.  Each
+    array is read into its own writable, C-contiguous buffer, so a loaded
+    checkpoint is trained in place, and is checked against its entry in
+    `header["digests"]`.  A file whose size differs after the reads from
+    the size its lengths were checked against fails.
     """
     path = Path(path)
     with path.open("rb", buffering=0) as f:
@@ -120,22 +121,15 @@ def read_container(
         if payload_len != expected_len:
             raise error(f"{path}: truncated {kind}: {payload_len} payload bytes, expected {expected_len}")
         offsets = list(itertools.accumulate(counts, initial=0))  # in float64 elements
-        chosen = range(len(shapes)) if select is None else set(select(header))
+        chosen = range(len(shapes)) if select is None else sorted(set(select(header)))
         arrays: list[np.ndarray | None] = [None] * len(shapes)
-        if len(chosen) == len(shapes):
-            buf = np.empty(expected_len // 8, dtype="<f8")
-            got = f.readinto(buf)
-            if got != expected_len or f.read(1):
+        for i in chosen:
+            arrays[i] = np.empty(shapes[i], dtype="<f8")
+            f.seek(off + header_len + 8 * offsets[i])
+            if f.readinto(arrays[i]) != 8 * counts[i]:
                 raise error(f"{path}: {kind} changed size while being read")
-            for i, shape in enumerate(shapes):
-                arrays[i] = buf[offsets[i] : offsets[i + 1]].reshape(shape)
-        else:
-            for i in sorted(chosen):
-                arrays[i] = np.empty(shapes[i], dtype="<f8")
-                f.seek(off + header_len + 8 * offsets[i])
-                if f.readinto(arrays[i]) != 8 * counts[i]:
-                    raise error(f"{path}: {kind} changed size while being read")
-    for i, a in enumerate(arrays):
-        if a is not None and hashlib.sha256(a).hexdigest() != digests[i]:
-            raise error(f"{path}: {kind} digest mismatch in array {i}: file is corrupt")
+            if hashlib.sha256(arrays[i]).hexdigest() != digests[i]:
+                raise error(f"{path}: {kind} digest mismatch in array {i}: file is corrupt")
+        if os.fstat(f.fileno()).st_size != size:
+            raise error(f"{path}: {kind} changed size while being read")
     return header, arrays

@@ -262,9 +262,9 @@ def dataset_load(path: Path | str, index: int | None = None) -> tuple[list[Utter
     digest identifies the whole dataset, transcripts included.  Before any
     frame is read, every header shape must be (T, n_mels), `transcripts`
     and `contains_jargon` must hold one entry per shape, every transcript
-    must be a string, and an `index` outside the dataset is a
-    `DatasetIndexError`.  With `index` only that utterance's frames are
-    read and checked against their digest."""
+    must be a string and every flag the int 0 or 1, and an `index`
+    outside the dataset is a `DatasetIndexError`.  With `index` only that
+    utterance's frames are read and checked against their digest."""
     path = Path(path)
 
     def select(header: dict) -> range:
@@ -275,6 +275,9 @@ def dataset_load(path: Path | str, index: int | None = None) -> tuple[list[Utter
             raise SynthError(f"{path}: manifest count mismatch")
         if not set(map(type, texts)) <= {str}:
             raise SynthError(f"{path}: corrupt dataset header: every transcript must be a string")
+        flags = header["contains_jargon"]
+        if not (set(map(type, flags)) <= {int} and set(flags) <= {0, 1}):
+            raise SynthError(f"{path}: corrupt dataset header: every contains_jargon entry must be 0 or 1")
         if index is None:
             return range(len(shapes))
         if not 0 <= index < len(shapes):

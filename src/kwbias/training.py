@@ -362,7 +362,7 @@ def _checked_header(path: Path, header: dict, expected_vocab_hash: str | None) -
     """(seed, config, manifest) of a checkpoint header, once its seed, vocabulary
     hash, config and manifest are found sound."""
     seed = header["rng"].get("seed")
-    if not isinstance(seed, int):
+    if type(seed) is not int:  # bool is an int subclass
         raise CheckpointError(f"{path}: corrupt checkpoint header: rng seed must be int")
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
         raise CheckpointError(

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwbias.container import write_container
+from kwbias import synth, training
+from kwbias.container import read_container, write_container
 from kwbias.errors import KwbiasError
 from kwbias.model import ModelConfig, init_params, init_prefix
 from kwbias.synth import SynthError, SynthSpec, dataset_load, dataset_save, generate_corpus, spec_hash
@@ -271,6 +272,41 @@ def test_a_tensor_of_equal_bytes_but_another_shape_is_read_not_reused(tmp_path):
     reused, meta = checkpoint_load(tmp_path / "swapped.ckpt", reuse=checkpoint_load(tmp_path / "held.ckpt"))
     assert meta["digests"]["encoder"]["l0.ff.w1"] == hashlib.sha256(held.encoder["l0.ff.w1"].data).hexdigest()
     assert reused.encoder["l0.ff.w1"].shape == (MODEL.d_ff, MODEL.d_model)
+
+
+def _grow_during_loads(monkeypatch) -> None:
+    """Make dataset and checkpoint loads append 8 bytes to the file from
+    inside `select`: after the reader took its size, before any payload read."""
+
+    def read(path, magic, kind, error, fields, select):
+        def grow_then_select(header):
+            with open(path, "ab") as f:
+                f.write(bytes(8))
+            return select(header)
+
+        return read_container(path, magic, kind, error, fields, grow_then_select)
+
+    monkeypatch.setattr(synth, "read_container", read)
+    monkeypatch.setattr(training, "read_container", read)
+
+
+@pytest.mark.parametrize("index", [None, 0], ids=["full", "one-record"])
+def test_a_dataset_that_grows_while_being_read_fails(saved, monkeypatch, index):
+    blob, path, _ = saved["dataset"]
+    path.write_bytes(blob)
+    _grow_during_loads(monkeypatch)
+    with pytest.raises(SynthError, match=r"bad\.ds: dataset changed size while being read$"):
+        dataset_load(path, index)
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["full", "one-tensor"])
+def test_a_checkpoint_that_grows_while_being_read_fails(spotter_pair, monkeypatch, reuse):
+    """Loaded against the recognizer, the spotter reads one tensor."""
+    recognizer_path, spotter_path, _ = spotter_pair
+    held = checkpoint_load(recognizer_path) if reuse else None
+    _grow_during_loads(monkeypatch)
+    with pytest.raises(CheckpointError, match=r"spotter\.ckpt: checkpoint changed size while being read$"):
+        checkpoint_load(spotter_path, reuse=held)
 
 
 def _parent_layout(blob: bytes) -> bytes:

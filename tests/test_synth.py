@@ -217,6 +217,24 @@ def test_non_string_transcript_is_a_one_line_synth_error(tmp_path):
         assert str(info.value) == f"{path}: corrupt dataset header: every transcript must be a string"
 
 
+@pytest.mark.parametrize("flags", [["no", None], [2, 0], [True, False]], ids=["string-and-null", "two", "bools"])
+def test_a_jargon_flag_other_than_int_0_or_1_is_a_one_line_synth_error(tmp_path, flags):
+    """The first two flags are rewritten, digest and all, and the payload's
+    last byte is flipped: only a check made before any frame is read can
+    name the flags."""
+    splits, _ = generate_corpus(SMALL)
+    path = tmp_path / "dev.ds"
+    dataset_save(path, splits["dev"], SMALL)
+    _rewrite_dataset(path, lambda h: h["contains_jargon"].__setitem__(slice(0, 2), flags))
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 1
+    path.write_bytes(bytes(blob))
+    for index in (None, 0):
+        with pytest.raises(SynthError) as info:
+            dataset_load(path, index)
+        assert str(info.value) == f"{path}: corrupt dataset header: every contains_jargon entry must be 0 or 1"
+
+
 def test_word_bank_round_trip(tmp_path):
     _, bank = generate_corpus(SMALL)
     path = tmp_path / "words.json"

@@ -357,6 +357,27 @@ def test_loss_decreases_over_200_steps_in_every_mode(corpus):
         assert last_ema < first, f"{mode}: EMA {last_ema} !< first {first}"
 
 
+def test_every_adjoint_hands_each_input_a_gradient_of_that_inputs_shape(corpus, monkeypatch):
+    """`_accum` keeps or copies a gradient as it comes and never broadcasts
+    it: in one taped batch of each training mode, `pt` with a soft prefix,
+    every gradient an adjoint accumulates has its input's shape."""
+    splits, _, vocab = corpus
+    params = init_params(MODEL, seed=8)
+    accum, pairs = ad._accum, []
+
+    def recording(t, g, own=False):
+        pairs.append((t.data.shape, np.shape(g)))
+        accum(t, g, own)
+
+    monkeypatch.setattr(ad, "_accum", recording)
+    for mode in ("base-asr", "kws", "ft", "pt"):
+        pairs.clear()
+        train_run(TrainConfig(mode=mode, steps=1, learning_rate=1e-3, batch_size=4, seed=8),
+                  splits["train"], vocab, params)
+        assert pairs and all(shape == g_shape for shape, g_shape in pairs), mode
+    assert "q" in params.prefix
+
+
 @pytest.mark.parametrize("seed", [6, 7])
 def test_prefix_gradients_descend_on_a_fixed_batch(corpus, seed):
     # prompt tuning alone, on an untrained model: Adam on the prefix rows
@@ -560,6 +581,22 @@ def test_checkpoint_manifest_must_cover_the_payload(tmp_path, corpus):
     write_container(path, b"KWBCKPT1", header, arrays)  # a valid digest, so the manifest check fires
     with pytest.raises(CheckpointError, match=r"\.ckpt: corrupt checkpoint header: manifest"):
         checkpoint_load(path)
+
+
+def test_a_checkpoint_whose_rng_seed_is_a_json_flag_fails_at_load(tmp_path, corpus):
+    _, _, vocab = corpus
+    path = tmp_path / "s.ckpt"
+    checkpoint_save(path, init_params(MODEL, seed=14), vocab.content_hash, seed=1)
+    header, arrays = read_container(path, b"KWBCKPT1", "checkpoint", CheckpointError, {})
+    del header["digest"]
+    header["rng"]["seed"] = True
+    write_container(path, b"KWBCKPT1", header, arrays)  # a valid digest, so the seed check fires
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 1  # read last, so only a check made before the payload names the seed
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError) as info:
+        checkpoint_load(path)
+    assert str(info.value) == f"{path}: corrupt checkpoint header: rng seed must be int"
 
 
 @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
