@@ -9,8 +9,11 @@ subcommand resolves its configuration (file < flags), runs, and writes
 it bit-identically.  Its provenance lines record each input
 dataset and checkpoint with the container digest its loader verified,
 so no input is read or hashed a second time; a dataset's digest covers
-its transcripts, which its header holds.  A WAV or word-list input,
-which has no container, is recorded with the sha256 of its bytes.
+its transcripts, which its header holds.  `evaluate` and `attn-export`
+use `train.ds` only for its transcripts (the tf-idf table behind every
+keyword draw), so they record it by its verified header digest and never
+read its frames.  A WAV or word-list input, which has no container, is
+recorded with the sha256 of its bytes.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .synth import (
     DatasetIndexError,
     dataset_load,
     dataset_save,
+    dataset_transcripts,
     generate_corpus,
     word_bank_load_words,
     word_bank_save,
@@ -90,14 +94,16 @@ def _load_checkpoint(path: Path | str, vocab: Vocab, reuse=None):
     return params, meta, (Path(path), f"digest={meta['digest']}")
 
 
-def _load_data(data_dir: Path | str, splits: tuple[str, ...]):
-    """The vocabulary, then per split its utterances and, as `<split>-data`, its source."""
+def _load_data(data_dir: Path | str, splits: tuple[str, ...], header_only: tuple[str, ...] = ()):
+    """The vocabulary, then per split its utterances, or for a split named in
+    `header_only` just its transcripts, read from the verified header
+    without a frame, and, as `<split>-data`, its source."""
     data_dir = Path(data_dir)
     vocab = Vocab.load(data_dir / "vocab.tsv")
     sets, sources = {}, {}
     for name in splits:
         path = data_dir / f"{name}.ds"
-        sets[name], digest = dataset_load(path)
+        sets[name], digest = (dataset_transcripts if name in header_only else dataset_load)(path)
         sources[f"{name}-data"] = (path, f"digest={digest}")
     return vocab, sets, sources
 
@@ -164,7 +170,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if repeated:
         raise ConfigError(f"--conditions names {', '.join(repeated)} more than once: {args.conditions!r}")
     out = _out_dir(args)
-    vocab, sets, sources = _load_data(args.data, ("train", "test"))
+    vocab, sets, sources = _load_data(args.data, ("train", "test"), header_only=("train",))
 
     inputs = sources  # train.ds fixes every keyword draw through its tf-idf table
     checkpoints = {}
@@ -175,7 +181,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.kws_ckpt is not None:
         kws_params, _, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab)
 
-    ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
+    ctx = make_eval_context(cfg, vocab, sets["train"])
     reports = evaluate_conditions(conditions, checkpoints, kws_params, sets["test"], ctx)
     write_reports(out, reports)
     write_resolved(out, cfg, _provenance("evaluate", inputs))
@@ -204,11 +210,11 @@ def cmd_attn_export(args: argparse.Namespace) -> int:
     extra = {"attn_layer": str(args.layer)} if args.layer is not None else {}
     cfg = _config(args, extra)
     out = _out_dir(args)
-    vocab, sets, sources = _load_data(args.data, ("train", "test"))
+    vocab, sets, sources = _load_data(args.data, ("train", "test"), header_only=("train",))
     params, _, pt_source = _load_checkpoint(args.pt_ckpt, vocab)
     words_path = Path(args.data) / "words.json"
     words, words_sha256 = word_bank_load_words(words_path)
-    ctx = make_eval_context(cfg, vocab, [u.text for u in sets["train"]])
+    ctx = make_eval_context(cfg, vocab, sets["train"])
     records = export_attention(params, sets["test"], ctx, words["jargon"], cfg.attn_layer,
                                limit=args.limit)
     attn_dir = out / "attn"

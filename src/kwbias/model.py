@@ -759,10 +759,13 @@ def param_count(group: dict[str, Tensor]) -> int:
 
 def same_encoder(a: ModelParams, b: ModelParams) -> bool:
     """Whether a and b encode every input identically: the same config and
-    the same encoder tensor names, shapes and values."""
+    the same encoder tensor names, shapes and values.  A tensor both models
+    hold, as a checkpoint loaded with `reuse` shares it, is equal without
+    an element-wise compare."""
     if a.config != b.config or a.encoder.keys() != b.encoder.keys():
         return False
-    return all(np.array_equal(t.data, b.encoder[name].data) for name, t in a.encoder.items())
+    return all(t is b.encoder[name] or np.array_equal(t.data, b.encoder[name].data)
+               for name, t in a.encoder.items())
 
 
 def param_group_hash(group: dict[str, Tensor]) -> str:

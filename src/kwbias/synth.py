@@ -195,7 +195,8 @@ def _make_utterance(spec: SynthSpec, bank: WordBank, rng: np.random.Generator) -
             words.insert(int(rng.integers(len(words) + 1)), bank.jargon[int(j)])
     frames = np.concatenate([bank.prototypes[w] for w in words], axis=0)
     if spec.noise_sigma > 0:
-        frames = frames + rng.normal(0.0, spec.noise_sigma, size=frames.shape)
+        # concatenate returns a fresh array, so the noise goes in place: no third array per utterance
+        frames += rng.normal(0.0, spec.noise_sigma, size=frames.shape)
     return Utterance(frames=frames, text=" ".join(words), contains_jargon=with_jargon)
 
 
@@ -255,33 +256,40 @@ class DatasetIndexError(SynthError):
         self.size = size
 
 
+def _check_header(path: Path, header: dict) -> int:
+    """The utterance count of a verified dataset header, after checking that
+    every shape is (T, n_mels), that `transcripts` and `contains_jargon`
+    hold one entry per shape, every transcript a string and every flag the
+    int 0 or 1."""
+    n_mels, shapes, texts = header["n_mels"], header["shapes"], header["transcripts"]
+    if n_mels < 1 or any(len(s) != 2 or s[1] != n_mels for s in shapes):
+        raise SynthError(f"{path}: corrupt dataset header: every utterance must be (T, n_mels), n_mels >= 1")
+    if not len(texts) == len(header["contains_jargon"]) == len(shapes):
+        raise SynthError(f"{path}: manifest count mismatch")
+    if not set(map(type, texts)) <= {str}:
+        raise SynthError(f"{path}: corrupt dataset header: every transcript must be a string")
+    flags = header["contains_jargon"]
+    if not (set(map(type, flags)) <= {int} and set(flags) <= {0, 1}):
+        raise SynthError(f"{path}: corrupt dataset header: every contains_jargon entry must be 0 or 1")
+    return len(shapes)
+
+
 def dataset_load(path: Path | str, index: int | None = None) -> tuple[list[Utterance] | Utterance, str]:
     """(utterances, digest), or with `index` (that utterance, digest).
 
     Texts and flags come from the header, which the reader verified; its
-    digest identifies the whole dataset, transcripts included.  Before any
-    frame is read, every header shape must be (T, n_mels), `transcripts`
-    and `contains_jargon` must hold one entry per shape, every transcript
-    must be a string and every flag the int 0 or 1, and an `index`
+    digest identifies the whole dataset, transcripts included.  The header
+    passes `_check_header` before any frame is read, and an `index`
     outside the dataset is a `DatasetIndexError`.  With `index` only that
     utterance's frames are read and checked against their digest."""
     path = Path(path)
 
     def select(header: dict) -> range:
-        n_mels, shapes, texts = header["n_mels"], header["shapes"], header["transcripts"]
-        if n_mels < 1 or any(len(s) != 2 or s[1] != n_mels for s in shapes):
-            raise SynthError(f"{path}: corrupt dataset header: every utterance must be (T, n_mels), n_mels >= 1")
-        if not len(texts) == len(header["contains_jargon"]) == len(shapes):
-            raise SynthError(f"{path}: manifest count mismatch")
-        if not set(map(type, texts)) <= {str}:
-            raise SynthError(f"{path}: corrupt dataset header: every transcript must be a string")
-        flags = header["contains_jargon"]
-        if not (set(map(type, flags)) <= {int} and set(flags) <= {0, 1}):
-            raise SynthError(f"{path}: corrupt dataset header: every contains_jargon entry must be 0 or 1")
+        size = _check_header(path, header)
         if index is None:
-            return range(len(shapes))
-        if not 0 <= index < len(shapes):
-            raise DatasetIndexError(path, index, len(shapes))
+            return range(size)
+        if not 0 <= index < size:
+            raise DatasetIndexError(path, index, size)
         return range(index, index + 1)
 
     header, frames = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS, select)
@@ -289,6 +297,23 @@ def dataset_load(path: Path | str, index: int | None = None) -> tuple[list[Utter
                   for f, flag, text in zip(frames, header["contains_jargon"], header["transcripts"])
                   if f is not None]
     return (utterances if index is None else utterances[0]), header["digest"]
+
+
+def dataset_transcripts(path: Path | str) -> tuple[list[str], str]:
+    """(transcripts, digest) of a dataset, from its header alone.
+
+    The header is verified against its digest and passes `dataset_load`'s
+    checks, and the payload length is checked against the file size, but
+    no frame is read or hashed: the digest is the one `dataset_load`
+    returns, since it covers the frames through their recorded digests."""
+    path = Path(path)
+
+    def select(header: dict) -> tuple[int, ...]:
+        _check_header(path, header)
+        return ()
+
+    header, _ = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS, select)
+    return header["transcripts"], header["digest"]
 
 
 def word_bank_save(path: Path | str, bank: WordBank) -> None:

@@ -12,6 +12,7 @@ from kwbias import autodiff as ad
 from kwbias.autodiff import Tape, Tensor, backward
 from kwbias.container import read_container, write_container
 from kwbias.rng import stream
+from kwbias.synth import SynthError
 from kwbias.text import RESERVED, Vocab, VocabError, _merge_pair, normalize
 from kwbias.training import CheckpointError, set_trainable, stage_for
 
@@ -129,6 +130,15 @@ def gradcheck_modes(params, loss_builders, n_coords=20, h=1e-5):
                 t.grad = None
         results[mode] = worst
     return results
+
+
+def rewrite_dataset(path, edit) -> None:
+    """Rewrite dataset `path` after `edit(header)` has changed its own header
+    fields; the copy carries a valid digest."""
+    header, frames = read_container(path, b"KWBDS001", "dataset", SynthError, {})
+    header = {k: v for k, v in header.items() if k not in ("digest", "shapes")}
+    edit(header)
+    write_container(path, b"KWBDS001", header, frames)
 
 
 _CKPT_GROUPS = ("encoder", "decoder", "kws", "prefix")

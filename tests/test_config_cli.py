@@ -35,7 +35,7 @@ from kwbias.synth import SynthSpec, Utterance, dataset_load, dataset_save
 from kwbias.text import Vocab, normalize
 from kwbias.training import MODES, STAGES, TrainConfig, checkpoint_load, checkpoint_save, stage_for
 
-from helpers import MALFORMED_CHECKPOINTS, rewrite_checkpoint
+from helpers import MALFORMED_CHECKPOINTS, rewrite_checkpoint, rewrite_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -308,6 +308,57 @@ def test_evaluate_records_both_splits_it_reads(cli_world, tmp_path):
     for split in ("train", "test"):
         digest = dataset_load(data / f"{split}.ds")[1]
         assert _input_line(out, f"{split}-data", data / f"{split}.ds", f"digest={digest}")
+
+
+def _header_only_flags(asr, kws, pt) -> dict[str, tuple[list[str], str]]:
+    """Per command that reads train.ds by its header alone, its flags and its main output."""
+    return {
+        "evaluate": (["--conditions", "baseline,pt", "--base-ckpt", str(asr / "base-asr.ckpt"),
+                      "--pt-ckpt", str(pt / "pt.ckpt"), "--kws-ckpt", str(kws / "kws.ckpt")], "report.csv"),
+        "attn-export": (["--pt-ckpt", str(pt / "pt.ckpt"), "--layer", "0", "--limit", "2"], "attn_summary.txt"),
+    }
+
+
+@pytest.mark.parametrize("command", ["evaluate", "attn-export"])
+def test_train_ds_is_read_by_its_header_alone(cli_world, tmp_path, monkeypatch, command):
+    """evaluate and attn-export take only train.ds's transcripts: they open it
+    once and sha256 sees no more of it than its header, yet their output and
+    config.resolved are byte-identical to a run that loads its frames."""
+    _, data, asr, kws, pt = cli_world
+    flags, output = _header_only_flags(asr, kws, pt)[command]
+    opened, hashed = _count_reads(monkeypatch)
+    assert main([command, "--data", str(data), "--out", str(tmp_path / "header"), *flags, *TINY_OVERRIDES]) == 0
+    monkeypatch.undo()
+    train = str(data / "train.ds")
+    header_len, header = _container_header(data / "train.ds")
+    assert opened[train] == 1
+    assert _signed_len(header) <= hashed[train] <= header_len
+
+    def full_load(path):
+        utts, digest = dataset_load(path)
+        return [u.text for u in utts], digest
+
+    monkeypatch.setattr(cli, "dataset_transcripts", full_load)
+    assert main([command, "--data", str(data), "--out", str(tmp_path / "full"), *flags, *TINY_OVERRIDES]) == 0
+    for name in (output, "config.resolved"):
+        assert (tmp_path / "header" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["transcripts"].__setitem__(0, 7), "corrupt dataset header: every transcript must be a string"),
+    (lambda h: h["contains_jargon"].__setitem__(0, 2),
+     "corrupt dataset header: every contains_jargon entry must be 0 or 1"),
+], ids=["transcript", "flag"])
+def test_a_corrupt_train_ds_header_fails_evaluate_as_one_synth_error_line(cli_world, capsys, tmp_path,
+                                                                           edit, message):
+    _, data, asr, *_ = cli_world
+    edited = tmp_path / "data"
+    shutil.copytree(data, edited)
+    rewrite_dataset(edited / "train.ds", edit)
+    rc = main(["evaluate", "--data", str(edited), "--out", str(tmp_path / "eval"), "--conditions", "baseline",
+               "--base-ckpt", str(asr / "base-asr.ckpt"), *TINY_OVERRIDES])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"SynthError: {edited / 'train.ds'}: {message}"
 
 
 def test_finetune_then_evaluate_the_ft_conditions(cli_world, tmp_path):
@@ -590,23 +641,19 @@ def _checkpoint_arrays(header: dict) -> dict[tuple[str, str], tuple[int, str]]:
             for slot, shape, digest in zip(slots, header["shapes"], header["digests"], strict=True)}
 
 
-def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path, monkeypatch):
-    """Provenance comes from the digests the loaders verified: no input file
-    is opened twice, and sha256 sees only the decoding checkpoint, the
-    header and differing tensors of the spotter's, the header and record 0
-    of test.ds, and the vocabulary."""
-    _, data, asr, kws, _ = cli_world
-    word = dataset_load(data / "test.ds", 0)[0].text.split()[0]
-    opened = Counter()
-    real_open = builtins.open
+def _count_reads(monkeypatch) -> tuple[Counter, Counter]:
+    """(opened, hashed): until `monkeypatch.undo()`, how often each file is
+    opened for reading, and how many bytes sha256 sees while each file is
+    the one opened last."""
+    opened, hashed = Counter(), Counter()
+    last = [None]
+    real_open, real_sha256 = builtins.open, hashlib.sha256
 
     def counted_open(file, mode="r", *args, **kwargs):
         if "r" in mode:
             opened[str(file)] += 1
+            last[0] = str(file)
         return real_open(file, mode, *args, **kwargs)
-
-    hashed = [0]
-    real_sha256 = hashlib.sha256
 
     class CountedSha256:
         def __init__(self, data=b""):
@@ -614,8 +661,11 @@ def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path
             self.update(data)
 
         def update(self, data):
-            hashed[0] += memoryview(data).nbytes
+            hashed[last[0]] += memoryview(data).nbytes
             self._h.update(data)
+
+        def digest(self):
+            return self._h.digest()
 
         def hexdigest(self):
             return self._h.hexdigest()
@@ -623,22 +673,43 @@ def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path
     monkeypatch.setattr(builtins, "open", counted_open)
     monkeypatch.setattr(io, "open", counted_open)
     monkeypatch.setattr(hashlib, "sha256", CountedSha256)
+    return opened, hashed
+
+
+def _signed_len(header: dict) -> int:
+    """Bytes a container's header digest covers: its fields but `digest`, as canonical JSON."""
+    return len(json.dumps({k: v for k, v in header.items() if k != "digest"},
+                          sort_keys=True, separators=(",", ":")).encode("utf-8"))
+
+
+def test_transcribe_request_reads_and_hashes_each_input_once(cli_world, tmp_path, monkeypatch):
+    """Provenance comes from the digests the loaders verified: no input file
+    is opened twice, and sha256 sees the decoding checkpoint, the header and
+    differing tensors of the spotter's, the header and record 0 of test.ds,
+    and the vocabulary, and nothing else.  The lower bound fails a loader
+    that skips a check it owes."""
+    _, data, asr, kws, _ = cli_world
+    word = dataset_load(data / "test.ds", 0)[0].text.split()[0]
+    opened, hashed = _count_reads(monkeypatch)
     assert main(["transcribe", "--data", str(data), "--index", "0",
                  "--ckpt", str(asr / "base-asr.ckpt"), "--kws-ckpt", str(kws / "kws.ckpt"),
                  "--keywords", word, "--out", str(tmp_path / "tr"), *TINY_OVERRIDES]) == 0
     monkeypatch.undo()
     inputs = [asr / "base-asr.ckpt", kws / "kws.ckpt", data / "test.ds", data / "vocab.tsv"]
     assert opened == Counter({str(path): 1 for path in inputs})
+    asr_header_len, asr_header = _container_header(asr / "base-asr.ckpt")
     kws_header_len, kws_header = _container_header(kws / "kws.ckpt")
-    decoder_arrays = _checkpoint_arrays(_container_header(asr / "base-asr.ckpt")[1])
+    decoder_arrays = _checkpoint_arrays(asr_header)
     spotter_only = sum(n for slot, (n, digest) in _checkpoint_arrays(kws_header).items()
                        if decoder_arrays.get(slot, (None, None))[1] != digest)
     assert spotter_only > 0  # the trained keyword head
     ds_header_len, ds_header = _container_header(data / "test.ds")
+    record0 = 8 * math.prod(ds_header["shapes"][0])
     bound = ((asr / "base-asr.ckpt").stat().st_size + kws_header_len + spotter_only
-             + ds_header_len + 8 * math.prod(ds_header["shapes"][0])
-             + (data / "vocab.tsv").stat().st_size)
-    assert hashed[0] <= bound
+             + ds_header_len + record0 + (data / "vocab.tsv").stat().st_size)
+    floor = (sum(n for n, _ in decoder_arrays.values()) + spotter_only + record0
+             + sum(map(_signed_len, (asr_header, kws_header, ds_header))))
+    assert floor <= sum(hashed.values()) <= bound
 
 
 def _write_wav(path, seconds=0.5, rate=16000):

@@ -21,7 +21,15 @@ from kwbias import synth, training
 from kwbias.container import read_container, write_container
 from kwbias.errors import KwbiasError
 from kwbias.model import ModelConfig, init_params, init_prefix
-from kwbias.synth import SynthError, SynthSpec, dataset_load, dataset_save, generate_corpus, spec_hash
+from kwbias.synth import (
+    SynthError,
+    SynthSpec,
+    dataset_load,
+    dataset_save,
+    dataset_transcripts,
+    generate_corpus,
+    spec_hash,
+)
 from kwbias.training import CheckpointError, checkpoint_load, checkpoint_save
 
 SPEC = SynthSpec(train_size=4, dev_size=2, test_size=2, n_mels=4, seed=3)
@@ -93,15 +101,17 @@ def test_payload_bit_flip_raises_kwbias_error(saved, kind, data):
 
 
 def test_every_dataset_header_bit_flip_raises_kwbias_error(saved):
+    """In a full load and in a header-only read."""
     blob, path, load = saved["dataset"]
     loaded = []
     for bit in range(8 * _header_end(blob)):
         path.write_bytes(_flip(blob, bit))
-        try:
-            load(path)
-        except KwbiasError:
-            continue
-        loaded.append(bit)
+        for read in (load, dataset_transcripts):
+            try:
+                read(path)
+            except KwbiasError:
+                continue
+            loaded.append((bit, read.__name__))
     assert loaded == []
 
 

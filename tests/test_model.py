@@ -669,6 +669,23 @@ def test_same_encoder_compares_config_and_every_encoder_tensor(params):
     assert not same_encoder(params, other_heads)
 
 
+def test_same_encoder_compares_only_the_tensors_the_models_do_not_share(params, monkeypatch):
+    """A spotter loaded with `reuse` holds the decoding model's very encoder
+    tensors; only a tensor of its own is compared element by element."""
+    compared = []
+    real_array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(a) or real_array_equal(a, b))
+    shared = params.clone()
+    shared.encoder = dict(params.encoder)
+    assert same_encoder(params, shared)
+    assert compared == []
+    shared.encoder["ln_out.b"] = Tensor(params.encoder["ln_out.b"].data.copy())
+    assert same_encoder(params, shared)
+    assert len(compared) == 1
+    shared.encoder["ln_out.b"].data[-1] += 1e-12
+    assert not same_encoder(params, shared)
+
+
 def test_group_hash_tracks_content(params):
     h1 = param_group_hash(params.encoder)
     h2 = param_group_hash(params.encoder)

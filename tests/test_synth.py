@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kwbias.container import read_container, write_container
+from kwbias.rng import stream
 from kwbias.synth import (
     SynthError,
     SynthSpec,
+    _make_utterance,
     dataset_load,
     dataset_save,
+    dataset_transcripts,
     generate_corpus,
     make_word_bank,
     spec_hash,
@@ -20,7 +22,12 @@ from kwbias.synth import (
     word_bank_save,
 )
 
+from helpers import rewrite_dataset
+
 SMALL = SynthSpec(train_size=40, dev_size=10, test_size=10, seed=7)
+
+# every way to read a dataset: all of it, one utterance, and the header alone
+LOADS = (dataset_load, lambda path: dataset_load(path, 0), dataset_transcripts)
 
 
 def test_generation_is_deterministic():
@@ -94,6 +101,37 @@ def test_frame_count_is_sum_of_word_prototypes():
     for u in splits["dev"]:
         expected = sum(bank.prototypes[w].shape[0] for w in u.text.split())
         assert u.frames.shape == (expected, SMALL.n_mels)
+
+
+class _NoiseTap:
+    """A Generator that keeps a copy of every `normal` draw it makes."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def normal(self, *args, **kwargs):
+        draw = self.rng.normal(*args, **kwargs)
+        self.draws.append(draw.copy())
+        return draw
+
+
+def test_frames_own_their_data_and_are_prototypes_plus_one_noise_draw():
+    """Replaying each split's stream draws the same utterances, and each
+    utterance's frames are its words' prototypes plus that utterance's one
+    noise draw, bit for bit, in an array of their own."""
+    splits, bank = generate_corpus(SMALL)
+    for name, utts in splits.items():
+        tap = _NoiseTap(stream(SMALL.seed, "corpus", name))
+        for u in utts:
+            assert u.frames.flags.owndata
+            assert _make_utterance(SMALL, bank, tap).text == u.text
+            (noise,) = tap.draws
+            tap.draws.clear()
+            expected = np.concatenate([bank.prototypes[w] for w in u.text.split()]) + noise
+            assert u.frames.tobytes() == expected.tobytes()
 
 
 def test_jargon_flag_matches_transcript():
@@ -184,13 +222,28 @@ def test_malformed_dataset_header_is_a_structured_error(tmp_path, blob, message)
         dataset_load(path)
 
 
-def _rewrite_dataset(path, edit) -> None:
-    """Rewrite dataset `path` after `edit(header)` has changed its own header
-    fields; the copy carries a valid digest."""
-    header, frames = read_container(path, b"KWBDS001", "dataset", SynthError, {})
-    header = {k: v for k, v in header.items() if k not in ("digest", "shapes")}
-    edit(header)
-    write_container(path, b"KWBDS001", header, frames)
+def test_dataset_transcripts_verify_the_header_and_hash_no_frame(tmp_path, monkeypatch):
+    """The header-only read returns `dataset_load`'s texts and digest while
+    sha256 sees no more than the header; it still checks the payload length."""
+    splits, _ = generate_corpus(SMALL)
+    path = tmp_path / "dev.ds"
+    dataset_save(path, splits["dev"], SMALL)
+    utts, digest = dataset_load(path)
+    hashed = [0]
+    real_sha256 = hashlib.sha256
+
+    def counted_sha256(data=b""):
+        hashed[0] += memoryview(data).nbytes
+        return real_sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counted_sha256)
+    assert dataset_transcripts(path) == ([u.text for u in utts], digest)
+    monkeypatch.undo()
+    (header_len,) = struct.unpack_from("<Q", path.read_bytes(), 8)
+    assert 0 < hashed[0] <= header_len
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(SynthError, match=r"\.ds: truncated dataset: "):
+        dataset_transcripts(path)
 
 
 def test_transcript_count_mismatch_is_detected(tmp_path):
@@ -198,22 +251,23 @@ def test_transcript_count_mismatch_is_detected(tmp_path):
     splits, _ = generate_corpus(SMALL)
     path = tmp_path / "dev.ds"
     dataset_save(path, splits["dev"], SMALL)
-    _rewrite_dataset(path, lambda h: h["transcripts"].pop())
-    for index in (None, 0):
+    rewrite_dataset(path, lambda h: h["transcripts"].pop())
+    for load in LOADS:
         with pytest.raises(SynthError, match=r"dev\.ds: manifest count mismatch$"):
-            dataset_load(path, index)
+            load(path)
 
 
 def test_non_string_transcript_is_a_one_line_synth_error(tmp_path):
     """Utterance 3's transcript is a number, digest and all; a load of
-    utterance 0, whose own transcript is sound, fails too."""
+    utterance 0, whose own transcript is sound, fails too, and so does a
+    header-only read."""
     splits, _ = generate_corpus(SMALL)
     path = tmp_path / "dev.ds"
     dataset_save(path, splits["dev"], SMALL)
-    _rewrite_dataset(path, lambda h: h["transcripts"].__setitem__(3, 7))
-    for index in (None, 0):
+    rewrite_dataset(path, lambda h: h["transcripts"].__setitem__(3, 7))
+    for load in LOADS:
         with pytest.raises(SynthError) as info:
-            dataset_load(path, index)
+            load(path)
         assert str(info.value) == f"{path}: corrupt dataset header: every transcript must be a string"
 
 
@@ -225,13 +279,13 @@ def test_a_jargon_flag_other_than_int_0_or_1_is_a_one_line_synth_error(tmp_path,
     splits, _ = generate_corpus(SMALL)
     path = tmp_path / "dev.ds"
     dataset_save(path, splits["dev"], SMALL)
-    _rewrite_dataset(path, lambda h: h["contains_jargon"].__setitem__(slice(0, 2), flags))
+    rewrite_dataset(path, lambda h: h["contains_jargon"].__setitem__(slice(0, 2), flags))
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 1
     path.write_bytes(bytes(blob))
-    for index in (None, 0):
+    for load in LOADS:
         with pytest.raises(SynthError) as info:
-            dataset_load(path, index)
+            load(path)
         assert str(info.value) == f"{path}: corrupt dataset header: every contains_jargon entry must be 0 or 1"
 
 
