@@ -5,7 +5,7 @@ Everything below shells through the package CLI so the run directory
 layout matches what the commands document; use --steps-scale to shrink
 the stage step counts for a quick smoke run.  The training stages run as
 `kwbias.cli.TRAIN_COMMANDS` lists them, each in a directory named by its
-stage role: e.g. `runs/pipeline/base`, which was `runs/pipeline/asr`.
+stage role: e.g. `runs/pipeline/base`.
 """
 
 import argparse
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from kwbias.cli import TRAIN_COMMANDS, main as kwbias_main
 from kwbias.config import ConfigError, RunConfig
+from kwbias.harness import CONDITIONS
 from kwbias.synth import dataset_load
 from kwbias.training import stage_for
 
@@ -50,7 +51,7 @@ def main() -> None:
              "--steps", str(cfg.train_config(mode).steps), *common])
         ckpts[stage.role] = root / stage.role / f"{mode}.ckpt"
     run(["evaluate", "--data", str(data), "--out", str(root / "eval"),
-         "--conditions", "baseline,baseline+prompt,ft,pt,ft-oracle,pt-oracle",
+         "--conditions", ",".join(CONDITIONS),
          "--base-ckpt", str(ckpts["base"]), "--ft-ckpt", str(ckpts["ft"]),
          "--pt-ckpt", str(ckpts["pt"]), "--kws-ckpt", str(ckpts["kws"]), *common])
     run(["attn-export", "--data", str(data), "--out", str(root / "attn"),

@@ -11,7 +11,7 @@ choice for a bounded, silence-safe feature range.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
@@ -39,15 +39,6 @@ class Waveform:
             raise AudioFormatError(f"sample rate must be positive, got {self.sample_rate_hz}")
         if self.samples.size == 0:
             raise AudioFormatError("empty waveform")
-
-
-@dataclass(frozen=True)
-class FeatureSequence:
-    frames: np.ndarray  # (T, n_mels), one frame every HOP_MS
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 def load_wav(source: Path | str | BinaryIO) -> Waveform:
@@ -126,8 +117,9 @@ def log_mel_raw(w: Waveform, n_mels: int) -> np.ndarray:
     return np.log10(np.maximum(mel, 1e-10))
 
 
-def log_mel(w: Waveform, n_mels: int) -> FeatureSequence:
-    """Log-mel features for 16 kHz audio; frames fully inside the signal."""
+def log_mel(w: Waveform, n_mels: int) -> np.ndarray:
+    """Log-mel features for 16 kHz audio: a (T, n_mels) array, one frame
+    every HOP_MS, over the frames fully inside the signal."""
     logm = log_mel_raw(w, n_mels)
     clamped = np.maximum(logm, logm.max() - 8.0)
-    return FeatureSequence(frames=(clamped + 4.0) / 4.0)
+    return (clamped + 4.0) / 4.0

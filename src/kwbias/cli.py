@@ -40,7 +40,7 @@ from .harness import (
     write_reports,
 )
 from .model import encode, init_params, kws_detect, same_encoder, transcribe_greedy
-from .prompts import Keyword, KeywordSet, assemble_prompt, kws_to_prompt
+from .prompts import Keyword, KeywordSet, assemble_prompt
 from .synth import (
     DatasetIndexError,
     dataset_load,
@@ -259,7 +259,7 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
         blob = Path(args.wav).read_bytes()
         inputs["wav"] = (Path(args.wav), f"sha256={hashlib.sha256(blob).hexdigest()}")
         wave = resample(load_wav(io.BytesIO(blob)), SAMPLE_RATE_HZ)
-        frames = log_mel(wave, params.config.n_mels).frames
+        frames = log_mel(wave, params.config.n_mels)
     else:
         try:
             utt, digest = dataset_load(data_dir / "test.ds", args.index)
@@ -277,11 +277,9 @@ def cmd_transcribe(args: argparse.Namespace) -> int:
         kws_params, _, inputs["kws-ckpt"] = _load_checkpoint(args.kws_ckpt, vocab, reuse=(params, meta))
         kws_u = u if same_encoder(kws_params, params) else encode(kws_params, [frames])
         (pred,) = kws_detect(kws_params, kws_u, [[kw.tokens for kw in keywords]], threshold=cfg.kws_threshold)
-        prompt = kws_to_prompt(vocab, list(pred.decisions), keywords)
-        detected = [kw.surface for kw, d in zip(keywords, pred.decisions) if d]
-        lines.append("detected: " + (", ".join(detected) if detected else "(none)"))
-    else:
-        prompt = assemble_prompt(vocab, keywords)
+        keywords = [kw for kw, hit in zip(keywords, pred.decisions, strict=True) if hit]
+        lines.append("detected: " + (", ".join(kw.surface for kw in keywords) or "(none)"))
+    prompt = assemble_prompt(vocab, keywords)
 
     # a chunk of one, through the path evaluation decodes with
     (ids,) = transcribe_greedy(params, u, [prompt], prefix, vocab.eot_id, params.config.max_tgt_len)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,10 +43,10 @@ from .model import (
     same_encoder,
     transcribe_greedy,
 )
-from .prompts import KeywordSet, assemble_prompt, kws_to_prompt, prompt_keyword_spans, select_eval_keywords
+from .prompts import KeywordSet, assemble_prompt, prompt_keyword_spans, select_eval_keywords
 from .rng import stream
 from .synth import Utterance
-from .text import TfidfTable, Vocab, find_subsequence, normalize, tfidf_scores
+from .text import Vocab, find_subsequence, normalize, tfidf_scores
 from .training import STAGES, train_run
 
 
@@ -88,7 +88,7 @@ class EvalContext:
 
     cfg: RunConfig
     vocab: Vocab
-    tfidf: TfidfTable
+    tfidf: Mapping[str, float]
     # draws made so far; `dataclasses.replace` starts an empty one
     _drawn: dict[tuple[int, str], KeywordSet] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -199,7 +199,8 @@ def evaluate_condition(
         if source == "spotter":
             tokens = [[kw.tokens for kw in keywords] for keywords in chunk]
             preds = kws_detect(kws_params, kws_u, tokens, threshold=ctx.cfg.kws_threshold)
-            prompts = [kws_to_prompt(vocab, list(p.decisions), keywords) for p, keywords in zip(preds, chunk)]
+            prompts = [assemble_prompt(vocab, [kw for kw, hit in zip(keywords, p.decisions, strict=True) if hit])
+                       for p, keywords in zip(preds, chunk)]
         else:
             prompts = [assemble_prompt(vocab, ks.positives() if source == "oracle" else ()) for ks in chunk]
         # every row stops at its own decode budget, which is below max_tgt_len
@@ -329,7 +330,6 @@ def ablation_table(rows: Sequence[dict]) -> str:
 class AttentionRecord:
     index: int
     block: np.ndarray  # (n prompt tokens, n output tokens)
-    row_sums: np.ndarray
     prompt_labels: tuple[str, ...]
     output_labels: tuple[str, ...]
     keyword_hit: bool | None  # peak lands in the keyword's emission columns
@@ -366,7 +366,7 @@ def export_attention(
         spans = prompt_keyword_spans(positives)
         t_ids = vocab.tokenize(utt.text)
         u = encode(params, [utt.frames])
-        block, row_sums = prompt_attention_block(params, u, prompt, t_ids, prefix, layer)
+        block = prompt_attention_block(params, u, prompt, t_ids, prefix, layer)
 
         kw = jargon_kws[0]
         span = spans[positives.index(kw)]
@@ -379,9 +379,7 @@ def export_attention(
 
         prompt_labels = tuple(vocab.units[i] for i in prompt)
         output_labels = tuple(vocab.units[i] for i in t_ids)
-        records.append(
-            AttentionRecord(index, block, row_sums, prompt_labels, output_labels, hit)
-        )
+        records.append(AttentionRecord(index, block, prompt_labels, output_labels, hit))
     return records
 
 

@@ -677,9 +677,6 @@ class KwsPrediction:
     probabilities: np.ndarray
     decisions: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
 
 def kws_logits(params: ModelParams, u: Packed, keyword_tokens: Sequence[Sequence[Sequence[int]]]) -> Tensor:
     """One presence logit per keyword, shape (total keyword count,); the
@@ -730,13 +727,11 @@ def prompt_attention_block(
     t_ids: Sequence[int],
     prefix: Tensor | None,
     layer: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Head-averaged attention from generating positions onto prompt tokens.
 
-    Returns (block, row_sums): block[r, c] is the attention that the
-    position emitting t[c] pays to prompt token r; row_sums[c] is that
-    position's attention total over all attended positions (1 up to
-    rounding, since it comes from one softmax row).
+    Returns the block: block[r, c] is the attention that the position
+    emitting t[c] pays to prompt token r.
     """
     if len(u.lengths) != 1:
         raise ModelError(f"attention export reads one encoder output, got {len(u.lengths)}")
@@ -748,9 +743,7 @@ def prompt_attention_block(
     n_cond = len(cond_ids)
     emit_positions = [n_prefix + n_cond - 1 + i for i in range(len(t_ids))]
     prompt_positions = list(range(n_prefix, n_prefix + n_cond))
-    block = attn[np.ix_(emit_positions, prompt_positions)].T.copy()
-    row_sums = attn[emit_positions].sum(axis=1)
-    return block, row_sums
+    return attn[np.ix_(emit_positions, prompt_positions)].T.copy()
 
 
 def param_count(group: dict[str, Tensor]) -> int:

@@ -20,12 +20,12 @@ between keywords.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import KwbiasError
-from .text import TfidfTable, Vocab, find_subsequence, normalize
+from .text import Vocab, find_subsequence, normalize
 
 
 class PromptError(KwbiasError):
@@ -119,7 +119,7 @@ def sample_word_keywords(
     vocab: Vocab,
     batch_words: Sequence[Sequence[str]],
     index: int,
-    weights: TfidfTable,
+    weights: Mapping[str, float],
     rng: np.random.Generator,
 ) -> KeywordSet:
     """Whole-word keyword draw for recognizer pretraining exposure.
@@ -144,7 +144,7 @@ def sample_word_keywords(
                 cands = sorted(w for w in own_set - taken if _usable(vocab, w))
                 if not cands:
                     break
-                word = cands[_weighted_pick(np.array([weights.get(c) for c in cands]), rng)]
+                word = cands[_weighted_pick(np.array([weights.get(c, 0.0) for c in cands]), rng)]
             else:
                 other = int(rng.integers(0, len(batch_words) - 1))
                 if other >= index:
@@ -183,16 +183,6 @@ def prompt_keyword_spans(keyword_set: KeywordSet | Sequence[Keyword]) -> list[tu
     return spans
 
 
-def kws_to_prompt(vocab: Vocab, decisions: Sequence[bool], keyword_set: KeywordSet) -> list[int]:
-    """Prompt over exactly the keywords flagged present, original order."""
-    if len(decisions) != len(keyword_set):
-        raise PromptError(
-            f"got {len(decisions)} decisions for {len(keyword_set)} keywords"
-        )
-    kept = [kw for kw, flag in zip(keyword_set, decisions) if flag]
-    return assemble_prompt(vocab, kept)
-
-
 def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
     """An index drawn in proportion to `weights`, uniformly if they sum to 0."""
     total = weights.sum()
@@ -218,7 +208,7 @@ def _weighted_draw_without_replacement(
 def select_eval_keywords(
     vocab: Vocab,
     transcript: str,
-    tfidf: TfidfTable,
+    tfidf: Mapping[str, float],
     rng: np.random.Generator,
     n_positives: int,
     n_negatives: int,
@@ -236,7 +226,7 @@ def select_eval_keywords(
         raise PromptError(
             f"transcript has {len(pos_candidates)} usable distinct words, need {n_positives}"
         )
-    neg_candidates = [w for w in sorted(tfidf.scores) if w not in present and _usable(vocab, w)]
+    neg_candidates = [w for w in sorted(tfidf) if w not in present and _usable(vocab, w)]
     if len(neg_candidates) < n_negatives:
         raise PromptError(
             f"negatives pool has {len(neg_candidates)} usable words outside the transcript, "
@@ -244,10 +234,10 @@ def select_eval_keywords(
         )
 
     positives = _weighted_draw_without_replacement(
-        pos_candidates, np.array([tfidf.get(w) for w in pos_candidates]), n_positives, rng
+        pos_candidates, np.array([tfidf.get(w, 0.0) for w in pos_candidates]), n_positives, rng
     )
     negatives = _weighted_draw_without_replacement(
-        neg_candidates, np.array([tfidf.get(w) for w in neg_candidates]), n_negatives, rng
+        neg_candidates, np.array([tfidf.get(w, 0.0) for w in neg_candidates]), n_negatives, rng
     )
     return KeywordSet(tuple(
         Keyword(surface=w, tokens=tuple(vocab.word_tokens(w)), positive=w in positives)

@@ -19,9 +19,8 @@ import hashlib
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import KwbiasError
 
@@ -198,18 +197,13 @@ def build_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
     return Vocab(units)
 
 
-@dataclass(frozen=True)
-class TfidfTable:
-    """Per-word tf-idf over a document collection (document = one transcript)."""
+def tfidf_scores(corpus: Iterable[str]) -> dict[str, float]:
+    """Per-word tf-idf over a document collection (document = one transcript):
+    score(w) = raw count of w across the corpus * ln(n_docs / doc_freq(w)).
 
-    scores: Mapping[str, float]
-
-    def get(self, word: str) -> float:
-        return self.scores.get(word, 0.0)
-
-
-def tfidf_scores(corpus: Iterable[str]) -> TfidfTable:
-    """score(w) = raw count of w across the corpus * ln(n_docs / doc_freq(w))."""
+    Only words the corpus holds are keys; a caller scores an absent word 0
+    (`scores.get(w, 0.0)`).
+    """
     docs = [normalize(t).split() for t in corpus]
     if not docs:
         raise VocabError("tf-idf needs at least one transcript")
@@ -219,4 +213,4 @@ def tfidf_scores(corpus: Iterable[str]) -> TfidfTable:
     for words in docs:
         tf.update(words)
         df.update(set(words))
-    return TfidfTable({w: tf[w] * math.log(n / df[w]) for w in tf})
+    return {w: tf[w] * math.log(n / df[w]) for w in tf}

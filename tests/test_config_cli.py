@@ -558,6 +558,41 @@ def test_transcribe_with_keywords_through_spotter(cli_world, tmp_path):
     assert detected == "(none)" or set(detected.split(", ")) <= {present, absent}
 
 
+def _transcribe_lines(data: Path, ckpt: Path, out: Path, *extra: str) -> list[str]:
+    assert main(["transcribe", "--data", str(data), "--index", "0", "--ckpt", str(ckpt),
+                 "--out", str(out), *TINY_OVERRIDES, *extra]) == 0
+    return (out / "transcript.txt").read_text().splitlines()
+
+
+def _spotter_keywords(data: Path) -> list[str]:
+    """Two words utterance 0 of the test split speaks and two it does not."""
+    train_words = sorted({w for u in dataset_load(data / "train.ds")[0] for w in u.text.split()})
+    spoken = dataset_load(data / "test.ds", 0)[0].text.split()
+    words = [w for w in spoken if w in train_words][:2] + [w for w in train_words if w not in spoken][:2]
+    assert len(words) == 4
+    return words
+
+
+def test_transcribe_spotter_at_threshold_one_prompts_like_no_keywords(cli_world, tmp_path):
+    _, data, _, kws, pt = cli_world
+    keywords = _spotter_keywords(data)
+    spotted = _transcribe_lines(data, pt / "pt.ckpt", tmp_path / "spotted", "--kws-ckpt", str(kws / "kws.ckpt"),
+                                "--keywords", ",".join(keywords), "--set", "kws_threshold=1.0")
+    plain = _transcribe_lines(data, pt / "pt.ckpt", tmp_path / "plain")
+    assert spotted == ["detected: (none)", plain[0]]
+    assert plain[0].startswith("transcript: ")
+
+
+def test_transcribe_spotter_at_threshold_zero_prompts_every_keyword(cli_world, tmp_path):
+    _, data, _, kws, pt = cli_world
+    keywords = _spotter_keywords(data)
+    spotted = _transcribe_lines(data, pt / "pt.ckpt", tmp_path / "spotted", "--kws-ckpt", str(kws / "kws.ckpt"),
+                                "--keywords", ",".join(keywords), "--set", "kws_threshold=0.0")
+    listed = _transcribe_lines(data, pt / "pt.ckpt", tmp_path / "listed", "--keywords", ",".join(keywords))
+    assert spotted == ["detected: " + ", ".join(keywords), listed[0]]
+    assert listed[0].startswith("transcript: ")
+
+
 def test_transcribe_with_a_spotter_but_no_keywords_fails_before_any_input_is_read(capsys, tmp_path):
     # no --keywords at all, or a list whose every entry normalizes to nothing
     out = tmp_path / "tr"

@@ -12,14 +12,13 @@ from kwbias.prompts import (
     KeywordSet,
     PromptError,
     assemble_prompt,
-    kws_to_prompt,
     prompt_keyword_spans,
     sample_training_keywords,
     sample_word_keywords,
     select_eval_keywords,
 )
 from kwbias.rng import stream
-from kwbias.text import TfidfTable, build_vocab, normalize, tfidf_scores
+from kwbias.text import build_vocab, normalize, tfidf_scores
 
 CORPUS = [
     "bako demo rila sotu kipo vanu",
@@ -120,7 +119,7 @@ def test_word_keyword_draws_are_pinned(vocab):
     pick moves a training draw unnoticed."""
     batch_words = [normalize(t).split() for t in CORPUS]
     h = hashlib.sha256()
-    for name, weights in (("tfidf", tfidf_scores(CORPUS)), ("zero", TfidfTable({}))):
+    for name, weights in (("tfidf", tfidf_scores(CORPUS)), ("zero", {})):
         rng = stream(31, "word-draw", name)
         for i in range(300):
             for kw in sample_word_keywords(vocab, batch_words, i % len(batch_words), weights, rng):
@@ -164,38 +163,6 @@ def test_keyword_set_rejects_duplicate_surfaces():
                 Keyword(surface="x", tokens=(10,), positive=False),
             ),
         )
-
-
-def test_kws_to_prompt_all_negative(vocab):
-    ks = KeywordSet(
-        (
-            Keyword(surface="bako", tokens=tuple(vocab.tokenize("bako")), positive=True),
-            Keyword(surface="demo", tokens=tuple(vocab.tokenize("demo")), positive=False),
-        ),
-    )
-    assert kws_to_prompt(vocab, [False, False], ks) == [vocab.sop_id, vocab.sot_id]
-
-
-def test_kws_to_prompt_all_positive_keeps_order(vocab):
-    ks = KeywordSet(
-        (
-            Keyword(surface="bako", tokens=tuple(vocab.tokenize("bako")), positive=True),
-            Keyword(surface="demo", tokens=tuple(vocab.tokenize("demo")), positive=False),
-        ),
-    )
-    assert kws_to_prompt(vocab, [True, True], ks) == assemble_prompt(vocab, ks.keywords)
-
-
-def test_kws_to_prompt_oracle_truth_equals_positive_subset(vocab, batch_tokens):
-    ks = sample_training_keywords(vocab, batch_tokens, 2, stream(82, "oracle"))
-    truth = [kw.positive for kw in ks]
-    assert kws_to_prompt(vocab, truth, ks) == assemble_prompt(vocab, ks.positives())
-
-
-def test_kws_to_prompt_length_mismatch(vocab):
-    ks = KeywordSet((Keyword(surface="bako", tokens=(9,), positive=True),))
-    with pytest.raises(PromptError, match="1 keywords"):
-        kws_to_prompt(vocab, [True, False], ks)
 
 
 BIG_CORPUS = CORPUS + [

@@ -215,10 +215,9 @@ def test_tfidf_three_document_hand_computation():
     assert math.isclose(table.get("a"), 3 * math.log(3 / 2))
     assert math.isclose(table.get("b"), 2 * math.log(3 / 2))
     assert math.isclose(table.get("d"), 1 * math.log(3 / 1))
-    assert table.get("missing") == 0.0
-    assert "missing" not in table.scores
+    assert "missing" not in table
 
 
 def test_tfidf_scores_nonnegative():
     table = tfidf_scores(CORPUS)
-    assert all(v >= 0 for v in table.scores.values())
+    assert all(v >= 0 for v in table.values())
