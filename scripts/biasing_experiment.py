@@ -6,7 +6,9 @@ seed, WER and keyword F1 for the no-prompt baseline, prompt tuning with
 a real spotter, and both oracle-prompt variants, plus the three
 directional checks the mechanism is supposed to deliver.  It also prints
 each seed's time, of which its set-up (corpus, vocabulary, evaluation
-context), and the total time.
+context), the peak RSS of the worker process that ran it, and the total
+time.  A worker that ran several seeds reports its peak over all of them
+so far, and its line says so.
 
 Seeds run in a pool of one process per seed, at most one per core, and
 every process runs BLAS on one thread.  Each worker builds the set-up
@@ -27,6 +29,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import multiprocessing  # noqa: E402
+import resource  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from functools import partial  # noqa: E402
@@ -39,8 +42,9 @@ from kwbias.text import build_vocab  # noqa: E402
 CONDITIONS = ["baseline", "pt", "pt-oracle", "ft-oracle"]
 
 
-def run_seed(cfg: RunConfig, seed: int) -> tuple[dict[str, tuple[float, float]], float, float]:
-    """({condition: (WER, F1)}, set-up seconds, total seconds) of one seed."""
+def run_seed(cfg: RunConfig, seed: int) -> tuple[dict[str, tuple[float, float]], float, float, int, float]:
+    """({condition: (WER, F1)}, set-up seconds, total seconds, worker pid,
+    worker peak RSS in MB so far) of one seed."""
     t0 = time.monotonic()
     splits, _ = generate_corpus(cfg.synth_spec())
     vocab = build_vocab([u.text for u in splits["train"]], cfg.vocab_target)
@@ -49,7 +53,8 @@ def run_seed(cfg: RunConfig, seed: int) -> tuple[dict[str, tuple[float, float]],
     stack = train_stack(replace(cfg, seed=seed), splits["train"], vocab)
     reports = evaluate_conditions(CONDITIONS, stack, stack["kws"], splits["test"], ctx)
     scores = {r.condition: (r.wer.wer, r.f1.f1) for r in reports}
-    return scores, set_up, time.monotonic() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    return scores, set_up, time.monotonic() - t0, os.getpid(), peak_mb
 
 
 def main() -> None:
@@ -66,10 +71,12 @@ def main() -> None:
     workers = min(len(args.seeds), os.cpu_count() or 1)
     print(f"{'seed':>4}  {'cond':<12} {'WER':>7} {'F1':>7}")
     wins = {"f1_gap": 0, "wer_order": 0, "sandwich": 0}
+    seeds_by_worker: dict[int, int] = {}
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
         # imap hands results back in seed order, each as soon as it and
         # every earlier seed are done
-        for seed, (scores, set_up, seconds) in zip(args.seeds, pool.imap(partial(run_seed, cfg), args.seeds)):
+        for seed, (scores, set_up, seconds, pid, peak_mb) in zip(
+                args.seeds, pool.imap(partial(run_seed, cfg), args.seeds)):
             for name in CONDITIONS:
                 wer, f1 = scores[name]
                 print(f"{seed:>4}  {name:<12} {wer:>7.4f} {f1:>7.4f}", flush=True)
@@ -78,7 +85,11 @@ def main() -> None:
             wins["f1_gap"] += pto_f1 >= base_f1 + 0.10
             wins["wer_order"] += pto_wer <= base_wer
             wins["sandwich"] += base_f1 <= pt_f1 <= pto_f1
-            print(f"      ({seconds:.0f}s, of which set-up {set_up:.2f}s)", flush=True)
+            seeds_by_worker[pid] = ran = seeds_by_worker.get(pid, 0) + 1
+            peak = f"peak RSS {peak_mb:.1f} MB"
+            if ran > 1:
+                peak += f", that worker's maximum over its {ran} seeds so far"
+            print(f"      ({seconds:.0f}s, of which set-up {set_up:.2f}s; {peak})", flush=True)
     n = len(args.seeds)
     print(f"\nF1(pt-oracle) >= F1(baseline)+0.10 : {wins['f1_gap']}/{n} seeds")
     print(f"WER(pt-oracle) <= WER(baseline)    : {wins['wer_order']}/{n} seeds")

@@ -328,9 +328,11 @@ def embedding(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu_forward(x: np.ndarray, keep_tanh: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Tanh-approximated GELU of x, with the tanh term its adjoint reads:
-    (gelu(x), tanh term)."""
+    (gelu(x), tanh term).  With `keep_tanh=False`, for a caller with no
+    adjoint, gelu(x) is written over the tanh term, which comes back as
+    None: one array of x's shape besides x, not two."""
     # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) in two arrays:
     # products and sums commute, and halving last is exact
     t = x * x
@@ -339,10 +341,10 @@ def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    y = t + 1.0
+    y = np.add(t, 1.0, out=None if keep_tanh else t)
     y *= x
     y *= 0.5
-    return y, t
+    return y, (t if keep_tanh else None)
 
 
 def gelu(a: Tensor) -> Tensor:

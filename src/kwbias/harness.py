@@ -117,7 +117,7 @@ def make_eval_context(cfg: RunConfig, vocab: Vocab, train_texts: Sequence[str]) 
 # while peak memory grows with a chunk's rows.  On the benchmark's `eval`
 # workload 32 rows read 711 utterances/s against 657 for 16 and peak RSS
 # 145-154 MB against 137.5, past its 5 % bound.  A chunk's first decode call
-# holds three (rows, d_ff) feed-forward arrays (10.2 MiB at 32 rows, 5.2 at
+# holds two (rows, d_ff) feed-forward arrays (6.8 MiB at 32 rows, 3.5 at
 # 16: 1,734 and 886 rows at the default d_ff of 256) and a self-attention
 # cache of twice the slots (8 MiB against 4).
 DECODE_CHUNK = 16

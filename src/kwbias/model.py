@@ -478,7 +478,7 @@ def _decoder_step(
             ctx = attend_each(cross_q, k_enc, v_enc, cache.cross_lengths, causal=False)
         h += ad.affine_forward(ctx, w[f"{c}.wo"], w[f"{c}.bo"])
         normed = ad.layer_norm_forward(h, w[f"l{i}.ln3.g"], w[f"l{i}.ln3.b"])[0]
-        hidden = ad.gelu_forward(ad.affine_forward(normed, w[f"l{i}.ff.w1"], w[f"l{i}.ff.b1"]))[0]
+        hidden = ad.gelu_forward(ad.affine_forward(normed, w[f"l{i}.ff.w1"], w[f"l{i}.ff.b1"]), keep_tanh=False)[0]
         h += ad.affine_forward(hidden, w[f"l{i}.ff.w2"], w[f"l{i}.ff.b2"])
     cache.lengths = new
     return ad.layer_norm_forward(h, w["ln_out.g"], w["ln_out.b"])[0]

@@ -7,6 +7,15 @@ prototypes sit a small offset away from the common word's), so a decoder
 can only resolve it reliably from context, which is exactly the failure
 mode keyword prompting is meant to fix.
 
+A generated utterance keeps no frames array.  It keeps its words'
+prototypes (the word bank's own arrays), the noise scale and the PCG64
+state its split's stream had just before its noise draw, and each read of
+`Utterance.frames` builds concatenate(prototypes) + normal(0, sigma) from
+that state: the array generation drew, bit for bit, in a fresh array.  A
+read of a 33-frame utterance takes about 40 us, and the default corpus
+retains 2.9 MB where its 2,200 frame arrays took 46 MB.  Reading `text`
+or `contains_jargon` builds nothing.
+
 A split is saved as one container file: the frames are its arrays, and
 the header holds each utterance's transcript and jargon flag, so the
 header digest verifies the transcripts along with everything else.
@@ -123,10 +132,41 @@ class WordBank:
 
 
 @dataclass(frozen=True)
+class FrameRecipe:
+    """A generated utterance's frames as the draws that made them: its words'
+    prototypes and, when `sigma > 0`, the `bit_generator.state` of its
+    split's stream just before its noise draw."""
+
+    prototypes: tuple[np.ndarray, ...]
+    sigma: float
+    state: dict | None
+
+    def build(self) -> np.ndarray:
+        frames = np.concatenate(self.prototypes, axis=0)
+        if self.sigma > 0:
+            # the seed is overwritten at once; a fixed one skips an entropy draw
+            rng = np.random.Generator(np.random.PCG64(0))
+            rng.bit_generator.state = self.state
+            frames += rng.normal(0.0, self.sigma, size=frames.shape)
+        return frames
+
+
+@dataclass(frozen=True)
 class Utterance:
-    frames: np.ndarray  # (T, n_mels)
+    """A transcript, its jargon flag and its (T, n_mels) frames.
+
+    `source` is the frames array itself (loaded, or given by a caller) or
+    a generated utterance's `FrameRecipe`, which every read of `frames`
+    builds anew: the same bits each time, in an array of its own, about
+    40 us for 33 frames of 80 mels.  No built array is cached."""
+
+    source: np.ndarray | FrameRecipe
     text: str
     contains_jargon: bool
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self.source.build() if isinstance(self.source, FrameRecipe) else self.source
 
     def content_hash(self) -> str:
         h = hashlib.sha256(self.text.encode("utf-8"))
@@ -193,11 +233,13 @@ def _make_utterance(spec: SynthSpec, bank: WordBank, rng: np.random.Generator) -
         picks = rng.choice(len(bank.jargon), size=spec.jargon_per_utterance, replace=False)
         for j in picks:
             words.insert(int(rng.integers(len(words) + 1)), bank.jargon[int(j)])
-    frames = np.concatenate([bank.prototypes[w] for w in words], axis=0)
+    prototypes = tuple(bank.prototypes[w] for w in words)
+    state = None
     if spec.noise_sigma > 0:
-        # concatenate returns a fresh array, so the noise goes in place: no third array per utterance
-        frames += rng.normal(0.0, spec.noise_sigma, size=frames.shape)
-    return Utterance(frames=frames, text=" ".join(words), contains_jargon=with_jargon)
+        # the draw advances the split's stream as the frames' noise; `frames` redraws it from `state`
+        state = rng.bit_generator.state
+        rng.normal(0.0, spec.noise_sigma, size=(sum(len(p) for p in prototypes), spec.n_mels))
+    return Utterance(FrameRecipe(prototypes, spec.noise_sigma, state), " ".join(words), with_jargon)
 
 
 def generate_corpus(spec: SynthSpec) -> tuple[dict[str, list[Utterance]], WordBank]:
@@ -293,7 +335,7 @@ def dataset_load(path: Path | str, index: int | None = None) -> tuple[list[Utter
         return range(index, index + 1)
 
     header, frames = read_container(path, _MAGIC, "dataset", SynthError, _DATASET_FIELDS, select)
-    utterances = [Utterance(frames=f, text=text, contains_jargon=bool(flag))
+    utterances = [Utterance(f, text, bool(flag))
                   for f, flag, text in zip(frames, header["contains_jargon"], header["transcripts"])
                   if f is not None]
     return (utterances if index is None else utterances[0]), header["digest"]

@@ -114,6 +114,8 @@ def test_forward_formulas_equal_their_textbook_expressions_bit_for_bit(shape):
     tanh = np.tanh(c * (x + 0.044715 * (x * x * x)))
     y, t = ad.gelu_forward(x)
     assert np.array_equal(y, 0.5 * x * (1.0 + tanh)) and np.array_equal(t, tanh)
+    y_over_tanh, no_tanh = ad.gelu_forward(x, keep_tanh=False)
+    assert np.array_equal(y_over_tanh, y) and no_tanh is None
     g, b = rng.normal(size=shape[1]), rng.normal(size=shape[1])
     yhat = (x - np.mean(x, axis=-1, keepdims=True)) * (1.0 / np.sqrt(np.var(x, axis=-1, keepdims=True) + 1e-5))
     out, got_yhat, _ = ad.layer_norm_forward(x, g, b)

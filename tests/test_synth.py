@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,35 @@ def test_frames_own_their_data_and_are_prototypes_plus_one_noise_draw():
             tap.draws.clear()
             expected = np.concatenate([bank.prototypes[w] for w in u.text.split()]) + noise
             assert u.frames.tobytes() == expected.tobytes()
+
+
+def test_a_generated_corpus_keeps_no_frames_and_builds_them_fresh_on_each_read():
+    """The default corpus (2,200 utterances) took 46 MB as frame arrays;
+    generated utterances keep what their frames are built from instead,
+    and reading a transcript or flag builds no frame."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        splits, _ = generate_corpus(SynthSpec())
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        current = tracemalloc.get_traced_memory()[0]
+        for utts in splits.values():
+            for u in utts:
+                u.text, u.contains_jargon
+        # building the smallest default utterance (20 frames of 80 mels) takes 12.8 KB
+        text_peak = tracemalloc.get_traced_memory()[1] - current
+    finally:
+        tracemalloc.stop()
+    assert retained < 5_000_000, retained
+    assert text_peak < 2_000, text_peak
+    u = splits["train"][0]
+    first, second = u.frames, u.frames
+    assert first is not second and first.flags.owndata and second.flags.owndata
+    assert first.tobytes() == second.tobytes()
+    expected = second.copy()
+    first += 1.0
+    assert second.tobytes() == expected.tobytes() == u.frames.tobytes()
 
 
 def test_jargon_flag_matches_transcript():
